@@ -120,7 +120,7 @@ def _write_csv(path, header, rows):
 
 
 def _metadata(args):
-    return {"seed": args.seed, "threads": args.threads}
+    return {"seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +171,47 @@ def cmd_graded(args) -> int:
     return EXIT_OK
 
 
+def _root_count_1d(f, r: int) -> int:
+    """Roots of f^r(z) - z counted with multiplicity, f^r not the identity.
+
+    deg(f)^r for deg f >= 2; an affine az + b gives one root, or none when
+    a == 1 and f^r(z) - z = rb is a nonzero constant.
+    """
+    if f.degree >= 2:
+        return f.degree ** r
+    return 0 if f.components[0].get((1,), 0j) == 1 else 1
+
+
 def _collect_orbits(f, u, r_max, args):
+    """Periodic orbits of exact period 1..r_max, and the search record.
+
+    The search counts as complete only for one variable, when f^r is never
+    the identity and every r yields as many distinct resolved points as
+    f^r(z) - z has roots, so no root was merged or left unresolved.
+    """
     orbits = []
     complete = f.dim == 1
-    search_info = {"complete": complete}
+    runs = {}
     for r in range(1, r_max + 1):
         if f.dim == 1:
             pts = periodic_points_1d(f, r)
             if isinstance(pts, AllPoints):
+                complete = False
                 continue
+            complete = complete and len(pts) == _root_count_1d(f, r)
             points = [np.array([z]) for z in pts]
         else:
-            cfg = SearchConfig(starts=args.starts, seed=args.seed,
-                               threads=args.threads)
+            cfg = SearchConfig(starts=args.starts, seed=args.seed)
             result = periodic_points_2d(f, r, cfg)
             points = [np.asarray(p) for p in result.points]
-            search_info[f"r={r}"] = {"starts": result.starts,
-                                     "converged": result.converged,
-                                     "seed": result.seed}
+            runs[f"r={r}"] = {"starts": result.starts,
+                              "converged": result.converged,
+                              "seed": result.seed}
         for p in points:
             orbit = make_orbit(f, p, r, u)
             if orbit.period == r:
                 orbits.append(orbit)
-    return orbits, complete, search_info
+    return orbits, complete, {"complete": complete, **runs}
 
 
 def cmd_certify(args) -> int:
@@ -255,8 +273,7 @@ def _strongest(certs, mode):
 def cmd_search_repelling(args) -> int:
     f = load_polymap(read_json(args.map))
     lo, hi = (float(x) for x in args.s_range.split(":"))
-    cfg = sphere.MaxSearchConfig(starts=args.grid_starts, seed=args.seed,
-                                 threads=args.threads)
+    cfg = sphere.MaxSearchConfig(starts=args.grid_starts, seed=args.seed)
     rc = sphere.construct_repelling(
         f, (lo, hi), args.s_steps, cfg, polish_starts=args.starts)
     if args.profile_out:
@@ -327,7 +344,7 @@ def cmd_fock(args) -> int:
 def cmd_henon(args) -> int:
     comp = load_henon(read_json(args.henon))
     u = _load_weight_arg(args.weight)
-    cfg = SearchConfig(starts=args.starts, seed=args.seed, threads=args.threads)
+    cfg = SearchConfig(starts=args.starts, seed=args.seed)
     cert = henon.saddle_certificate(comp, u, r_max=args.r_max, config=cfg)
     payload = cert.to_json_dict()
     payload["metadata"] = {**_metadata(args), "r_max": args.r_max,
@@ -393,7 +410,6 @@ def build_parser() -> Parser:
     def common(p):
         p.add_argument("--seed", type=int,
                        default=int(os.environ.get("HOLO_SEED", "0")))
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
 

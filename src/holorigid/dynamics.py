@@ -11,7 +11,6 @@ Newton multistart supplies witnesses without any completeness claim.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,9 +20,16 @@ from .errors import (
     OrbitError,
     PreconditionError,
     SelfCheckError,
-    TermOverflowError,
 )
-from .jets import Jet, JetMap, _PowerCache
+from .jets import (
+    Jet,
+    JetMap,
+    PowerCache,
+    check_terms,
+    greedy_pairs,
+    substitute,
+    table_multiply,
+)
 
 DEFAULT_MAX_TERMS = 4096
 TOL_ORBIT = 1e-8
@@ -40,30 +46,6 @@ NEWTON_RESIDUAL = 1e-12
 def _poly_clean(table: dict) -> dict:
     return {tuple(int(x) for x in a): complex(c) for a, c in table.items()
             if complex(c) != 0}
-
-
-def _poly_add(out: dict, table: dict, scale=1.0):
-    for a, c in table.items():
-        v = out.get(a, 0j) + scale * c
-        if v == 0:
-            out.pop(a, None)
-        else:
-            out[a] = v
-    return out
-
-
-def _poly_mul(a: dict, b: dict, max_terms=None) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0j) + ca * cb
-    if max_terms is not None and len(out) > max_terms:
-        raise TermOverflowError(
-            f"polynomial grew to {len(out)} terms (cap {max_terms}); "
-            "use pointwise iteration instead"
-        )
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def _poly_eval(table: dict, z: np.ndarray) -> complex:
@@ -94,54 +76,10 @@ def _poly_degree(table: dict) -> int:
 def _poly_to_jet(table: dict, dim: int, base, cap: int) -> Jet:
     """Taylor expansion of a polynomial table at a new base point."""
     base = tuple(complex(b) for b in base)
-    work_cap = max(cap, 1)  # the shift jets z_j + b_j carry a degree-1 term
-    shifts = [Jet(dim, work_cap, base,
-                  {tuple(1 if k == j else 0 for k in range(dim)): 1.0 + 0j,
-                   (0,) * dim: base[j]})
+    shifts = [_poly_clean({tuple(1 if k == j else 0 for k in range(dim)): 1.0,
+                           (0,) * dim: base[j]})
               for j in range(dim)]
-    cache = _PowerCache(shifts)
-    out: dict = {}
-    for alpha, c in table.items():
-        for key, v in cache.power(alpha).coeffs.items():
-            if sum(key) <= cap:
-                out[key] = out.get(key, 0j) + c * v
-    return Jet(dim, cap, base, out)
-
-
-class _PolyPowerCache:
-    """Memoized power products of the components of an inner map."""
-
-    def __init__(self, components, max_terms):
-        self.components = tuple(components)
-        self.max_terms = max_terms
-        self.memo = {}
-
-    def power(self, alpha) -> dict:
-        alpha = tuple(alpha)
-        got = self.memo.get(alpha)
-        if got is not None:
-            return got
-        if not any(alpha):
-            res = {tuple(0 for _ in alpha): 1.0 + 0j}
-        else:
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            res = _poly_mul(self.power(prev), self.components[i], self.max_terms)
-        self.memo[alpha] = res
-        return res
-
-
-def _poly_compose(table: dict, inner_powers: _PolyPowerCache,
-                  max_terms) -> dict:
-    out: dict = {}
-    for alpha, c in table.items():
-        _poly_add(out, inner_powers.power(alpha), c)
-    if max_terms is not None and len(out) > max_terms:
-        raise TermOverflowError(
-            f"composition produced {len(out)} terms (cap {max_terms}); "
-            "use pointwise iteration instead"
-        )
-    return out
+    return Jet(dim, cap, base, substitute(table, PowerCache(shifts, dim, cap=cap)))
 
 
 def _as_point(z, dim: int) -> np.ndarray:
@@ -246,8 +184,9 @@ class PolyMap:
         """Coefficient table of self o inner."""
         if inner.dim != self.dim:
             raise PreconditionError("composition dimension mismatch")
-        powers = _PolyPowerCache(inner.components, max_terms)
-        comps = tuple(_poly_compose(table, powers, max_terms)
+        powers = PowerCache(inner.components, self.dim, max_terms=max_terms)
+        comps = tuple(check_terms(substitute(table, powers), max_terms,
+                                  "composition produced")
                       for table in self.components)
         return PolyMap(self.dim, comps)
 
@@ -379,17 +318,34 @@ def durand_kerner(coeffs: np.ndarray, max_iter=None, tol=1e-14) -> np.ndarray:
     return z
 
 
-def _match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """Greedy nearest pairing; returns the largest pair distance."""
-    if len(a) != len(b):
-        return float("inf")
-    b = list(b)
-    worst = 0.0
-    for x in sorted(a, key=abs, reverse=True):
-        j = min(range(len(b)), key=lambda k: abs(b[k] - x))
-        worst = max(worst, abs(b[j] - x))
-        b.pop(j)
-    return worst
+def cluster_points(points, radius: float) -> list:
+    """Greedy clustering shared by every point and level dedup.
+
+    Points (complex scalars or vectors) are visited in lexicographic order
+    of their real and imaginary parts; each joins the first cluster whose
+    representative ``rep`` lies within radius * (1 + |rep|), or else starts
+    a new one.  Returns the clusters as lists of indices into ``points``,
+    each led by the index of its representative.
+    """
+    def size(z):
+        return abs(z) if np.ndim(z) == 0 else np.linalg.norm(z)
+
+    def key(i):
+        return tuple(part for x in np.atleast_1d(points[i])
+                     for part in (x.real, x.imag))
+
+    clusters: list[list] = []
+    reach: list[float] = []  # radius * (1 + |rep|) of each cluster
+    for i in sorted(range(len(points)), key=key):
+        z = points[i]
+        for cl, bound in zip(clusters, reach):
+            if size(z - points[cl[0]]) <= bound:
+                cl.append(i)
+                break
+        else:
+            clusters.append([i])
+            reach.append(radius * (1.0 + size(z)))
+    return clusters
 
 
 @dataclass(frozen=True)
@@ -449,7 +405,7 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
                 f"{label} values are not roots: relative residual "
                 f"{np.max(rel):.3e}"
             )
-    dist = _match_multisets(raw, check, 0.0)
+    dist = max((gap for _, gap in greedy_pairs(raw, check)), default=0.0)
 
     def resid(z):
         return iterate_point(f, [z], r)[0] - z
@@ -493,15 +449,8 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
         else:
             unresolved.append(z)
 
-    clusters: list[list] = []
-    for z in sorted(polished, key=lambda v: (v.real, v.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) <= DEDUP_RADIUS * (1.0 + abs(cl[0])):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    points = tuple(cl[0] for cl in clusters)
+    clusters = cluster_points(polished, DEDUP_RADIUS)
+    points = tuple(polished[cl[0]] for cl in clusters)
     if not detail:
         return list(points)
     return PeriodicPoints1D(
@@ -529,7 +478,6 @@ class SearchConfig:
     seed: int = 0
     residual_tol: float = NEWTON_RESIDUAL
     cluster_radius: float = DEDUP_RADIUS
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -572,20 +520,10 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
                 return None
         return None
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(z0) for z0 in starts]
-
-    found = [z for z in results if z is not None]
-    clusters: list[np.ndarray] = []
-    for z in sorted(found, key=lambda v: (v[0].real, v[0].imag, v[1].real, v[1].imag)):
-        if all(np.linalg.norm(z - c) > config.cluster_radius * (1.0 + np.linalg.norm(c))
-               for c in clusters):
-            clusters.append(z)
+    found = [z for z in map(run, starts) if z is not None]
+    clusters = cluster_points(found, config.cluster_radius)
     return SearchResult(
-        points=tuple(tuple(z) for z in clusters),
+        points=tuple(tuple(found[cl[0]]) for cl in clusters),
         converged=len(found),
         starts=config.starts,
         seed=config.seed,
@@ -655,8 +593,11 @@ def cocycle_poly(u: PolyFunc, f: PolyMap, r: int,
     out = {(0,) * f.dim: 1.0 + 0j}
     stage = PolyMap.linear(np.eye(f.dim))  # f^0
     for j in range(r):
-        powers = _PolyPowerCache(stage.components, max_terms)
-        out = _poly_mul(out, _poly_compose(u.terms, powers, max_terms), max_terms)
+        powers = PowerCache(stage.components, f.dim, max_terms=max_terms)
+        factor = check_terms(substitute(u.terms, powers), max_terms,
+                             "composition produced")
+        out = check_terms(table_multiply(out, factor), max_terms,
+                          "polynomial grew to")
         if j + 1 < r:
             stage = f.compose(stage, max_terms)
     return PolyFunc(f.dim, out)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDegreeError, StructureError
-from .jets import Jet, JetMap, _PowerCache, graded_basis, jet_multiply, multi_indices
+from .jets import (
+    Jet,
+    JetMap,
+    PowerCache,
+    graded_basis,
+    multi_indices,
+    table_multiply,
+)
 from .dynamics import PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
@@ -80,16 +87,16 @@ def _raw_columns(u: Jet, f: JetMap, N: int):
             f"insufficient jet degree: cap {cap} < N = {N}"
         )
     u = u.truncated(cap)
-    comps = tuple(c.truncated(cap) for c in f.components)
-    powers = _PowerCache(comps)
+    powers = PowerCache([c.truncated(cap).coeffs for c in f.components],
+                        f.dim_in, cap=cap)
     basis = graded_basis(f.dim_in, N)
     columns = []
     loss = []
     for beta in basis:
-        col = jet_multiply(u, powers.power(beta))
-        discarded = max((abs(c) for a, c in col.coeffs.items() if sum(a) > N),
+        col = table_multiply(u.coeffs, powers.power(beta), cap)
+        discarded = max((abs(c) for a, c in col.items() if sum(a) > N),
                         default=0.0)
-        columns.append({a: c for a, c in col.coeffs.items() if sum(a) <= N})
+        columns.append({a: c for a, c in col.items() if sum(a) <= N})
         loss.append(discarded > TRUNCATION_COEFF_TOL)
     return basis, columns, tuple(loss), cap
 

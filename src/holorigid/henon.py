@@ -148,7 +148,7 @@ def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
         cfg = SearchConfig(starts=config.starts * 2 ** (r - 1),
                            radius=config.radius,
                            newton_steps=config.newton_steps,
-                           seed=config.seed + r, threads=config.threads)
+                           seed=config.seed + r)
         candidates = [np.asarray(p, dtype=complex)
                       for p in periodic_points_2d(fm, r, cfg).points]
         if r == 1 and len(h.factors) == 1:

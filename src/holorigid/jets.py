@@ -6,6 +6,10 @@ holomorphic map.  The weighted pullback h -> u * (h o f) acts on jets, and at
 degree n it induces a finite matrix on the homogeneous monomial basis whose
 eigenvalues are u(p) * lambda_1^{n_1} ... lambda_d^{n_d} over the exponent
 tuples of total degree n (lambda_i the eigenvalues of the linear part of f).
+
+Jets and the polynomial maps of ``dynamics`` share one kernel for sparse
+coefficient tables (exponent tuple -> coefficient): ``table_multiply``,
+``PowerCache`` and ``substitute``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import (
     BaseMismatchError,
     InsufficientDegreeError,
     StructureError,
+    TermOverflowError,
 )
 
 MultiIndex = tuple  # exponent vector: one non-negative int per variable
@@ -161,27 +166,86 @@ def _check_aligned(a: Jet, b: Jet):
         raise StructureError(f"jet base points differ: {a.base} vs {b.base}")
 
 
+def table_multiply(a: dict, b: dict, cap=None) -> dict:
+    """Product of two coefficient tables, without terms above degree ``cap``.
+
+    Without a cap this is the plain double loop, ``a`` outermost.  With a
+    cap the larger factor is bucketed by degree, so each term of the
+    smaller one only scans partners that can still fit under the cap.
+    Exact zeros are dropped, so tables never hold them.
+    """
+    out: dict = {}
+    if cap is None:
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0j) + ca * cb
+    else:
+        if len(b) < len(a):
+            a, b = b, a
+        by_deg: dict[int, list] = {}
+        for beta, cb in b.items():
+            by_deg.setdefault(sum(beta), []).append((beta, cb))
+        for alpha, ca in a.items():
+            da = sum(alpha)
+            for db, bucket in by_deg.items():
+                if da + db > cap:
+                    continue
+                for beta, cb in bucket:
+                    key = tuple(x + y for x, y in zip(alpha, beta))
+                    out[key] = out.get(key, 0j) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def check_terms(table: dict, max_terms, what: str) -> dict:
+    """Raise TermOverflowError when ``table`` has more than max_terms terms."""
+    if max_terms is not None and len(table) > max_terms:
+        raise TermOverflowError(
+            f"{what} {len(table)} terms (cap {max_terms}); "
+            "use pointwise iteration instead"
+        )
+    return table
+
+
+class PowerCache:
+    """Memoized power products prod_i g_i^{alpha_i} of fixed tables g_i.
+
+    The tables are in ``dim`` variables; products drop terms above degree
+    ``cap`` and raise TermOverflowError past ``max_terms`` terms.
+    """
+
+    def __init__(self, tables, dim: int, cap=None, max_terms=None):
+        self.tables = tuple(tables)
+        self.cap = cap
+        self.max_terms = max_terms
+        self.memo = {(0,) * len(self.tables): {(0,) * dim: 1.0 + 0j}}
+
+    def power(self, alpha) -> dict:
+        alpha = tuple(alpha)
+        got = self.memo.get(alpha)
+        if got is None:
+            i = next(k for k, a in enumerate(alpha) if a > 0)
+            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            got = check_terms(
+                table_multiply(self.power(prev), self.tables[i], self.cap),
+                self.max_terms, "polynomial grew to")
+            self.memo[alpha] = got
+        return got
+
+
+def substitute(table: dict, powers: PowerCache) -> dict:
+    """sum_alpha c_alpha * g^alpha: the table evaluated on the cached g."""
+    out: dict = {}
+    for alpha, c in table.items():
+        for key, v in powers.power(alpha).items():
+            out[key] = out.get(key, 0j) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def jet_multiply(a: Jet, b: Jet) -> Jet:
     """Product of two jets at the same base, truncated to the common cap."""
     _check_aligned(a, b)
-    cap = a.cap
-    if len(b.coeffs) < len(a.coeffs):
-        a, b = b, a
-    # bucket the right factor by degree so each left term only scans
-    # partners that can still fit under the cap
-    by_deg: dict[int, list] = {}
-    for beta, cb in b.coeffs.items():
-        by_deg.setdefault(sum(beta), []).append((beta, cb))
-    out: dict = {}
-    for alpha, ca in a.coeffs.items():
-        da = sum(alpha)
-        for db, bucket in by_deg.items():
-            if da + db > cap:
-                continue
-            for beta, cb in bucket:
-                key = tuple(x + y for x, y in zip(alpha, beta))
-                out[key] = out.get(key, 0j) + ca * cb
-    return Jet(a.dim, cap, a.base, out)
+    return Jet(a.dim, a.cap, a.base, table_multiply(a.coeffs, b.coeffs, a.cap))
 
 
 @dataclass(frozen=True)
@@ -228,26 +292,6 @@ class JetMap:
         return a
 
 
-class _PowerCache:
-    """Memoized power products prod_i g_i^{alpha_i} of a fixed jet tuple."""
-
-    def __init__(self, gs):
-        self.gs = tuple(gs)
-        g0 = self.gs[0]
-        self.memo = {(0,) * len(self.gs): Jet.constant(g0.dim, g0.cap, g0.base, 1.0)}
-
-    def power(self, alpha) -> Jet:
-        alpha = tuple(alpha)
-        got = self.memo.get(alpha)
-        if got is not None:
-            return got
-        i = next(k for k, a in enumerate(alpha) if a > 0)
-        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        result = jet_multiply(self.power(prev), self.gs[i])
-        self.memo[alpha] = result
-        return result
-
-
 class JetComposer:
     """Composes jets with a fixed jet map, caching its power products.
 
@@ -259,13 +303,10 @@ class JetComposer:
     def __init__(self, f: JetMap):
         self.f = f
         self.target = f.value()
-        shifted = []
-        zero_key = (0,) * f.dim_in
-        for comp, q_i in zip(f.components, self.target):
-            coeffs = dict(comp.coeffs)
-            coeffs.pop(zero_key, None)
-            shifted.append(Jet(comp.dim, comp.cap, comp.base, coeffs))
-        self._powers = _PowerCache(shifted)
+        zero = (0,) * f.dim_in
+        shifted = [{a: c for a, c in comp.coeffs.items() if a != zero}
+                   for comp in f.components]
+        self._powers = PowerCache(shifted, f.dim_in, cap=f.cap)
 
     def compose(self, h: Jet) -> Jet:
         f = self.f
@@ -280,11 +321,7 @@ class JetComposer:
             raise BaseMismatchError(
                 f"composition base mismatch: |f(p) - q| = {gap:.3e}"
             )
-        out: dict = {}
-        for alpha, c in h.coeffs.items():
-            for key, v in self._powers.power(alpha).coeffs.items():
-                out[key] = out.get(key, 0j) + c * v
-        return Jet(f.dim_in, f.cap, f.base, out)
+        return Jet(f.dim_in, f.cap, f.base, substitute(h.coeffs, self._powers))
 
 
 def jet_compose(h: Jet, f: JetMap) -> Jet:
@@ -343,13 +380,11 @@ def graded_matrix_formula(u_at_p, A, n: int) -> GradedOperatorMatrix:
         raise ValueError("n must be >= 0")
     basis = multi_indices(d, n)
     u_at_p = complex(u_at_p)
-    base0 = (0,) * d
     # rows of A give the substituted linear forms (A z)_i
-    forms = [Jet(d, max(n, 1), base0,
-                 {tuple(1 if k == j else 0 for k in range(d)): A[i, j]
-                  for j in range(d)})
+    forms = [{tuple(1 if k == j else 0 for k in range(d)): complex(A[i, j])
+              for j in range(d) if A[i, j] != 0}
              for i in range(d)]
-    cache = _PowerCache(forms)
+    cache = PowerCache(forms, d, cap=max(n, 1))
     m = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, beta in enumerate(basis):
         if n == 0:
@@ -357,7 +392,7 @@ def graded_matrix_formula(u_at_p, A, n: int) -> GradedOperatorMatrix:
             break
         image = cache.power(beta)
         for i, alpha in enumerate(basis):
-            m[i, j] = u_at_p * image.term(alpha)
+            m[i, j] = u_at_p * image.get(alpha, 0j)
     return GradedOperatorMatrix(n, d, m, basis)
 
 
@@ -407,15 +442,26 @@ def eigenvalue_law(u_at_p, eigenvalues, n: int) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def multiset_close(a, b, rtol: float) -> bool:
-    """Greedy nearest pairing of two complex multisets at relative rtol."""
+def greedy_pairs(a, b):
+    """Greedy nearest pairing of two complex multisets.
+
+    Elements of ``a`` are taken by decreasing modulus, each paired with the
+    nearest element of ``b`` not yet taken.  Returns (x, |x - y|) pairs, or
+    None when the sizes differ.
+    """
     a = sorted((complex(x) for x in a), key=abs, reverse=True)
     b = [complex(x) for x in b]
     if len(a) != len(b):
-        return False
+        return None
+    pairs = []
     for x in a:
         j = min(range(len(b)), key=lambda k: abs(b[k] - x))
-        if abs(b[j] - x) > rtol * (1.0 + abs(x)):
-            return False
-        b.pop(j)
-    return True
+        pairs.append((x, abs(b.pop(j) - x)))
+    return pairs
+
+
+def multiset_close(a, b, rtol: float) -> bool:
+    """Whether the greedy pairing matches every x to within rtol*(1+|x|)."""
+    pairs = greedy_pairs(a, b)
+    return pairs is not None and all(gap <= rtol * (1.0 + abs(x))
+                                     for x, gap in pairs)

@@ -29,12 +29,16 @@ import numpy as np
 
 from .dynamics import (
     AllPoints,
+    DEDUP_RADIUS,
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
     TOL_CLASS,
     TOL_ORBIT,
+    _coeffs_1d,
+    cluster_points,
     cocycle_poly,
+    companion_roots,
     iterate_point,
     make_orbit,
     orbit_points,
@@ -110,6 +114,30 @@ def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit, tol_orbit: float):
         raise OrbitError(f"orbit fails verification: residual {res:.3e}")
 
 
+def _multiplier_certificate(f, u, orbit, verdict, obstructs, note,
+                            tol_class, tol_weight, tol_orbit):
+    """A verdict from the largest multiplier modulus on a verified orbit.
+
+    A vanishing cocycle gives Inapplicable with ``note``; otherwise the
+    verdict holds when ``obstructs(|worst multiplier|)``.
+    """
+    _verify_orbit(f, orbit, tol_orbit)
+    u_r = weight_cocycle(u, [np.asarray(p) for p in orbit.points])
+    tols = {"tol_class": tol_class, "tol_weight": tol_weight,
+            "tol_orbit": tol_orbit}
+    witness = _orbit_witness(orbit, u_r)
+    assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
+    if abs(u_r) <= tol_weight:
+        witness["note"] = note
+        return ObstructionCertificate(INAPPLICABLE, witness, assumptions, tols)
+    worst = max(orbit.multipliers, key=abs, default=0j)
+    if obstructs(abs(worst)):
+        witness["eigenvalue"] = complex(worst)
+        witness["abs_eigenvalue"] = abs(worst)
+        return ObstructionCertificate(verdict, witness, assumptions, tols)
+    return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
+
+
 def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit,
                     tol_class=TOL_CLASS, tol_weight=TOL_WEIGHT,
                     tol_orbit=TOL_ORBIT) -> ObstructionCertificate:
@@ -119,56 +147,22 @@ def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit,
     vanishing cocycle yields Inapplicable (for one variable the growth
     diagnostic covers that regime); otherwise NoObstruction.
     """
-    _verify_orbit(f, orbit, tol_orbit)
-    u_r = weight_cocycle(u, [np.asarray(p) for p in orbit.points])
-    tols = {"tol_class": tol_class, "tol_weight": tol_weight,
-            "tol_orbit": tol_orbit}
-    witness = _orbit_witness(orbit, u_r)
-    if abs(u_r) <= tol_weight:
-        witness["note"] = (
-            "weight cocycle vanishes on the orbit; the eigenvalue bound does "
+    note = ("weight cocycle vanishes on the orbit; the eigenvalue bound does "
             "not apply" + (" (see the one-variable vanishing-weight growth "
-                           "diagnostic)" if f.dim == 1 else "")
-        )
-        return ObstructionCertificate(INAPPLICABLE, witness,
-                                      (ASSUME_GRADED_IMAGE,
-                                       ASSUME_CONTINUOUS_INCLUSION), tols)
-    worst = max(orbit.multipliers, key=abs, default=0j)
-    if abs(worst) > 1.0 + tol_class:
-        witness["eigenvalue"] = complex(worst)
-        witness["abs_eigenvalue"] = abs(worst)
-        return ObstructionCertificate(UNBOUNDED, witness,
-                                      (ASSUME_GRADED_IMAGE,
-                                       ASSUME_CONTINUOUS_INCLUSION), tols)
-    return ObstructionCertificate(NO_OBSTRUCTION, witness,
-                                  (ASSUME_GRADED_IMAGE,
-                                   ASSUME_CONTINUOUS_INCLUSION), tols)
+                           "diagnostic)" if f.dim == 1 else ""))
+    return _multiplier_certificate(f, u, orbit, UNBOUNDED,
+                                   lambda m: m > 1.0 + tol_class, note,
+                                   tol_class, tol_weight, tol_orbit)
 
 
 def certify_compact(f: PolyMap, u, orbit: PeriodicOrbit,
                     tol_class=TOL_CLASS, tol_weight=TOL_WEIGHT,
                     tol_orbit=TOL_ORBIT) -> ObstructionCertificate:
     """Compactness obstruction: any multiplier of modulus >= 1 suffices."""
-    _verify_orbit(f, orbit, tol_orbit)
-    u_r = weight_cocycle(u, [np.asarray(p) for p in orbit.points])
-    tols = {"tol_class": tol_class, "tol_weight": tol_weight,
-            "tol_orbit": tol_orbit}
-    witness = _orbit_witness(orbit, u_r)
-    if abs(u_r) <= tol_weight:
-        witness["note"] = "weight cocycle vanishes on the orbit"
-        return ObstructionCertificate(INAPPLICABLE, witness,
-                                      (ASSUME_GRADED_IMAGE,
-                                       ASSUME_CONTINUOUS_INCLUSION), tols)
-    worst = max(orbit.multipliers, key=abs, default=0j)
-    if abs(worst) >= 1.0 - tol_class:
-        witness["eigenvalue"] = complex(worst)
-        witness["abs_eigenvalue"] = abs(worst)
-        return ObstructionCertificate(NON_COMPACT, witness,
-                                      (ASSUME_GRADED_IMAGE,
-                                       ASSUME_CONTINUOUS_INCLUSION), tols)
-    return ObstructionCertificate(NO_OBSTRUCTION, witness,
-                                  (ASSUME_GRADED_IMAGE,
-                                   ASSUME_CONTINUOUS_INCLUSION), tols)
+    return _multiplier_certificate(f, u, orbit, NON_COMPACT,
+                                   lambda m: m >= 1.0 - tol_class,
+                                   "weight cocycle vanishes on the orbit",
+                                   tol_class, tol_weight, tol_orbit)
 
 
 def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
@@ -207,25 +201,6 @@ def certify_supercyclic(f: PolyMap, found_orbits,
                                        tuple(found_orbits), search_complete)
 
 
-def _cluster_levels(values, tol_scale):
-    """Greedy clustering of complex level values at radius tol_scale*(1+|v|)."""
-    clusters: list[list[int]] = []
-    reps: list[complex] = []
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    for i in order:
-        v = values[i]
-        placed = False
-        for k, rep in enumerate(reps):
-            if abs(v - rep) <= tol_scale * (1.0 + abs(rep)):
-                clusters[k].append(i)
-                placed = True
-                break
-        if not placed:
-            reps.append(v)
-            clusters.append([i])
-    return reps, clusters
-
-
 def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
                    tol_level_scale=TOL_LEVEL_SCALE) -> ObstructionCertificate:
     """Cyclicity obstruction: more than r points on one u_r level set.
@@ -253,7 +228,7 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
         points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
 
     values = [weight_cocycle(u, orbit_points(f, p, r)) for p in points]
-    reps, clusters = _cluster_levels(values, tol_level_scale)
+    clusters = cluster_points(values, tol_level_scale)
 
     if lambda_levels is not None:
         levels = [complex(lam) for lam in lambda_levels]
@@ -263,7 +238,7 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
                        if abs(v - lam) <= tol_level_scale * (1.0 + abs(lam))]
             pairs.append((lam, members))
     else:
-        pairs = list(zip(reps, clusters))
+        pairs = [(values[cl[0]], cl) for cl in clusters]
 
     witness = {
         "period_bound": r,
@@ -299,19 +274,13 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
                             "note": "u_r is constant on all of the plane"})
             return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
         # count distinct solutions of u_r(z) = lam at a generic level lam
-        from .dynamics import companion_roots, _coeffs_1d
-
         z0 = np.array([0.7318 + 0.2834j])
         lam = u_r(z0)
         shifted = dict(u_r.terms)
         zero = (0,) * f.dim
         shifted[zero] = shifted.get(zero, 0j) - lam
-        raw = companion_roots(_coeffs_1d(shifted))
-        distinct = []
-        for z in sorted(raw, key=lambda v: (v.real, v.imag)):
-            if all(abs(z - w) > 1e-6 * (1.0 + abs(w)) for w in distinct):
-                distinct.append(z)
-        count = len(distinct)
+        count = len(cluster_points(companion_roots(_coeffs_1d(shifted)),
+                                   DEDUP_RADIUS))
         witness.update({"lambda": complex(lam), "count": count,
                         "note": "generic level set of the polynomial cocycle"})
         if count > r:

@@ -12,7 +12,6 @@ the fixed point, the adjoint eigenvector, and the realized eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class MaxSearchConfig:
     max_iter: int = 300
     gtol: float = 1e-10
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -131,15 +129,8 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
     starts = [z for z in raw if np.linalg.norm(z) > 1e-12]
     starts = list(warm_starts) + starts
 
-    def run(z0):
-        return _ascend(f, np.asarray(z0, dtype=complex), r,
-                       config.max_iter, config.gtol)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(z0) for z0 in starts]
+    results = [_ascend(f, np.asarray(z0, dtype=complex), r,
+                       config.max_iter, config.gtol) for z0 in starts]
     return max(results, key=lambda sm: sm.value)
 
 
@@ -153,10 +144,6 @@ def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
         z = z * (r / np.linalg.norm(z))
         best = max(best, float(np.linalg.norm(f(z))))
     return best
-
-
-def is_affine(f: PolyMap) -> bool:
-    return f.degree <= 1
 
 
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
@@ -280,7 +267,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     """
     if f.dim < 2:
         raise PreconditionError("the construction needs d >= 2")
-    if is_affine(f):
+    if f.is_affine():
         raise PreconditionError(
             "the construction needs a non-affine polynomial map: some "
             "component must carry a term of total degree >= 2"
@@ -291,8 +278,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     r = float(np.exp(s))
 
     polish = MaxSearchConfig(starts=polish_starts, max_iter=4 * config.max_iter,
-                             gtol=min(config.gtol, 1e-12), seed=config.seed,
-                             threads=config.threads)
+                             gtol=min(config.gtol, 1e-12), seed=config.seed)
     warm = (profile.samples[idx][2],)
     best = sphere_max(f, r, polish, warm_starts=warm)
     q, m_r = best.point, best.value
@@ -300,8 +286,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     # M'(r) by central differences; each endpooint re-maximized from q
     h = 1e-4 * r
     side = MaxSearchConfig(starts=8, max_iter=2 * config.max_iter,
-                           gtol=min(config.gtol, 1e-12), seed=config.seed + 1,
-                           threads=config.threads)
+                           gtol=min(config.gtol, 1e-12), seed=config.seed + 1)
     m_plus = sphere_max(f, r + h, side, warm_starts=(q,)).value
     m_minus = sphere_max(f, r - h, side, warm_starts=(q,)).value
     m_prime = (m_plus - m_minus) / (2 * h)

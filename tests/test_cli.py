@@ -10,6 +10,8 @@ import pytest
 from holorigid.cli import main
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
+SQUARE_MINUS_1 = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0},
+                                            {"alpha": [0], "re": -1.0}]]}
 HALF = {"dim": 1, "components": [[{"alpha": [1], "re": 0.5, "im": 0.0}]]}
 DOUBLE = {"dim": 1, "components": [[{"alpha": [1], "re": 2.0, "im": 0.0}]]}
 TRANSLATION = {"dim": 1, "components": [[{"alpha": [0], "re": 1.0},
@@ -122,6 +124,23 @@ class TestCertify:
         assert doc["verdict"] == "NonCompact"
         assert doc["witness"]["abs_eigenvalue"] == 2.0
 
+    def test_identity_search_is_not_complete(self, capsys, write):
+        # every point is fixed, so an empty orbit list proves nothing
+        identity = {"dim": 1, "components": [[{"alpha": [1], "re": 1.0}]]}
+        code, doc = run(capsys, ["certify", write("f.json", identity),
+                                 "--mode", "hypercyclic", "--r", "1"])
+        assert code == 0
+        assert doc["metadata"]["search"]["complete"] is False
+        assert doc["witness"]["search_complete"] is False
+
+    @pytest.mark.parametrize("r, complete", [(5, True), (6, False)])
+    def test_complete_needs_every_root(self, capsys, write, r, complete):
+        # z^2 - 1 at r=6 resolves 63 distinct points of 64 roots
+        code, doc = run(capsys, ["certify", write("f.json", SQUARE_MINUS_1),
+                                 "--mode", "bounded", "--r", str(r)])
+        assert code == 0
+        assert doc["metadata"]["search"]["complete"] is complete
+
     def test_supercyclic_mode(self, capsys, write):
         code, doc = run(capsys, ["certify", write("f.json", SQUARE),
                                  "--mode", "supercyclic"])
@@ -221,6 +240,12 @@ class TestContract:
         code, _ = run(capsys, ["certify", write("f.json", SQUARE),
                                "--mode", "bounded", "--bogus"])
         assert code == 1
+
+    def test_threads_flag_is_gone(self, capsys, write):
+        code = main(["certify", write("f.json", SQUARE),
+                     "--mode", "bounded", "--threads", "2"])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_schema_error_names_field(self, capsys, write):
         code = main(["certify", write("f.json", {"dim": 1}),
