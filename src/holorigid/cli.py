@@ -18,12 +18,14 @@ import numpy as np
 
 from . import fock, henon, rigidity, sphere
 from .dynamics import (
+    GENERIC_POINT,
     AllPoints,
     PolyMap,
     SearchConfig,
     make_orbit,
     periodic_points_1d,
     periodic_points_2d,
+    root_count_1d,
 )
 from .errors import (
     ConstructionError,
@@ -171,23 +173,13 @@ def cmd_graded(args) -> int:
     return EXIT_OK
 
 
-def _root_count_1d(f, r: int) -> int:
-    """Roots of f^r(z) - z counted with multiplicity, f^r not the identity.
-
-    deg(f)^r for deg f >= 2; an affine az + b gives one root, or none when
-    a == 1 and f^r(z) - z = rb is a nonzero constant.
-    """
-    if f.degree >= 2:
-        return f.degree ** r
-    return 0 if f.components[0].get((1,), 0j) == 1 else 1
-
-
 def _collect_orbits(f, u, r_max, args):
     """Periodic orbits of exact period 1..r_max, and the search record.
 
     The search counts as complete only for one variable, when f^r is never
     the identity and every r yields as many distinct resolved points as
-    f^r(z) - z has roots, so no root was merged or left unresolved.
+    f^r(z) - z has roots, so no root was merged or left unresolved.  Where
+    f^r is the identity, one orbit through GENERIC_POINT is offered.
     """
     orbits = []
     complete = f.dim == 1
@@ -197,8 +189,9 @@ def _collect_orbits(f, u, r_max, args):
             pts = periodic_points_1d(f, r)
             if isinstance(pts, AllPoints):
                 complete = False
-                continue
-            complete = complete and len(pts) == _root_count_1d(f, r)
+                pts = [GENERIC_POINT]
+            else:
+                complete = complete and len(pts) == root_count_1d(f, r)
             points = [np.array([z]) for z in pts]
         else:
             cfg = SearchConfig(starts=args.starts, seed=args.seed)

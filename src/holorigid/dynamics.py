@@ -3,9 +3,10 @@
 Periodic points p with f^r(p) = p carry a multiplier multiset, the
 eigenvalues of the Jacobian of f^r along the orbit, and a weight cocycle
 value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
-dividing r are found completely as roots of f^r(z) - z (companion-matrix
-eigenvalues, cross-checked by Durand-Kerner); in two variables a seeded
-Newton multistart supplies witnesses without any completeness claim.
+dividing r are the roots of f^r(z) - z, found all at once by Aberth-Ehrlich
+on the pointwise iterate and certified by pairwise disjoint Newton disks;
+in two variables a seeded Newton multistart supplies witnesses without any
+completeness claim.
 """
 
 from __future__ import annotations
@@ -16,20 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    OrbitError,
-    PreconditionError,
-    SelfCheckError,
-)
-from .jets import (
-    Jet,
-    JetMap,
-    PowerCache,
-    check_terms,
-    greedy_pairs,
-    substitute,
-    table_multiply,
-)
+from .errors import OrbitError, PreconditionError
+from .jets import Jet, JetMap, PowerCache, check_terms, substitute, table_multiply
 
 DEFAULT_MAX_TERMS = 4096
 TOL_ORBIT = 1e-8
@@ -37,6 +26,8 @@ TOL_CLASS = 1e-9
 IDENTITY_COEFF_TOL = 1e-12
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
+SWEEPS_PER_ROOT = 20
+GENERIC_POINT = 0.7318 + 0.2834j  # off every special orbit of the tests
 
 
 # ---------------------------------------------------------------------------
@@ -261,63 +252,6 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _fujiwara_radius(monic: np.ndarray) -> float:
-    """Upper bound on root moduli: 2 max_k |a_(D-k)|^(1/k) for monic input."""
-    deg = len(monic) - 1
-    best = 0.0
-    for k in range(1, deg + 1):
-        mag = abs(monic[deg - k])
-        if mag > 0:
-            best = max(best, mag ** (1.0 / k))
-    return 2.0 * best if best > 0 else 1.0
-
-
-def durand_kerner(coeffs: np.ndarray, max_iter=None, tol=1e-14) -> np.ndarray:
-    """Simultaneous root iteration; independent cross-check for companion roots.
-
-    Starts on a spiral inside the Fujiwara root bound (the Cauchy bound is
-    uselessly large once monic coefficients grow), sweeps with a budget
-    scaled by the degree, and finishes each root with plain Newton steps on
-    the polynomial itself.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    deg = len(c) - 1
-    if deg < 1:
-        return np.zeros(0, dtype=complex)
-    monic = c / c[-1]
-    desc = monic[::-1]
-    d_desc = np.polyder(desc)
-    if max_iter is None:
-        max_iter = max(500, 40 * deg)
-    radius = _fujiwara_radius(monic)
-    z = radius * (0.4 + 0.9j) ** np.arange(1, deg + 1)
-    for _ in range(max_iter):
-        p = np.polyval(desc, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        den = np.prod(diff, axis=1)
-        safe = np.abs(den) > 0
-        delta = np.where(safe, p / np.where(safe, den, 1.0), 0.0)
-        z = z - delta
-        if np.max(np.abs(delta)) <= tol * (1.0 + np.max(np.abs(z))):
-            break
-    # per-root Newton polish (still independent of the companion matrix)
-    for _ in range(30):
-        p = np.polyval(desc, z)
-        dp = np.polyval(d_desc, z)
-        ok = np.abs(dp) > 1e-300
-        step = np.where(ok, p / np.where(ok, dp, 1.0), 0.0)
-        scale = np.abs(np.polyval(np.abs(desc), np.abs(z)))
-        done = np.abs(p) <= 1e-13 * (1.0 + scale)
-        step = np.where(done, 0.0, step)
-        if not np.any(np.abs(step) > 0):
-            break
-        z = z - step
-    return z
-
-
 def cluster_points(points, radius: float) -> list:
     """Greedy clustering shared by every point and level dedup.
 
@@ -348,119 +282,157 @@ def cluster_points(points, radius: float) -> list:
     return clusters
 
 
+def durand_kerner(ratio, starts) -> np.ndarray:
+    """All roots of a polynomial g of degree len(starts), by Aberth-Ehrlich.
+
+    Aberth-Ehrlich is Durand-Kerner's cubically convergent refinement: each
+    sweep moves every approximation by N_i / (1 - N_i sum_{j != i} 1 /
+    (z_i - z_j)), where ``ratio(z)`` returns the Newton ratio N = g / g' at
+    an array of points.  An approximation freezes once its step is at
+    rounding level; the budget is SWEEPS_PER_ROOT * deg(g) sweeps.
+    """
+    z = np.array(starts, dtype=complex)
+    active = np.arange(len(z))
+    for _ in range(SWEEPS_PER_ROOT * len(z)):
+        if active.size == 0:
+            break
+        n = ratio(z[active])
+        sums = np.concatenate([np.sum(1.0 / diff, axis=1)
+                               for _, diff in _row_blocks(z, active)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = n / (1.0 - n * sums)
+        moved = np.isfinite(step)
+        z[active[moved]] -= step[moved]
+        still = ~moved | (np.abs(step) > 4.0 * np.finfo(float).eps
+                          * (1.0 + np.abs(z[active])))
+        active = active[still]
+    return z
+
+
+def _row_blocks(z: np.ndarray, rows: np.ndarray):
+    """Row blocks of the differences z_i - z_j for i in ``rows``, all j.
+
+    The diagonal is set to inf; blocks hold about 2^18 entries (4 MB).
+    """
+    size = max(1, 2 ** 18 // max(len(z), 1))
+    for lo in range(0, len(rows), size):
+        block = rows[lo:lo + size]
+        diff = z[block, None] - z[None, :]
+        diff[np.arange(len(block)), block] = np.inf
+        yield block, diff
+
+
+def root_count_1d(f: PolyMap, r: int) -> int:
+    """Roots of f^r(z) - z counted with multiplicity, f^r not the identity.
+
+    deg(f)^r for deg f >= 2; an affine az + b gives one root, or none when
+    a == 1 and f^r(z) - z = rb is a nonzero constant.
+    """
+    if f.degree >= 2:
+        return f.degree ** r
+    return 0 if f.components[0].get((1,), 0j) == 1 else 1
+
+
+def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray):
+    """g(z) = f^r(z) - z and the Newton ratio g / g' on the pointwise iterate.
+
+    (f^r)' comes from the chain rule along the orbit, so no coefficient of
+    f^r is formed.  Once |f^k(z)| passes the bound beyond which one more
+    step could overflow, f^r behaves like (f^k)^(deg^(r-k)): g is inf there
+    and N is f^k / ((f^k)' deg^(r-k)).
+    """
+    c = _coeffs_1d(f.components[0])[::-1]
+    dc = np.polyder(c)
+    deg = len(c) - 1
+    escape = (1e300 / max(1.0, float(np.sum(np.abs(c))))) ** (1.0 / max(deg, 1))
+    g = np.full(len(z), np.inf, dtype=complex)
+    n = np.empty(len(z), dtype=complex)
+    live = np.arange(len(z))
+    w, dw = z.copy(), np.ones(len(z), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(r):
+            far = np.abs(w) > escape
+            n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
+            live, w, dw = live[~far], w[~far], dw[~far]
+            dw = dw * np.polyval(dc, w)
+            w = np.polyval(c, w)
+        g[live] = w - z[live]
+        n[live] = g[live] / (dw - 1.0)
+    return g, n
+
+
 @dataclass(frozen=True)
 class PeriodicPoints1D:
-    """Distinct solutions of f^r(z) = z with cross-check diagnostics.
+    """Distinct solutions of f^r(z) = z with their certificate.
 
-    ``unresolved`` lists root candidates of the expanded polynomial whose
-    pointwise orbit residual could not be driven below tolerance (possible
-    for severely ill-conditioned high-degree expansions); they are excluded
-    from ``points``.
+    ``radii`` are Newton-disk radii deg(g) * |g / g'| at each point of
+    g = f^r(z) - z; each disk holds a root, since g'/g = sum 1/(z - zeta_k).
+    ``unresolved`` lists root approximations whose orbit residual stayed
+    above TOL_ORBIT; they are excluded from ``points``.
     """
 
     points: tuple
     multiplicities: tuple
     residuals: tuple
-    companion: tuple
-    durand_kerner: tuple
-    crosscheck_distance: float
+    radii: tuple
     unresolved: tuple = ()
 
 
 def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     """All complex solutions of f^r(z) = z (distinct values).
 
-    Returns ALL_POINTS when f^r is the identity map.  Roots come from the
-    companion matrix of f^r(z) - z and must agree with an independent
-    Durand-Kerner run to 1e-8; each root is Newton-polished and clustered
-    at radius 1e-6 * (1 + |p|).
+    Returns ALL_POINTS when f^r is the identity map.  For deg f >= 2 the
+    D = deg(f)^r roots of f^r(z) - z come from one Aberth-Ehrlich run on the
+    pointwise iterate, started on the circle |z| = R outside which
+    |f(z)| >= 2|z|, so no periodic point lies beyond it; D above
+    DEFAULT_MAX_TERMS is rejected.  Roots are clustered at radius
+    1e-6 * (1 + |p|).  D distinct points are returned only when their D
+    Newton disks are pairwise disjoint, which proves one root in each.
     """
     if f.dim != 1:
         raise PreconditionError("periodic_points_1d needs a one-variable map")
-    g = iterate(f, r)
-    coeffs = _coeffs_1d(g.components[0])
-    if len(coeffs) < 2:
-        coeffs = np.concatenate([coeffs, [0j]])
-    coeffs[1] -= 1.0  # f^r(z) - z
-    if np.all(np.abs(coeffs) <= IDENTITY_COEFF_TOL):
-        return ALL_POINTS
-    raw = companion_roots(coeffs)
-    check = durand_kerner(coeffs)
-    if len(raw) != len(check) or not np.all(np.isfinite(check)):
-        raise SelfCheckError("Durand-Kerner produced a bad root count")
-    # backward-error audit: both routes must return numerical roots.  At an
-    # ill-conditioned root the two true-roots-of-perturbed-polynomials can
-    # drift apart far beyond 1e-8, so the pairing distance is reported in
-    # the detail record rather than hard-failing on conditioning.
-    trimmed = np.trim_zeros(coeffs, "b")
-    desc = (trimmed / trimmed[-1])[::-1]
-    mags = np.abs(desc)
-    for label, roots in (("companion", raw), ("Durand-Kerner", check)):
-        if len(roots) == 0:
-            continue
-        resid = np.abs(np.polyval(desc, roots))
-        rel = resid / (1.0 + np.polyval(mags, np.abs(roots)))
-        if np.max(rel) > 1e-9:
-            raise SelfCheckError(
-                f"{label} values are not roots: relative residual "
-                f"{np.max(rel):.3e}"
-            )
-    dist = max((gap for _, gap in greedy_pairs(raw, check)), default=0.0)
+    if r < 1:
+        raise PreconditionError("iteration count must be >= 1")
+    total = root_count_1d(f, r)
+    if f.degree >= 2:
+        if total > DEFAULT_MAX_TERMS:
+            raise PreconditionError(
+                f"f^{r}(z) - z has {total} roots, more than the cap "
+                f"{DEFAULT_MAX_TERMS}")
+        c = _coeffs_1d(f.components[0])
+        radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
+        angles = (2.0 * np.pi * np.arange(total) + 0.7) / total
+        roots = durand_kerner(lambda z: _orbit_ratio(f, r, z)[1],
+                              radius * np.exp(1j * angles))
+    else:
+        table = iterate(f, r).components[0]
+        b, a = (complex(table.get((k,), 0j)) for k in (0, 1))
+        if abs(a - 1.0) <= IDENTITY_COEFF_TOL and abs(b) <= IDENTITY_COEFF_TOL:
+            return ALL_POINTS
+        roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
 
-    def resid(z):
-        return iterate_point(f, [z], r)[0] - z
-
-    def derivative(z):
-        jac = 1.0 + 0j
-        w = np.array([z])
-        for _ in range(r):
-            jac *= f.jacobian(w)[0, 0]
-            w = f(w)
-        return jac - 1.0
-
-    polished = []
-    unresolved = []
-    for z in raw:
-        # damped Newton on the pointwise iterate: a step is kept only when
-        # the residual actually drops, so ill-conditioned starting values
-        # cannot send the iteration off to infinity
-        z = complex(z)
-        val = resid(z)
-        for _ in range(100):
-            if abs(val) <= NEWTON_RESIDUAL * (1.0 + abs(z)):
-                break
-            dval = derivative(z)
-            if abs(dval) < 1e-14:
-                break  # multiple root; keep the best value found
-            step = val / dval
-            improved = False
-            for _ in range(40):
-                cand = z - step
-                cand_val = resid(cand)
-                if abs(cand_val) < abs(val):
-                    z, val = cand, cand_val
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if abs(val) <= TOL_ORBIT * (1.0 + abs(z)):
-            polished.append(z)
-        else:
-            unresolved.append(z)
-
-    clusters = cluster_points(polished, DEDUP_RADIUS)
-    points = tuple(polished[cl[0]] for cl in clusters)
+    g, n = _orbit_ratio(f, r, roots)
+    radii = len(roots) * np.abs(n)
+    ok = np.abs(g) <= TOL_ORBIT * (1.0 + np.abs(roots))
+    clusters = cluster_points(roots[ok], DEDUP_RADIUS)
+    if clusters and len(clusters) == total:
+        meets = np.concatenate(
+            [np.any(np.abs(diff) <= radii[block, None] + radii[None, :], axis=1)
+             for block, diff in _row_blocks(roots, np.arange(len(roots)))])
+        if meets.any():  # uncertified: the count must not claim them all
+            ok &= ~meets
+            clusters = cluster_points(roots[ok], DEDUP_RADIUS)
+    kept = np.flatnonzero(ok)
+    reps = [kept[cl[0]] for cl in clusters]
+    points = tuple(complex(roots[i]) for i in reps)
     if not detail:
         return list(points)
     return PeriodicPoints1D(
         points=points,
         multiplicities=tuple(len(cl) for cl in clusters),
-        residuals=tuple(abs(resid(z)) for z in points),
-        companion=tuple(raw),
-        durand_kerner=tuple(check),
-        crosscheck_distance=dist,
-        unresolved=tuple(unresolved),
+        residuals=tuple(float(abs(g[i])) for i in reps),
+        radii=tuple(float(radii[i]) for i in reps),
+        unresolved=tuple(complex(z) for z in roots[~ok]),
     )
 
 

@@ -442,26 +442,19 @@ def eigenvalue_law(u_at_p, eigenvalues, n: int) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def greedy_pairs(a, b):
-    """Greedy nearest pairing of two complex multisets.
+def multiset_close(a, b, rtol: float) -> bool:
+    """Whether two complex multisets match under greedy nearest pairing.
 
     Elements of ``a`` are taken by decreasing modulus, each paired with the
-    nearest element of ``b`` not yet taken.  Returns (x, |x - y|) pairs, or
-    None when the sizes differ.
+    nearest element of ``b`` not yet taken; every pair must lie within
+    rtol * (1 + |x|).
     """
     a = sorted((complex(x) for x in a), key=abs, reverse=True)
     b = [complex(x) for x in b]
     if len(a) != len(b):
-        return None
-    pairs = []
+        return False
     for x in a:
         j = min(range(len(b)), key=lambda k: abs(b[k] - x))
-        pairs.append((x, abs(b.pop(j) - x)))
-    return pairs
-
-
-def multiset_close(a, b, rtol: float) -> bool:
-    """Whether the greedy pairing matches every x to within rtol*(1+|x|)."""
-    pairs = greedy_pairs(a, b)
-    return pairs is not None and all(gap <= rtol * (1.0 + abs(x))
-                                     for x, gap in pairs)
+        if abs(b.pop(j) - x) > rtol * (1.0 + abs(x)):
+            return False
+    return True

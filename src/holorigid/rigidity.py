@@ -30,6 +30,7 @@ import numpy as np
 from .dynamics import (
     AllPoints,
     DEDUP_RADIUS,
+    GENERIC_POINT,
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
@@ -205,10 +206,11 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
                    tol_level_scale=TOL_LEVEL_SCALE) -> ObstructionCertificate:
     """Cyclicity obstruction: more than r points on one u_r level set.
 
-    For one-variable polynomial symbols the period-r points are enumerated
-    completely; otherwise the caller must supply the point list.  Points are
-    counted as distinct values; root multiplicity > 1 is flagged in the
-    witness without being interpreted.
+    For one-variable polynomial symbols the period-r points are the roots of
+    f^r(z) - z from periodic_points_1d, all of them whenever their Newton
+    disks are pairwise disjoint; otherwise the caller must supply the point
+    list.  Points are counted as distinct values; root multiplicity > 1 is
+    flagged in the witness without being interpreted.
     """
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
     tols = {"tol_level_scale": tol_level_scale, "tol_orbit": TOL_ORBIT}
@@ -274,8 +276,7 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
                             "note": "u_r is constant on all of the plane"})
             return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
         # count distinct solutions of u_r(z) = lam at a generic level lam
-        z0 = np.array([0.7318 + 0.2834j])
-        lam = u_r(z0)
+        lam = u_r(np.array([GENERIC_POINT]))
         shifted = dict(u_r.terms)
         zero = (0,) * f.dim
         shifted[zero] = shifted.get(zero, 0j) - lam

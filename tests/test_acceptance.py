@@ -164,8 +164,11 @@ def test_criterion_06_growth_mechanism():
 def test_criterion_07_cyclicity_bound():
     detail = periodic_points_1d(SQUARE, 2, detail=True)
     assert len(detail.points) == 4
-    assert detail.crosscheck_distance <= 1e-8 * (1 + max(
-        abs(z) for z in detail.companion))
+    # four pairwise disjoint Newton disks hold the four roots of z^4 - z
+    pts, radii = np.array(detail.points), np.array(detail.radii)
+    gaps = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert np.all(gaps > radii[:, None] + radii[None, :])
     cert = certify_cyclic(SQUARE, None, 2)
     assert cert.verdict == NOT_CYCLIC
     assert cert.witness["lambda"] == pytest.approx(1 + 0j)

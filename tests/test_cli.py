@@ -125,21 +125,30 @@ class TestCertify:
         assert doc["witness"]["abs_eigenvalue"] == 2.0
 
     def test_identity_search_is_not_complete(self, capsys, write):
-        # every point is fixed, so an empty orbit list proves nothing
+        # every point is fixed: one generic orbit is a witness, but the
+        # points cannot all be listed
         identity = {"dim": 1, "components": [[{"alpha": [1], "re": 1.0}]]}
         code, doc = run(capsys, ["certify", write("f.json", identity),
                                  "--mode", "hypercyclic", "--r", "1"])
         assert code == 0
+        assert doc["verdict"] == "NotHypercyclic"
         assert doc["metadata"]["search"]["complete"] is False
-        assert doc["witness"]["search_complete"] is False
 
-    @pytest.mark.parametrize("r, complete", [(5, True), (6, False)])
+    @pytest.mark.parametrize("r, complete", [(5, True), (6, True)])
     def test_complete_needs_every_root(self, capsys, write, r, complete):
-        # z^2 - 1 at r=6 resolves 63 distinct points of 64 roots
         code, doc = run(capsys, ["certify", write("f.json", SQUARE_MINUS_1),
                                  "--mode", "bounded", "--r", str(r)])
         assert code == 0
         assert doc["metadata"]["search"]["complete"] is complete
+
+    def test_multiple_root_is_not_complete(self, capsys, write):
+        # z + z^2 has a double fixed point at 0: one point for two roots
+        parabolic = {"dim": 1, "components": [[{"alpha": [1], "re": 1.0},
+                                               {"alpha": [2], "re": 1.0}]]}
+        code, doc = run(capsys, ["certify", write("f.json", parabolic),
+                                 "--mode", "bounded", "--r", "1"])
+        assert code == 0
+        assert doc["metadata"]["search"]["complete"] is False
 
     def test_supercyclic_mode(self, capsys, write):
         code, doc = run(capsys, ["certify", write("f.json", SQUARE),

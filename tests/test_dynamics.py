@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from holorigid import dynamics
 from holorigid.dynamics import (
     ALL_POINTS,
+    DEFAULT_MAX_TERMS,
+    TOL_ORBIT,
     AllPoints,
     PolyFunc,
     PolyMap,
@@ -91,13 +94,60 @@ class TestPeriodicPoints1D:
         for _ in range(20):
             deg = int(rng.integers(2, 9))
             coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            desc = coeffs[::-1]
+
+            def ratio(z):
+                return np.polyval(desc, z) / np.polyval(np.polyder(desc), z)
+
+            cauchy = 1 + np.max(np.abs(coeffs[:-1] / coeffs[-1]))
             a = companion_roots(coeffs)
-            b = durand_kerner(coeffs)
-            b = list(b)
+            b = list(durand_kerner(ratio, cauchy * np.exp(1j * np.arange(deg))))
             for x in sorted(a, key=abs, reverse=True):
                 j = min(range(len(b)), key=lambda k: abs(b[k] - x))
                 assert abs(b[j] - x) < 1e-8 * (1 + abs(x))
                 b.pop(j)
+
+    @pytest.mark.parametrize("coeffs, r", [
+        ([-1, 0, 1], 6), ([-1, 0, 1], 7), ([-1, 0, 1], 8), ([0, 0, 1], 8),
+        # z^2 + c whose expanded-coefficient roots once failed at r = 7
+        ([0.33202574981319277 + 0.4621597843756524j, 0, 1], 7),
+        # monic cubic whose expanded-coefficient roots merged 81 into 78
+        ([0.0819 + 0.4559j, -0.1901 - 0.5024j, 0.4533 - 0.0832j, 1], 4),
+    ])
+    def test_every_root_certified(self, coeffs, r):
+        f = PolyMap.from_coeffs_1d(coeffs)
+        detail = periodic_points_1d(f, r, detail=True)
+        total = f.degree ** r
+        pts = np.array(detail.points)
+        radii = np.array(detail.radii)
+        assert len(pts) == total and detail.multiplicities == (1,) * total
+        assert detail.unresolved == ()
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert np.all(gaps > radii[:, None] + radii[None, :])
+        assert np.all(np.array(detail.residuals) <= TOL_ORBIT * (1 + np.abs(pts)))
+
+    def test_double_root_is_one_point(self):
+        # z + z^2 - z = z^2: the parabolic fixed point 0 is a double root
+        detail = periodic_points_1d(PolyMap.from_coeffs_1d([0, 1, 1]), 1,
+                                    detail=True)
+        assert detail.multiplicities == (2,)
+        assert abs(detail.points[0]) < 1e-8
+
+    def test_meeting_disks_are_not_counted(self, monkeypatch):
+        # fixed points 0 and 1e-5; approximations 2e-6 inside each pass the
+        # residual test and the dedup radius, but their Newton disks meet
+        f = PolyMap.from_coeffs_1d([0, 1 - 1e-5, 1])
+        monkeypatch.setattr(dynamics, "durand_kerner", lambda ratio, starts:
+                            np.array([2e-6, 8e-6], dtype=complex))
+        detail = periodic_points_1d(f, 1, detail=True)
+        assert len(detail.points) < 2
+        assert len(detail.unresolved) == 2
+
+    def test_root_count_above_cap_is_rejected(self):
+        r = int(np.log2(DEFAULT_MAX_TERMS)) + 1
+        with pytest.raises(PreconditionError, match="roots"):
+            periodic_points_1d(SQUARE, r)
 
     def test_degree_64_completeness(self):
         # deg(f^r) = 64 for a cubic iterated... 4^3 = 64: quartic, r = 3
