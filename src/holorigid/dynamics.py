@@ -27,7 +27,7 @@ IDENTITY_COEFF_TOL = 1e-12
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
 SWEEPS_PER_ROOT = 20
-GENERIC_POINT = 0.7318 + 0.2834j  # off every special orbit of the tests
+GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +297,7 @@ def durand_kerner(ratio, starts) -> np.ndarray:
         if active.size == 0:
             break
         n = ratio(z[active])
-        sums = np.concatenate([np.sum(1.0 / diff, axis=1)
-                               for _, diff in _row_blocks(z, active)])
+        sums = _over_rows(z, active, lambda _, diff: np.sum(1.0 / diff, axis=1))
         with np.errstate(invalid="ignore", over="ignore"):
             step = n / (1.0 - n * sums)
         moved = np.isfinite(step)
@@ -309,17 +308,21 @@ def durand_kerner(ratio, starts) -> np.ndarray:
     return z
 
 
-def _row_blocks(z: np.ndarray, rows: np.ndarray):
-    """Row blocks of the differences z_i - z_j for i in ``rows``, all j.
+def _over_rows(z: np.ndarray, rows: np.ndarray, reduce) -> np.ndarray:
+    """reduce(block, diff) over row blocks of diff[i, j] = z_i - z_j.
 
-    The diagonal is set to inf; blocks hold about 2^18 entries (4 MB).
+    ``block`` holds the indices i in ``rows`` of one block of about 2^18
+    entries; the diagonal of ``diff`` is set to inf.  The per-row results
+    are concatenated in the order of ``rows``.
     """
     size = max(1, 2 ** 18 // max(len(z), 1))
+    out = []
     for lo in range(0, len(rows), size):
         block = rows[lo:lo + size]
         diff = z[block, None] - z[None, :]
         diff[np.arange(len(block)), block] = np.inf
-        yield block, diff
+        out.append(reduce(block, diff))
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
 
 def root_count_1d(f: PolyMap, r: int) -> int:
@@ -385,9 +388,10 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     D = deg(f)^r roots of f^r(z) - z come from one Aberth-Ehrlich run on the
     pointwise iterate, started on the circle |z| = R outside which
     |f(z)| >= 2|z|, so no periodic point lies beyond it; D above
-    DEFAULT_MAX_TERMS is rejected.  Roots are clustered at radius
-    1e-6 * (1 + |p|).  D distinct points are returned only when their D
-    Newton disks are pairwise disjoint, which proves one root in each.
+    DEFAULT_MAX_TERMS is rejected.  When every root meets TOL_ORBIT and the
+    D Newton disks are pairwise disjoint, which proves one root in each,
+    every root is a point.  Otherwise roots are clustered at radius
+    1e-6 * (1 + |p|), and fewer than D points are returned.
     """
     if f.dim != 1:
         raise PreconditionError("periodic_points_1d needs a one-variable map")
@@ -413,13 +417,15 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 
     g, n = _orbit_ratio(f, r, roots)
     radii = len(roots) * np.abs(n)
+    radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
     ok = np.abs(g) <= TOL_ORBIT * (1.0 + np.abs(roots))
-    clusters = cluster_points(roots[ok], DEDUP_RADIUS)
-    if clusters and len(clusters) == total:
-        meets = np.concatenate(
-            [np.any(np.abs(diff) <= radii[block, None] + radii[None, :], axis=1)
-             for block, diff in _row_blocks(roots, np.arange(len(roots)))])
-        if meets.any():  # uncertified: the count must not claim them all
+    meets = _over_rows(roots, np.arange(len(roots)), lambda block, diff: np.any(
+        np.abs(diff) <= radii[block, None] + radii[None, :], axis=1))
+    if ok.all() and not meets.any():  # D simple roots, one in each disk
+        clusters = [[i] for i in np.lexsort((roots.imag, roots.real))]
+    else:
+        clusters = cluster_points(roots[ok], DEDUP_RADIUS)
+        if len(clusters) == total:  # the count must not claim them all
             ok &= ~meets
             clusters = cluster_points(roots[ok], DEDUP_RADIUS)
     kept = np.flatnonzero(ok)

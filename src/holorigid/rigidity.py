@@ -206,11 +206,11 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
                    tol_level_scale=TOL_LEVEL_SCALE) -> ObstructionCertificate:
     """Cyclicity obstruction: more than r points on one u_r level set.
 
-    For one-variable polynomial symbols the period-r points are the roots of
-    f^r(z) - z from periodic_points_1d, all of them whenever their Newton
-    disks are pairwise disjoint; otherwise the caller must supply the point
-    list.  Points are counted as distinct values; root multiplicity > 1 is
-    flagged in the witness without being interpreted.
+    For one-variable polynomial symbols the period-r points come from
+    periodic_points_1d: all deg(f)^r roots of f^r(z) - z when their Newton
+    disks are pairwise disjoint.  For other symbols the caller must supply
+    the point list.  Points are counted as distinct values; root
+    multiplicity > 1 is flagged in the witness without being interpreted.
     """
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
     tols = {"tol_level_scale": tol_level_scale, "tol_orbit": TOL_ORBIT}

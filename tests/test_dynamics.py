@@ -113,6 +113,8 @@ class TestPeriodicPoints1D:
         ([0.33202574981319277 + 0.4621597843756524j, 0, 1], 7),
         # monic cubic whose expanded-coefficient roots merged 81 into 78
         ([0.0819 + 0.4559j, -0.1901 - 0.5024j, 0.4533 - 0.0832j, 1], 4),
+        # periodic points at scale 1e-6, closer than the dedup radius
+        ([0, 0, 1e6], 4),
     ])
     def test_every_root_certified(self, coeffs, r):
         f = PolyMap.from_coeffs_1d(coeffs)
