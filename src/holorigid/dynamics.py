@@ -171,6 +171,35 @@ class PolyMap:
                 out[i, j] = _poly_eval(self._partials[i][j], z)
         return out
 
+    @cached_property
+    def _exponent_matrix(self):
+        """Exponents E (M, d) of the monomials of f and its partials, and
+        coefficients C (d + d * d, M): row i is f_i, row d + d i + j is the
+        partial of f_i by z_j."""
+        tables = list(self.components) + [p for row in self._partials for p in row]
+        index = {a: m for m, a in
+                 enumerate(dict.fromkeys(a for table in tables for a in table))}
+        coef = np.zeros((len(tables), len(index)), dtype=complex)
+        for row, table in enumerate(tables):
+            coef[row, [index[a] for a in table]] = list(table.values())
+        return np.array(list(index), dtype=np.intp).reshape(-1, self.dim), coef
+
+    def evaluate_batch(self, points):
+        """f and its Jacobian at a stack of points: (N, d) -> (N, d), (N, d, d).
+
+        Its fixed cost exceeds a per-point ``__call__`` of a small map, so
+        code that follows one point at a time keeps ``__call__``.
+        """
+        z = np.asarray(points, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise PreconditionError(
+                f"points of shape {z.shape}, expected (N, {self.dim})")
+        exps, coef = self._exponent_matrix
+        powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max(initial=0)), axis=0)
+        out = np.prod(powers[exps, np.arange(self.dim)], axis=1).T @ coef.T
+        d = self.dim
+        return out[:, :d], out[:, d:].reshape(len(z), d, d)
+
     def compose(self, inner: "PolyMap", max_terms=DEFAULT_MAX_TERMS) -> "PolyMap":
         """Coefficient table of self o inner."""
         if inner.dim != self.dim:
@@ -261,24 +290,21 @@ def cluster_points(points, radius: float) -> list:
     a new one.  Returns the clusters as lists of indices into ``points``,
     each led by the index of its representative.
     """
-    def size(z):
-        return abs(z) if np.ndim(z) == 0 else np.linalg.norm(z)
-
-    def key(i):
-        return tuple(part for x in np.atleast_1d(points[i])
-                     for part in (x.real, x.imag))
-
+    if len(points) == 0:
+        return []
+    pts = np.asarray(points, dtype=complex).reshape(len(points), -1)
+    keys = [part for col in pts.T[::-1] for part in (col.imag, col.real)]
+    reps = np.empty_like(pts)
+    reach = np.empty(len(pts))  # radius * (1 + |rep|) of each cluster
     clusters: list[list] = []
-    reach: list[float] = []  # radius * (1 + |rep|) of each cluster
-    for i in sorted(range(len(points)), key=key):
-        z = points[i]
-        for cl, bound in zip(clusters, reach):
-            if size(z - points[cl[0]]) <= bound:
-                cl.append(i)
-                break
+    for i in np.lexsort(keys).tolist():
+        k = len(clusters)
+        hit = np.flatnonzero(np.linalg.norm(pts[i] - reps[:k], axis=1) <= reach[:k])
+        if hit.size:
+            clusters[hit[0]].append(i)
         else:
+            reps[k], reach[k] = pts[i], radius * (1.0 + np.linalg.norm(pts[i]))
             clusters.append([i])
-            reach.append(radius * (1.0 + size(z)))
     return clusters
 
 
@@ -446,6 +472,14 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 # two-variable Newton multistart
 
 
+def solve_2x2(m: np.ndarray, b: np.ndarray):
+    """Cramer's rule for stacked 2x2 m x = b; returns x (0 if det == 0), det != 0."""
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    x = np.stack([m[:, 1, 1] * b[:, 0] - m[:, 0, 1] * b[:, 1],
+                  m[:, 0, 0] * b[:, 1] - m[:, 1, 0] * b[:, 0]], axis=1)
+    return x / np.where(det == 0, np.inf, det)[:, None], det != 0
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Multistart Newton search parameters (seeded, hence reproducible)."""
@@ -474,31 +508,25 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
     rng = np.random.default_rng(config.seed)
     rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * config.radius
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
-    starts = rad * np.exp(1j * ang)
-
-    def run(z0):
-        z = z0.copy()
+    z = rad * np.exp(1j * ang)
+    live = np.arange(config.starts)
+    converged = np.zeros(config.starts, dtype=bool)
+    eye = np.eye(2, dtype=complex)
+    with np.errstate(all="ignore"):  # divergent starts overflow, then drop
         for _ in range(config.newton_steps):
-            w = z
-            jac = np.eye(2, dtype=complex)
+            w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
             for _ in range(r):
-                jac = f.jacobian(w) @ jac
-                w = f(w)
-            fv = w - z
-            nrm = np.linalg.norm(fv)
-            if nrm <= config.residual_tol * (1.0 + np.linalg.norm(z)):
-                return z
-            m = jac - np.eye(2)
-            try:
-                step = np.linalg.solve(m, fv)
-            except np.linalg.LinAlgError:
-                return None
-            z = z - step
-            if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e9:
-                return None
-        return None
-
-    found = [z for z in map(run, starts) if z is not None]
+                w, step_jac = f.evaluate_batch(w)
+                jac = step_jac @ jac
+            fv = w - z[live]
+            done = (np.linalg.norm(fv, axis=1)
+                    <= config.residual_tol * (1.0 + np.linalg.norm(z[live], axis=1)))
+            converged[live[done]] = True
+            step, solved = solve_2x2(jac - eye, fv)
+            live, step = live[~done & solved], step[~done & solved]
+            z[live] -= step
+            live = live[np.linalg.norm(z[live], axis=1) <= 1e9]  # NaN fails too
+    found = list(z[converged])
     clusters = cluster_points(found, config.cluster_radius)
     return SearchResult(
         points=tuple(tuple(found[cl[0]]) for cl in clusters),

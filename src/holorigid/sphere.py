@@ -24,6 +24,7 @@ TOL_ETA = 1e-3
 TOL_UNITARY = 1e-9
 SELECT_MARGIN = 1e-6
 KINK_DISAGREEMENT = 1e-2
+HALVINGS = 4  # backtracking step sizes per batched evaluation
 
 
 @dataclass(frozen=True)
@@ -77,41 +78,54 @@ class RepellingConstruction:
 
 
 def _phi_and_grad(f: PolyMap, z: np.ndarray):
-    """||f(z)||^2 and its Euclidean gradient 2 J(z)^H f(z) (as a complex vector)."""
-    fz = f(z)
-    grad = 2.0 * f.jacobian(z).conj().T @ fz
-    return float(np.vdot(fz, fz).real), grad, fz
+    """||f(z)||^2 and its Euclidean gradient 2 J(z)^H f(z) at a stack of points."""
+    fz, jac = f.evaluate_batch(z)
+    grad = 2.0 * np.matmul(fz.conj()[:, None, :], jac)[:, 0].conj()
+    return np.linalg.norm(fz, axis=1) ** 2, grad
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int,
-            gtol: float) -> SphereMax:
-    """Projected gradient ascent of ||f||^2 on the sphere of radius r."""
-    z = z0 * (r / np.linalg.norm(z0))
-    phi, grad, _ = _phi_and_grad(f, z)
-    step = 1.0 / (1.0 + np.linalg.norm(grad))
-    tangent_norm = np.inf
+def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int, gtol: float):
+    """Projected gradient Armijo ascent of ||f||^2 on the sphere of radius r.
+
+    All starts run in lockstep with their own step sizes; one batched call
+    tries HALVINGS steps t, t/2, ... and takes the largest accepted one, as
+    a one-at-a-time search would.  Returns points, ||f|| and tangent norms.
+    """
+    z = z0 * (r / np.linalg.norm(z0, axis=1))[:, None]
+    phi, grad = _phi_and_grad(f, z)
+    step = 1.0 / (1.0 + np.linalg.norm(grad, axis=1))
+    tangent_norm = np.full(len(z), np.inf)
+    live = np.arange(len(z))
+    halvings = 0.5 ** np.arange(HALVINGS)
     for _ in range(max_iter):
         # project out the radial direction (real inner product)
-        radial = np.real(np.vdot(z, grad)) / (r * r)
-        tangent = grad - radial * z
-        tangent_norm = float(np.linalg.norm(tangent))
-        if tangent_norm <= gtol * (1.0 + phi):
+        radial = np.real(np.sum(z[live].conj() * grad[live], axis=1)) / (r * r)
+        tangent = grad[live] - radial[:, None] * z[live]
+        tangent_norm[live] = np.linalg.norm(tangent, axis=1)
+        open_ = tangent_norm[live] > gtol * (1.0 + phi[live])
+        live, tangent, t = live[open_], tangent[open_], step[live[open_]]
+        moved = np.zeros(len(live), dtype=bool)
+        todo = t > 1e-18
+        while todo.any():
+            rows, ts = live[todo], t[todo, None] * halvings
+            cand = z[rows, None] + ts[..., None] * tangent[todo, None]
+            cand *= (r / np.linalg.norm(cand, axis=2))[..., None]
+            cand = cand.reshape(-1, f.dim)
+            phi_c, grad_c = _phi_and_grad(f, cand)
+            accept = (ts > 1e-18) & (phi_c.reshape(ts.shape) > phi[rows, None]
+                                     + 1e-4 * ts * tangent_norm[rows, None] ** 2)
+            hit = accept.any(axis=1)
+            k = np.flatnonzero(hit) * HALVINGS + np.argmax(accept, axis=1)[hit]
+            rows = rows[hit]
+            z[rows], phi[rows], grad[rows] = cand[k], phi_c[k], grad_c[k]
+            step[rows] = np.minimum(ts.ravel()[k] * 2.0, 1e6)
+            moved[np.flatnonzero(todo)[hit]] = True
+            t[todo] = ts[:, -1] * 0.5
+            todo &= ~moved & (t > 1e-18)
+        live = live[moved]
+        if not live.size:
             break
-        t = step
-        improved = False
-        while t > 1e-18:
-            cand = z + t * tangent
-            cand *= r / np.linalg.norm(cand)
-            phi_c, grad_c, _ = _phi_and_grad(f, cand)
-            if phi_c > phi + 1e-4 * t * tangent_norm ** 2:
-                z, phi, grad = cand, phi_c, grad_c
-                step = min(t * 2.0, 1e6)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return SphereMax(z, float(np.sqrt(phi)), tangent_norm)
+    return z, np.sqrt(phi), tangent_norm
 
 
 def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig(),
@@ -126,24 +140,20 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
     rng = np.random.default_rng(config.seed)
     d = f.dim
     raw = rng.normal(size=(config.starts, d)) + 1j * rng.normal(size=(config.starts, d))
-    starts = [z for z in raw if np.linalg.norm(z) > 1e-12]
-    starts = list(warm_starts) + starts
-
-    results = [_ascend(f, np.asarray(z0, dtype=complex), r,
-                       config.max_iter, config.gtol) for z0 in starts]
-    return max(results, key=lambda sm: sm.value)
+    starts = list(warm_starts) + [z for z in raw if np.linalg.norm(z) > 1e-12]
+    z, value, grad_norm = _ascend(f, np.array(starts, dtype=complex).reshape(-1, d),
+                                  r, config.max_iter, config.gtol)
+    best = int(np.argmax(value))
+    return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 
 def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
                  seed: int = 1) -> float:
     """Largest ||f|| over random sphere points; must not exceed the claimed max."""
     rng = np.random.default_rng(seed)
-    best = 0.0
     batch = rng.normal(size=(samples, f.dim)) + 1j * rng.normal(size=(samples, f.dim))
-    for z in batch:
-        z = z * (r / np.linalg.norm(z))
-        best = max(best, float(np.linalg.norm(f(z))))
-    return best
+    batch *= (r / np.linalg.norm(batch, axis=1))[:, None]
+    return float(np.linalg.norm(f.evaluate_batch(batch)[0], axis=1).max(initial=0.0))
 
 
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
@@ -180,19 +190,21 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     return SphereMaxProfile(tuple(samples), tuple(deriv), tuple(h_values))
 
 
-def select_growth_point(profile: SphereMaxProfile, margin: float = SELECT_MARGIN):
-    """Index of the smallest grid point with H and H' safely positive.
+def select_growth_point(profile: SphereMaxProfile, margin: float = SELECT_MARGIN,
+                        tol_eta: float = TOL_ETA):
+    """Index of the smallest grid point with H safely positive and H' > tol_eta.
 
-    A grid point straddling a kink of H (left/right difference disagreement
-    above 1e-2) is skipped, since the derivative estimate there is
-    meaningless; raises RangeError when no point qualifies.
+    eta = 1 + H' must clear 1 + tol_eta.  A grid point straddling a kink of H
+    (left/right difference disagreement above 1e-2) is skipped, since the
+    derivative estimate there is meaningless; raises RangeError when no
+    point qualifies.
     """
     hv = profile.H_values
     s_grid = [s for s, _, _ in hv]
     h = [x for _, x, _ in hv]
     for i in range(1, len(hv) - 1):
         s, h_i, hp = hv[i]
-        if h_i <= 10 * margin or hp is None or hp <= 10 * margin:
+        if h_i <= 10 * margin or hp is None or hp <= tol_eta:
             continue
         spacing = s_grid[i] - s_grid[i - 1]
         left = (h[i] - h[i - 1]) / spacing
@@ -273,7 +285,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
             "component must carry a term of total degree >= 2"
         )
     profile = hadamard_profile(f, s_range, steps, config)
-    idx = select_growth_point(profile)
+    idx = select_growth_point(profile, tol_eta=tol_eta)
     s = profile.H_values[idx][0]
     r = float(np.exp(s))
 

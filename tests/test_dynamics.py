@@ -15,6 +15,7 @@ from holorigid.dynamics import (
     PolyMap,
     SearchConfig,
     classify,
+    cluster_points,
     cocycle_poly,
     companion_roots,
     durand_kerner,
@@ -25,6 +26,7 @@ from holorigid.dynamics import (
     orbit_points,
     periodic_points_1d,
     periodic_points_2d,
+    solve_2x2,
     weight_cocycle,
 )
 from holorigid.errors import OrbitError, PreconditionError, TermOverflowError
@@ -32,6 +34,71 @@ from holorigid.errors import OrbitError, PreconditionError, TermOverflowError
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])          # z^2
 SQUARE_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])  # z^2 - 1
 HENON = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (0, 0): -3, (1, 0): -0.3}))
+MIX3 = PolyMap(3, ({(1, 1, 0): 1, (0, 0, 1): 0.5}, {(0, 2, 0): 1, (1, 0, 0): -0.3},
+                   {(0, 0, 3): 0.2, (1, 0, 0): 1}))
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("f", [SQUARE_MINUS_1, HENON, MIX3],
+                             ids=["quadratic", "henon", "mix3"])
+    def test_matches_pointwise(self, f):
+        rng = np.random.default_rng(8)
+        z = 2.0 * (rng.normal(size=(200, f.dim)) + 1j * rng.normal(size=(200, f.dim)))
+        values, jacs = f.evaluate_batch(z)
+        assert values.shape == (200, f.dim) and jacs.shape == (200, f.dim, f.dim)
+        for zi, v, jac in zip(z, values, jacs):
+            assert np.linalg.norm(v - f(zi)) <= 1e-13 * np.linalg.norm(f(zi))
+            want = f.jacobian(zi)
+            assert np.linalg.norm(jac - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(PreconditionError):
+            HENON.evaluate_batch(np.zeros(2))
+
+
+def _greedy_reference(points, radius):
+    """The one-representative-at-a-time greedy loop cluster_points replaces."""
+    def size(z):
+        return abs(z) if np.ndim(z) == 0 else np.linalg.norm(z)
+
+    order = sorted(range(len(points)), key=lambda i: tuple(
+        part for x in np.atleast_1d(points[i]) for part in (x.real, x.imag)))
+    clusters, reach = [], []
+    for i in order:
+        for cl, bound in zip(clusters, reach):
+            if size(points[i] - points[cl[0]]) <= bound:
+                cl.append(i)
+                break
+        else:
+            clusters.append([i])
+            reach.append(radius * (1.0 + size(points[i])))
+    return clusters
+
+
+class TestClusterPoints:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(4)
+        for dim in (0, 2, 3):
+            shape = (150,) if dim == 0 else (150, dim)
+            base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            near = base[:50] + 0.05 * rng.normal(size=base[:50].shape)
+            points = list(np.concatenate([base, near, base[:15]]))  # with repeats
+            for radius in (1e-6, 0.02, 0.3):
+                want = _greedy_reference(points, radius)
+                assert cluster_points(points, radius) == want
+
+    def test_reach_boundary_is_inside(self):
+        # |rep| = 5 exactly and radius 0.25, so the reach is exactly 1.5
+        scalars = [3 + 4j, 3 + 5.5j, 3 + 5.5000001j]
+        vectors = [np.array([3, 4], dtype=complex), np.array([4.5, 4], dtype=complex),
+                   np.array([4.5000001, 4], dtype=complex)]
+        for points in (scalars, vectors):
+            want = _greedy_reference(points, 0.25)
+            assert want == [[0, 1], [2]]
+            assert cluster_points(points, 0.25) == want
+
+    def test_empty(self):
+        assert cluster_points([], 1e-6) == []
 
 
 class TestIterate:
@@ -298,6 +365,16 @@ class TestPeriodicPoints2D:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(PreconditionError):
             periodic_points_2d(SQUARE, 1)
+
+    def test_singular_system_is_dropped_alone(self):
+        m = np.array([[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[0, 1j], [1, 0]]],
+                     dtype=complex)
+        b = np.array([[3, 2], [1, 1], [1j, 2]], dtype=complex)
+        x, ok = solve_2x2(m, b)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            assert np.allclose(x[i], np.linalg.solve(m[i], b[i]), rtol=1e-15)
+        assert np.all(np.isfinite(x))
 
 
 class TestMakeOrbit:

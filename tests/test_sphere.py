@@ -8,7 +8,10 @@ import pytest
 from holorigid.dynamics import PolyMap
 from holorigid.errors import PreconditionError, RangeError
 from holorigid.sphere import (
+    TOL_ETA,
     MaxSearchConfig,
+    SphereMaxProfile,
+    _ascend,
     construct_repelling,
     hadamard_profile,
     select_growth_point,
@@ -20,6 +23,9 @@ from holorigid.sphere import (
 SQUARE_FIRST = PolyMap(2, ({(2, 0): 1}, {(0, 1): 1}))   # (z1^2, z2)
 SQUARE_SECOND = PolyMap(2, ({(0, 1): 1}, {(2, 0): 1}))  # (z2, z1^2)
 CUBE_FIRST = PolyMap(2, ({(3, 0): 1}, {(0, 1): 1}))     # (z1^3, z2)
+HENON = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (0, 0): -3, (1, 0): -0.3}))
+MIX3 = PolyMap(3, ({(1, 1, 0): 1, (0, 0, 1): 0.5}, {(0, 2, 0): 1, (1, 0, 0): -0.3},
+                   {(0, 0, 3): 0.2, (1, 0, 0): 1}))
 FAST = MaxSearchConfig(starts=16, seed=3)
 
 
@@ -49,6 +55,20 @@ class TestSphereMax:
         best = sphere_max(SQUARE_FIRST, 2.0, FAST)
         probe = sphere_audit(SQUARE_FIRST, 2.0, best.value, samples=10_000, seed=1)
         assert probe <= best.value + 1e-9
+
+    @pytest.mark.parametrize("f, r, point_tol", [
+        (HENON, 2.0, 1e-12), (SQUARE_SECOND, 3.0, 1e-12), (MIX3, 0.7, 1e-6)])
+    def test_lockstep_starts_are_independent(self, f, r, point_tol):
+        # Rounding in a batched evaluation depends on the batch size.  Where
+        # the maximum is flat, as for mix3 across (z2, z3) = 0, that moves
+        # the stopping point by about 1e-7; values still agree.
+        rng = np.random.default_rng(9)
+        starts = rng.normal(size=(24, f.dim)) + 1j * rng.normal(size=(24, f.dim))
+        points, values, _ = _ascend(f, starts, r, 300, 1e-10)
+        for z0, point, value in zip(starts, points, values):
+            alone, alone_value, _ = _ascend(f, z0[None], r, 300, 1e-10)
+            assert abs(alone_value[0] - value) <= 1e-12 * value
+            assert np.linalg.norm(alone[0] - point) <= point_tol * r
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(PreconditionError):
@@ -88,6 +108,19 @@ class TestHadamardProfile:
         idx = select_growth_point(profile)
         s, h, hp = profile.H_values[idx]
         assert h > 1e-5 and hp == pytest.approx(1.0, abs=1e-6)
+
+
+    def test_growth_below_tol_eta_is_passed_over(self):
+        # flat H, then slope 1 past a hinge between s = 2 and s = 3: at s = 1
+        # the central difference sees only 3.7e-5 of the hinge, so eta = 1 + H'
+        # could not clear 1 + tol_eta there
+        h = [0.5, 0.5, 0.500074, 1.500074, 2.500074]
+        h_values = tuple((float(s), hs, (h[s + 1] - h[s - 1]) / 2 if 0 < s < 4
+                          else None) for s, hs in enumerate(h))
+        profile = SphereMaxProfile((), (), h_values)
+        assert 1e-5 < h_values[1][2] < TOL_ETA
+        assert select_growth_point(profile) == 3  # s = 2 straddles the hinge
+        assert select_growth_point(profile, tol_eta=1e-5) == 1
 
 
 class TestUnitaryBetween:
@@ -149,6 +182,14 @@ class TestConstructRepelling:
                                  MaxSearchConfig(starts=16, seed=5),
                                  polish_starts=64)
         assert rc.eta == pytest.approx(2.0, abs=1e-3)
+
+    def test_mix3_finds_growth(self):
+        # H is flat left of a hinge near s = -1/3; the default grid's s = -0.5
+        # picks up H' = 3.7e-5 from it, which gives eta = 1.000000
+        rc = construct_repelling(MIX3, config=MaxSearchConfig(starts=16, seed=101),
+                                 polish_starts=32)
+        assert rc.s == pytest.approx(1.0)
+        assert rc.eta > 1 + TOL_ETA
 
     def test_affine_rejected(self):
         with pytest.raises(PreconditionError, match="non-affine"):
