@@ -68,6 +68,26 @@ def _parse_complex_list(text: str):
         raise UsageError(f"cannot parse complex list: {text!r}")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
+def _float_range(text: str):
+    """argparse type: 'lo:hi' with two floats."""
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi floats, got {text!r}")
+    return lo, hi
+
+
 def _load_weight_arg(path):
     if path is None:
         return None
@@ -265,10 +285,9 @@ def _strongest(certs, mode):
 
 def cmd_search_repelling(args) -> int:
     f = load_polymap(read_json(args.map))
-    lo, hi = (float(x) for x in args.s_range.split(":"))
     cfg = sphere.MaxSearchConfig(starts=args.grid_starts, seed=args.seed)
     rc = sphere.construct_repelling(
-        f, (lo, hi), args.s_steps, cfg, polish_starts=args.starts)
+        f, args.s_range, args.s_steps, cfg, polish_starts=args.starts)
     if args.profile_out:
         _write_csv(args.profile_out, ["s", "H", "H_prime"],
                    [(s, h, "" if hp is None else hp)
@@ -304,7 +323,7 @@ def cmd_fock(args) -> int:
         fock.DEFAULT_CAP_1D if f.dim == 1 else fock.DEFAULT_CAP_2D)
     matrix = fock.operator_matrix_from_polys(u, f, n_cap)
     profile = fock.restriction_norm_profile(matrix)
-    sweep = fock.norm_sweep(u, f, n_cap)
+    sweep = fock.norm_sweep(matrix)
     payload = {
         "subcommand": "fock",
         "N": n_cap,
@@ -411,7 +430,8 @@ def build_parser() -> Parser:
     p.add_argument("weight", nargs="?", default=None)
     p.add_argument("--point", default=None,
                    help="base point, comma-separated complex entries")
-    p.add_argument("--n", type=int, required=True, help="homogeneous degree")
+    p.add_argument("--n", type=_int_at_least(0), required=True,
+                   help="homogeneous degree")
     common(p)
     p.set_defaults(func=cmd_graded)
 
@@ -421,13 +441,13 @@ def build_parser() -> Parser:
     p.add_argument("--mode", required=True,
                    choices=("bounded", "compact", "cyclic", "hypercyclic",
                             "supercyclic"))
-    p.add_argument("--r", type=int, default=1,
+    p.add_argument("--r", type=_int_at_least(1), default=1,
                    help="period (bound for hypercyclic search)")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="cocycle levels to test, comma-separated complex")
     p.add_argument("--point", default=None,
                    help="certify the orbit through this point only")
-    p.add_argument("--starts", type=int, default=400,
+    p.add_argument("--starts", type=_int_at_least(1), default=400,
                    help="Newton multistart budget for 2d point search")
     common(p)
     p.set_defaults(func=cmd_certify)
@@ -435,11 +455,11 @@ def build_parser() -> Parser:
     p = sub.add_parser("search-repelling",
                        help="constructive repelling fixed point (d >= 2)")
     p.add_argument("map")
-    p.add_argument("--s-range", default="-1.0:3.0")
-    p.add_argument("--s-steps", type=int, default=25)
-    p.add_argument("--starts", type=int, default=200,
+    p.add_argument("--s-range", type=_float_range, default="-1.0:3.0")
+    p.add_argument("--s-steps", type=_int_at_least(3), default=25)
+    p.add_argument("--starts", type=_int_at_least(1), default=200,
                    help="polish starts at the selected radius")
-    p.add_argument("--grid-starts", type=int, default=16,
+    p.add_argument("--grid-starts", type=_int_at_least(1), default=16,
                    help="starts per profile grid point")
     p.add_argument("--profile-out", default=None,
                    help="write the Hadamard profile CSV (s, H, H')")
@@ -449,7 +469,8 @@ def build_parser() -> Parser:
     p = sub.add_parser("fock", help="truncated Fock-space operator tables")
     p.add_argument("map")
     p.add_argument("weight", nargs="?", default=None)
-    p.add_argument("--N", type=int, default=None, help="degree cap")
+    p.add_argument("--N", type=_int_at_least(0), default=None,
+                   help="degree cap")
     p.add_argument("--profile-out", default=None,
                    help="restriction-norm profile CSV (n, norm, flag)")
     p.add_argument("--sweep-out", default=None,
@@ -462,17 +483,17 @@ def build_parser() -> Parser:
     p = sub.add_parser("henon", help="saddle certificates for Henon compositions")
     p.add_argument("henon")
     p.add_argument("weight", nargs="?", default=None)
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--starts", type=int, default=200)
+    p.add_argument("--r-max", type=_int_at_least(1), default=4)
+    p.add_argument("--starts", type=_int_at_least(1), default=200)
     common(p)
     p.set_defaults(func=cmd_henon)
 
     p = sub.add_parser("duality", help="graded image/kernel condition check")
     p.add_argument("--input", default=None,
                    help="JSON file with matrices L and B as [re,im] grids")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--rows", type=int, default=6)
-    p.add_argument("--cols", type=int, default=4)
+    p.add_argument("--instances", type=_int_at_least(1), default=100)
+    p.add_argument("--rows", type=_int_at_least(1), default=6)
+    p.add_argument("--cols", type=_int_at_least(1), default=4)
     common(p)
     p.set_defaults(func=cmd_duality)
 

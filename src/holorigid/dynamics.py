@@ -231,13 +231,11 @@ def iterate(f: PolyMap, r: int, max_terms=DEFAULT_MAX_TERMS) -> PolyMap:
 
 
 def iterate_point(f: PolyMap, z, r: int) -> np.ndarray:
-    z = _as_point(z, f.dim)
-    for _ in range(r):
-        z = f(z)
-    return z
+    return orbit_points(f, z, r + 1)[-1]
 
 
 def orbit_points(f: PolyMap, p, r: int) -> list:
+    """p, f(p), ..., f^(r-1)(p): the one orbit walker, r - 1 calls of f."""
     pts = [_as_point(p, f.dim)]
     for _ in range(r - 1):
         pts.append(f(pts[-1]))
@@ -540,20 +538,22 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
 # multipliers, stability, cocycle
 
 
-def multipliers(f: PolyMap, p, r: int, tol_orbit=TOL_ORBIT) -> tuple:
-    """Eigenvalues of D(f^r) at p, via the Jacobian chain along the orbit."""
-    p = _as_point(p, f.dim)
-    pts = orbit_points(f, p, r)
-    closure = np.linalg.norm(f(pts[-1]) - p)
-    if closure > tol_orbit * (1.0 + np.linalg.norm(p)):
-        raise OrbitError(
-            f"point is not {r}-periodic: residual {closure:.3e}"
-        )
+def _chain_multipliers(f: PolyMap, pts) -> tuple:
+    """Eigenvalues of the Jacobian chain along the orbit points ``pts``."""
     jac = np.eye(f.dim, dtype=complex)
     for x in pts:
         jac = f.jacobian(x) @ jac
     vals = np.linalg.eigvals(jac)
     return tuple(sorted(vals, key=lambda z: (z.real, z.imag)))
+
+
+def multipliers(f: PolyMap, p, r: int, tol_orbit=TOL_ORBIT) -> tuple:
+    """Eigenvalues of D(f^r) at p, via the Jacobian chain along the orbit."""
+    pts = orbit_points(f, p, r + 1)
+    closure = np.linalg.norm(pts[-1] - pts[0])
+    if not closure <= tol_orbit * (1.0 + np.linalg.norm(pts[0])):  # NaN fails too
+        raise OrbitError(f"point is not {r}-periodic: residual {closure:.3e}")
+    return _chain_multipliers(f, pts[:-1])
 
 
 def classify(mults, tol_class=TOL_CLASS) -> str:
@@ -626,20 +626,20 @@ class PeriodicOrbit:
 
 
 def make_orbit(f: PolyMap, p, r: int, u=None, tol_orbit=TOL_ORBIT) -> PeriodicOrbit:
-    """Build a PeriodicOrbit at p, verifying closure and reducing the period."""
-    p = _as_point(p, f.dim)
-    closure = np.linalg.norm(iterate_point(f, p, r) - p)
-    if closure > tol_orbit * (1.0 + np.linalg.norm(p)):
+    """Verified PeriodicOrbit at p, from one walk p, f(p), ..., f^r(p): its
+    closure, exact period (least divisor d of r with f^d(p) back at p) and
+    multipliers."""
+    if r < 1:
+        raise PreconditionError("iteration count must be >= 1")
+    walk = orbit_points(f, p, r + 1)
+    p, tol = walk[0], tol_orbit * (1.0 + np.linalg.norm(walk[0]))
+    closure = np.linalg.norm(walk[r] - p)
+    if not closure <= tol:  # NaN fails too
         raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
-    exact = r
-    for div in range(1, r):
-        if r % div == 0:
-            res = np.linalg.norm(iterate_point(f, p, div) - p)
-            if res <= tol_orbit * (1.0 + np.linalg.norm(p)):
-                exact = div
-                break
-    pts = orbit_points(f, p, exact)
-    mults = multipliers(f, p, exact, tol_orbit)
+    exact = next((d for d in range(1, r)
+                  if r % d == 0 and np.linalg.norm(walk[d] - p) <= tol), r)
+    pts = walk[:exact]
+    mults = _chain_multipliers(f, pts)
     return PeriodicOrbit(
         points=tuple(tuple(x) for x in pts),
         period=exact,

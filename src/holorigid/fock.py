@@ -12,7 +12,7 @@ the |alpha|^n lower bound for expanding ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,23 +57,39 @@ class TruncatedSpaceModel:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Matrix of the weighted composition operator on the truncated basis."""
+    """Matrix of the weighted composition operator on the truncated basis.
+
+    ``top_degree[j]`` is the highest degree of u * f^beta_j with a
+    coefficient of modulus > 1e-14 (0 if none); loss flags derive from it.
+    """
 
     entries: np.ndarray
     basis: tuple
     N: int
     d: int
-    truncation_loss: bool
-    column_loss: tuple
+    top_degree: tuple
     symbol_value_at_zero: tuple
     source_cap: int
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.array([sum(a) for a in self.basis])
+
+    @property
+    def column_loss(self) -> tuple:
+        return tuple(t > self.N for t in self.top_degree)
+
+    @property
+    def truncation_loss(self) -> bool:
+        return max(self.top_degree) > self.N
 
     def fixes_origin(self) -> bool:
         return max(abs(v) for v in self.symbol_value_at_zero) <= 1e-12
 
 
-def _raw_columns(u: Jet, f: JetMap, N: int):
-    """Coefficient columns of u * f^beta for |beta| <= N at the jets' cap.
+def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
+    """Unweighted matrix: entry (alpha, beta) is the z^alpha coefficient
+    of u * f^beta.  This is the action in plain Taylor coordinates.
 
     Power products of the component jets themselves (constants included)
     are exact on every retained degree, so no base-point gymnastics are
@@ -90,28 +106,17 @@ def _raw_columns(u: Jet, f: JetMap, N: int):
     powers = PowerCache([c.truncated(cap).coeffs for c in f.components],
                         f.dim_in, cap=cap)
     basis = graded_basis(f.dim_in, N)
-    columns = []
-    loss = []
-    for beta in basis:
-        col = table_multiply(u.coeffs, powers.power(beta), cap)
-        discarded = max((abs(c) for a, c in col.items() if sum(a) > N),
-                        default=0.0)
-        columns.append({a: c for a, c in col.items() if sum(a) <= N})
-        loss.append(discarded > TRUNCATION_COEFF_TOL)
-    return basis, columns, tuple(loss), cap
-
-
-def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
-    """Unweighted matrix: entry (alpha, beta) is the z^alpha coefficient
-    of u * f^beta.  This is the action in plain Taylor coordinates."""
-    basis, columns, loss, cap = _raw_columns(u, f, N)
-    m = np.zeros((len(basis), len(basis)), dtype=complex)
     index = {a: i for i, a in enumerate(basis)}
-    for j, col in enumerate(columns):
+    m = np.zeros((len(basis), len(basis)), dtype=complex)
+    top = []
+    for j, beta in enumerate(basis):
+        col = table_multiply(u.coeffs, powers.power(beta), cap)
+        top.append(max((sum(a) for a, c in col.items()
+                        if abs(c) > TRUNCATION_COEFF_TOL), default=0))
         for alpha, c in col.items():
-            m[index[alpha], j] = c
-    return OperatorMatrix(m, basis, N, f.dim_in, any(loss), loss,
-                          f.value(), cap)
+            if sum(alpha) <= N:
+                m[index[alpha], j] = c
+    return OperatorMatrix(m, basis, N, f.dim_in, tuple(top), f.value(), cap)
 
 
 def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
@@ -124,13 +129,10 @@ def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     """
     raw = coefficient_matrix(u, f, N)
     w = np.array([sqrt_factorial(a) for a in raw.basis])
-    entries = raw.entries * w[:, None] / w[None, :]
-    return OperatorMatrix(entries, raw.basis, N, raw.d, raw.truncation_loss,
-                          raw.column_loss, raw.symbol_value_at_zero,
-                          raw.source_cap)
+    return replace(raw, entries=raw.entries * w[:, None] / w[None, :])
 
 
-def jets_from_polys(u, f: PolyMap, N: int, extra_cap: int = 0):
+def jets_from_polys(u, f: PolyMap, N: int):
     """Jets at 0 of a polynomial weight and map, at a cap that loses nothing.
 
     The product u * f^beta has degree at most deg(u) + N * deg(f); expanding
@@ -138,7 +140,7 @@ def jets_from_polys(u, f: PolyMap, N: int, extra_cap: int = 0):
     """
     if u is None:
         u = PolyFunc.one(f.dim)
-    cap = max(N, u.degree + N * max(f.degree, 1)) + extra_cap
+    cap = max(N, u.degree + N * max(f.degree, 1))
     base = (0j,) * f.dim
     return u.to_jet(base, cap), f.to_jetmap(base, cap)
 
@@ -172,35 +174,32 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
     invariant and the profile mirrors the eigenvalue bound; otherwise the
     profile is still emitted, with a warning flag.
     """
-    degs = np.array([sum(a) for a in m.basis])
-    rows = []
-    for n in range(m.N + 1):
-        keep = degs >= n
-        sub = m.entries[:, keep]
-        norm = float(np.linalg.norm(sub, 2)) if sub.size else 0.0
-        lossy = any(flag for flag, k in zip(m.column_loss, keep) if k)
-        rows.append((n, norm, lossy))
+    starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
+    rows = tuple((n, float(np.linalg.norm(m.entries[:, k:], 2)),
+                  any(m.column_loss[k:])) for n, k in enumerate(starts))
     fixes = m.fixes_origin()
     warning = None if fixes else (
         "symbol does not fix 0: the order-n subspaces are not invariant and "
         "the profile is only a family of section norms"
     )
-    return RestrictionProfile(tuple(rows), fixes, warning)
+    return RestrictionProfile(rows, fixes, warning)
 
 
-def norm_sweep(u, f: PolyMap, n_max: int) -> tuple:
-    """(N, truncated_norm, lossy) rows for N = 0..n_max (polynomial data)."""
-    rows = []
-    for n in range(n_max + 1):
-        m = operator_matrix_from_polys(u, f, n)
-        rows.append((n, truncated_norm(m), m.truncation_loss))
-    return tuple(rows)
+def norm_sweep(m: OperatorMatrix) -> tuple:
+    """(N, truncated_norm, lossy) rows for the sections N = 0..m.N.
+
+    The basis ascends in degree, so section N is the leading block of m;
+    when m's jets lose nothing (``jets_from_polys``) that block equals the
+    matrix built at cap N, and so does its loss flag, read from top_degree.
+    """
+    ends = np.searchsorted(m.degrees, np.arange(m.N + 1), side="right")
+    return tuple((n, float(np.linalg.norm(m.entries[:k, :k], 2)),
+                  max(m.top_degree[:k]) > n) for n, k in enumerate(ends))
 
 
 def graded_level_block(m: OperatorMatrix, from_level: int, to_level: int) -> np.ndarray:
     """Submatrix mapping degree-``from_level`` columns to degree-``to_level`` rows."""
-    degs = np.array([sum(a) for a in m.basis])
-    return m.entries[np.ix_(degs == to_level, degs == from_level)]
+    return m.entries[np.ix_(m.degrees == to_level, m.degrees == from_level)]
 
 
 def block_growth_norms(u: Jet, f: JetMap, n: int, k_max: int, N: int,

@@ -111,7 +111,7 @@ def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
 def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit, tol_orbit: float):
     p = np.asarray(orbit.points[0], dtype=complex)
     res = np.linalg.norm(iterate_point(f, p, orbit.period) - p)
-    if res > tol_orbit * (1.0 + np.linalg.norm(p)):
+    if not res <= tol_orbit * (1.0 + np.linalg.norm(p)):  # NaN fails too
         raise OrbitError(f"orbit fails verification: residual {res:.3e}")
 
 

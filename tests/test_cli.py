@@ -291,3 +291,31 @@ class TestContract:
                                "--mode", "bounded", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["verdict"] == "Unbounded"
+
+    @pytest.mark.parametrize("argv", [
+        ["graded", "DOUBLE", "--n", "-1"],
+        ["fock", "HALF", "--N", "-1"],
+        ["search-repelling", "SQUARE_2D", "--s-range", "1"],
+        ["search-repelling", "SQUARE_2D", "--s-range", "a:b"],
+        ["search-repelling", "SQUARE_2D", "--s-steps", "2"],
+        ["search-repelling", "SQUARE_2D", "--starts", "0", "--grid-starts", "0"],
+        ["search-repelling", "SQUARE_2D", "--grid-starts", "0"],
+        ["duality", "--rows", "0"],
+        ["duality", "--cols", "0"],
+        ["duality", "--instances", "0"],
+        *(["certify", "SQUARE", "--mode", mode, "--r", "0"]
+          for mode in ("bounded", "compact", "cyclic", "hypercyclic",
+                       "supercyclic")),
+        ["certify", "SQUARE", "--mode", "bounded", "--starts", "0"],
+        ["henon", "HENON_STD", "--r-max", "0"],
+        ["henon", "HENON_STD", "--starts", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_number_is_usage_error(self, capsys, write, argv):
+        docs = {"DOUBLE": DOUBLE, "HALF": HALF, "SQUARE": SQUARE,
+                "SQUARE_2D": SQUARE_2D, "HENON_STD": HENON_STD}
+        argv = [write(f"{a}.json", docs[a]) if a in docs else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""

@@ -378,6 +378,33 @@ class TestPeriodicPoints2D:
 
 
 class TestMakeOrbit:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of PolyMap.__call__ and PolyMap.jacobian."""
+        counts = {"__call__": 0, "jacobian": 0}
+        for name in counts:
+            def counting(*args, _name=name, _method=getattr(PolyMap, name)):
+                counts[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(PolyMap, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("f, r, periods, points", [
+        (SQUARE_MINUS_1, 6, {1, 2, 3, 6},
+         lambda: [[p] for p in periodic_points_1d(SQUARE_MINUS_1, 6)]),
+        (HENON, 4, {1, 2, 4},
+         lambda: [(2.5, 2.5), (-1.2, -1.2)]  # its two fixed points
+         + list(periodic_points_2d(HENON, 4, SearchConfig(starts=400)).points)),
+    ], ids=["square-minus-1", "henon"])
+    def test_one_walk_per_orbit(self, calls, f, r, periods, points):
+        seen = set()
+        for p in points():
+            calls.update({"__call__": 0, "jacobian": 0})
+            orbit = make_orbit(f, p, r)
+            assert calls == {"__call__": r, "jacobian": orbit.period}
+            seen.add(orbit.period)
+        assert seen == periods
+
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])
         orbit = make_orbit(f, [0], 2)
@@ -395,3 +422,14 @@ class TestMakeOrbit:
     def test_rejects_non_periodic(self):
         with pytest.raises(OrbitError):
             make_orbit(SQUARE, [0.5], 1)
+
+    def test_rejects_period_zero(self):
+        with pytest.raises(PreconditionError):
+            make_orbit(SQUARE, [1], 0)
+
+    @pytest.mark.parametrize("p", [complex("inf"), complex("nan")])
+    def test_nan_residual_is_not_closure(self, p):
+        with pytest.raises(OrbitError), np.errstate(invalid="ignore"):
+            make_orbit(SQUARE, [p], 1)
+        with pytest.raises(OrbitError), np.errstate(invalid="ignore"):
+            multipliers(SQUARE, [p], 2)

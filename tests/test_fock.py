@@ -29,6 +29,7 @@ HALF = PolyMap.from_coeffs_1d([0, 0.5])
 DOUBLE = PolyMap.from_coeffs_1d([0, 2])
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 WEIGHT_Z = PolyFunc(1, {(1,): 1})
+HENON = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (0, 0): -3, (1, 0): -0.3}))
 
 
 class TestOperatorMatrix:
@@ -115,9 +116,32 @@ class TestTruncatedNorm:
         assert truncated_norm(m) == pytest.approx(1.0)
 
     def test_nondecreasing_in_cap_without_loss(self):
-        rows = norm_sweep(None, PolyMap.from_coeffs_1d([0, 1.3]), 12)
+        rows = norm_sweep(operator_matrix_from_polys(
+            None, PolyMap.from_coeffs_1d([0, 1.3]), 12))
         norms = [v for _, v, lossy in rows if not lossy]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def _rebuilt_sweep(u, f, n_max):
+    """Reference sweep: every section N rebuilt from scratch at its own cap."""
+    rows = []
+    for n in range(n_max + 1):
+        m = operator_matrix_from_polys(u, f, n)
+        rows.append((n, truncated_norm(m), m.truncation_loss))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("u, f, n_max", [
+    (None, HALF, 12),
+    (None, SQUARE, 14),
+    (WEIGHT_Z, DOUBLE, 12),
+    (PolyFunc(2, {(0, 0): 1, (1, 0): 0.5, (0, 1): -0.25j}), HENON, 8),
+], ids=["half", "square", "weighted-double", "henon"])
+def test_sweep_reads_leading_blocks(u, f, n_max):
+    rows = norm_sweep(operator_matrix_from_polys(u, f, n_max))
+    assert rows == _rebuilt_sweep(u, f, n_max)
+    if f is SQUARE:  # column m is lossy once 2m > N, so every N >= 1 is
+        assert [lossy for _, _, lossy in rows] == [n >= 1 for n in range(15)]
 
 
 class TestRestrictionProfile:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,11 @@ class TestBounded:
         other = PolyMap.from_coeffs_1d([0.3, 0.4])
         with pytest.raises(OrbitError):
             certify_bounded(other, None, orbit)
+
+    def test_nan_orbit_rejected(self):
+        orbit = replace(make_orbit(SQUARE, [1], 1), points=((complex("nan"),),))
+        with pytest.raises(OrbitError), np.errstate(invalid="ignore"):
+            certify_bounded(SQUARE, None, orbit)
 
 
 class TestCompact:
