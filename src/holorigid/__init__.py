@@ -11,7 +11,6 @@ from .errors import (
     PreconditionError,
     RangeError,
     SchemaError,
-    SelfCheckError,
     StructureError,
     TermOverflowError,
 )
@@ -44,6 +43,7 @@ from .dynamics import (
     iterate_point,
     make_orbit,
     multipliers,
+    periodic_orbits,
     periodic_points_1d,
     periodic_points_2d,
     weight_cocycle,

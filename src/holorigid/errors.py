@@ -45,9 +45,5 @@ class PreconditionError(HoloError):
     """Input rejected because a documented precondition does not hold."""
 
 
-class SelfCheckError(HoloError):
-    """Two independent computation routes disagreed beyond tolerance."""
-
-
 class SchemaError(HoloError):
     """A JSON document violated the documented schema; message names the field."""

@@ -21,8 +21,7 @@ from .dynamics import (
     SearchConfig,
     companion_roots,
     classify,
-    make_orbit,
-    periodic_points_2d,
+    periodic_orbits,
 )
 from .errors import PreconditionError
 from .rigidity import (
@@ -133,31 +132,21 @@ def fixed_points(h: GeneralizedHenon):
 
 
 def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
-                       config: SearchConfig = SearchConfig(starts=200),
-                       max_terms=DEFAULT_MAX_TERMS) -> ObstructionCertificate:
+                       config: SearchConfig = SearchConfig(starts=200)
+                       ) -> ObstructionCertificate:
     """Search periods 1..r_max for a saddle orbit and certify unboundedness.
 
-    The start budget doubles with each period.  A saddle found with
-    nonvanishing cocycle gives Unbounded; saddles with vanishing cocycle
-    leave an Inapplicable record; no saddle found is NoObstruction with an
-    explicit incompleteness flag (the multistart search is not exhaustive).
+    Every period runs one Newton multistart on f^r with the same budget,
+    ``config.starts`` starts drawn from ``config.seed``.  The first saddle
+    with nonvanishing cocycle gives Unbounded; saddles with vanishing
+    cocycle leave an Inapplicable record; no saddle found is NoObstruction
+    with an explicit incompleteness flag (the multistart search is not
+    exhaustive).
     """
-    fm = to_polymap(h, max_terms)
+    fm = to_polymap(h)
     vanished = None
-    for r in range(1, r_max + 1):
-        cfg = SearchConfig(starts=config.starts * 2 ** (r - 1),
-                           radius=config.radius,
-                           newton_steps=config.newton_steps,
-                           seed=config.seed + r)
-        candidates = [np.asarray(p, dtype=complex)
-                      for p in periodic_points_2d(fm, r, cfg).points]
-        if r == 1 and len(h.factors) == 1:
-            for pt, _, _ in fixed_points(h.factors[0]):
-                if all(np.linalg.norm(pt - c) > 1e-8 * (1 + np.linalg.norm(c))
-                       for c in candidates):
-                    candidates.append(pt)
-        for p in candidates:
-            orbit = make_orbit(fm, p, r, u)
+    for r, orbits, _ in periodic_orbits(fm, r_max, u, config):
+        for orbit in orbits:
             if orbit.stability != "saddle":
                 continue
             cert = certify_bounded(fm, u, orbit)

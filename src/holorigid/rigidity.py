@@ -43,6 +43,7 @@ from .dynamics import (
     iterate_point,
     make_orbit,
     orbit_points,
+    periodic_orbits,
     periodic_points_1d,
     weight_cocycle,
 )
@@ -332,12 +333,8 @@ def affine_verdict_1d(f: PolyMap, r_max: int = 8) -> AffineVerdict:
         return AffineVerdict(True, a, b, False,
                              "affine symbol with |a| <= 1: consistent with "
                              "boundedness", None, 0)
-    for r in range(1, r_max + 1):
-        pts = periodic_points_1d(f, r)
-        if isinstance(pts, AllPoints):
-            continue
-        for z in pts:
-            orbit = make_orbit(f, [z], r)
+    for r, orbits, _ in periodic_orbits(f, r_max):
+        for orbit in orbits:
             if orbit.stability == "repelling":
                 return AffineVerdict(False, None, None, True,
                                      _NO_BOUNDED_STATEMENT, orbit, r)
@@ -359,7 +356,6 @@ class GrowthDiagnostic:
     """
 
     m: int
-    n0: int
     quad_coeff: float
     obstruction: bool
     derivative: complex
@@ -367,13 +363,13 @@ class GrowthDiagnostic:
 
 
 def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p,
-                         n0: int = 0, tol_orbit=TOL_ORBIT) -> GrowthDiagnostic:
+                         tol_orbit=TOL_ORBIT) -> GrowthDiagnostic:
     """Order of vanishing of the weight against |f'(p)| at a fixed point."""
     if f.dim != 1 or u_jet.dim != 1:
         raise PreconditionError("growth diagnostic is one-variable only")
     p = complex(np.atleast_1d(np.asarray(p, dtype=complex))[0])
     res = abs(f([p])[0] - p)
-    if res > tol_orbit * (1.0 + abs(p)):
+    if not res <= tol_orbit * (1.0 + abs(p)):  # NaN fails too
         raise OrbitError(f"p is not fixed: residual {res:.3e}")
     scale = max([abs(c) for c in u_jet.coeffs.values()], default=0.0)
     order = u_jet.order(tol=1e-12 * max(1.0, scale))
@@ -383,9 +379,9 @@ def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p,
         )
     fp = complex(f.jacobian([p])[0, 0])
     if order == 0:
-        return GrowthDiagnostic(0, n0, 0.0, False, fp, defer_to_bounded=True)
+        return GrowthDiagnostic(0, 0.0, False, fp, defer_to_bounded=True)
     quad = 0.5 * order * (math.log(abs(fp)) if abs(fp) > 0 else -math.inf)
-    return GrowthDiagnostic(order, n0, quad, quad > 0, fp)
+    return GrowthDiagnostic(order, quad, quad > 0, fp)
 
 
 class DualityFlags(NamedTuple):

@@ -48,13 +48,11 @@ class SphereMax:
 class SphereMaxProfile:
     """Sampled sphere maxima with log-log derivative estimates.
 
-    samples hold (r, M(r), argmax); derivative_estimates hold (r, M'(r));
-    H_values hold (s, H(s), H'(s)) with H' by central differences (None at
-    the grid ends).
+    samples hold (r, M(r), argmax); H_values hold (s, H(s), H'(s)) with H'
+    by central differences (None at the grid ends).
     """
 
     samples: tuple
-    derivative_estimates: tuple
     H_values: tuple
 
 
@@ -177,17 +175,13 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     h = np.array([np.log(m) - np.log(r) for r, m, _ in samples])
     spacing = grid[1] - grid[0]
     h_values = []
-    deriv = []
     for i, s in enumerate(grid):
         if 0 < i < steps - 1:
             hp = float((h[i + 1] - h[i - 1]) / (2 * spacing))
         else:
             hp = None
         h_values.append((float(s), float(h[i]), hp))
-        if hp is not None:
-            r, m, _ = samples[i]
-            deriv.append((r, (hp + 1.0) * m / r))
-    return SphereMaxProfile(tuple(samples), tuple(deriv), tuple(h_values))
+    return SphereMaxProfile(tuple(samples), tuple(h_values))
 
 
 def select_growth_point(profile: SphereMaxProfile, margin: float = SELECT_MARGIN,

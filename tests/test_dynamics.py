@@ -9,6 +9,7 @@ from holorigid import dynamics
 from holorigid.dynamics import (
     ALL_POINTS,
     DEFAULT_MAX_TERMS,
+    GENERIC_POINT,
     TOL_ORBIT,
     AllPoints,
     PolyFunc,
@@ -24,8 +25,10 @@ from holorigid.dynamics import (
     make_orbit,
     multipliers,
     orbit_points,
+    periodic_orbits,
     periodic_points_1d,
     periodic_points_2d,
+    root_count_1d,
     solve_2x2,
     weight_cocycle,
 )
@@ -433,3 +436,37 @@ class TestMakeOrbit:
             make_orbit(SQUARE, [p], 1)
         with pytest.raises(OrbitError), np.errstate(invalid="ignore"):
             multipliers(SQUARE, [p], 2)
+
+
+class TestPeriodicOrbits:
+    def test_exact_period_points_are_the_moebius_counts(self):
+        counts = []
+        for r, orbits, record in periodic_orbits(SQUARE_MINUS_1, 4):
+            assert all(orbit.period == r for orbit in orbits)
+            assert record == {"complete": True}
+            counts.append(len(orbits))
+        assert counts == [2, 2, 6, 12]
+
+    @pytest.mark.parametrize("coeffs", [[-1, 0, 1], [0, 1, 1]],
+                             ids=["simple-roots", "double-root"])
+    def test_complete_follows_the_root_count(self, coeffs):
+        f = PolyMap.from_coeffs_1d(coeffs)
+        records = [record for _, _, record in periodic_orbits(f, 3)]
+        assert records == [
+            {"complete": len(periodic_points_1d(f, r)) == root_count_1d(f, r)}
+            for r in (1, 2, 3)]
+
+    def test_identity_iterate_offers_the_generic_orbit(self):
+        negation = PolyMap.from_coeffs_1d([0, -1])
+        (_, fixed, first), (_, orbits, second) = periodic_orbits(negation, 2)
+        assert [o.points for o in fixed] == [((0j,),)] and first["complete"]
+        assert [o.points for o in orbits] == [((GENERIC_POINT,), (-GENERIC_POINT,))]
+        assert second == {"complete": False}
+
+    def test_two_variable_record(self):
+        config = SearchConfig(starts=60, seed=3)
+        for r, orbits, record in periodic_orbits(HENON, 2, config=config):
+            result = periodic_points_2d(HENON, r, config)
+            assert record == {"complete": False, "starts": 60,
+                              "converged": result.converged, "seed": 3}
+            assert all(orbit.period == r for orbit in orbits)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from holorigid import dynamics
 from holorigid.dynamics import PolyFunc, SearchConfig
 from holorigid.errors import PreconditionError
 from holorigid.henon import (
@@ -141,6 +142,22 @@ class TestSaddleCertificate:
         assert cert.verdict == NO_OBSTRUCTION
         assert cert.witness["search_complete"] is False
         assert cert.witness["searched_r_max"] == 2
+
+    def test_caller_config_at_every_period(self, monkeypatch):
+        # a zero weight makes every saddle Inapplicable, so all periods run
+        calls = []
+        search = dynamics.periodic_points_2d
+
+        def counting(f, r, config):
+            calls.append((r, config))
+            return search(f, r, config)
+
+        monkeypatch.setattr(dynamics, "periodic_points_2d", counting)
+        config = SearchConfig(starts=40, seed=4)
+        cert = saddle_certificate(HenonComposition((STANDARD,)), PolyFunc(2, {}),
+                                  r_max=3, config=config)
+        assert cert.verdict == INAPPLICABLE
+        assert calls == [(1, config), (2, config), (3, config)]
 
     def test_parabolic_fixed_point_does_not_crash(self):
         # p = y^2, delta = -1 has a double fixed point at the origin with

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from holorigid.dynamics import (
+    AllPoints,
     PolyFunc,
     PolyMap,
     cocycle_poly,
     iterate,
     make_orbit,
+    periodic_points_1d,
 )
 from holorigid.errors import OrbitError, OrderUndeterminedError, PreconditionError
 from holorigid.jets import Jet
@@ -239,7 +241,30 @@ class TestCyclic:
             certify_cyclic(henon, None, 1)
 
 
+def _first_repelling_reference(f, r_max):
+    """Reference scan: for r = 1..r_max, every point of period dividing r,
+    tested at the declared r; the first repelling orbit and its r."""
+    for r in range(1, r_max + 1):
+        pts = periodic_points_1d(f, r)
+        if isinstance(pts, AllPoints):
+            continue
+        for z in pts:
+            orbit = make_orbit(f, [z], r)
+            if orbit.stability == "repelling":
+                return orbit, r
+    return None, r_max
+
+
 class TestAffineVerdict:
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [-1, 0, 1], [1j, 0, 1],
+                                        [0.1, -0.5, 0.3j, 1]],
+                             ids=["z2", "z2-1", "z2+i", "cubic"])
+    def test_witness_matches_the_reference_scan(self, coeffs):
+        f = PolyMap.from_coeffs_1d(coeffs)
+        verdict = affine_verdict_1d(f, r_max=4)
+        assert (verdict.witness, verdict.searched_r) == \
+            _first_repelling_reference(f, 4)
+
     def test_square_yields_repelling_witness(self):
         verdict = affine_verdict_1d(SQUARE)
         assert not verdict.affine and verdict.obstructed
@@ -285,6 +310,14 @@ class TestGrowthDiagnostic:
         u = Jet.monomial(1, 6, (0.5 + 0j,), (1,))
         with pytest.raises(OrbitError):
             growth_diagnostic_1d(DOUBLE, u, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is NaN
+    @pytest.mark.parametrize("p", [float("nan"), complex("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_point_rejected(self, p):
+        u = Jet(1, 4, (0j,), {(1,): 1})
+        with pytest.raises(OrbitError):
+            growth_diagnostic_1d(DOUBLE, u, p)
 
 
 def random_conditioned_basis(rng, rows, cols, max_cond=1e6):

@@ -117,7 +117,7 @@ class TestHadamardProfile:
         h = [0.5, 0.5, 0.500074, 1.500074, 2.500074]
         h_values = tuple((float(s), hs, (h[s + 1] - h[s - 1]) / 2 if 0 < s < 4
                           else None) for s, hs in enumerate(h))
-        profile = SphereMaxProfile((), (), h_values)
+        profile = SphereMaxProfile((), h_values)
         assert 1e-5 < h_values[1][2] < TOL_ETA
         assert select_growth_point(profile) == 3  # s = 2 straddles the hinge
         assert select_growth_point(profile, tol_eta=1e-5) == 1
