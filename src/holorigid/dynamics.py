@@ -363,40 +363,54 @@ def root_count_1d(f: PolyMap, r: int) -> int:
     return 0 if f.components[0].get((1,), 0j) == 1 else 1
 
 
-def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray):
-    """g(z) = f^r(z) - z and the Newton ratio g / g' on the pointwise iterate.
+def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
+    """g(z) = f^r(z) - z, the Newton ratio N = g / g' and its rounding slack.
 
     (f^r)' comes from the chain rule along the orbit, so no coefficient of
-    f^r is formed.  Once |f^k(z)| passes the bound beyond which one more
-    step could overflow, f^r behaves like (f^k)^(deg^(r-k)): g is inf there
-    and N is f^k / ((f^k)' deg^(r-k)).
+    f^r is formed.  A running bound e on the rounding error of g grows by
+    |f'(w)| e + 2 deg eps sum |c_k||w|^k per Horner step, plus eps |z| for
+    the final subtraction; the slack is e / |g'|, so |N| + slack bounds the
+    ratio |g| / |g'| of the exact g.  Once |f^k(z)| passes the bound beyond
+    which one more step could overflow, f^r behaves like
+    (f^k)^(deg^(r-k)): g is inf there, N is f^k / ((f^k)' deg^(r-k)) and
+    the slack is inf.  Without ``bound`` the slack is None.
     """
     c = _coeffs_1d(f.components[0])[::-1]
     dc = np.polyder(c)
+    abs_c = np.abs(c)
     deg = len(c) - 1
-    escape = (1e300 / max(1.0, float(np.sum(np.abs(c))))) ** (1.0 / max(deg, 1))
+    eps = np.finfo(float).eps
+    escape = (1e300 / max(1.0, float(np.sum(abs_c)))) ** (1.0 / max(deg, 1))
     g = np.full(len(z), np.inf, dtype=complex)
     n = np.empty(len(z), dtype=complex)
+    slack = np.full(len(z), np.inf) if bound else None
     live = np.arange(len(z))
-    w, dw = z.copy(), np.ones(len(z), dtype=complex)
+    w, dw, e = z.copy(), np.ones(len(z), dtype=complex), np.zeros(len(z))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(r):
             far = np.abs(w) > escape
             n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
             live, w, dw = live[~far], w[~far], dw[~far]
-            dw = dw * np.polyval(dc, w)
+            slope = np.polyval(dc, w)
+            if bound:
+                e = (np.abs(slope) * e[~far]
+                     + 2.0 * deg * eps * np.polyval(abs_c, np.abs(w)))
+            dw = dw * slope
             w = np.polyval(c, w)
         g[live] = w - z[live]
         n[live] = g[live] / (dw - 1.0)
-    return g, n
+        if bound:
+            slack[live] = (e + eps * np.abs(z[live])) / np.abs(dw - 1.0)
+    return g, n, slack
 
 
 @dataclass(frozen=True)
 class PeriodicPoints1D:
     """Distinct solutions of f^r(z) = z with their certificate.
 
-    ``radii`` are Newton-disk radii deg(g) * |g / g'| at each point of
-    g = f^r(z) - z; each disk holds a root, since g'/g = sum 1/(z - zeta_k).
+    ``radii`` are Newton-disk radii deg(g) * (|g| + e) / |g'| at each point
+    of g = f^r(z) - z, with e a bound on the rounding error of g; each disk
+    holds a root, since g'/g = sum 1/(z - zeta_k).
     ``unresolved`` lists root approximations whose orbit residual stayed
     above TOL_ORBIT; they are excluded from ``points``.
     """
@@ -442,8 +456,8 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
             return ALL_POINTS
         roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
 
-    g, n = _orbit_ratio(f, r, roots)
-    radii = len(roots) * np.abs(n)
+    g, n, slack = _orbit_ratio(f, r, roots, bound=True)
+    radii = len(roots) * (np.abs(n) + slack)
     radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
     ok = np.abs(g) <= TOL_ORBIT * (1.0 + np.abs(roots))
     meets = _over_rows(roots, np.arange(len(roots)), lambda block, diff: np.any(

@@ -25,6 +25,7 @@ TOL_UNITARY = 1e-9
 SELECT_MARGIN = 1e-6
 KINK_DISAGREEMENT = 1e-2
 HALVINGS = 4  # backtracking step sizes per batched evaluation
+TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,15 @@ def _phi_and_grad(f: PolyMap, z: np.ndarray):
     return np.linalg.norm(fz, axis=1) ** 2, grad
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int, gtol: float):
-    """Projected gradient Armijo ascent of ||f||^2 on the sphere of radius r.
+def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
+    """Projected gradient Armijo ascent of ||f||^2 on spheres of radius r.
 
-    All starts run in lockstep with their own step sizes; one batched call
-    tries HALVINGS steps t, t/2, ... and takes the largest accepted one, as
-    a one-at-a-time search would.  Returns points, ||f|| and tangent norms.
+    r is one radius, or one per row of z0.  All starts run in lockstep with
+    their own step sizes; one batched call tries HALVINGS steps t, t/2, ...
+    and takes the largest accepted one, as a one-at-a-time search would.
+    Returns points, ||f|| and tangent norms.
     """
+    r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
     z = z0 * (r / np.linalg.norm(z0, axis=1))[:, None]
     phi, grad = _phi_and_grad(f, z)
     step = 1.0 / (1.0 + np.linalg.norm(grad, axis=1))
@@ -97,7 +100,7 @@ def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int, gtol: float):
     halvings = 0.5 ** np.arange(HALVINGS)
     for _ in range(max_iter):
         # project out the radial direction (real inner product)
-        radial = np.real(np.sum(z[live].conj() * grad[live], axis=1)) / (r * r)
+        radial = np.real(np.sum(z[live].conj() * grad[live], axis=1)) / r[live] ** 2
         tangent = grad[live] - radial[:, None] * z[live]
         tangent_norm[live] = np.linalg.norm(tangent, axis=1)
         open_ = tangent_norm[live] > gtol * (1.0 + phi[live])
@@ -107,7 +110,7 @@ def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int, gtol: float):
         while todo.any():
             rows, ts = live[todo], t[todo, None] * halvings
             cand = z[rows, None] + ts[..., None] * tangent[todo, None]
-            cand *= (r / np.linalg.norm(cand, axis=2))[..., None]
+            cand *= (r[rows, None] / np.linalg.norm(cand, axis=2))[..., None]
             cand = cand.reshape(-1, f.dim)
             phi_c, grad_c = _phi_and_grad(f, cand)
             accept = (ts > 1e-18) & (phi_c.reshape(ts.shape) > phi[rows, None]
@@ -126,23 +129,53 @@ def _ascend(f: PolyMap, z0: np.ndarray, r: float, max_iter: int, gtol: float):
     return z, np.sqrt(phi), tangent_norm
 
 
+def _first_best(values: np.ndarray) -> int:
+    """Lowest index whose value is within TIE_TOL (relative) of the largest.
+
+    Equal maxima, such as q and conj(q) for a map with real coefficients,
+    then resolve by start order rather than by last-bit rounding.
+    """
+    return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
+
+
+def _seeded_starts(config: MaxSearchConfig, d: int) -> np.ndarray:
+    """The config.starts seeded random starts of one sphere search (zeros dropped)."""
+    rng = np.random.default_rng(config.seed)
+    raw = rng.normal(size=(config.starts, d)) + 1j * rng.normal(size=(config.starts, d))
+    return raw[np.linalg.norm(raw, axis=1) > 1e-12]
+
+
 def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig(),
                warm_starts=()) -> SphereMax:
     """Best of a multistart ascent: a certified lower bound for M(r).
 
-    warm_starts seed extra ascents (used to track the maximizer along a
-    radius grid); the returned value is the best over all starts.
+    warm_starts seed extra ascents ahead of the seeded ones; the returned
+    point is the first start, in that order, whose value is the best up to
+    rounding (_first_best).
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
-    rng = np.random.default_rng(config.seed)
     d = f.dim
-    raw = rng.normal(size=(config.starts, d)) + 1j * rng.normal(size=(config.starts, d))
-    starts = list(warm_starts) + [z for z in raw if np.linalg.norm(z) > 1e-12]
-    z, value, grad_norm = _ascend(f, np.array(starts, dtype=complex).reshape(-1, d),
-                                  r, config.max_iter, config.gtol)
-    best = int(np.argmax(value))
+    starts = np.concatenate([np.array(list(warm_starts), dtype=complex).reshape(-1, d),
+                             _seeded_starts(config, d)])
+    z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
+    best = _first_best(value)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
+
+
+def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
+                 config: MaxSearchConfig):
+    """M(r + h) and M(r - h) from one lockstep ascent.
+
+    Each side starts from q, then the seeded starts of config, so it returns
+    what sphere_max(f, r +- h, config, warm_starts=(q,)) returns.
+    """
+    starts = np.concatenate([q[None], _seeded_starts(config, f.dim)])
+    _, value, _ = _ascend(f, np.tile(starts, (2, 1)),
+                          np.repeat([r + h, r - h], len(starts)),
+                          config.max_iter, config.gtol)
+    plus, minus = value.reshape(2, -1)
+    return float(plus[_first_best(plus)]), float(minus[_first_best(minus)])
 
 
 def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
@@ -159,19 +192,36 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     """Sample H(s) = log(M(e^s)/e^s) on a grid, with central-difference H'.
 
     Convexity of H and its eventual positivity (for non-affine f) make any
-    grid point with H > 0 and H' > 0 usable for the construction.
+    grid point with H > 0 and H' > 0 usable for the construction.  One
+    lockstep ascent runs the seeded starts of sphere_max at every radius;
+    a second restarts each radius from its neighbours' maximizers and
+    keeps a result that beats the first beyond rounding.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not (hi > lo) or steps < 3:
         raise PreconditionError("s_range must be nondegenerate with steps >= 3")
     grid = np.linspace(lo, hi, steps)
+    radii = np.exp(grid)
+    starts = _seeded_starts(config, f.dim)
+    n = len(starts)
+    # cold pass: every radius from the same seeded starts, one lockstep ascent
+    z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
+                          config.max_iter, config.gtol)
+    z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
+    best = np.array([_first_best(v) for v in value])
+    # warm pass: each radius from its neighbours' maximizers, which _ascend
+    # rescales to its sphere; the cold starts win ties
+    target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
+                               if 0 <= j < steps]).T
+    warm_z, warm_value, _ = _ascend(f, z[source, best[source]], radii[target],
+                                    config.max_iter, config.gtol)
     samples = []
-    warm = ()
-    for s in grid:
-        r = float(np.exp(s))
-        sm = sphere_max(f, r, config, warm_starts=warm)
-        samples.append((r, sm.value, sm.point))
-        warm = (sm.point,)
+    for i, r in enumerate(radii):
+        mine = target == i
+        points = np.concatenate([z[i], warm_z[mine]])
+        values = np.concatenate([value[i], warm_value[mine]])
+        k = _first_best(values)
+        samples.append((float(r), float(values[k]), points[k]))
     h = np.array([np.log(m) - np.log(r) for r, m, _ in samples])
     spacing = grid[1] - grid[0]
     h_values = []
@@ -289,12 +339,11 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     best = sphere_max(f, r, polish, warm_starts=warm)
     q, m_r = best.point, best.value
 
-    # M'(r) by central differences; each endpooint re-maximized from q
+    # M'(r) by central differences; each endpoint re-maximized from q
     h = 1e-4 * r
     side = MaxSearchConfig(starts=8, max_iter=2 * config.max_iter,
                            gtol=min(config.gtol, 1e-12), seed=config.seed + 1)
-    m_plus = sphere_max(f, r + h, side, warm_starts=(q,)).value
-    m_minus = sphere_max(f, r - h, side, warm_starts=(q,)).value
+    m_plus, m_minus = _side_maxima(f, r, h, q, side)
     m_prime = (m_plus - m_minus) / (2 * h)
     eta = r * m_prime / m_r
 

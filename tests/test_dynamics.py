@@ -206,6 +206,17 @@ class TestPeriodicPoints1D:
         assert detail.multiplicities == (2,)
         assert abs(detail.points[0]) < 1e-8
 
+    def test_rounded_double_root_is_one_point(self):
+        # z^2 + 1/4 has its parabolic fixed point 1/2 as a double root; g
+        # rounds to 0 at both approximations, so only the rounding bound in
+        # the Newton-disk radius keeps the two disks from counting as disjoint
+        f = PolyMap.from_coeffs_1d([0.25, 0, 1])
+        detail = periodic_points_1d(f, 1, detail=True)
+        assert detail.multiplicities == (2,)
+        assert abs(detail.points[0] - 0.5) < 1e-6
+        (_, _, record), = periodic_orbits(f, 1)
+        assert record == {"complete": False}
+
     def test_meeting_disks_are_not_counted(self, monkeypatch):
         # fixed points 0 and 1e-5; approximations 2e-6 inside each pass the
         # residual test and the dedup radius, but their Newton disks meet

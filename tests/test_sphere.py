@@ -12,6 +12,7 @@ from holorigid.sphere import (
     MaxSearchConfig,
     SphereMaxProfile,
     _ascend,
+    _side_maxima,
     construct_repelling,
     hadamard_profile,
     select_growth_point,
@@ -70,12 +71,64 @@ class TestSphereMax:
             assert abs(alone_value[0] - value) <= 1e-12 * value
             assert np.linalg.norm(alone[0] - point) <= point_tol * r
 
+    @pytest.mark.parametrize("f, point_tol", [
+        (HENON, 1e-12), (SQUARE_SECOND, 1e-12), (MIX3, 1e-6)])
+    def test_per_row_radii_match_one_call_per_radius(self, f, point_tol):
+        rng = np.random.default_rng(11)
+        starts = rng.normal(size=(18, f.dim)) + 1j * rng.normal(size=(18, f.dim))
+        radii = np.tile([0.7, 2.0, 3.0], 6)
+        points, values, _ = _ascend(f, starts, radii, 300, 1e-10)
+        for r in (0.7, 2.0, 3.0):
+            rows = radii == r
+            alone, alone_values, _ = _ascend(f, starts[rows], r, 300, 1e-10)
+            assert np.all(np.abs(alone_values - values[rows]) <= 1e-12 * values[rows])
+            assert np.all(np.linalg.norm(alone - points[rows], axis=1) <= point_tol * r)
+
+    def test_near_tie_goes_to_the_first_start(self):
+        # every (2 e^{it}, 0) attains M(2) = 4 for (z1^2, z2); at t = 0.9 the
+        # rounded value exceeds 4 by 1.8e-15, so the witness is the first start
+        first, second = np.array([2.0, 0j]), np.array([2.0 * np.exp(0.9j), 0j])
+        _, values, _ = _ascend(SQUARE_FIRST, np.array([first, second]), 2.0, 300, 1e-10)
+        assert values[1] > values[0] == 4.0
+        best = sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=(first, second))
+        assert best.value == 4.0
+        assert np.array_equal(best.point, first)
+
+    @pytest.mark.parametrize("f", [HENON, MIX3])
+    def test_side_pair_matches_two_sphere_max_calls(self, f):
+        side = MaxSearchConfig(starts=8, max_iter=600, gtol=1e-12, seed=4)
+        r, h = 2.0, 2e-4
+        q = sphere_max(f, r, FAST).point
+        plus, minus = _side_maxima(f, r, h, q, side)
+        for value, radius in ((plus, r + h), (minus, r - h)):
+            alone = sphere_max(f, radius, side, warm_starts=(q,)).value
+            assert abs(value - alone) <= 1e-12 * alone
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(PreconditionError):
             sphere_max(SQUARE_FIRST, 0.0, FAST)
 
 
+def _sequential_profile_values(f, grid, config):
+    """M(e^s) by one sphere_max per radius, each warm-started from the last."""
+    values, warm = [], ()
+    for s in grid:
+        best = sphere_max(f, float(np.exp(s)), config, warm_starts=warm)
+        values.append(best.value)
+        warm = (best.point,)
+    return np.array(values)
+
+
 class TestHadamardProfile:
+    @pytest.mark.parametrize("f", [SQUARE_FIRST, HENON, MIX3],
+                             ids=["sq2", "henon", "mix3"])
+    def test_lockstep_matches_sequential_reference(self, f):
+        grid = np.linspace(-1.0, 3.0, 9)
+        reference = _sequential_profile_values(f, grid, FAST)
+        profile = hadamard_profile(f, (-1.0, 3.0), 9, FAST)
+        values = np.array([m for _, m, _ in profile.samples])
+        assert np.all(values >= reference * (1 - 1e-6))
+
     def test_square_component_profile_is_hinge(self):
         # M(r) = max(r, r^2), so H(s) = max(s, 0)
         profile = hadamard_profile(SQUARE_FIRST, (-1.0, 2.0), 13, FAST)
