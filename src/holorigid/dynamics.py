@@ -76,11 +76,35 @@ def _poly_to_jet(table: dict, dim: int, base, cap: int) -> Jet:
     return Jet(dim, cap, base, substitute(table, PowerCache(shifts, dim, cap=cap)))
 
 
+def _monomial_table(tables: list, dim: int):
+    """Exponents E (M, dim) of every monomial of the tables, in order of first
+    appearance, and coefficients C (len(tables), M), one row per table."""
+    index = {a: m for m, a in
+             enumerate(dict.fromkeys(a for table in tables for a in table))}
+    coef = np.zeros((len(tables), len(index)), dtype=complex)
+    for row, table in enumerate(tables):
+        coef[row, [index[a] for a in table]] = list(table.values())
+    return np.array(list(index), dtype=np.intp).reshape(-1, dim), coef
+
+
+def _monomial_values(z: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """z^alpha for every row alpha of exps at a stack of points: (N, M)."""
+    powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max(initial=0)), axis=0)
+    return np.prod(powers[exps, np.arange(z.shape[1])], axis=1).T
+
+
 def _as_point(z, dim: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if arr.shape != (dim,):
         raise PreconditionError(f"point of shape {arr.shape}, expected ({dim},)")
     return arr
+
+
+def _as_points(points, dim: int) -> np.ndarray:
+    z = np.asarray(points, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != dim:
+        raise PreconditionError(f"points of shape {z.shape}, expected (N, {dim})")
+    return z
 
 
 @dataclass(frozen=True)
@@ -179,13 +203,18 @@ class PolyMap:
         """Exponents E (M, d) of the monomials of f and its partials, and
         coefficients C (d + d * d, M): row i is f_i, row d + d i + j is the
         partial of f_i by z_j."""
-        tables = list(self.components) + [p for row in self._partials for p in row]
-        index = {a: m for m, a in
-                 enumerate(dict.fromkeys(a for table in tables for a in table))}
-        coef = np.zeros((len(tables), len(index)), dtype=complex)
-        for row, table in enumerate(tables):
-            coef[row, [index[a] for a in table]] = list(table.values())
-        return np.array(list(index), dtype=np.intp).reshape(-1, self.dim), coef
+        return _monomial_table(list(self.components)
+                               + [p for row in self._partials for p in row], self.dim)
+
+    @cached_property
+    def _second_order_matrix(self):
+        """The layout of ``_exponent_matrix`` with d**3 more coefficient rows:
+        row d + d*d + d*d*i + d*j + k is the second partial of f_i by z_j and
+        z_k.  The monomials of f come first; their count is the third entry."""
+        first = list(self.components) + [p for row in self._partials for p in row]
+        seconds = [_poly_diff(p, k) for p in first[self.dim:] for k in range(self.dim)]
+        exps, coef = _monomial_table(first + seconds, self.dim)
+        return exps, coef, len({a for table in self.components for a in table})
 
     def evaluate_batch(self, points):
         """f and its Jacobian at a stack of points: (N, d) -> (N, d), (N, d, d).
@@ -193,15 +222,28 @@ class PolyMap:
         Its fixed cost exceeds a per-point ``__call__`` of a small map, so
         code that follows one point at a time keeps ``__call__``.
         """
-        z = np.asarray(points, dtype=complex)
-        if z.ndim != 2 or z.shape[1] != self.dim:
-            raise PreconditionError(
-                f"points of shape {z.shape}, expected (N, {self.dim})")
+        z = _as_points(points, self.dim)
         exps, coef = self._exponent_matrix
-        powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max(initial=0)), axis=0)
-        out = np.prod(powers[exps, np.arange(self.dim)], axis=1).T @ coef.T
+        out = _monomial_values(z, exps) @ coef.T
         d = self.dim
         return out[:, :d], out[:, d:].reshape(len(z), d, d)
+
+    def values_batch(self, points) -> np.ndarray:
+        """f alone at a stack of points: (N, d) -> (N, d)."""
+        z = _as_points(points, self.dim)
+        exps, coef, count = self._second_order_matrix
+        return _monomial_values(z, exps[:count]) @ coef[:self.dim, :count].T
+
+    def second_order_batch(self, points):
+        """f, its Jacobian and its second partials at a stack of points:
+        (N, d) -> (N, d), (N, d, d), (N, d, d, d), entry [n, i, j, k] of the
+        last being the second partial of f_i by z_j and z_k at point n."""
+        z = _as_points(points, self.dim)
+        exps, coef, _ = self._second_order_matrix
+        out = _monomial_values(z, exps) @ coef.T
+        n, d = len(z), self.dim
+        return (out[:, :d], out[:, d:d + d * d].reshape(n, d, d),
+                out[:, d + d * d:].reshape(n, d, d, d))
 
     def compose(self, inner: "PolyMap", max_terms=DEFAULT_MAX_TERMS) -> "PolyMap":
         """Coefficient table of self o inner."""

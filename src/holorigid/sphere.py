@@ -25,12 +25,15 @@ TOL_UNITARY = 1e-9
 SELECT_MARGIN = 1e-6
 KINK_DISAGREEMENT = 1e-2
 HALVINGS = 4  # backtracking step sizes per batched evaluation
+ARMIJO = 1e-4  # fraction of the predicted gain a step must realize
+CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
+ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
 TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 
 
 @dataclass(frozen=True)
 class MaxSearchConfig:
-    """Budget for the multistart projected-gradient ascent on a sphere."""
+    """Budget for the multistart Riemannian Newton ascent on a sphere."""
 
     starts: int = 64
     max_iter: int = 300
@@ -76,66 +79,139 @@ class RepellingConstruction:
     profile: "SphereMaxProfile | None" = None
 
 
-def _phi_and_grad(f: PolyMap, z: np.ndarray):
-    """||f(z)||^2 and its Euclidean gradient 2 J(z)^H f(z) at a stack of points."""
-    fz, jac = f.evaluate_batch(z)
+def _phi_derivatives(f: PolyMap, x: np.ndarray):
+    """phi = ||f||^2 at a stack of points x = (Re z, Im z), with its gradient
+    (N, 2d) and Hessian (N, 2d, 2d) in those real coordinates.
+
+    With g = 2 J^H f, A = J^H J and B = sum_i conj(f_i) d^2 f_i, the second
+    order term of phi(z + w) is w^H A w + Re(w^T B w).
+    """
+    d = f.dim
+    fz, jac, second = f.second_order_batch(x[:, :d] + 1j * x[:, d:])
     grad = 2.0 * np.matmul(fz.conj()[:, None, :], jac)[:, 0].conj()
-    return np.linalg.norm(fz, axis=1) ** 2, grad
+    a = np.matmul(jac.conj().transpose(0, 2, 1), jac)
+    b = np.einsum("ni,nijk->njk", fz.conj(), second)
+    hess = 2.0 * np.block([[a.real + b.real, -a.imag - b.imag],
+                           [a.imag - b.imag, a.real - b.real]])
+    return (np.linalg.norm(fz, axis=1) ** 2,
+            np.concatenate([grad.real, grad.imag], axis=1), hess)
+
+
+def _phi(f: PolyMap, x: np.ndarray) -> np.ndarray:
+    """phi = ||f||^2 alone at a stack of points x = (Re z, Im z)."""
+    d = f.dim
+    return np.linalg.norm(f.values_batch(x[:, :d] + 1j * x[:, d:]), axis=1) ** 2
+
+
+def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    """Tangent gradient, saddle-free Newton step and Newton decrement on spheres.
+
+    The Riemannian Hessian P H P - (x.grad / r^2) P of phi on the sphere is
+    split by eigh after its radial direction x is pushed below the tangent
+    spectrum, so that no eigenvector mixes x with a flat tangent direction.
+    The step divides each eigencomponent of the gradient by |lambda|, floored
+    at CURVATURE_FLOOR of the size of the terms the Hessian is formed from,
+    which makes it an ascent direction at saddles and minima too.  Those
+    terms are first divided by a power of two near their size, so that phi
+    up to the overflow threshold still gets a step; a row whose terms
+    overflow anyway gets a NaN step and decrement.
+    """
+    normal = x / r[:, None]
+    radial = np.sum(normal * grad, axis=1)
+    g = grad - radial[:, None] * normal
+    weingarten = radial / r
+    unit = np.ldexp(1.0, np.frexp(np.abs(hess).max(axis=(1, 2)) + np.abs(weingarten))[1])
+    hess, weingarten = hess / unit[:, None, None], weingarten / unit
+    outer = normal[:, :, None] * normal[:, None, :]
+    proj = np.eye(x.shape[1]) - outer
+    h = proj @ hess @ proj - weingarten[:, None, None] * proj
+    overflow = ~np.isfinite(h).all(axis=(1, 2))
+    h[overflow] = 0.0
+    size = np.linalg.norm(h, axis=(1, 2))
+    lam, vec = np.linalg.eigh(h - (3.0 * size)[:, None, None] * outer)
+    scale = np.linalg.norm(hess, axis=(1, 2)) + np.abs(weingarten)
+    floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)[:, None]
+    coef = np.matmul(g[:, None, :] / unit[:, None, None], vec)[:, 0]
+    coef /= np.maximum(np.abs(lam), floor)
+    coef[overflow] = np.nan
+    step = np.matmul(vec, coef[:, :, None])[:, :, 0]
+    return g, step, np.sum(step * g, axis=1)
 
 
 def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
-    """Projected gradient Armijo ascent of ||f||^2 on spheres of radius r.
+    """Saddle-free Riemannian Newton ascent of ||f||^2 on spheres of radius r.
 
-    r is one radius, or one per row of z0.  All starts run in lockstep with
-    their own step sizes; one batched call tries HALVINGS steps t, t/2, ...
-    and takes the largest accepted one, as a one-at-a-time search would.
-    Returns points, ||f|| and tangent norms.
+    r is one radius, or one per row of z0.  All starts run in lockstep.  Each
+    step is capped at length r; one batched evaluation of f tries HALVINGS
+    fractions 1, 1/2, ... of it on the normalizing retraction, and the largest
+    that passes the Armijo test is taken.  Derivatives are evaluated only at
+    the accepted points.  A row stops when its tangent norm meets gtol, when
+    its Newton decrement (twice the predicted gain) or its remaining Armijo
+    gain falls below the rounding of phi, or when f overflows.  Returns
+    points, ||f|| (not finite where f overflowed at the start) and tangent
+    norms.
     """
+    d = f.dim
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
     z = z0 * (r / np.linalg.norm(z0, axis=1))[:, None]
-    phi, grad = _phi_and_grad(f, z)
-    step = 1.0 / (1.0 + np.linalg.norm(grad, axis=1))
-    tangent_norm = np.full(len(z), np.inf)
-    live = np.arange(len(z))
+    x = np.concatenate([z.real, z.imag], axis=1)
+    tangent_norm = np.full(len(x), np.inf)
     halvings = 0.5 ** np.arange(HALVINGS)
-    for _ in range(max_iter):
-        # project out the radial direction (real inner product)
-        radial = np.real(np.sum(z[live].conj() * grad[live], axis=1)) / r[live] ** 2
-        tangent = grad[live] - radial[:, None] * z[live]
-        tangent_norm[live] = np.linalg.norm(tangent, axis=1)
-        open_ = tangent_norm[live] > gtol * (1.0 + phi[live])
-        live, tangent, t = live[open_], tangent[open_], step[live[open_]]
-        moved = np.zeros(len(live), dtype=bool)
-        todo = t > 1e-18
-        while todo.any():
-            rows, ts = live[todo], t[todo, None] * halvings
-            cand = z[rows, None] + ts[..., None] * tangent[todo, None]
-            cand *= (r[rows, None] / np.linalg.norm(cand, axis=2))[..., None]
-            cand = cand.reshape(-1, f.dim)
-            phi_c, grad_c = _phi_and_grad(f, cand)
-            accept = (ts > 1e-18) & (phi_c.reshape(ts.shape) > phi[rows, None]
-                                     + 1e-4 * ts * tangent_norm[rows, None] ** 2)
-            hit = accept.any(axis=1)
-            k = np.flatnonzero(hit) * HALVINGS + np.argmax(accept, axis=1)[hit]
-            rows = rows[hit]
-            z[rows], phi[rows], grad[rows] = cand[k], phi_c[k], grad_c[k]
-            step[rows] = np.minimum(ts.ravel()[k] * 2.0, 1e6)
-            moved[np.flatnonzero(todo)[hit]] = True
-            t[todo] = ts[:, -1] * 0.5
-            todo &= ~moved & (t > 1e-18)
-        live = live[moved]
-        if not live.size:
-            break
-    return z, np.sqrt(phi), tangent_norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, grad, hess = _phi_derivatives(f, x)
+        live = np.flatnonzero(_finite_rows(phi, grad, hess))
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            g, step, decrement = _newton_steps(x[live], r[live], grad[live], hess[live])
+            tangent_norm[live] = np.linalg.norm(g, axis=1)
+            rounding = ROUNDING * phi[live]
+            open_ = ((tangent_norm[live] > gtol * (1.0 + phi[live]))
+                     & (decrement > rounding))
+            live, step, decrement, rounding = (
+                live[open_], step[open_], decrement[open_], rounding[open_])
+            t = np.minimum(1.0, r[live] / np.linalg.norm(step, axis=1))
+            moved = np.zeros(len(live), dtype=bool)
+            todo = t * decrement > rounding
+            while todo.any():
+                rows, ts = live[todo], t[todo, None] * halvings
+                cand = x[rows, None] + ts[..., None] * step[todo, None]
+                cand *= (r[rows, None] / np.linalg.norm(cand, axis=2))[..., None]
+                gain = (_phi(f, cand.reshape(-1, 2 * d)).reshape(ts.shape)
+                        - phi[rows, None])
+                accept = gain > np.maximum(ARMIJO * ts * decrement[todo, None],
+                                           rounding[todo, None])
+                hit = accept.any(axis=1)
+                x[rows[hit]] = cand[hit, np.argmax(accept, axis=1)[hit]]
+                moved[np.flatnonzero(todo)[hit]] = True
+                t[todo] = ts[:, -1] * 0.5
+                todo &= ~moved & (t * decrement > rounding)
+            live = live[moved]
+            if live.size:
+                phi[live], grad[live], hess[live] = _phi_derivatives(f, x[live])
+                live = live[_finite_rows(phi[live], grad[live], hess[live])]
+    return x[:, :d] + 1j * x[:, d:], np.sqrt(phi), tangent_norm
 
 
-def _first_best(values: np.ndarray) -> int:
-    """Lowest index whose value is within TIE_TOL (relative) of the largest.
+def _finite_rows(phi, grad, hess) -> np.ndarray:
+    return (np.isfinite(phi) & np.isfinite(grad).all(axis=1)
+            & np.isfinite(hess).all(axis=(1, 2)))
+
+
+def _first_best(values: np.ndarray, r) -> int:
+    """Lowest index whose value is within TIE_TOL (relative) of the largest
+    finite one.
 
     Equal maxima, such as q and conj(q) for a map with real coefficients,
-    then resolve by start order rather than by last-bit rounding.
+    then resolve by start order rather than by last-bit rounding.  Raises
+    PreconditionError when ||f|| overflowed at every start on radius r.
     """
-    return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise PreconditionError(
+            f"||f|| is not finite at any start on the sphere of radius {r:.6g}")
+    top = values[finite].max()
+    return int(np.flatnonzero(finite & (values >= top * (1.0 - TIE_TOL)))[0])
 
 
 def _seeded_starts(config: MaxSearchConfig, d: int) -> np.ndarray:
@@ -156,10 +232,13 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
     if r <= 0:
         raise PreconditionError("radius must be positive")
     d = f.dim
-    starts = np.concatenate([np.array(list(warm_starts), dtype=complex).reshape(-1, d),
-                             _seeded_starts(config, d)])
+    warm = np.array(list(warm_starts), dtype=complex).reshape(-1, d)
+    norms = np.linalg.norm(warm, axis=1)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise PreconditionError("warm starts must be finite nonzero points")
+    starts = np.concatenate([warm, _seeded_starts(config, d)])
     z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
-    best = _first_best(value)
+    best = _first_best(value, r)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 
@@ -175,7 +254,8 @@ def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
                           np.repeat([r + h, r - h], len(starts)),
                           config.max_iter, config.gtol)
     plus, minus = value.reshape(2, -1)
-    return float(plus[_first_best(plus)]), float(minus[_first_best(minus)])
+    return (float(plus[_first_best(plus, r + h)]),
+            float(minus[_first_best(minus, r - h)]))
 
 
 def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
@@ -184,7 +264,7 @@ def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(samples, f.dim)) + 1j * rng.normal(size=(samples, f.dim))
     batch *= (r / np.linalg.norm(batch, axis=1))[:, None]
-    return float(np.linalg.norm(f.evaluate_batch(batch)[0], axis=1).max(initial=0.0))
+    return float(np.linalg.norm(f.values_batch(batch), axis=1).max(initial=0.0))
 
 
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
@@ -208,7 +288,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
                           config.max_iter, config.gtol)
     z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
-    best = np.array([_first_best(v) for v in value])
+    best = np.array([_first_best(v, r) for v, r in zip(value, radii)])
     # warm pass: each radius from its neighbours' maximizers, which _ascend
     # rescales to its sphere; the cold starts win ties
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
@@ -220,7 +300,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
         mine = target == i
         points = np.concatenate([z[i], warm_z[mine]])
         values = np.concatenate([value[i], warm_value[mine]])
-        k = _first_best(values)
+        k = _first_best(values, r)
         samples.append((float(r), float(values[k]), points[k]))
     h = np.array([np.log(m) - np.log(r) for r, m, _ in samples])
     spacing = grid[1] - grid[0]

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holorigid
 from holorigid.cli import main
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
@@ -180,6 +185,20 @@ class TestSearchRepelling:
         code, _ = run(capsys, ["search-repelling", write("f.json", SQUARE_2D),
                                "--s-range=-4.0:-3.0", "--s-steps", "5"])
         assert code == 1
+
+    def test_overflow_exit_4_without_traceback(self, write):
+        # ||f|| overflows on every sphere of radius e^300 .. e^400
+        src = str(Path(holorigid.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "holorigid.cli", "search-repelling",
+             write("f.json", SQUARE_2D), "--s-range=300:400"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("precondition rejected:")
+        assert "radius 1.94243e+130" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 class TestFock:

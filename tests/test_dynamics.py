@@ -54,9 +54,42 @@ class TestBatchEvaluation:
             want = f.jacobian(zi)
             assert np.linalg.norm(jac - want) <= 1e-13 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("f", [SQUARE_MINUS_1, HENON, MIX3],
+                             ids=["quadratic", "henon", "mix3"])
+    def test_second_order_matches_pointwise(self, f):
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(50, f.dim)) + 1j * rng.normal(size=(50, f.dim))
+        values, jacs, seconds = f.second_order_batch(z)
+        assert seconds.shape == (50, f.dim, f.dim, f.dim)
+        assert np.allclose(f.values_batch(z), values, rtol=1e-14, atol=0)
+        want_values, want_jacs = f.evaluate_batch(z)
+        assert np.allclose(values, want_values, rtol=1e-14, atol=0)
+        assert np.allclose(jacs, want_jacs, rtol=1e-14, atol=0)
+        for zi, second in zip(z, seconds):
+            for i, row in enumerate(f._partials):
+                for j, partial in enumerate(row):
+                    want = PolyMap(f.dim, [dynamics._poly_diff(partial, k)
+                                           for k in range(f.dim)])(zi)
+                    assert np.allclose(second[i, j], want, rtol=1e-13, atol=1e-13)
+
+    def test_second_order_table_belongs_to_its_map(self):
+        # maps built and dropped in turn may reuse one id(); each must
+        # evaluate its own coefficients
+        z = np.array([[0.5 + 0.25j, -1.0 + 0.5j]])
+        for c in (1.0, 2.0, 3.0):
+            f = PolyMap(2, ({(2, 0): c}, {(1, 1): c, (0, 1): 1.0}))
+            values, _, seconds = f.second_order_batch(z)
+            assert np.allclose(values[0], f(z[0]), rtol=1e-15)
+            assert seconds[0, 0, 0, 0] == 2 * c
+            del f
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(PreconditionError):
             HENON.evaluate_batch(np.zeros(2))
+        with pytest.raises(PreconditionError):
+            HENON.values_batch(np.zeros(2))
+        with pytest.raises(PreconditionError):
+            HENON.second_order_batch(np.zeros((3, 3)))
 
 
 def _greedy_reference(points, radius):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holorigid.dynamics import PolyMap
 from holorigid.errors import PreconditionError, RangeError
@@ -12,6 +14,8 @@ from holorigid.sphere import (
     MaxSearchConfig,
     SphereMaxProfile,
     _ascend,
+    _first_best,
+    _phi_derivatives,
     _side_maxima,
     construct_repelling,
     hadamard_profile,
@@ -107,6 +111,36 @@ class TestSphereMax:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(PreconditionError):
             sphere_max(SQUARE_FIRST, 0.0, FAST)
+
+    def test_zero_warm_start_rejected(self):
+        with pytest.raises(PreconditionError, match="nonzero"):
+            sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=([0, 0],))
+
+    def test_overflow_everywhere_names_the_radius(self):
+        # |z1|^4 ~ 1e800 overflows at every start
+        with pytest.raises(PreconditionError, match="radius 1e[+]200"):
+            sphere_max(SQUARE_FIRST, 1e200, FAST)
+
+    def test_newton_step_near_overflow(self):
+        # M(r) = r^2 and ||f||^2 = 1e308 at the maximum: the Hessian's
+        # squared entries overflow, so its terms are scaled before eigh
+        r = float(np.exp(177.3))
+        best = sphere_max(SQUARE_FIRST, r, FAST)
+        assert best.value == pytest.approx(r * r, rel=1e-12)
+
+    def test_first_best_skips_non_finite_values(self):
+        values = np.array([np.nan, 3.0, np.inf, 3.0 * (1 + 1e-15), 1.0])
+        assert _first_best(values, 1.0) == 1
+        with pytest.raises(PreconditionError, match="radius 2"):
+            _first_best(np.array([np.nan, np.inf]), 2.0)
+
+    def test_flat_maximum_meets_gtol(self):
+        # the tangent Hessian of mix3 at r = 1.3 has an eigenvalue near
+        # -2.7e-5 beside -30; a gradient ascent ended at tangent norm 1.4e-4
+        # and value 1.77963875 after max_iter
+        best = sphere_max(MIX3, 1.3, MaxSearchConfig(starts=64, seed=3))
+        assert best.grad_norm <= 1e-7
+        assert best.value > 1.7796388
 
 
 def _sequential_profile_values(f, grid, config):
@@ -244,6 +278,12 @@ class TestConstructRepelling:
         assert rc.s == pytest.approx(1.0)
         assert rc.eta > 1 + TOL_ETA
 
+    def test_mix3_maximum_does_not_depend_on_the_seed(self):
+        # a gradient ascent spread M by 4.9e-11 relative over these seeds
+        m = [construct_repelling(MIX3, config=MaxSearchConfig(starts=16, seed=seed)).M
+             for seed in range(101, 107)]
+        assert max(m) - min(m) <= 1e-13 * max(m)
+
     def test_affine_rejected(self):
         with pytest.raises(PreconditionError, match="non-affine"):
             construct_repelling(PolyMap.linear(np.eye(2) * 0.5))
@@ -255,3 +295,45 @@ class TestConstructRepelling:
     def test_unhelpful_range_is_recoverable(self):
         with pytest.raises(RangeError, match="extend s_range"):
             construct_repelling(SQUARE_FIRST, (-3.0, -2.0), 5, FAST)
+
+
+def _map_strategy(dim):
+    exponent = st.tuples(*[st.integers(0, 3)] * dim).filter(lambda a: sum(a) <= 3)
+    coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                     allow_infinity=False)
+    component = st.dictionaries(exponent, coefficient, min_size=1, max_size=6)
+    return st.tuples(*[component] * dim).map(lambda comps: PolyMap(dim, comps))
+
+
+@st.composite
+def _map_and_point(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    coordinate = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    return draw(_map_strategy(dim)), np.array(draw(st.lists(
+        coordinate, min_size=2 * dim, max_size=2 * dim)))
+
+
+class TestPhiDerivatives:
+    @settings(max_examples=60, deadline=None)
+    @given(_map_and_point())
+    def test_match_central_differences(self, case):
+        # phi by pointwise evaluation in x = (Re z, Im z); the gradient
+        # against differences of phi, the Hessian against differences of the
+        # gradient
+        f, x = case
+        d, h = f.dim, 1e-5
+
+        def phi(y):
+            return float(np.linalg.norm(f(y[:d] + 1j * y[d:])) ** 2)
+
+        value, grad, hess = (a[0] for a in _phi_derivatives(f, x[None]))
+        steps = h * np.eye(2 * d)
+        fd_grad = np.array([(phi(x + e) - phi(x - e)) / (2 * h) for e in steps])
+        _, grad_plus, _ = _phi_derivatives(f, x + steps)
+        _, grad_minus, _ = _phi_derivatives(f, x - steps)
+        fd_hess = (grad_plus - grad_minus) / (2 * h)
+        assert value == pytest.approx(phi(x), rel=1e-12, abs=1e-12)
+        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * (1 + value))
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * (1 + np.abs(hess).max()))
+        assert np.allclose(hess, fd_hess, rtol=1e-6,
+                           atol=1e-6 * (1 + np.abs(hess).max()))
