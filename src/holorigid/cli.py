@@ -253,8 +253,9 @@ def _strongest(certs, mode):
     obstructed = rigidity.UNBOUNDED if mode == "bounded" else rigidity.NON_COMPACT
     for verdict in (obstructed, rigidity.INAPPLICABLE):
         hits = [c for c in certs if c.verdict == verdict]
-        if hits:
-            return max(hits, key=lambda c: abs(c.witness.get("eigenvalue", 0)))
+        if hits:  # ties, such as conjugate orbits, go to the first in order
+            moduli = [abs(c.witness.get("eigenvalue", 0)) for c in hits]
+            return hits[sphere.first_near_best(np.nan_to_num(moduli))]
     return certs[0]
 
 

@@ -4,10 +4,11 @@ Periodic points p with f^r(p) = p carry a multiplier multiset, the
 eigenvalues of the Jacobian of f^r along the orbit, and a weight cocycle
 value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
 dividing r are the roots of f^r(z) - z, found all at once by Aberth-Ehrlich
-on the pointwise iterate and certified by pairwise disjoint Newton disks;
-in two variables a seeded Newton multistart supplies witnesses without any
-completeness claim.  ``periodic_orbits`` runs the search for each period
-in turn; it is the one loop over periods that the obstructions share.
+on the pointwise iterate from the preimages of a point under f^r and
+certified by pairwise disjoint Newton disks; in two variables a seeded
+Newton multistart supplies witnesses without any completeness claim.
+``periodic_orbits`` runs the search for each period in turn; it is the one
+loop over periods that the obstructions share.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ NEWTON_RESIDUAL = 1e-12
 NEWTON_STEPS = 100
 START_RADIUS = 5.0  # 2-D multistart: starts uniform in a polydisc of this radius
 SWEEPS_PER_ROOT = 20
+STALL_STEP = 2.0 ** -42  # about 1000 eps: Aberth steps this small are rounding noise
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
 
 
@@ -314,14 +316,9 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]
-    deg = len(c) - 1
-    if deg < 1:
+    if len(c) < 2:
         return np.zeros(0, dtype=complex)
-    monic = c / c[-1]
-    m = np.zeros((deg, deg), dtype=complex)
-    m[1:, :-1] = np.eye(deg - 1)
-    m[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(m)
+    return _preimages(c, 1, 0j)
 
 
 def cluster_points(points, radius: float) -> list:
@@ -358,10 +355,13 @@ def durand_kerner(ratio, starts) -> np.ndarray:
     sweep moves every approximation by N_i / (1 - N_i sum_{j != i} 1 /
     (z_i - z_j)), where ``ratio(z)`` returns the Newton ratio N = g / g' at
     an array of points.  An approximation freezes once its step is at
-    rounding level; the budget is SWEEPS_PER_ROOT * deg(g) sweeps.
+    rounding level, or once a step below STALL_STEP (relative) has stopped
+    halving, which a converging simple root never does: that step is the
+    rounding noise of g / g'.  The budget is SWEEPS_PER_ROOT * deg(g) sweeps.
     """
     z = np.array(starts, dtype=complex)
     active = np.arange(len(z))
+    last = np.full(len(z), np.inf)
     for _ in range(SWEEPS_PER_ROOT * len(z)):
         if active.size == 0:
             break
@@ -371,8 +371,10 @@ def durand_kerner(ratio, starts) -> np.ndarray:
             step = n / (1.0 - n * sums)
         moved = np.isfinite(step)
         z[active[moved]] -= step[moved]
-        still = ~moved | (np.abs(step) > 4.0 * np.finfo(float).eps
-                          * (1.0 + np.abs(z[active])))
+        size, scale = np.abs(step), 1.0 + np.abs(z[active])
+        stalled = (size <= STALL_STEP * scale) & (size > 0.5 * last[active])
+        still = ~moved | ((size > 4.0 * np.finfo(float).eps * scale) & ~stalled)
+        last[active] = size
         active = active[still]
     return z
 
@@ -446,6 +448,55 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     return g, n, slack
 
 
+def _preimages(c: np.ndarray, r: int, z0: complex) -> np.ndarray:
+    """The deg^r points of f^-r(z0), f with ascending coefficients c.
+
+    Each level is one stacked eigvals call over the companion matrices of
+    f(w) - z, one per point z of the level before.
+    """
+    deg = len(c) - 1
+    companion = np.zeros((deg, deg), dtype=complex)
+    companion[1:, :-1] = np.eye(deg - 1)
+    companion[:, -1] = -c[:-1] / c[-1]
+    level = np.array([z0], dtype=complex)
+    for _ in range(r):
+        stack = np.repeat(companion[None], len(level), axis=0)
+        stack[:, 0, -1] = (level - c[0]) / c[-1]
+        level = np.linalg.eigvals(stack).ravel()
+    return level
+
+
+def _overlapping(z: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Newton disks among ``rows`` to drop so that the rest are pairwise
+    disjoint.
+
+    One at a time, largest radius first, a disk that holds another kept
+    approximation is dropped: it may hold no root of its own.  Disks that
+    then still meet another are all dropped, since two of them may share
+    one root.
+    """
+    keep = np.ones(len(rows), dtype=bool)
+    for k in np.argsort(-radii[rows], kind="stable"):
+        keep[k] = False
+        keep[k] = not np.any(np.abs(z[rows[keep]] - z[rows[k]]) <= radii[rows[k]])
+    kept = rows[keep]
+    keep[keep] = ~_meeting(z[kept], radii[kept])
+    return rows[~keep]
+
+
+def _meeting(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether each disk (z_i, radii_i) meets another."""
+    return _over_rows(z, np.arange(len(z)), lambda block, diff: np.any(
+        np.abs(diff) <= radii[block, None] + radii[None, :], axis=1))
+
+
+def _point_order(z: np.ndarray) -> np.ndarray:
+    """Indices of z by real part rounded to 1e-9, then imaginary part, so that
+    conjugate points, whose real parts agree only up to rounding, come in
+    the same order whatever their last bits."""
+    return np.lexsort((z.imag, np.round(z.real, 9)))
+
+
 @dataclass(frozen=True)
 class PeriodicPoints1D:
     """Distinct solutions of f^r(z) = z with their certificate.
@@ -469,12 +520,15 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 
     Returns ALL_POINTS when f^r is the identity map.  For deg f >= 2 the
     D = deg(f)^r roots of f^r(z) - z come from one Aberth-Ehrlich run on the
-    pointwise iterate, started on the circle |z| = R outside which
-    |f(z)| >= 2|z|, so no periodic point lies beyond it; D above
-    DEFAULT_MAX_TERMS is rejected.  When every root meets TOL_ORBIT and the
-    D Newton disks are pairwise disjoint, which proves one root in each,
-    every root is a point.  Otherwise roots are clustered at radius
-    1e-6 * (1 + |p|), and fewer than D points are returned.
+    pointwise iterate, started at the D points of f^-r(z0), z0 on the circle
+    |z| = R outside which |f(z)| >= 2|z|: periodic points are distributed
+    like iterated preimages (Lyubich, ETDS 1983), so each start lies near a
+    root.  D above DEFAULT_MAX_TERMS is rejected.  When every root meets
+    TOL_ORBIT and the D Newton disks are pairwise disjoint, which proves one
+    root in each, every root is a point.  Otherwise roots are clustered at
+    radius 1e-6 * (1 + |p|), and fewer than D points are returned; should
+    the clusters still number D, ``_overlapping`` drops disks until the rest
+    are disjoint.  Points come in ``_point_order``.
     """
     if f.dim != 1:
         raise PreconditionError("periodic_points_1d needs a one-variable map")
@@ -488,9 +542,8 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
                 f"{DEFAULT_MAX_TERMS}")
         c = _coeffs_1d(f.components[0])
         radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
-        angles = (2.0 * np.pi * np.arange(total) + 0.7) / total
         roots = durand_kerner(lambda z: _orbit_ratio(f, r, z)[1],
-                              radius * np.exp(1j * angles))
+                              _preimages(c, r, radius * np.exp(0.7j)))
     else:
         table = iterate(f, r).components[0]
         b, a = (complex(table.get((k,), 0j)) for k in (0, 1))
@@ -502,17 +555,19 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     radii = len(roots) * (np.abs(n) + slack)
     radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
     ok = np.abs(g) <= TOL_ORBIT * (1.0 + np.abs(roots))
-    meets = _over_rows(roots, np.arange(len(roots)), lambda block, diff: np.any(
-        np.abs(diff) <= radii[block, None] + radii[None, :], axis=1))
+    meets = _meeting(roots, radii)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
-        clusters = [[i] for i in np.lexsort((roots.imag, roots.real))]
+        clusters = [[i] for i in range(len(roots))]
     else:
         clusters = cluster_points(roots[ok], DEDUP_RADIUS)
         if len(clusters) == total:  # the count must not claim them all
-            ok &= ~meets
+            ok[_overlapping(roots, radii, np.flatnonzero(meets))] = False
             clusters = cluster_points(roots[ok], DEDUP_RADIUS)
     kept = np.flatnonzero(ok)
-    reps = [kept[cl[0]] for cl in clusters]
+    clusters = [kept[cl] for cl in clusters]
+    reps = np.array([cl[0] for cl in clusters], dtype=np.intp)
+    order = _point_order(roots[reps])
+    clusters, reps = [clusters[k] for k in order], reps[order]
     points = tuple(complex(roots[i]) for i in reps)
     if not detail:
         return list(points)
@@ -681,28 +736,62 @@ class PeriodicOrbit:
 
 
 def make_orbit(f: PolyMap, p, r: int, u=None, tol_orbit=TOL_ORBIT) -> PeriodicOrbit:
-    """Verified PeriodicOrbit at p, from one walk p, f(p), ..., f^r(p): its
-    closure, exact period (least divisor d of r with f^d(p) back at p) and
-    multipliers."""
+    """Verified PeriodicOrbit at p: closure, exact period and multipliers from
+    one walk p, f(p), ..., f^r(p), the one-row case of ``_walk_orbits``."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    walk = orbit_points(f, p, r + 1)
-    p, tol = walk[0], tol_orbit * (1.0 + np.linalg.norm(walk[0]))
-    closure = np.linalg.norm(walk[r] - p)
-    if not closure <= tol:  # NaN fails too
-        raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
-    exact = next((d for d in range(1, r)
-                  if r % d == 0 and np.linalg.norm(walk[d] - p) <= tol), r)
-    pts = walk[:exact]
-    mults = _chain_multipliers(f, pts)
-    return PeriodicOrbit(
-        points=tuple(tuple(x) for x in pts),
-        period=exact,
-        u_r_value=weight_cocycle(u, pts),
-        multipliers=mults,
-        stability=classify(mults),
-        residual=float(closure),
-    )
+    return _walk_orbits(f, [_as_point(p, f.dim)], r, u, tol_orbit)[0]
+
+
+def _walk_orbits(f: PolyMap, points, r: int, u=None, tol_orbit=TOL_ORBIT) -> list:
+    """Verified PeriodicOrbits at a stack of points, from one walk p, f(p),
+    ..., f^r(p) of r ``evaluate_batch`` calls: closure, exact period (least
+    divisor d of r with f^d(p) back at p) and multipliers, with one stacked
+    eigvals call per exact period.  Raises OrbitError at the first point
+    that does not close.
+
+    Each row's arithmetic is that of the row walked alone: a one-row stack
+    is walked twice over, because numpy multiplies a (1, M) matrix through
+    gemv, which rounds differently from the gemm of a taller stack.
+    """
+    if not len(points):
+        return []
+    z = _as_points(points, f.dim)
+    walk, jacs = [np.repeat(z, 2, axis=0) if len(z) == 1 else z], []
+    for _ in range(r):
+        w, jac = f.evaluate_batch(walk[-1])
+        walk.append(w)
+        jacs.append(jac)
+    walk = np.stack(walk)[:, :len(z)]
+    tol = tol_orbit * (1.0 + np.linalg.norm(z, axis=1))
+    closure = np.linalg.norm(walk[r] - z, axis=1)
+    unclosed = np.flatnonzero(~(closure <= tol))  # NaN fails too
+    if unclosed.size:
+        raise OrbitError(f"f^{r}(p) - p has residual {closure[unclosed[0]]:.3e}")
+    period = np.full(len(z), r)
+    for d in range(r - 1, 0, -1):
+        if r % d == 0:
+            period[np.linalg.norm(walk[d] - z, axis=1) <= tol] = d
+    mults = {}
+    for d in np.unique(period).tolist():
+        rows = np.flatnonzero(period == d)
+        chain = np.broadcast_to(np.eye(f.dim, dtype=complex), (len(rows), f.dim, f.dim))
+        for jac in jacs[:d]:
+            chain = jac[rows] @ chain
+        for i, vals in zip(rows, np.linalg.eigvals(chain)):
+            mults[i] = tuple(sorted(vals, key=lambda x: (x.real, x.imag)))
+    orbits = []
+    for i, d in enumerate(period.tolist()):
+        pts = list(walk[:d, i])
+        orbits.append(PeriodicOrbit(
+            points=tuple(tuple(x) for x in pts),
+            period=d,
+            u_r_value=weight_cocycle(u, pts),
+            multipliers=mults[i],
+            stability=classify(mults[i]),
+            residual=float(closure[i]),
+        ))
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -734,5 +823,5 @@ def periodic_orbits(f: PolyMap, r_max: int, u=None,
             points = result.points
             record = {"complete": False, "starts": result.starts,
                       "converged": result.converged, "seed": result.seed}
-        orbits = [make_orbit(f, p, r, u) for p in points]
+        orbits = _walk_orbits(f, points, r, u)
         yield r, [orbit for orbit in orbits if orbit.period == r], record

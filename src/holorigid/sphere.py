@@ -28,6 +28,7 @@ HALVINGS = 4  # backtracking step sizes per batched evaluation
 ARMIJO = 1e-4  # fraction of the predicted gain a step must realize
 CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
 ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
+SLOPE = np.sqrt(ROUNDING)  # relative slope r |grad| / phi whose gain is ROUNDING
 TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 
 
@@ -104,7 +105,8 @@ def _phi(f: PolyMap, x: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-    """Tangent gradient, saddle-free Newton step and Newton decrement on spheres.
+    """Tangent gradient norm, saddle-free Newton step and Newton decrement on
+    spheres.
 
     The Riemannian Hessian P H P - (x.grad / r^2) P of phi on the sphere is
     split by eigh after its radial direction x is pushed below the tangent
@@ -114,7 +116,8 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     which makes it an ascent direction at saddles and minima too.  Those
     terms are first divided by a power of two near their size, so that phi
     up to the overflow threshold still gets a step; a row whose terms
-    overflow anyway gets a NaN step and decrement.
+    overflow anyway gets a NaN step and decrement.  The gradient norm is
+    taken through the same power of two, so its square does not overflow.
     """
     normal = x / r[:, None]
     radial = np.sum(normal * grad, axis=1)
@@ -131,11 +134,12 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     lam, vec = np.linalg.eigh(h - (3.0 * size)[:, None, None] * outer)
     scale = np.linalg.norm(hess, axis=(1, 2)) + np.abs(weingarten)
     floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)[:, None]
-    coef = np.matmul(g[:, None, :] / unit[:, None, None], vec)[:, 0]
+    g_unit = g / unit[:, None]
+    coef = np.matmul(g_unit[:, None, :], vec)[:, 0]
     coef /= np.maximum(np.abs(lam), floor)
     coef[overflow] = np.nan
     step = np.matmul(vec, coef[:, :, None])[:, :, 0]
-    return g, step, np.sum(step * g, axis=1)
+    return unit * np.linalg.norm(g_unit, axis=1), step, np.sum(step * g, axis=1)
 
 
 def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
@@ -145,11 +149,12 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
     step is capped at length r; one batched evaluation of f tries HALVINGS
     fractions 1, 1/2, ... of it on the normalizing retraction, and the largest
     that passes the Armijo test is taken.  Derivatives are evaluated only at
-    the accepted points.  A row stops when its tangent norm meets gtol, when
-    its Newton decrement (twice the predicted gain) or its remaining Armijo
-    gain falls below the rounding of phi, or when f overflows.  Returns
-    points, ||f|| (not finite where f overflowed at the start) and tangent
-    norms.
+    the accepted points.  A row stops when its tangent norm meets gtol and,
+    on spheres larger than about SLOPE / gtol, SLOPE / r, below which a step
+    gains no more than the rounding of phi; when its Newton decrement (twice
+    the predicted gain) or its remaining Armijo gain falls below the
+    rounding of phi; or when f overflows.
+    Returns points, ||f|| (not finite where f overflowed) and tangent norms.
     """
     d = f.dim
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
@@ -163,10 +168,11 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
         for _ in range(max_iter):
             if not live.size:
                 break
-            g, step, decrement = _newton_steps(x[live], r[live], grad[live], hess[live])
-            tangent_norm[live] = np.linalg.norm(g, axis=1)
+            tangent_norm[live], step, decrement = _newton_steps(
+                x[live], r[live], grad[live], hess[live])
             rounding = ROUNDING * phi[live]
-            open_ = ((tangent_norm[live] > gtol * (1.0 + phi[live]))
+            open_ = ((tangent_norm[live]
+                      > np.minimum(gtol, SLOPE / r[live]) * (1.0 + phi[live]))
                      & (decrement > rounding))
             live, step, decrement, rounding = (
                 live[open_], step[open_], decrement[open_], rounding[open_])
@@ -199,17 +205,24 @@ def _finite_rows(phi, grad, hess) -> np.ndarray:
 
 
 def _first_best(values: np.ndarray, r) -> int:
-    """Lowest index whose value is within TIE_TOL (relative) of the largest
-    finite one.
+    """``first_near_best`` of the ascent values on the sphere of radius r.
 
-    Equal maxima, such as q and conj(q) for a map with real coefficients,
-    then resolve by start order rather than by last-bit rounding.  Raises
-    PreconditionError when ||f|| overflowed at every start on radius r.
+    Raises PreconditionError when ||f|| overflowed at every start.
     """
-    finite = np.isfinite(values)
-    if not finite.any():
+    if not np.isfinite(values).any():
         raise PreconditionError(
             f"||f|| is not finite at any start on the sphere of radius {r:.6g}")
+    return first_near_best(values)
+
+
+def first_near_best(values: np.ndarray) -> int:
+    """Lowest index whose value is within TIE_TOL (relative) of the largest
+    finite one, of which there must be one.
+
+    Equal maxima, such as q and conj(q) for a map with real coefficients,
+    then resolve by order rather than by last-bit rounding.
+    """
+    finite = np.isfinite(values)
     top = values[finite].max()
     return int(np.flatnonzero(finite & (values >= top * (1.0 - TIE_TOL)))[0])
 
@@ -238,7 +251,10 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
         raise PreconditionError("warm starts must be finite nonzero points")
     starts = np.concatenate([warm, _seeded_starts(config, d)])
     z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
-    best = _first_best(value, r)
+    if not np.isfinite(value).all():  # the best start may be among them
+        raise PreconditionError(
+            f"||f|| overflowed at a start on the sphere of radius {r:.6g}")
+    best = first_near_best(value)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 

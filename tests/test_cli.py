@@ -92,6 +92,28 @@ class TestCertify:
                                  "--mode", "bounded"])
         assert code == 0 and doc["verdict"] == "NoObstruction"
 
+    def test_witness_does_not_follow_root_rounding(self, capsys, write, monkeypatch):
+        # the conjugate period-6 orbits of z^2 - 1 tie on |multiplier|, as
+        # do the six points of each; roots moved by a few ulps, in any order,
+        # must give the same witness
+        from holorigid import dynamics
+        solve, rng = dynamics.durand_kerner, np.random.default_rng(6)
+
+        def perturbed(ratio, starts):
+            z = solve(ratio, starts)
+            ulps = rng.integers(-3, 4, size=(2, len(z))) * np.finfo(float).eps
+            return rng.permutation(z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1]))
+
+        monkeypatch.setattr(dynamics, "durand_kerner", perturbed)
+        path = write("f.json", SQUARE_MINUS_1)
+        witnesses = [run(capsys, ["certify", path, "--mode", "bounded", "--r", "6"])[1]
+                     ["witness"] for _ in range(6)]
+        first = witnesses[0]
+        assert first["period"] == 6
+        for w in witnesses[1:]:
+            assert w["period"] == first["period"]
+            assert np.allclose(w["point"], first["point"], rtol=1e-12, atol=1e-14)
+
     def test_translation_hypercyclic_clear(self, capsys, write):
         code, doc = run(capsys, ["certify", write("f.json", TRANSLATION),
                                  "--mode", "hypercyclic", "--r", "3"])

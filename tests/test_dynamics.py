@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holorigid import dynamics
 from holorigid.dynamics import (
@@ -260,6 +262,56 @@ class TestPeriodicPoints1D:
         assert len(detail.points) < 2
         assert len(detail.unresolved) == 2
 
+    def test_covering_disk_is_dropped_alone(self, monkeypatch):
+        # g = f(z) - z = (z^2 - 1e-10)(z - 1): roots +-1e-5 and 1.  The
+        # approximation 0 passes the residual test, but g'(0) = -1e-10 gives
+        # it a Newton disk of radius 3 that covers the other two, whose tiny
+        # disks are disjoint: only the covering disk goes
+        f = PolyMap.from_coeffs_1d([1e-10, 1 - 1e-10, -1, 1])
+        monkeypatch.setattr(dynamics, "durand_kerner", lambda ratio, starts:
+                            np.array([0, 1e-5, 1], dtype=complex))
+        detail = periodic_points_1d(f, 1, detail=True)
+        assert detail.points == (1e-5, 1) and detail.multiplicities == (1, 1)
+        assert detail.unresolved == (0j,)
+        assert abs(detail.points[1] - detail.points[0]) > sum(detail.radii)
+
+    def test_stalled_root_freezes(self, monkeypatch):
+        # a root of z^2 - 2 near 0.0483 keeps an Aberth step of 1.2e-15, above
+        # 4 eps (1 + |z|), and used to run the whole 20 * 256 sweep budget
+        sweeps = []
+        solve = dynamics.durand_kerner
+
+        def counting(ratio, starts):
+            return solve(lambda z: sweeps.append(1) or ratio(z), starts)
+
+        monkeypatch.setattr(dynamics, "durand_kerner", counting)
+        detail = periodic_points_1d(PolyMap.from_coeffs_1d([-2, 0, 1]), 8, detail=True)
+        assert len(sweeps) <= 60
+        assert len(detail.points) == 256 and detail.unresolved == ()
+
+    def test_degree_1024_certified(self):
+        detail = periodic_points_1d(SQUARE_MINUS_1, 10, detail=True)
+        pts, radii = np.array(detail.points), np.array(detail.radii)
+        assert len(pts) == 1024 and detail.multiplicities == (1,) * 1024
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert np.all(gaps > radii[:, None] + radii[None, :])
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3, max_size=4),
+           lead=st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0),
+           r=st.integers(1, 4))
+    def test_complete_means_disjoint_disks(self, coeffs, lead, r):
+        f = PolyMap.from_coeffs_1d(coeffs[:-1] + [lead])
+        detail = periodic_points_1d(f, r, detail=True)
+        pts, radii = np.array(detail.points), np.array(detail.radii)
+        assert np.all(np.array(detail.residuals) <= TOL_ORBIT * (1 + np.abs(pts)))
+        if len(pts) == root_count_1d(f, r):
+            assert detail.multiplicities == (1,) * len(pts)
+            gaps = np.abs(pts[:, None] - pts[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            assert np.all(gaps > radii[:, None] + radii[None, :])
+
     def test_root_count_above_cap_is_rejected(self):
         r = int(np.log2(DEFAULT_MAX_TERMS)) + 1
         with pytest.raises(PreconditionError, match="roots"):
@@ -427,8 +479,8 @@ class TestPeriodicPoints2D:
 class TestMakeOrbit:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of PolyMap.__call__ and PolyMap.jacobian."""
-        counts = {"__call__": 0, "jacobian": 0}
+        """Counts of PolyMap.__call__, jacobian and evaluate_batch."""
+        counts = dict.fromkeys(("__call__", "jacobian", "evaluate_batch"), 0)
         for name in counts:
             def counting(*args, _name=name, _method=getattr(PolyMap, name)):
                 counts[_name] += 1
@@ -444,13 +496,18 @@ class TestMakeOrbit:
          + list(periodic_points_2d(HENON, 4, SearchConfig(starts=400)).points)),
     ], ids=["square-minus-1", "henon"])
     def test_one_walk_per_orbit(self, calls, f, r, periods, points):
-        seen = set()
-        for p in points():
-            calls.update({"__call__": 0, "jacobian": 0})
-            orbit = make_orbit(f, p, r)
-            assert calls == {"__call__": r, "jacobian": orbit.period}
-            seen.add(orbit.period)
-        assert seen == periods
+        # one walk of r batched evaluations per stack, the same orbits
+        # whether a point is walked in the stack or alone
+        pts = points()
+        walk = {"__call__": 0, "jacobian": 0, "evaluate_batch": r}
+        calls.update(dict.fromkeys(calls, 0))
+        orbits = dynamics._walk_orbits(f, pts, r)
+        assert calls == walk
+        for p, orbit in zip(pts, orbits):
+            calls.update(dict.fromkeys(calls, 0))
+            assert make_orbit(f, p, r) == orbit
+            assert calls == walk
+        assert {orbit.period for orbit in orbits} == periods
 
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])

@@ -128,6 +128,22 @@ class TestSphereMax:
         best = sphere_max(SQUARE_FIRST, r, FAST)
         assert best.value == pytest.approx(r * r, rel=1e-12)
 
+    def test_overflow_at_some_starts_names_the_radius(self):
+        # ||f||^2 = r^4 overflows at the maximizer while some starts stay
+        # finite; their best was 17% low
+        with pytest.raises(PreconditionError, match="radius 1.22256e[+]77"):
+            sphere_max(SQUARE_FIRST, float(np.exp(177.5)), FAST)
+
+    @pytest.mark.parametrize("s", [50.0, 176.0])
+    def test_large_sphere_maximum(self, s):
+        # the tangent norm is taken without overflow, and on a large sphere
+        # the gtol test waits for a slope whose gain is below rounding: at
+        # s = 50 the ascent used to stop a few percent below r^2
+        r = float(np.exp(s))
+        best = sphere_max(SQUARE_FIRST, r, FAST)
+        assert best.value == pytest.approx(r * r, rel=1e-12)
+        assert np.isfinite(best.grad_norm)
+
     def test_first_best_skips_non_finite_values(self):
         values = np.array([np.nan, 3.0, np.inf, 3.0 * (1 + 1e-15), 1.0])
         assert _first_best(values, 1.0) == 1
