@@ -218,7 +218,7 @@ def cmd_certify(args) -> int:
         else:
             orbits, _, search_info = _collect_orbits(f, u, args.r, args)
         certs = [certifier(f, u, orbit) for orbit in orbits]
-        cert = _strongest(certs, mode)
+        cert = _strongest(certs, mode, f.dim)
         payload = cert.to_json_dict()
         payload["metadata"] = {**meta, "orbits_examined": len(orbits),
                                "mode": mode, "search": search_info}
@@ -243,7 +243,16 @@ def cmd_certify(args) -> int:
         else EXIT_OK
 
 
-def _strongest(certs, mode):
+def _strongest(certs, mode, dim):
+    """The certificate with the largest |eigenvalue| among those of the
+    strongest verdict.
+
+    In one variable, ties up to rounding, such as the points of conjugate
+    orbits, go to the first in point order, so that the witness does not
+    follow the last bits of the roots.  Two-variable witnesses take the
+    exact largest modulus, so among the points of one saddle orbit the last
+    bits still decide.
+    """
     if not certs:
         return rigidity.ObstructionCertificate(
             rigidity.NO_OBSTRUCTION,
@@ -253,9 +262,11 @@ def _strongest(certs, mode):
     obstructed = rigidity.UNBOUNDED if mode == "bounded" else rigidity.NON_COMPACT
     for verdict in (obstructed, rigidity.INAPPLICABLE):
         hits = [c for c in certs if c.verdict == verdict]
-        if hits:  # ties, such as conjugate orbits, go to the first in order
+        if hits and dim == 1:
             moduli = [abs(c.witness.get("eigenvalue", 0)) for c in hits]
             return hits[sphere.first_near_best(np.nan_to_num(moduli))]
+        if hits:
+            return max(hits, key=lambda c: abs(c.witness.get("eigenvalue", 0)))
     return certs[0]
 
 

@@ -321,14 +321,15 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return _preimages(c, 1, 0j)
 
 
-def cluster_points(points, radius: float) -> list:
+def cluster_points(points, radius: float, slack=None) -> list:
     """Greedy clustering shared by every point and level dedup.
 
     Points (complex scalars or vectors) are visited in lexicographic order
     of their real and imaginary parts; each joins the first cluster whose
-    representative ``rep`` lies within radius * (1 + |rep|), or else starts
-    a new one.  Returns the clusters as lists of indices into ``points``,
-    each led by the index of its representative.
+    representative ``rep`` lies within radius * (1 + |rep|), or within the
+    ``slack`` of both when one is given per point, or else starts a new one.
+    Returns the clusters as lists of indices into ``points``, each led by the
+    index of its representative.
     """
     if len(points) == 0:
         return []
@@ -336,14 +337,20 @@ def cluster_points(points, radius: float) -> list:
     keys = [part for col in pts.T[::-1] for part in (col.imag, col.real)]
     reps = np.empty_like(pts)
     reach = np.empty(len(pts))  # radius * (1 + |rep|) of each cluster
+    rep_slack = np.empty(len(pts))
     clusters: list[list] = []
     for i in np.lexsort(keys).tolist():
         k = len(clusters)
-        hit = np.flatnonzero(np.linalg.norm(pts[i] - reps[:k], axis=1) <= reach[:k])
+        dist = np.linalg.norm(pts[i] - reps[:k], axis=1)
+        hit = dist <= reach[:k]
+        if slack is not None:
+            hit |= dist <= np.minimum(rep_slack[:k], slack[i])
+        hit = np.flatnonzero(hit)
         if hit.size:
             clusters[hit[0]].append(i)
         else:
             reps[k], reach[k] = pts[i], radius * (1.0 + np.linalg.norm(pts[i]))
+            rep_slack[k] = np.nan if slack is None else slack[i]
             clusters.append([i])
     return clusters
 
@@ -559,10 +566,10 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     if ok.all() and not meets.any():  # D simple roots, one in each disk
         clusters = [[i] for i in range(len(roots))]
     else:
-        clusters = cluster_points(roots[ok], DEDUP_RADIUS)
+        clusters = cluster_points(roots[ok], DEDUP_RADIUS, slack[ok])
         if len(clusters) == total:  # the count must not claim them all
             ok[_overlapping(roots, radii, np.flatnonzero(meets))] = False
-            clusters = cluster_points(roots[ok], DEDUP_RADIUS)
+            clusters = cluster_points(roots[ok], DEDUP_RADIUS, slack[ok])
     kept = np.flatnonzero(ok)
     clusters = [kept[cl] for cl in clusters]
     reps = np.array([cl[0] for cl in clusters], dtype=np.intp)
@@ -736,62 +743,28 @@ class PeriodicOrbit:
 
 
 def make_orbit(f: PolyMap, p, r: int, u=None, tol_orbit=TOL_ORBIT) -> PeriodicOrbit:
-    """Verified PeriodicOrbit at p: closure, exact period and multipliers from
-    one walk p, f(p), ..., f^r(p), the one-row case of ``_walk_orbits``."""
+    """Verified PeriodicOrbit at p, from one walk p, f(p), ..., f^r(p): its
+    closure, exact period (least divisor d of r with f^d(p) back at p) and
+    multipliers."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    return _walk_orbits(f, [_as_point(p, f.dim)], r, u, tol_orbit)[0]
-
-
-def _walk_orbits(f: PolyMap, points, r: int, u=None, tol_orbit=TOL_ORBIT) -> list:
-    """Verified PeriodicOrbits at a stack of points, from one walk p, f(p),
-    ..., f^r(p) of r ``evaluate_batch`` calls: closure, exact period (least
-    divisor d of r with f^d(p) back at p) and multipliers, with one stacked
-    eigvals call per exact period.  Raises OrbitError at the first point
-    that does not close.
-
-    Each row's arithmetic is that of the row walked alone: a one-row stack
-    is walked twice over, because numpy multiplies a (1, M) matrix through
-    gemv, which rounds differently from the gemm of a taller stack.
-    """
-    if not len(points):
-        return []
-    z = _as_points(points, f.dim)
-    walk, jacs = [np.repeat(z, 2, axis=0) if len(z) == 1 else z], []
-    for _ in range(r):
-        w, jac = f.evaluate_batch(walk[-1])
-        walk.append(w)
-        jacs.append(jac)
-    walk = np.stack(walk)[:, :len(z)]
-    tol = tol_orbit * (1.0 + np.linalg.norm(z, axis=1))
-    closure = np.linalg.norm(walk[r] - z, axis=1)
-    unclosed = np.flatnonzero(~(closure <= tol))  # NaN fails too
-    if unclosed.size:
-        raise OrbitError(f"f^{r}(p) - p has residual {closure[unclosed[0]]:.3e}")
-    period = np.full(len(z), r)
-    for d in range(r - 1, 0, -1):
-        if r % d == 0:
-            period[np.linalg.norm(walk[d] - z, axis=1) <= tol] = d
-    mults = {}
-    for d in np.unique(period).tolist():
-        rows = np.flatnonzero(period == d)
-        chain = np.broadcast_to(np.eye(f.dim, dtype=complex), (len(rows), f.dim, f.dim))
-        for jac in jacs[:d]:
-            chain = jac[rows] @ chain
-        for i, vals in zip(rows, np.linalg.eigvals(chain)):
-            mults[i] = tuple(sorted(vals, key=lambda x: (x.real, x.imag)))
-    orbits = []
-    for i, d in enumerate(period.tolist()):
-        pts = list(walk[:d, i])
-        orbits.append(PeriodicOrbit(
-            points=tuple(tuple(x) for x in pts),
-            period=d,
-            u_r_value=weight_cocycle(u, pts),
-            multipliers=mults[i],
-            stability=classify(mults[i]),
-            residual=float(closure[i]),
-        ))
-    return orbits
+    walk = orbit_points(f, p, r + 1)
+    p, tol = walk[0], tol_orbit * (1.0 + np.linalg.norm(walk[0]))
+    closure = np.linalg.norm(walk[r] - p)
+    if not closure <= tol:  # NaN fails too
+        raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
+    exact = next((d for d in range(1, r)
+                  if r % d == 0 and np.linalg.norm(walk[d] - p) <= tol), r)
+    pts = walk[:exact]
+    mults = _chain_multipliers(f, pts)
+    return PeriodicOrbit(
+        points=tuple(tuple(x) for x in pts),
+        period=exact,
+        u_r_value=weight_cocycle(u, pts),
+        multipliers=mults,
+        stability=classify(mults),
+        residual=float(closure),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -823,5 +796,5 @@ def periodic_orbits(f: PolyMap, r_max: int, u=None,
             points = result.points
             record = {"complete": False, "starts": result.starts,
                       "converged": result.converged, "seed": result.seed}
-        orbits = _walk_orbits(f, points, r, u)
+        orbits = [make_orbit(f, p, r, u) for p in points]
         yield r, [orbit for orbit in orbits if orbit.period == r], record

@@ -153,8 +153,10 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
     on spheres larger than about SLOPE / gtol, SLOPE / r, below which a step
     gains no more than the rounding of phi; when its Newton decrement (twice
     the predicted gain) or its remaining Armijo gain falls below the
-    rounding of phi; or when f overflows.
-    Returns points, ||f|| (not finite where f overflowed) and tangent norms.
+    rounding of phi; or when f overflows.  Returns points, ||f|| and
+    tangent norms.  Raises PreconditionError, naming the radius, where ||f||
+    overflowed at a start: the maximum on that sphere overflows too, and
+    the best of the other starts would be silently low.
     """
     d = f.dim
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
@@ -196,6 +198,10 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
             if live.size:
                 phi[live], grad[live], hess[live] = _phi_derivatives(f, x[live])
                 live = live[_finite_rows(phi[live], grad[live], hess[live])]
+    bad = np.flatnonzero(~np.isfinite(phi))
+    if bad.size:
+        raise PreconditionError(
+            f"||f|| overflowed at a start on the sphere of radius {r[bad[0]]:.6g}")
     return x[:, :d] + 1j * x[:, d:], np.sqrt(phi), tangent_norm
 
 
@@ -251,10 +257,7 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
         raise PreconditionError("warm starts must be finite nonzero points")
     starts = np.concatenate([warm, _seeded_starts(config, d)])
     z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
-    if not np.isfinite(value).all():  # the best start may be among them
-        raise PreconditionError(
-            f"||f|| overflowed at a start on the sphere of radius {r:.6g}")
-    best = first_near_best(value)
+    best = _first_best(value, r)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 

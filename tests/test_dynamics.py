@@ -138,6 +138,13 @@ class TestClusterPoints:
     def test_empty(self):
         assert cluster_points([], 1e-6) == []
 
+    def test_slack_joins_only_within_both(self):
+        # 3e-6 apart is beyond the radius; within the slack of both points
+        # they join, but not with a point whose own slack is below the gap
+        points = [0j, 3e-6 + 0j, 6e-6 + 0j]
+        assert cluster_points(points, 1e-6, [1e-4, 1e-4, 1e-12]) == [[0, 1], [2]]
+        assert cluster_points(points, 1e-6) == [[0], [1], [2]]
+
 
 class TestIterate:
     def test_square_twice(self):
@@ -251,6 +258,19 @@ class TestPeriodicPoints1D:
         assert abs(detail.points[0] - 0.5) < 1e-6
         (_, _, record), = periodic_orbits(f, 1)
         assert record == {"complete": False}
+
+    @pytest.mark.parametrize("r, distinct", [(2, 2), (4, 14), (10, 1022)])
+    def test_triple_root_is_one_point(self, r, distinct):
+        # -1/2 is a fixed point of z^2 - 3/4 with multiplier -1, so a triple
+        # root of f^r(z) - z for even r.  Its three approximations lie up to
+        # 3e-6 apart, beyond the dedup radius but within the rounding slack
+        # of each, and make one point
+        f = PolyMap.from_coeffs_1d([-0.75, 0, 1])
+        detail = periodic_points_1d(f, r, detail=True)
+        assert len(detail.points) == distinct and detail.unresolved == ()
+        triple = [p for p, m in zip(detail.points, detail.multiplicities) if m > 1]
+        assert len(triple) == 1 and abs(triple[0] + 0.5) < 1e-5
+        assert sum(detail.multiplicities) == 2 ** r
 
     def test_meeting_disks_are_not_counted(self, monkeypatch):
         # fixed points 0 and 1e-5; approximations 2e-6 inside each pass the
@@ -479,8 +499,8 @@ class TestPeriodicPoints2D:
 class TestMakeOrbit:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of PolyMap.__call__, jacobian and evaluate_batch."""
-        counts = dict.fromkeys(("__call__", "jacobian", "evaluate_batch"), 0)
+        """Counts of PolyMap.__call__ and PolyMap.jacobian."""
+        counts = {"__call__": 0, "jacobian": 0}
         for name in counts:
             def counting(*args, _name=name, _method=getattr(PolyMap, name)):
                 counts[_name] += 1
@@ -496,18 +516,13 @@ class TestMakeOrbit:
          + list(periodic_points_2d(HENON, 4, SearchConfig(starts=400)).points)),
     ], ids=["square-minus-1", "henon"])
     def test_one_walk_per_orbit(self, calls, f, r, periods, points):
-        # one walk of r batched evaluations per stack, the same orbits
-        # whether a point is walked in the stack or alone
-        pts = points()
-        walk = {"__call__": 0, "jacobian": 0, "evaluate_batch": r}
-        calls.update(dict.fromkeys(calls, 0))
-        orbits = dynamics._walk_orbits(f, pts, r)
-        assert calls == walk
-        for p, orbit in zip(pts, orbits):
-            calls.update(dict.fromkeys(calls, 0))
-            assert make_orbit(f, p, r) == orbit
-            assert calls == walk
-        assert {orbit.period for orbit in orbits} == periods
+        seen = set()
+        for p in points():
+            calls.update({"__call__": 0, "jacobian": 0})
+            orbit = make_orbit(f, p, r)
+            assert calls == {"__call__": r, "jacobian": orbit.period}
+            seen.add(orbit.period)
+        assert seen == periods
 
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])

@@ -199,6 +199,16 @@ class TestHadamardProfile:
         second = np.diff(h, 2)
         assert np.min(second) >= -1e-6
 
+    def test_overflow_at_some_starts_names_the_radius(self):
+        # ||f||^2 = r^4 overflows at the maximizers from s = 177.4 on while
+        # some starts stay finite; the profile used to read 0.73 and 0.38 of
+        # r^2 at s = 177.6 and 177.9, and H' = -0.59
+        with pytest.raises(PreconditionError, match="radius 1.35114e[+]77"):
+            hadamard_profile(SQUARE_FIRST, (177.0, 177.9), 4, FAST)
+        with pytest.raises(PreconditionError, match="radius"):
+            _side_maxima(SQUARE_FIRST, float(np.exp(177.5)), 0.1 * float(np.exp(177.5)),
+                         np.array([1.0, 0.0], dtype=complex), FAST)
+
     def test_affine_has_no_growth_point(self):
         f = PolyMap.linear(np.eye(2, dtype=complex) * 0.9)
         profile = hadamard_profile(f, (-1.0, 3.0), 9, FAST)
