@@ -459,17 +459,23 @@ def _preimages(c: np.ndarray, r: int, z0: complex) -> np.ndarray:
     """The deg^r points of f^-r(z0), f with ascending coefficients c.
 
     Each level is one stacked eigvals call over the companion matrices of
-    f(w) - z, one per point z of the level before.
+    f(w) - z, one per point z of the level before.  Raises PreconditionError
+    where a companion matrix overflows.
     """
     deg = len(c) - 1
     companion = np.zeros((deg, deg), dtype=complex)
     companion[1:, :-1] = np.eye(deg - 1)
-    companion[:, -1] = -c[:-1] / c[-1]
     level = np.array([z0], dtype=complex)
-    for _ in range(r):
-        stack = np.repeat(companion[None], len(level), axis=0)
-        stack[:, 0, -1] = (level - c[0]) / c[-1]
-        level = np.linalg.eigvals(stack).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        companion[:, -1] = -c[:-1] / c[-1]
+        for _ in range(r):
+            stack = np.repeat(companion[None], len(level), axis=0)
+            stack[:, 0, -1] = (level - c[0]) / c[-1]
+            if not np.isfinite(stack).all():
+                raise PreconditionError(
+                    f"the preimages of {z0:.6g} under f^{r} overflow: the "
+                    "coefficients of f are out of floating-point range")
+            level = np.linalg.eigvals(stack).ravel()
     return level
 
 
@@ -548,7 +554,8 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
                 f"f^{r}(z) - z has {total} roots, more than the cap "
                 f"{DEFAULT_MAX_TERMS}")
         c = _coeffs_1d(f.components[0])
-        radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
+        with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
+            radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
         roots = durand_kerner(lambda z: _orbit_ratio(f, r, z)[1],
                               _preimages(c, r, radius * np.exp(0.7j)))
     else:

@@ -1,33 +1,51 @@
 """JSON schemas for maps, weights, jets, and Henon data.
 
-Complex numbers travel as [re, im] pairs.  Loaders raise SchemaError with a
-message naming the offending field; dumpers emit plain dict/list structures
-ready for json.dumps.
+Complex numbers travel as [re, im] pairs.  Numbers must be finite and not
+booleans: json reads NaN, Infinity and 1e400 as non-finite floats, and
+true/false as the integers 1/0.  Loaders raise SchemaError with a message
+naming the offending field; dumpers emit plain dict/list structures ready
+for json.dumps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import SchemaError
 from .jets import Jet, JetMap
-from .dynamics import PolyFunc, PolyMap
+from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
+
+# Largest exponent a document may hold.  One variable gets no further: f(z) - z
+# would have more roots than the root-count cap; in two variables exponents
+# near 2^63 and above overflowed the evaluators.
+MAX_EXPONENT = DEFAULT_MAX_TERMS
+
+
+def _finite(x) -> bool:
+    """Whether x is a number other than a boolean, finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _cnum(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _finite(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
+            and all(_finite(x) for x in obj)):
         return complex(obj[0], obj[1])
-    raise SchemaError(f"{where}: expected a number or [re, im] pair")
+    raise SchemaError(f"{where}: expected a finite number or [re, im] pair")
 
 
 def _require(obj, key, where, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing field '{key}'")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise SchemaError(f"{where}.{key}: wrong type")
     return val
 
@@ -61,17 +79,25 @@ def _load_terms(items, dim, where, cap=None) -> dict:
     for k, term in enumerate(items):
         spot = f"{where}[{k}]"
         alpha = _require(term, "alpha", spot, list)
-        if len(alpha) != dim or not all(isinstance(a, int) and a >= 0 for a in alpha):
-            raise SchemaError(f"{spot}.alpha: expected {dim} non-negative integers")
+        if len(alpha) != dim or not all(isinstance(a, int) and not isinstance(a, bool)
+                                        and 0 <= a <= MAX_EXPONENT for a in alpha):
+            raise SchemaError(f"{spot}.alpha: expected {dim} integers from 0 "
+                              f"to {MAX_EXPONENT}")
         if cap is not None and sum(alpha) > cap:
             raise SchemaError(f"{spot}.alpha: total degree {sum(alpha)} "
                               f"exceeds cap {cap}")
         re = term.get("re", 0.0)
         im = term.get("im", 0.0)
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SchemaError(f"{spot}: re/im must be numbers")
+        for name, value in (("re", re), ("im", im)):
+            if not _finite(value):
+                raise SchemaError(f"{spot}.{name}: re/im must be numbers, finite "
+                                  "and not true/false")
         key = tuple(alpha)
-        table[key] = table.get(key, 0j) + complex(re, im)
+        # a repeated alpha adds up; a first one keeps the sign of a zero part
+        table[key] = table[key] + complex(re, im) if key in table else complex(re, im)
+        if not (math.isfinite(table[key].real) and math.isfinite(table[key].imag)):
+            raise SchemaError(f"{spot}: the coefficients of alpha {alpha} "
+                              "sum beyond the float range")
     return table
 
 

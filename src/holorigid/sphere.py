@@ -142,7 +142,8 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     return unit * np.linalg.norm(g_unit, axis=1), step, np.sum(step * g, axis=1)
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
+def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float,
+            decrement_tol: float = ROUNDING):
     """Saddle-free Riemannian Newton ascent of ||f||^2 on spheres of radius r.
 
     r is one radius, or one per row of z0.  All starts run in lockstep.  Each
@@ -152,11 +153,12 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
     the accepted points.  A row stops when its tangent norm meets gtol and,
     on spheres larger than about SLOPE / gtol, SLOPE / r, below which a step
     gains no more than the rounding of phi; when its Newton decrement (twice
-    the predicted gain) or its remaining Armijo gain falls below the
-    rounding of phi; or when f overflows.  Returns points, ||f|| and
-    tangent norms.  Raises PreconditionError, naming the radius, where ||f||
-    overflowed at a start: the maximum on that sphere overflows too, and
-    the best of the other starts would be silently low.
+    the predicted gain) falls below decrement_tol * phi, by default the
+    rounding of phi; when its remaining Armijo gain falls below the rounding
+    of phi; or when f overflows.  Returns points, ||f|| and tangent norms.
+    Raises PreconditionError, naming the radius, where ||f|| overflowed at
+    a start: the maximum on that sphere overflows too, and the best of the
+    other starts would be silently low.
     """
     d = f.dim
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
@@ -175,7 +177,7 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float):
             rounding = ROUNDING * phi[live]
             open_ = ((tangent_norm[live]
                       > np.minimum(gtol, SLOPE / r[live]) * (1.0 + phi[live]))
-                     & (decrement > rounding))
+                     & (decrement > decrement_tol * phi[live]))
             live, step, decrement, rounding = (
                 live[open_], step[open_], decrement[open_], rounding[open_])
             t = np.minimum(1.0, r[live] / np.linalg.norm(step, axis=1))
@@ -293,8 +295,13 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     Convexity of H and its eventual positivity (for non-affine f) make any
     grid point with H > 0 and H' > 0 usable for the construction.  One
     lockstep ascent runs the seeded starts of sphere_max at every radius;
-    a second restarts each radius from its neighbours' maximizers and
-    keeps a result that beats the first beyond rounding.
+    a second restarts each radius from its neighbours' maximizers.  A warm
+    result is kept only where it is higher than every cold one by more than
+    TIE_TOL relative (_first_best).  The samples serve to pick a grid point
+    and to seed the polish, so both passes stop a start once its Newton
+    decrement falls below TIE_TOL * phi: on a nearly flat ridge, as for mix3
+    on spheres of radius e^1.3 to e^3, a start otherwise gains about 1e-11
+    relative per step for hundreds of steps.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not (hi > lo) or steps < 3:
@@ -305,7 +312,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     n = len(starts)
     # cold pass: every radius from the same seeded starts, one lockstep ascent
     z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
-                          config.max_iter, config.gtol)
+                          config.max_iter, config.gtol, TIE_TOL)
     z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
     best = np.array([_first_best(v, r) for v, r in zip(value, radii)])
     # warm pass: each radius from its neighbours' maximizers, which _ascend
@@ -313,7 +320,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
                                if 0 <= j < steps]).T
     warm_z, warm_value, _ = _ascend(f, z[source, best[source]], radii[target],
-                                    config.max_iter, config.gtol)
+                                    config.max_iter, config.gtol, TIE_TOL)
     samples = []
     for i, r in enumerate(radii):
         mine = target == i

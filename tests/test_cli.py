@@ -304,6 +304,31 @@ class TestContract:
         assert code == 1
         assert "missing field 'components'" in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("re", "NaN"), ("re", "-Infinity"), ("re", "1e400"), ("im", "true"),
+        ("alpha", "[true]")])
+    @pytest.mark.parametrize("kind", ["map", "weight"])
+    def test_non_finite_or_boolean_number_is_schema_error(self, capsys, tmp_path,
+                                                          write, key, value, kind):
+        # json reads NaN, Infinity and 1e400 as non-finite floats and true as
+        # 1; they ended in LinAlgError or TypeError tracebacks
+        fields = {"alpha": "[0]", "re": "1.0", key: value}
+        term = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        bad = tmp_path / "bad.json"
+        if kind == "map":
+            bad.write_text(f'{{"dim": 1, "components": [[{term}, {{"alpha": [2], "re": 1}}]]}}')
+            files = [str(bad)]
+        else:
+            bad.write_text(f'{{"dim": 1, "terms": [{term}]}}')
+            files = [write("f.json", SQUARE), str(bad)]
+        code = main(["certify", *files, "--mode", "bounded", "--r", "2"])
+        captured = capsys.readouterr()
+        field = "map.components[0]" if kind == "map" else "weight.terms"
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"schema error: {field}[0].{key}: ")
+        assert captured.err.count("\n") == 1
+
     def test_determinism_byte_identical(self, capsys, write):
         argv = ["certify", write("f.json", SQUARE), "--mode", "bounded",
                 "--seed", "9"]

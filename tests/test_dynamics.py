@@ -337,6 +337,14 @@ class TestPeriodicPoints1D:
         with pytest.raises(PreconditionError, match="roots"):
             periodic_points_1d(SQUARE, r)
 
+    @pytest.mark.parametrize("coeffs", [[-np.finfo(float).max, 0, 1], [-1, 0, 1e-320]],
+                             ids=["huge-constant", "subnormal-leading"])
+    def test_start_overflow_is_rejected(self, coeffs):
+        # the Aberth starts f^-r(z0) overflow; np.linalg.eigvals raised
+        # LinAlgError on the infinite companion matrix
+        with pytest.raises(PreconditionError, match="out of floating-point range"):
+            periodic_points_1d(PolyMap.from_coeffs_1d(coeffs), 1)
+
     def test_degree_64_completeness(self):
         # deg(f^r) = 64 for a cubic iterated... 4^3 = 64: quartic, r = 3
         f = PolyMap.from_coeffs_1d([0.2, -0.4, 0.0, 0.0, 1.0])
