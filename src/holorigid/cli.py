@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import fock, henon, rigidity, sphere
+from . import fock, henon, jets, rigidity, sphere
 from .dynamics import SearchConfig, make_orbit, periodic_orbits
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
@@ -173,8 +173,8 @@ def cmd_graded(args) -> int:
         "max_entry_mismatch": mismatch,
         "eigenvalues": encode(list(eigs)),
         "predicted_eigenvalues": encode(list(predicted)),
-        "eigenvalue_law_match": multiset_close(eigs, predicted, 1e-8),
-        "tolerances": {"agreement": GRADED_AGREEMENT_TOL, "tol_eig": 1e-8},
+        "eigenvalue_law_match": multiset_close(eigs, predicted),
+        "tolerances": {"agreement": GRADED_AGREEMENT_TOL, "tol_eig": jets.TOL_EIG},
         "metadata": _metadata(args),
     }
     _emit(payload, args.format, args.out)
@@ -226,7 +226,7 @@ def cmd_certify(args) -> int:
         orbits, complete, search_info = _collect_orbits(f, u, args.r, args)
         maker = (rigidity.certify_hypercyclic if mode == "hypercyclic"
                  else rigidity.certify_supercyclic)
-        cert = maker(f, orbits, search_complete=complete)
+        cert = maker(orbits, search_complete=complete)
         payload = cert.to_json_dict()
         payload["metadata"] = {**meta, "r_max": args.r, "mode": mode,
                                "search": search_info}
@@ -407,8 +407,10 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
+        # a string default goes through type=int, so a malformed HOLO_SEED
+        # is a usage error
         p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("HOLO_SEED", "0")))
+                       default=os.environ.get("HOLO_SEED", "0"))
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
 

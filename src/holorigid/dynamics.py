@@ -201,22 +201,18 @@ class PolyMap:
         return out
 
     @cached_property
-    def _exponent_matrix(self):
-        """Exponents E (M, d) of the monomials of f and its partials, and
-        coefficients C (d + d * d, M): row i is f_i, row d + d i + j is the
-        partial of f_i by z_j."""
-        return _monomial_table(list(self.components)
-                               + [p for row in self._partials for p in row], self.dim)
-
-    @cached_property
-    def _second_order_matrix(self):
-        """The layout of ``_exponent_matrix`` with d**3 more coefficient rows:
-        row d + d*d + d*d*i + d*j + k is the second partial of f_i by z_j and
-        z_k.  The monomials of f come first; their count is the third entry."""
+    def _monomial_matrix(self):
+        """Exponents E (M, d) of the monomials of f and of its first and second
+        partials, and coefficients C (d + d*d + d**3, M): row i is f_i, row
+        d + d*i + j the partial of f_i by z_j, and row d + d*d + d*d*i + d*j + k
+        the second partial of f_i by z_j and z_k.  The monomials of f come
+        first, then those of its partials; the third and fourth entries count
+        the monomials of f and of f with its partials."""
         first = list(self.components) + [p for row in self._partials for p in row]
         seconds = [_poly_diff(p, k) for p in first[self.dim:] for k in range(self.dim)]
         exps, coef = _monomial_table(first + seconds, self.dim)
-        return exps, coef, len({a for table in self.components for a in table})
+        return (exps, coef, len({a for table in self.components for a in table}),
+                len({a for table in first for a in table}))
 
     def evaluate_batch(self, points):
         """f and its Jacobian at a stack of points: (N, d) -> (N, d), (N, d, d).
@@ -225,15 +221,15 @@ class PolyMap:
         code that follows one point at a time keeps ``__call__``.
         """
         z = _as_points(points, self.dim)
-        exps, coef = self._exponent_matrix
-        out = _monomial_values(z, exps) @ coef.T
+        exps, coef, _, count = self._monomial_matrix
         d = self.dim
+        out = _monomial_values(z, exps[:count]) @ coef[:d + d * d, :count].T
         return out[:, :d], out[:, d:].reshape(len(z), d, d)
 
     def values_batch(self, points) -> np.ndarray:
         """f alone at a stack of points: (N, d) -> (N, d)."""
         z = _as_points(points, self.dim)
-        exps, coef, count = self._second_order_matrix
+        exps, coef, count, _ = self._monomial_matrix
         return _monomial_values(z, exps[:count]) @ coef[:self.dim, :count].T
 
     def second_order_batch(self, points):
@@ -241,7 +237,7 @@ class PolyMap:
         (N, d) -> (N, d), (N, d, d), (N, d, d, d), entry [n, i, j, k] of the
         last being the second partial of f_i by z_j and z_k at point n."""
         z = _as_points(points, self.dim)
-        exps, coef, _ = self._second_order_matrix
+        exps, coef, _, _ = self._monomial_matrix
         out = _monomial_values(z, exps) @ coef.T
         n, d = len(z), self.dim
         return (out[:, :d], out[:, d:d + d * d].reshape(n, d, d),
@@ -620,7 +616,6 @@ class SearchResult:
     converged: int
     starts: int
     seed: int
-    complete: bool = False
 
 
 def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
@@ -671,29 +666,29 @@ def _chain_multipliers(f: PolyMap, pts) -> tuple:
     return tuple(sorted(vals, key=lambda z: (z.real, z.imag)))
 
 
-def multipliers(f: PolyMap, p, r: int, tol_orbit=TOL_ORBIT) -> tuple:
+def multipliers(f: PolyMap, p, r: int) -> tuple:
     """Eigenvalues of D(f^r) at p, via the Jacobian chain along the orbit."""
     pts = orbit_points(f, p, r + 1)
     closure = np.linalg.norm(pts[-1] - pts[0])
-    if not closure <= tol_orbit * (1.0 + np.linalg.norm(pts[0])):  # NaN fails too
+    if not closure <= TOL_ORBIT * (1.0 + np.linalg.norm(pts[0])):  # NaN fails too
         raise OrbitError(f"point is not {r}-periodic: residual {closure:.3e}")
     return _chain_multipliers(f, pts[:-1])
 
 
-def classify(mults, tol_class=TOL_CLASS) -> str:
-    """Stability class from the multiplier moduli."""
+def classify(mults) -> str:
+    """Stability class from the multiplier moduli, at TOL_CLASS."""
     mods = [abs(m) for m in mults]
     if not mods:
         return "inconclusive"
-    if all(m < tol_class for m in mods):
+    if all(m < TOL_CLASS for m in mods):
         return "superattracting"
-    if all(m < 1.0 - tol_class for m in mods):
+    if all(m < 1.0 - TOL_CLASS for m in mods):
         return "attracting"
-    if all(m > 1.0 + tol_class for m in mods):
+    if all(m > 1.0 + TOL_CLASS for m in mods):
         return "repelling"
-    if any(m > 1.0 + tol_class for m in mods) and any(m < 1.0 - tol_class for m in mods):
+    if any(m > 1.0 + TOL_CLASS for m in mods) and any(m < 1.0 - TOL_CLASS for m in mods):
         return "saddle"
-    if all(abs(m - 1.0) <= tol_class for m in mods):
+    if all(abs(m - 1.0) <= TOL_CLASS for m in mods):
         return "indifferent"
     return "inconclusive"
 
@@ -749,14 +744,14 @@ class PeriodicOrbit:
     residual: float
 
 
-def make_orbit(f: PolyMap, p, r: int, u=None, tol_orbit=TOL_ORBIT) -> PeriodicOrbit:
+def make_orbit(f: PolyMap, p, r: int, u=None) -> PeriodicOrbit:
     """Verified PeriodicOrbit at p, from one walk p, f(p), ..., f^r(p): its
     closure, exact period (least divisor d of r with f^d(p) back at p) and
     multipliers."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
     walk = orbit_points(f, p, r + 1)
-    p, tol = walk[0], tol_orbit * (1.0 + np.linalg.norm(walk[0]))
+    p, tol = walk[0], TOL_ORBIT * (1.0 + np.linalg.norm(walk[0]))
     closure = np.linalg.norm(walk[r] - p)
     if not closure <= tol:  # NaN fails too
         raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")

@@ -43,17 +43,6 @@ class TruncatedSpaceModel:
     d: int
     N: int
 
-    @property
-    def basis(self) -> tuple:
-        return graded_basis(self.d, self.N)
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-    def weight(self, alpha) -> float:
-        return sqrt_factorial(alpha)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -69,7 +58,6 @@ class OperatorMatrix:
     d: int
     top_degree: tuple
     symbol_value_at_zero: tuple
-    source_cap: int
 
     @property
     def degrees(self) -> np.ndarray:
@@ -116,7 +104,7 @@ def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
         for alpha, c in col.items():
             if sum(alpha) <= N:
                 m[index[alpha], j] = c
-    return OperatorMatrix(m, basis, N, f.dim_in, tuple(top), f.value(), cap)
+    return OperatorMatrix(m, basis, N, f.dim_in, tuple(top), f.value())
 
 
 def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
@@ -213,8 +201,7 @@ def block_growth_norms(u: Jet, f: JetMap, n: int, k_max: int, N: int,
     normalization (weighted=True) multiplies in sqrt((n+km)! / n!)-type
     factors, which the caller must account for separately.
     """
-    scale = max([abs(c) for c in u.coeffs.values()], default=0.0)
-    m_ord = u.order(tol=1e-12 * max(1.0, scale))
+    m_ord = u.order()
     if m_ord is None:
         raise InsufficientDegreeError("weight jet vanishes to its cap")
     if n + k_max * max(m_ord, 1) > N:

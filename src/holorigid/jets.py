@@ -29,6 +29,9 @@ from .errors import (
 
 MultiIndex = tuple  # exponent vector: one non-negative int per variable
 
+TOL_EIG = 1e-8  # relative gap of paired eigenvalues in ``multiset_close``
+TOL_ORDER = 1e-12  # a coefficient below this, relative, does not set ``Jet.order``
+
 
 def base_tolerance(q) -> float:
     """Tolerance under which two base points count as coincident."""
@@ -119,16 +122,16 @@ class Jet:
         """Value at the base point (the constant coefficient)."""
         return self.coeffs.get((0,) * self.dim, 0j)
 
-    def order(self, tol: float = 0.0):
-        """Smallest total degree carrying a coefficient of modulus > tol.
+    def order(self):
+        """Smallest total degree carrying a coefficient of modulus above
+        TOL_ORDER * max(1, max |c|).
 
-        Returns None when no coefficient exceeds tol up to the cap.
+        Returns None when no coefficient exceeds that up to the cap.
         """
+        scale = max([abs(c) for c in self.coeffs.values()], default=0.0)
+        tol = TOL_ORDER * max(1.0, scale)
         degs = [sum(a) for a, c in self.coeffs.items() if abs(c) > tol]
         return min(degs) if degs else None
-
-    def homogeneous_part(self, n: int) -> dict:
-        return {a: c for a, c in self.coeffs.items() if sum(a) == n}
 
     def truncated(self, cap: int) -> "Jet":
         return Jet(self.dim, cap, self.base,
@@ -361,10 +364,6 @@ class GradedOperatorMatrix:
     entries: np.ndarray
     basis_order: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.basis_order)
-
 
 def graded_matrix_formula(u_at_p, A, n: int) -> GradedOperatorMatrix:
     """Matrix of P -> u(p) * P(A z) on degree-n monomials.
@@ -442,12 +441,12 @@ def eigenvalue_law(u_at_p, eigenvalues, n: int) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def multiset_close(a, b, rtol: float) -> bool:
+def multiset_close(a, b) -> bool:
     """Whether two complex multisets match under greedy nearest pairing.
 
     Elements of ``a`` are taken by decreasing modulus, each paired with the
     nearest element of ``b`` not yet taken; every pair must lie within
-    rtol * (1 + |x|).
+    TOL_EIG * (1 + |x|).
     """
     a = sorted((complex(x) for x in a), key=abs, reverse=True)
     b = [complex(x) for x in b]
@@ -455,6 +454,6 @@ def multiset_close(a, b, rtol: float) -> bool:
         return False
     for x in a:
         j = min(range(len(b)), key=lambda k: abs(b[k] - x))
-        if abs(b.pop(j) - x) > rtol * (1.0 + abs(x)):
+        if abs(b.pop(j) - x) > TOL_EIG * (1.0 + abs(x)):
             return False
     return True

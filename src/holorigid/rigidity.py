@@ -109,27 +109,26 @@ def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
     }
 
 
-def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit, tol_orbit: float):
+def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit):
     p = np.asarray(orbit.points[0], dtype=complex)
     res = np.linalg.norm(iterate_point(f, p, orbit.period) - p)
-    if not res <= tol_orbit * (1.0 + np.linalg.norm(p)):  # NaN fails too
+    if not res <= TOL_ORBIT * (1.0 + np.linalg.norm(p)):  # NaN fails too
         raise OrbitError(f"orbit fails verification: residual {res:.3e}")
 
 
-def _multiplier_certificate(f, u, orbit, verdict, obstructs, note,
-                            tol_class, tol_weight, tol_orbit):
+def _multiplier_certificate(f, u, orbit, verdict, obstructs, note):
     """A verdict from the largest multiplier modulus on a verified orbit.
 
     A vanishing cocycle gives Inapplicable with ``note``; otherwise the
     verdict holds when ``obstructs(|worst multiplier|)``.
     """
-    _verify_orbit(f, orbit, tol_orbit)
+    _verify_orbit(f, orbit)
     u_r = weight_cocycle(u, [np.asarray(p) for p in orbit.points])
-    tols = {"tol_class": tol_class, "tol_weight": tol_weight,
-            "tol_orbit": tol_orbit}
+    tols = {"tol_class": TOL_CLASS, "tol_weight": TOL_WEIGHT,
+            "tol_orbit": TOL_ORBIT}
     witness = _orbit_witness(orbit, u_r)
     assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
-    if abs(u_r) <= tol_weight:
+    if abs(u_r) <= TOL_WEIGHT:
         witness["note"] = note
         return ObstructionCertificate(INAPPLICABLE, witness, assumptions, tols)
     worst = max(orbit.multipliers, key=abs, default=0j)
@@ -140,9 +139,7 @@ def _multiplier_certificate(f, u, orbit, verdict, obstructs, note,
     return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
 
 
-def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit,
-                    tol_class=TOL_CLASS, tol_weight=TOL_WEIGHT,
-                    tol_orbit=TOL_ORBIT) -> ObstructionCertificate:
+def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit) -> ObstructionCertificate:
     """Boundedness obstruction from a periodic orbit.
 
     A multiplier of modulus > 1 with u_r(p) != 0 yields Unbounded; a
@@ -153,18 +150,14 @@ def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit,
             "not apply" + (" (see the one-variable vanishing-weight growth "
                            "diagnostic)" if f.dim == 1 else ""))
     return _multiplier_certificate(f, u, orbit, UNBOUNDED,
-                                   lambda m: m > 1.0 + tol_class, note,
-                                   tol_class, tol_weight, tol_orbit)
+                                   lambda m: m > 1.0 + TOL_CLASS, note)
 
 
-def certify_compact(f: PolyMap, u, orbit: PeriodicOrbit,
-                    tol_class=TOL_CLASS, tol_weight=TOL_WEIGHT,
-                    tol_orbit=TOL_ORBIT) -> ObstructionCertificate:
+def certify_compact(f: PolyMap, u, orbit: PeriodicOrbit) -> ObstructionCertificate:
     """Compactness obstruction: any multiplier of modulus >= 1 suffices."""
     return _multiplier_certificate(f, u, orbit, NON_COMPACT,
-                                   lambda m: m >= 1.0 - tol_class,
-                                   "weight cocycle vanishes on the orbit",
-                                   tol_class, tol_weight, tol_orbit)
+                                   lambda m: m >= 1.0 - TOL_CLASS,
+                                   "weight cocycle vanishes on the orbit")
 
 
 def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
@@ -189,22 +182,20 @@ def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
     return ObstructionCertificate(NO_OBSTRUCTION, witness, (dim_assumption,), tols)
 
 
-def certify_hypercyclic(f: PolyMap, found_orbits,
-                        search_complete=False) -> ObstructionCertificate:
+def certify_hypercyclic(found_orbits, search_complete=False) -> ObstructionCertificate:
     """Any periodic orbit rules out hypercyclicity (dim V >= 1)."""
     return _periodic_point_certificate(NOT_HYPERCYCLIC, ASSUME_DIM_GE_1,
                                        tuple(found_orbits), search_complete)
 
 
-def certify_supercyclic(f: PolyMap, found_orbits,
-                        search_complete=False) -> ObstructionCertificate:
+def certify_supercyclic(found_orbits, search_complete=False) -> ObstructionCertificate:
     """Any periodic orbit rules out supercyclicity once dim V >= 2."""
     return _periodic_point_certificate(NOT_SUPERCYCLIC, ASSUME_DIM_GE_2,
                                        tuple(found_orbits), search_complete)
 
 
-def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
-                   tol_level_scale=TOL_LEVEL_SCALE) -> ObstructionCertificate:
+def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
+                   points=None) -> ObstructionCertificate:
     """Cyclicity obstruction: more than r points on one u_r level set.
 
     For one-variable polynomial symbols the period-r points come from
@@ -214,7 +205,7 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
     multiplicity > 1 is flagged in the witness without being interpreted.
     """
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
-    tols = {"tol_level_scale": tol_level_scale, "tol_orbit": TOL_ORBIT}
+    tols = {"tol_level_scale": TOL_LEVEL_SCALE, "tol_orbit": TOL_ORBIT}
     multiplicity_flags = []
     if points is None:
         if f.dim != 1:
@@ -231,14 +222,14 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None, points=None,
         points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
 
     values = [weight_cocycle(u, orbit_points(f, p, r)) for p in points]
-    clusters = cluster_points(values, tol_level_scale)
+    clusters = cluster_points(values, TOL_LEVEL_SCALE)
 
     if lambda_levels is not None:
         levels = [complex(lam) for lam in lambda_levels]
         pairs = []
         for lam in levels:
             members = [i for i, v in enumerate(values)
-                       if abs(v - lam) <= tol_level_scale * (1.0 + abs(lam))]
+                       if abs(v - lam) <= TOL_LEVEL_SCALE * (1.0 + abs(lam))]
             pairs.append((lam, members))
     else:
         pairs = [(values[cl[0]], cl) for cl in clusters]
@@ -362,17 +353,15 @@ class GrowthDiagnostic:
     defer_to_bounded: bool = False
 
 
-def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p,
-                         tol_orbit=TOL_ORBIT) -> GrowthDiagnostic:
+def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p) -> GrowthDiagnostic:
     """Order of vanishing of the weight against |f'(p)| at a fixed point."""
     if f.dim != 1 or u_jet.dim != 1:
         raise PreconditionError("growth diagnostic is one-variable only")
     p = complex(np.atleast_1d(np.asarray(p, dtype=complex))[0])
     res = abs(f([p])[0] - p)
-    if not res <= tol_orbit * (1.0 + abs(p)):  # NaN fails too
+    if not res <= TOL_ORBIT * (1.0 + abs(p)):  # NaN fails too
         raise OrbitError(f"p is not fixed: residual {res:.3e}")
-    scale = max([abs(c) for c in u_jet.coeffs.values()], default=0.0)
-    order = u_jet.order(tol=1e-12 * max(1.0, scale))
+    order = u_jet.order()
     if order is None:
         raise OrderUndeterminedError(
             f"order undetermined at cap {u_jet.cap}: weight jet vanishes"
@@ -389,7 +378,7 @@ class DualityFlags(NamedTuple):
     kernel_cond: bool
 
 
-def duality_check(L, B, d=None, n=None, tol_rank=TOL_RANK) -> DualityFlags:
+def duality_check(L, B, d=None, n=None) -> DualityFlags:
     """Two equivalent formulations of the graded image condition.
 
     ``image_cond`` tests col(L) <= span(B) by rank comparison.
@@ -415,7 +404,7 @@ def duality_check(L, B, d=None, n=None, tol_rank=TOL_RANK) -> DualityFlags:
 
     aug = np.concatenate([B, L], axis=1)
     smax = np.linalg.norm(aug, 2) if aug.size else 0.0
-    cut = tol_rank * max(smax, 1e-300)
+    cut = TOL_RANK * max(smax, 1e-300)
     rank_b = int(np.sum(np.linalg.svd(B, compute_uv=False) > cut)) if B.size else 0
     rank_aug = int(np.sum(np.linalg.svd(aug, compute_uv=False) > cut))
     image_cond = rank_b == rank_aug
@@ -426,7 +415,7 @@ def duality_check(L, B, d=None, n=None, tol_rank=TOL_RANK) -> DualityFlags:
     m = wb.T
     if m.size:
         _, s, vh = np.linalg.svd(m, full_matrices=True)
-        rank_m = int(np.sum(s > tol_rank * max(s[0] if len(s) else 0.0, 1e-300)))
+        rank_m = int(np.sum(s > TOL_RANK * max(s[0] if len(s) else 0.0, 1e-300)))
         null_basis = vh[rank_m:, :].conj().T  # columns y with m @ y = 0
     else:
         null_basis = np.eye(B.shape[0], dtype=complex)
@@ -436,5 +425,5 @@ def duality_check(L, B, d=None, n=None, tol_rank=TOL_RANK) -> DualityFlags:
         # dual map kills the annihilator iff L^T W y = 0 for every such y
         resid = L.T @ (w[:, None] * null_basis)
         scale = max(np.linalg.norm(w[:, None] * L, 2), 1e-300)
-        kernel_cond = bool(np.linalg.norm(resid, 2) <= 10 * tol_rank * scale)
+        kernel_cond = bool(np.linalg.norm(resid, 2) <= 10 * TOL_RANK * scale)
     return DualityFlags(image_cond, kernel_cond)

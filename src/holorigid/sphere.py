@@ -76,7 +76,6 @@ class RepellingConstruction:
     lagrange_multiplier: float
     lagrange_identity_error: float
     eigenvalues: tuple
-    seed: int
     profile: "SphereMaxProfile | None" = None
 
 
@@ -279,11 +278,11 @@ def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
             float(minus[_first_best(minus, r - h)]))
 
 
-def sphere_audit(f: PolyMap, r: float, value: float, samples: int = 10_000,
-                 seed: int = 1) -> float:
-    """Largest ||f|| over random sphere points; must not exceed the claimed max."""
-    rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(samples, f.dim)) + 1j * rng.normal(size=(samples, f.dim))
+def sphere_audit(f: PolyMap, r: float) -> float:
+    """Largest ||f|| over 10,000 random sphere points (seed 1); it must not
+    exceed a claimed maximum."""
+    rng, shape = np.random.default_rng(1), (10_000, f.dim)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     batch *= (r / np.linalg.norm(batch, axis=1))[:, None]
     return float(np.linalg.norm(f.values_batch(batch), axis=1).max(initial=0.0))
 
@@ -340,11 +339,11 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     return SphereMaxProfile(tuple(samples), tuple(h_values))
 
 
-def select_growth_point(profile: SphereMaxProfile, margin: float = SELECT_MARGIN,
-                        tol_eta: float = TOL_ETA):
-    """Index of the smallest grid point with H safely positive and H' > tol_eta.
+def select_growth_point(profile: SphereMaxProfile):
+    """Index of the smallest grid point with H > 10 SELECT_MARGIN and
+    H' > TOL_ETA.
 
-    eta = 1 + H' must clear 1 + tol_eta.  A grid point straddling a kink of H
+    eta = 1 + H' must clear 1 + TOL_ETA.  A grid point straddling a kink of H
     (left/right difference disagreement above 1e-2) is skipped, since the
     derivative estimate there is meaningless; raises RangeError when no
     point qualifies.
@@ -354,7 +353,7 @@ def select_growth_point(profile: SphereMaxProfile, margin: float = SELECT_MARGIN
     h = [x for _, x, _ in hv]
     for i in range(1, len(hv) - 1):
         s, h_i, hp = hv[i]
-        if h_i <= 10 * margin or hp is None or hp <= tol_eta:
+        if h_i <= 10 * SELECT_MARGIN or hp is None or hp <= TOL_ETA:
             continue
         spacing = s_grid[i] - s_grid[i - 1]
         left = (h[i] - h[i - 1]) / spacing
@@ -418,9 +417,7 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
                         config: MaxSearchConfig = MaxSearchConfig(),
-                        polish_starts: int = 200,
-                        tol_fix: float = TOL_FIX, tol_vec: float = TOL_VEC,
-                        tol_eta: float = TOL_ETA) -> RepellingConstruction:
+                        polish_starts: int = 200) -> RepellingConstruction:
     """Produce (a, U, p) with f o (aU) fixing p repellingly, fully verified.
 
     Raises PreconditionError for affine or one-variable maps, RangeError
@@ -435,7 +432,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
             "component must carry a term of total degree >= 2"
         )
     profile = hadamard_profile(f, s_range, steps, config)
-    idx = select_growth_point(profile, tol_eta=tol_eta)
+    idx = select_growth_point(profile)
     s = profile.H_values[idx][0]
     r = float(np.exp(s))
 
@@ -495,16 +492,16 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
         "grad_norm": best.grad_norm, "r": r, "M": m_r,
         "hint": "try a finer derivative step or more starts",
     }
-    if residual_fix > tol_fix:
+    if residual_fix > TOL_FIX:
         raise ConstructionError("fixed-point residual too large", diagnostics)
-    if residual_eigvec > tol_vec:
+    if residual_eigvec > TOL_VEC:
         raise ConstructionError("adjoint eigenvector residual too large",
                                 diagnostics)
-    if eta <= 1.0 + tol_eta:
+    if eta <= 1.0 + TOL_ETA:
         raise ConstructionError(
             f"eta = {eta:.6f} not above 1: selected s has no usable growth",
             diagnostics)
-    if eig_gap > tol_eta:
+    if eig_gap > TOL_ETA:
         raise ConstructionError(
             "no eigenvalue of the derivative matches eta", diagnostics)
     if lam_err > 1e-3:
@@ -517,6 +514,5 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
         r=r, s=float(s), M=m_r, q=q,
         lagrange_multiplier=lam, lagrange_identity_error=lam_err,
         eigenvalues=tuple(sorted(eigs, key=lambda z: (z.real, z.imag))),
-        seed=config.seed,
         profile=profile,
     )

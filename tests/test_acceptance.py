@@ -75,7 +75,7 @@ def test_criterion_01_graded_eigenvalue_law():
             u_p = complex(rng.normal(), rng.normal())
         got = graded_eigenvalues(graded_matrix_formula(u_p, a, n))
         want = eigenvalue_law(u_p, lams, n)
-        assert multiset_close(got, want, 1e-8)
+        assert multiset_close(got, want)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     ok(1, "graded eigenvalue law")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import holorigid
+from holorigid import cli, dynamics, jets, rigidity, sphere
 from holorigid.cli import main
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
@@ -351,6 +352,18 @@ class TestContract:
         assert code == 0
         assert doc["metadata"]["seed"] == 123
 
+    def test_malformed_seed_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOLO_SEED", "abc")
+        code = main(["duality", "--instances", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "usage error: argument --seed: invalid int value: 'abc'\n")
+        assert captured.out == ""
+        # an explicit --seed never reads the variable
+        code, doc = run(capsys, ["duality", "--instances", "2", "--seed", "5"])
+        assert code == 0 and doc["metadata"]["seed"] == 5
+
     def test_output_file(self, capsys, write, tmp_path):
         out = tmp_path / "cert.json"
         code, _ = run(capsys, ["certify", write("f.json", SQUARE),
@@ -385,3 +398,76 @@ class TestContract:
         assert code == 1
         assert captured.err.startswith("usage error:")
         assert captured.out == ""
+
+
+REPELLING_ARGS = ["--s-range=-1.0:2.5", "--starts", "80", "--grid-starts", "12",
+                  "--seed", "3"]
+MULTIPLIER_TOLS = {"tol_class": dynamics.TOL_CLASS,
+                   "tol_weight": rigidity.TOL_WEIGHT,
+                   "tol_orbit": dynamics.TOL_ORBIT}
+
+
+class TestPrintedTolerances:
+    """Every printed ``tolerances`` block holds the constants its decision
+    reads, and patching one of them moves the print and the decision
+    together."""
+
+    @pytest.mark.parametrize("mode, want", [
+        ("bounded", MULTIPLIER_TOLS),
+        ("compact", MULTIPLIER_TOLS),
+        ("hypercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
+        ("supercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
+        ("cyclic", {"tol_level_scale": rigidity.TOL_LEVEL_SCALE,
+                    "tol_orbit": dynamics.TOL_ORBIT}),
+    ])
+    def test_certify(self, capsys, write, mode, want):
+        code, doc = run(capsys, ["certify", write("f.json", SQUARE),
+                                 "--mode", mode, "--r", "2"])
+        assert code == 0
+        assert doc["tolerances"] == want
+
+    def test_search_repelling(self, capsys, write):
+        code, doc = run(capsys, ["search-repelling", write("f.json", SQUARE_2D),
+                                 *REPELLING_ARGS])
+        assert code == 0
+        assert doc["tolerances"] == {
+            "tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
+            "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY}
+
+    def test_graded(self, capsys, write):
+        code, doc = run(capsys, ["graded", write("f.json", DOUBLE),
+                                 "--point", "0", "--n", "3"])
+        assert code == 0
+        assert doc["tolerances"] == {"agreement": cli.GRADED_AGREEMENT_TOL,
+                                     "tol_eig": jets.TOL_EIG}
+
+    def test_patched_weight_tolerance(self, capsys, write, monkeypatch):
+        monkeypatch.setattr(rigidity, "TOL_WEIGHT", 10.0)  # above |u_r| = 1
+        code, doc = run(capsys, ["certify", write("f.json", SQUARE),
+                                 "--mode", "bounded"])
+        assert code == 3 and doc["verdict"] == rigidity.INAPPLICABLE
+        assert doc["tolerances"]["tol_weight"] == 10.0
+
+    def test_patched_level_tolerance(self, capsys, write, monkeypatch):
+        argv = ["certify", write("f.json", SQUARE), "--mode", "cyclic", "--r", "2"]
+        assert run(capsys, argv)[1]["verdict"] == rigidity.NOT_CYCLIC
+        monkeypatch.setattr(rigidity, "TOL_LEVEL_SCALE", -1.0)  # no two levels meet
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["verdict"] == rigidity.NO_OBSTRUCTION
+        assert doc["tolerances"]["tol_level_scale"] == -1.0
+
+    def test_patched_eigenvalue_tolerance(self, capsys, write, monkeypatch):
+        monkeypatch.setattr(jets, "TOL_EIG", -1.0)  # no pair can match
+        code, doc = run(capsys, ["graded", write("f.json", DOUBLE),
+                                 "--point", "0", "--n", "3"])
+        assert code == 0 and not doc["eigenvalue_law_match"]
+        assert doc["tolerances"]["tol_eig"] == -1.0
+
+    def test_patched_eigenvector_tolerance(self, capsys, write, monkeypatch):
+        path = write("f.json", SQUARE_2D)
+        monkeypatch.setattr(sphere, "TOL_VEC", 0.5)
+        code, doc = run(capsys, ["search-repelling", path, *REPELLING_ARGS])
+        assert code == 0 and doc["tolerances"]["tol_vec"] == 0.5
+        monkeypatch.setattr(sphere, "TOL_VEC", -1.0)  # every residual fails
+        assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
+        assert "adjoint eigenvector residual too large" in capsys.readouterr().err

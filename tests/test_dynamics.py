@@ -470,7 +470,6 @@ class TestPeriodicPoints2D:
         res = periodic_points_2d(HENON, 1, SearchConfig(starts=300, seed=7))
         ts = sorted(p[0].real for p in res.points)
         assert ts == pytest.approx([-1.2, 2.5], abs=1e-9)
-        assert not res.complete
         assert res.seed == 7
 
     def test_affine_contraction_single_fixed_point(self):

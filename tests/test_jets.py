@@ -269,7 +269,7 @@ class TestGradedMatrices:
             u_p = complex(rng.normal(), rng.normal())
             got = graded_eigenvalues(graded_matrix_formula(u_p, a, n))
             want = eigenvalue_law(u_p, lams, n)
-            assert multiset_close(got, want, 1e-8)
+            assert multiset_close(got, want)
 
     def test_cocycle_functoriality(self):
         # graded matrix of (u * (v o f)) (g o f)^* equals the product of the
@@ -289,6 +289,33 @@ class TestGradedMatrices:
             combined_map = jetmap_compose(g, f)
             m_all = graded_matrix_bruteforce(combined_weight, combined_map, n)
             assert np.max(np.abs(m_all.entries - m_f.entries @ m_g.entries)) < 1e-9
+
+
+class TestOrder:
+    @pytest.mark.parametrize("coeffs, want", [
+        ({0: 1e-13, 1: 0.5}, 1),  # below 1e-12 * max(1, 0.5)
+        ({0: 1e-11, 1: 0.5}, 0),
+        ({0: 1e-10, 2: 300.0}, 2),  # below 1e-12 * 300
+        ({0: 1e-9, 2: 300.0}, 0),
+        ({}, None),
+    ])
+    def test_cut_is_relative_to_the_largest_coefficient(self, coeffs, want):
+        assert jet1(6, coeffs).order() == want
+
+    def test_diagnostic_and_growth_blocks_read_the_same_order(self):
+        from holorigid.dynamics import PolyMap
+        from holorigid.fock import block_growth_norms
+        from holorigid.rigidity import growth_diagnostic_1d
+
+        u = jet1(8, {0: 1e-14, 1: 2.0})  # the constant term is rounding noise
+        assert u.order() == 1
+        double = PolyMap.from_coeffs_1d([0, 2])
+        assert growth_diagnostic_1d(double, u, 0).m == 1
+        # k blocks of order 1 from level 1 in Taylor coordinates:
+        # 2^k * 2^(k + k(k-1)/2); with order 0 they would be rounding noise
+        norms = block_growth_norms(u, double.to_jetmap((0j,), 8), 1, 3, 8)
+        assert norms == pytest.approx(
+            [2.0 ** (2 * k + k * (k - 1) / 2) for k in (1, 2, 3)], rel=1e-12)
 
 
 class TestCounterexampleIdentity:

@@ -162,28 +162,28 @@ class TestIterationConsistency:
 class TestHypercyclic:
     def test_square_has_periodic_points(self):
         orbits = [make_orbit(SQUARE, [0], 1)]
-        cert = certify_hypercyclic(SQUARE, orbits)
+        cert = certify_hypercyclic(orbits)
         assert cert.verdict == NOT_HYPERCYCLIC
         assert cert.assumptions == (ASSUME_DIM_GE_1,)
-        sup = certify_supercyclic(SQUARE, orbits)
+        sup = certify_supercyclic(orbits)
         assert sup.verdict == NOT_SUPERCYCLIC
         assert sup.assumptions == (ASSUME_DIM_GE_2,)
 
     def test_translation_shows_no_obstruction(self):
-        trans = PolyMap.from_coeffs_1d([1, 1])
-        cert = certify_hypercyclic(trans, [], search_complete=True)
+        # z + 1 has no periodic points, so a complete search finds none
+        cert = certify_hypercyclic([], search_complete=True)
         assert cert.verdict == NO_OBSTRUCTION
         assert cert.witness["search_complete"]
 
     def test_affine_with_fixed_point(self):
         f = PolyMap.from_coeffs_1d([1, 0.5])  # fixed point b/(1-a) = 2
         orbit = make_orbit(f, [2], 1)
-        cert = certify_hypercyclic(f, [orbit])
+        cert = certify_hypercyclic([orbit])
         assert cert.verdict == NOT_HYPERCYCLIC
         assert cert.witness["point"] == pytest.approx([2 + 0j])
 
     def test_incomplete_search_is_flagged(self):
-        cert = certify_hypercyclic(SQUARE, [], search_complete=False)
+        cert = certify_hypercyclic([], search_complete=False)
         assert cert.verdict == NO_OBSTRUCTION
         assert "not a proof of absence" in cert.witness["note"]
 

@@ -59,7 +59,7 @@ class TestSphereMax:
 
     def test_value_is_audited_upper_envelope(self):
         best = sphere_max(SQUARE_FIRST, 2.0, FAST)
-        probe = sphere_audit(SQUARE_FIRST, 2.0, best.value, samples=10_000, seed=1)
+        probe = sphere_audit(SQUARE_FIRST, 2.0)
         assert probe <= best.value + 1e-9
 
     @pytest.mark.parametrize("f, r, point_tol", [
@@ -256,14 +256,13 @@ class TestHadamardProfile:
     def test_growth_below_tol_eta_is_passed_over(self):
         # flat H, then slope 1 past a hinge between s = 2 and s = 3: at s = 1
         # the central difference sees only 3.7e-5 of the hinge, so eta = 1 + H'
-        # could not clear 1 + tol_eta there
+        # could not clear 1 + TOL_ETA there
         h = [0.5, 0.5, 0.500074, 1.500074, 2.500074]
         h_values = tuple((float(s), hs, (h[s + 1] - h[s - 1]) / 2 if 0 < s < 4
                           else None) for s, hs in enumerate(h))
         profile = SphereMaxProfile((), h_values)
         assert 1e-5 < h_values[1][2] < TOL_ETA
         assert select_growth_point(profile) == 3  # s = 2 straddles the hinge
-        assert select_growth_point(profile, tol_eta=1e-5) == 1
 
 
 class TestUnitaryBetween:
