@@ -185,7 +185,7 @@ def cmd_graded(args) -> int:
     return EXIT_OK
 
 
-def _collect_orbits(f, u, r_max, args):
+def _collect_orbits(f, r_max, args):
     """Periodic orbits of exact period 1..r_max, and the search record.
 
     The search counts as complete only for one variable, when every period
@@ -194,7 +194,7 @@ def _collect_orbits(f, u, r_max, args):
     """
     orbits, complete, runs = [], True, {}
     for r, found, record in periodic_orbits(
-            f, r_max, u, SearchConfig(starts=args.starts, seed=args.seed)):
+            f, r_max, SearchConfig(starts=args.starts, seed=args.seed)):
         orbits.extend(found)
         complete = record.pop("complete") and complete
         if f.dim != 1:
@@ -213,17 +213,15 @@ def cmd_certify(args) -> int:
                      else rigidity.certify_compact)
         if args.point:
             pts = [np.array(_parse_complex_list(args.point), dtype=complex)]
-            orbits = [make_orbit(f, p, args.r, u) for p in pts]
+            orbits = [make_orbit(f, p, args.r) for p in pts]
             search_info = {"point_supplied": True}
         else:
-            orbits, _, search_info = _collect_orbits(f, u, args.r, args)
-        certs = [certifier(f, u, orbit) for orbit in orbits]
-        cert = _strongest(certs, mode, f.dim)
-        payload = cert.to_json_dict()
+            orbits, _, search_info = _collect_orbits(f, args.r, args)
+        payload = certifier(f, u, *orbits).to_json_dict()
         payload["metadata"] = {**meta, "orbits_examined": len(orbits),
                                "mode": mode, "search": search_info}
     elif mode in ("hypercyclic", "supercyclic"):
-        orbits, complete, search_info = _collect_orbits(f, u, args.r, args)
+        orbits, complete, search_info = _collect_orbits(f, args.r, args)
         maker = (rigidity.certify_hypercyclic if mode == "hypercyclic"
                  else rigidity.certify_supercyclic)
         cert = maker(orbits, search_complete=complete)
@@ -241,33 +239,6 @@ def cmd_certify(args) -> int:
     _emit(payload, args.format, args.out)
     return EXIT_INAPPLICABLE if payload["verdict"] == rigidity.INAPPLICABLE \
         else EXIT_OK
-
-
-def _strongest(certs, mode, dim):
-    """The certificate with the largest |eigenvalue| among those of the
-    strongest verdict.
-
-    In one variable, ties up to rounding, such as the points of conjugate
-    orbits, go to the first in point order, so that the witness does not
-    follow the last bits of the roots.  Two-variable witnesses take the
-    exact largest modulus, so among the points of one saddle orbit the last
-    bits still decide.
-    """
-    if not certs:
-        return rigidity.ObstructionCertificate(
-            rigidity.NO_OBSTRUCTION,
-            {"orbits_found": 0,
-             "note": "no periodic orbits available to test"},
-            (rigidity.ASSUME_GRADED_IMAGE,), {})
-    obstructed = rigidity.UNBOUNDED if mode == "bounded" else rigidity.NON_COMPACT
-    for verdict in (obstructed, rigidity.INAPPLICABLE):
-        hits = [c for c in certs if c.verdict == verdict]
-        if hits and dim == 1:
-            moduli = [abs(c.witness.get("eigenvalue", 0)) for c in hits]
-            return hits[sphere.first_near_best(np.nan_to_num(moduli))]
-        if hits:
-            return max(hits, key=lambda c: abs(c.witness.get("eigenvalue", 0)))
-    return certs[0]
 
 
 def cmd_search_repelling(args) -> int:
@@ -296,7 +267,9 @@ def cmd_search_repelling(args) -> int:
         "eigenvalues": encode(list(rc.eigenvalues)),
         "tolerances": {"tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
                        "tol_eta": sphere.TOL_ETA,
-                       "tol_unitary": sphere.TOL_UNITARY},
+                       "tol_unitary": sphere.TOL_UNITARY,
+                       "tol_jac": sphere.TOL_JAC,
+                       "tol_lagrange": sphere.TOL_LAGRANGE},
         "metadata": {**_metadata(args), "starts": args.starts},
     }
     _emit(payload, args.format, args.out)
@@ -324,6 +297,8 @@ def cmd_fock(args) -> int:
                     for n, v, flag in profile.levels],
         "note": ("finite sections only give norm lower bounds; divergence "
                  "is evidence, boundedness is never claimed"),
+        "tolerances": {"truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
+                       "origin_tol": fock.ORIGIN_TOL},
         "metadata": _metadata(args),
     }
     if args.sweep_out:

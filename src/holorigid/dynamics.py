@@ -730,7 +730,7 @@ def cocycle_poly(u: PolyFunc, f: PolyMap, r: int,
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A verified periodic orbit with its multiplier and cocycle data.
+    """A verified periodic orbit with its multiplier data.
 
     ``period`` is the exact period (smallest divisor of the declared one
     for which the orbit closes); ``points`` has that length.
@@ -738,13 +738,12 @@ class PeriodicOrbit:
 
     points: tuple
     period: int
-    u_r_value: complex
     multipliers: tuple
     stability: str
     residual: float
 
 
-def make_orbit(f: PolyMap, p, r: int, u=None) -> PeriodicOrbit:
+def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     """Verified PeriodicOrbit at p, from one walk p, f(p), ..., f^r(p): its
     closure, exact period (least divisor d of r with f^d(p) back at p) and
     multipliers."""
@@ -762,7 +761,6 @@ def make_orbit(f: PolyMap, p, r: int, u=None) -> PeriodicOrbit:
     return PeriodicOrbit(
         points=tuple(tuple(x) for x in pts),
         period=exact,
-        u_r_value=weight_cocycle(u, pts),
         multipliers=mults,
         stability=classify(mults),
         residual=float(closure),
@@ -773,7 +771,7 @@ def make_orbit(f: PolyMap, p, r: int, u=None) -> PeriodicOrbit:
 # the periodic-orbit search shared by every obstruction
 
 
-def periodic_orbits(f: PolyMap, r_max: int, u=None,
+def periodic_orbits(f: PolyMap, r_max: int,
                     config: SearchConfig = SearchConfig()):
     """Yield (r, orbits, record) for r = 1, ..., r_max.
 
@@ -798,5 +796,5 @@ def periodic_orbits(f: PolyMap, r_max: int, u=None,
             points = result.points
             record = {"complete": False, "starts": result.starts,
                       "converged": result.converged, "seed": result.seed}
-        orbits = [make_orbit(f, p, r, u) for p in points]
+        orbits = [make_orbit(f, p, r) for p in points]
         yield r, [orbit for orbit in orbits if orbit.period == r], record

@@ -28,6 +28,7 @@ from .jets import (
 from .dynamics import PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
+ORIGIN_TOL = 1e-12  # largest |f(0)| entry for which f fixes the origin
 DEFAULT_CAP_1D = 40
 DEFAULT_CAP_2D = 12
 
@@ -49,7 +50,8 @@ class OperatorMatrix:
     """Matrix of the weighted composition operator on the truncated basis.
 
     ``top_degree[j]`` is the highest degree of u * f^beta_j with a
-    coefficient of modulus > 1e-14 (0 if none); loss flags derive from it.
+    coefficient of modulus > TRUNCATION_COEFF_TOL (0 if none); loss flags
+    derive from it.
     """
 
     entries: np.ndarray
@@ -72,7 +74,7 @@ class OperatorMatrix:
         return max(self.top_degree) > self.N
 
     def fixes_origin(self) -> bool:
-        return max(abs(v) for v in self.symbol_value_at_zero) <= 1e-12
+        return max(abs(v) for v in self.symbol_value_at_zero) <= ORIGIN_TOL
 
 
 def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
@@ -111,9 +113,9 @@ def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     """Matrix on the orthonormal basis e_alpha = z^alpha / sqrt(alpha!).
 
     entry(alpha, beta) = [z^alpha](u * f^beta) * sqrt(alpha!) / sqrt(beta!).
-    Discarded coefficients of modulus > 1e-14 set the per-column loss flag;
-    loss is reported, not fatal, because finite sections are only ever used
-    for norm lower bounds.
+    Discarded coefficients of modulus > TRUNCATION_COEFF_TOL set the
+    per-column loss flag; loss is reported, not fatal, because finite
+    sections are only ever used for norm lower bounds.
     """
     raw = coefficient_matrix(u, f, N)
     w = np.array([sqrt_factorial(a) for a in raw.basis])

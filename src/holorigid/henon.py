@@ -145,7 +145,7 @@ def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
     """
     fm = to_polymap(h)
     vanished = None
-    for r, orbits, _ in periodic_orbits(fm, r_max, u, config):
+    for r, orbits, _ in periodic_orbits(fm, r_max, config):
         for orbit in orbits:
             if orbit.stability != "saddle":
                 continue

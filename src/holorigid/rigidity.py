@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     AllPoints,
     DEDUP_RADIUS,
@@ -34,8 +35,6 @@ from .dynamics import (
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
-    TOL_CLASS,
-    TOL_ORBIT,
     _coeffs_1d,
     cluster_points,
     cocycle_poly,
@@ -49,6 +48,7 @@ from .dynamics import (
 )
 from .errors import OrbitError, OrderUndeterminedError, PreconditionError
 from .jets import Jet, multi_indices
+from .sphere import first_near_best
 
 UNBOUNDED = "Unbounded"
 NON_COMPACT = "NonCompact"
@@ -112,35 +112,53 @@ def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
 def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit):
     p = np.asarray(orbit.points[0], dtype=complex)
     res = np.linalg.norm(iterate_point(f, p, orbit.period) - p)
-    if not res <= TOL_ORBIT * (1.0 + np.linalg.norm(p)):  # NaN fails too
+    if not res <= dynamics.TOL_ORBIT * (1.0 + np.linalg.norm(p)):  # NaN fails too
         raise OrbitError(f"orbit fails verification: residual {res:.3e}")
 
 
-def _multiplier_certificate(f, u, orbit, verdict, obstructs, note):
-    """A verdict from the largest multiplier modulus on a verified orbit.
+def _multiplier_certificate(f, u, orbits, verdict, obstructs, note):
+    """A verdict from the largest multiplier moduli of the orbits.
 
-    A vanishing cocycle gives Inapplicable with ``note``; otherwise the
-    verdict holds when ``obstructs(|worst multiplier|)``.
+    An orbit obstructs when its cocycle clears TOL_WEIGHT and
+    ``obstructs(|largest multiplier|)``; the witness is the first of these
+    within TIE_TOL of the largest modulus, so that ties up to rounding, such
+    as the points of one orbit or of conjugate orbits, go by orbit order.
+    Otherwise the first orbit with a vanishing cocycle gives Inapplicable
+    with ``note``, and otherwise the first orbit gives NoObstruction.  Only
+    the witness orbit is verified and encoded.
     """
-    _verify_orbit(f, orbit)
-    u_r = weight_cocycle(u, [np.asarray(p) for p in orbit.points])
-    tols = {"tol_class": TOL_CLASS, "tol_weight": TOL_WEIGHT,
-            "tol_orbit": TOL_ORBIT}
-    witness = _orbit_witness(orbit, u_r)
+    if not orbits:
+        return ObstructionCertificate(
+            NO_OBSTRUCTION,
+            {"orbits_found": 0, "note": "no periodic orbits available to test"},
+            (ASSUME_GRADED_IMAGE,), {})
+    cocycles = [weight_cocycle(u, [np.asarray(p) for p in orbit.points])
+                for orbit in orbits]
+    worst = [max(orbit.multipliers, key=abs, default=0j) for orbit in orbits]
+    hits = [i for i, (u_r, w) in enumerate(zip(cocycles, worst))
+            if abs(u_r) > TOL_WEIGHT and obstructs(abs(w))]
+    if hits:
+        k = hits[first_near_best(np.nan_to_num([abs(worst[i]) for i in hits]))]
+    else:
+        k = next((i for i, u_r in enumerate(cocycles)
+                  if abs(u_r) <= TOL_WEIGHT), 0)
+    _verify_orbit(f, orbits[k])
+    witness = _orbit_witness(orbits[k], cocycles[k])
     assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
-    if abs(u_r) <= TOL_WEIGHT:
+    tols = {"tol_class": dynamics.TOL_CLASS, "tol_weight": TOL_WEIGHT,
+            "tol_orbit": dynamics.TOL_ORBIT}
+    if hits:
+        witness["eigenvalue"] = complex(worst[k])
+        witness["abs_eigenvalue"] = abs(worst[k])
+        return ObstructionCertificate(verdict, witness, assumptions, tols)
+    if abs(cocycles[k]) <= TOL_WEIGHT:
         witness["note"] = note
         return ObstructionCertificate(INAPPLICABLE, witness, assumptions, tols)
-    worst = max(orbit.multipliers, key=abs, default=0j)
-    if obstructs(abs(worst)):
-        witness["eigenvalue"] = complex(worst)
-        witness["abs_eigenvalue"] = abs(worst)
-        return ObstructionCertificate(verdict, witness, assumptions, tols)
     return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
 
 
-def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit) -> ObstructionCertificate:
-    """Boundedness obstruction from a periodic orbit.
+def certify_bounded(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertificate:
+    """Boundedness obstruction from the strongest of the periodic orbits.
 
     A multiplier of modulus > 1 with u_r(p) != 0 yields Unbounded; a
     vanishing cocycle yields Inapplicable (for one variable the growth
@@ -149,20 +167,20 @@ def certify_bounded(f: PolyMap, u, orbit: PeriodicOrbit) -> ObstructionCertifica
     note = ("weight cocycle vanishes on the orbit; the eigenvalue bound does "
             "not apply" + (" (see the one-variable vanishing-weight growth "
                            "diagnostic)" if f.dim == 1 else ""))
-    return _multiplier_certificate(f, u, orbit, UNBOUNDED,
-                                   lambda m: m > 1.0 + TOL_CLASS, note)
+    return _multiplier_certificate(f, u, orbits, UNBOUNDED,
+                                   lambda m: m > 1.0 + dynamics.TOL_CLASS, note)
 
 
-def certify_compact(f: PolyMap, u, orbit: PeriodicOrbit) -> ObstructionCertificate:
+def certify_compact(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertificate:
     """Compactness obstruction: any multiplier of modulus >= 1 suffices."""
-    return _multiplier_certificate(f, u, orbit, NON_COMPACT,
-                                   lambda m: m >= 1.0 - TOL_CLASS,
+    return _multiplier_certificate(f, u, orbits, NON_COMPACT,
+                                   lambda m: m >= 1.0 - dynamics.TOL_CLASS,
                                    "weight cocycle vanishes on the orbit")
 
 
 def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
                                 search_complete):
-    tols = {"tol_orbit": TOL_ORBIT}
+    tols = {"tol_orbit": dynamics.TOL_ORBIT}
     if found_orbits:
         first = found_orbits[0]
         witness = {
@@ -205,7 +223,8 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
     multiplicity > 1 is flagged in the witness without being interpreted.
     """
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
-    tols = {"tol_level_scale": TOL_LEVEL_SCALE, "tol_orbit": TOL_ORBIT}
+    tols = {"tol_level_scale": TOL_LEVEL_SCALE,
+            "tol_orbit": dynamics.TOL_ORBIT}
     multiplicity_flags = []
     if points is None:
         if f.dim != 1:
@@ -316,7 +335,7 @@ def affine_verdict_1d(f: PolyMap, r_max: int = 8) -> AffineVerdict:
     a = complex(table.get((1,), 0j))
     b = complex(table.get((0,), 0j))
     if f.degree <= 1:
-        if abs(a) > 1.0 + TOL_CLASS:
+        if abs(a) > 1.0 + dynamics.TOL_CLASS:
             p = b / (1.0 - a)
             orbit = make_orbit(f, [p], 1)
             return AffineVerdict(True, a, b, True, _NO_BOUNDED_STATEMENT,
@@ -359,7 +378,7 @@ def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p) -> GrowthDiagnostic:
         raise PreconditionError("growth diagnostic is one-variable only")
     p = complex(np.atleast_1d(np.asarray(p, dtype=complex))[0])
     res = abs(f([p])[0] - p)
-    if not res <= TOL_ORBIT * (1.0 + abs(p)):  # NaN fails too
+    if not res <= dynamics.TOL_ORBIT * (1.0 + abs(p)):  # NaN fails too
         raise OrbitError(f"p is not fixed: residual {res:.3e}")
     order = u_jet.order()
     if order is None:

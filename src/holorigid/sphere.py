@@ -22,6 +22,8 @@ TOL_FIX = 1e-6
 TOL_VEC = 1e-6
 TOL_ETA = 1e-3
 TOL_UNITARY = 1e-9
+TOL_JAC = 1e-9  # jet Jacobian against the chain rule, relative to 1 + ||A||
+TOL_LAGRANGE = 1e-3  # relative error of the Lagrange multiplier identity
 SELECT_MARGIN = 1e-6
 KINK_DISAGREEMENT = 1e-2
 HALVINGS = 4  # backtracking step sizes per batched evaluation
@@ -211,27 +213,15 @@ def _finite_rows(phi, grad, hess) -> np.ndarray:
             & np.isfinite(hess).all(axis=(1, 2)))
 
 
-def _first_best(values: np.ndarray, r) -> int:
-    """``first_near_best`` of the ascent values on the sphere of radius r.
+def first_near_best(values) -> int:
+    """Lowest index whose value is within TIE_TOL (relative) of the largest.
 
-    Raises PreconditionError when ||f|| overflowed at every start.
+    The values must be finite.  Equal maxima, such as q and conj(q) for a
+    map with real coefficients, then resolve by order rather than by
+    last-bit rounding.
     """
-    if not np.isfinite(values).any():
-        raise PreconditionError(
-            f"||f|| is not finite at any start on the sphere of radius {r:.6g}")
-    return first_near_best(values)
-
-
-def first_near_best(values: np.ndarray) -> int:
-    """Lowest index whose value is within TIE_TOL (relative) of the largest
-    finite one, of which there must be one.
-
-    Equal maxima, such as q and conj(q) for a map with real coefficients,
-    then resolve by order rather than by last-bit rounding.
-    """
-    finite = np.isfinite(values)
-    top = values[finite].max()
-    return int(np.flatnonzero(finite & (values >= top * (1.0 - TIE_TOL)))[0])
+    values = np.asarray(values)
+    return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
 
 
 def _seeded_starts(config: MaxSearchConfig, d: int) -> np.ndarray:
@@ -247,7 +237,7 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
 
     warm_starts seed extra ascents ahead of the seeded ones; the returned
     point is the first start, in that order, whose value is the best up to
-    rounding (_first_best).
+    rounding (first_near_best).
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
@@ -258,7 +248,7 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
         raise PreconditionError("warm starts must be finite nonzero points")
     starts = np.concatenate([warm, _seeded_starts(config, d)])
     z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
-    best = _first_best(value, r)
+    best = first_near_best(value)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 
@@ -274,8 +264,8 @@ def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
                           np.repeat([r + h, r - h], len(starts)),
                           config.max_iter, config.gtol)
     plus, minus = value.reshape(2, -1)
-    return (float(plus[_first_best(plus, r + h)]),
-            float(minus[_first_best(minus, r - h)]))
+    return (float(plus[first_near_best(plus)]),
+            float(minus[first_near_best(minus)]))
 
 
 def sphere_audit(f: PolyMap, r: float) -> float:
@@ -296,7 +286,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     lockstep ascent runs the seeded starts of sphere_max at every radius;
     a second restarts each radius from its neighbours' maximizers.  A warm
     result is kept only where it is higher than every cold one by more than
-    TIE_TOL relative (_first_best).  The samples serve to pick a grid point
+    TIE_TOL relative (first_near_best).  The samples serve to pick a grid point
     and to seed the polish, so both passes stop a start once its Newton
     decrement falls below TIE_TOL * phi: on a nearly flat ridge, as for mix3
     on spheres of radius e^1.3 to e^3, a start otherwise gains about 1e-11
@@ -313,7 +303,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
                           config.max_iter, config.gtol, TIE_TOL)
     z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
-    best = np.array([_first_best(v, r) for v, r in zip(value, radii)])
+    best = np.array([first_near_best(v) for v in value])
     # warm pass: each radius from its neighbours' maximizers, which _ascend
     # rescales to its sphere; the cold starts win ties
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
@@ -325,7 +315,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
         mine = target == i
         points = np.concatenate([z[i], warm_z[mine]])
         values = np.concatenate([value[i], warm_value[mine]])
-        k = _first_best(values, r)
+        k = first_near_best(values)
         samples.append((float(r), float(values[k]), points[k]))
     h = np.array([np.log(m) - np.log(r) for r, m, _ in samples])
     spacing = grid[1] - grid[0]
@@ -471,7 +461,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     g_map = f.compose(PolyMap.linear(a * u_mat))
     jet_jac = g_map.to_jetmap(tuple(p), 1).linear_matrix()
     jac_gap = float(np.linalg.norm(jet_jac - a_mat, 2))
-    if jac_gap > 1e-9 * (1.0 + np.linalg.norm(a_mat, 2)):
+    if jac_gap > TOL_JAC * (1.0 + np.linalg.norm(a_mat, 2)):
         raise ConstructionError("jet Jacobian disagrees with the chain rule",
                                 {"gap": jac_gap})
 
@@ -504,7 +494,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     if eig_gap > TOL_ETA:
         raise ConstructionError(
             "no eigenvalue of the derivative matches eta", diagnostics)
-    if lam_err > 1e-3:
+    if lam_err > TOL_LAGRANGE:
         raise ConstructionError(
             "Lagrange multiplier identity failed", diagnostics)
 

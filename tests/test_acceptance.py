@@ -262,7 +262,7 @@ def test_criterion_11_counterexample_fidelity():
     # and it says so (the rank-one span of e^-z realizes the failure mode)
     fm = PolyMap.from_coeffs_1d([0.5, 1, 0.5])
     weight = lambda z: np.exp(z[0] ** 2 / 2)
-    cert = certify_bounded(fm, weight, make_orbit(fm, [1j], 1, weight))
+    cert = certify_bounded(fm, weight, make_orbit(fm, [1j], 1))
     assert cert.verdict == UNBOUNDED
     assert cert.witness["u_r"] == pytest.approx(math.exp(-0.5))
     assert any("graded image" in a for a in cert.assumptions)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import holorigid
-from holorigid import cli, dynamics, jets, rigidity, sphere
+from holorigid import cli, dynamics, fock, jets, rigidity, sphere
 from holorigid.cli import main
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
@@ -31,6 +32,13 @@ AFFINE_2D = {"dim": 2, "components": [
 WEIGHT_ONE = {"dim": 1, "terms": [{"alpha": [0], "re": 1.0}]}
 WEIGHT_Z = {"dim": 1, "terms": [{"alpha": [1], "re": 1.0}]}
 HENON_STD = {"factors": [{"p": [-3, 0, 1], "delta": [0.3, 0.0]}]}
+# (x, y) -> (y, y^2 - 3 - 0.3 x), the same map as a polynomial map of C^2
+HENON_MAP = {"dim": 2, "components": [
+    [{"alpha": [0, 1], "re": 1.0}],
+    [{"alpha": [0, 2], "re": 1.0}, {"alpha": [0, 0], "re": -3.0},
+     {"alpha": [1, 0], "re": -0.3}]]}
+NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-6},
+                                         {"alpha": [1], "re": 0.5}]]}
 
 
 @pytest.fixture
@@ -111,6 +119,32 @@ class TestCertify:
                      ["witness"] for _ in range(6)]
         first = witnesses[0]
         assert first["period"] == 6
+        for w in witnesses[1:]:
+            assert w["period"] == first["period"]
+            assert np.allclose(w["point"], first["point"], rtol=1e-12, atol=1e-14)
+
+    def test_2d_witness_does_not_follow_point_rounding(self, capsys, write,
+                                                       monkeypatch):
+        # the points of one period-3 saddle orbit of the Henon map tie on
+        # |multiplier| up to rounding; Newton points moved by a few ulps, in
+        # unchanged order, must give the same witness
+        from holorigid import dynamics
+        solve, rng = dynamics.periodic_points_2d, np.random.default_rng(7)
+
+        def perturbed(f, r, config):
+            result = solve(f, r, config)
+            z = np.array(result.points)
+            ulps = rng.integers(-3, 4, size=(2,) + z.shape) * np.finfo(float).eps
+            z = z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1])
+            return replace(result, points=tuple(tuple(p) for p in z))
+
+        monkeypatch.setattr(dynamics, "periodic_points_2d", perturbed)
+        path = write("f.json", HENON_MAP)
+        witnesses = [run(capsys, ["certify", path, "--mode", "bounded", "--r", "3",
+                                  "--starts", "100"])[1]["witness"]
+                     for _ in range(6)]
+        first = witnesses[0]
+        assert first["period"] == 3 and first["stability"] == "saddle"
         for w in witnesses[1:]:
             assert w["period"] == first["period"]
             assert np.allclose(w["point"], first["point"], rtol=1e-12, atol=1e-14)
@@ -432,7 +466,15 @@ class TestPrintedTolerances:
         assert code == 0
         assert doc["tolerances"] == {
             "tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
-            "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY}
+            "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY,
+            "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE}
+
+    def test_fock(self, capsys, write):
+        code, doc = run(capsys, ["fock", write("f.json", HALF), "--N", "4"])
+        assert code == 0
+        assert doc["tolerances"] == {
+            "truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
+            "origin_tol": fock.ORIGIN_TOL}
 
     def test_graded(self, capsys, write):
         code, doc = run(capsys, ["graded", write("f.json", DOUBLE),
@@ -471,3 +513,55 @@ class TestPrintedTolerances:
         monkeypatch.setattr(sphere, "TOL_VEC", -1.0)  # every residual fails
         assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
         assert "adjoint eigenvector residual too large" in capsys.readouterr().err
+
+    def test_patched_class_tolerance(self, capsys, write, monkeypatch):
+        argv = ["certify", write("f.json", SQUARE), "--mode", "bounded"]
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["verdict"] == rigidity.UNBOUNDED
+        assert doc["witness"]["stability"] == "repelling"
+        monkeypatch.setattr(dynamics, "TOL_CLASS", 10.0)  # |f'(1)| = 2 < 1 + 10
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["verdict"] == rigidity.NO_OBSTRUCTION
+        assert doc["witness"]["stability"] == "superattracting"
+        assert doc["tolerances"]["tol_class"] == 10.0
+
+    def test_patched_orbit_tolerance(self, capsys, write, monkeypatch):
+        # f(1 + 1e-7) - (1 + 1e-7) is about 1e-7, above 1e-8 (1 + |p|)
+        argv = ["certify", write("f.json", SQUARE), "--mode", "bounded",
+                "--point", "1.0000001"]
+        assert main(argv) == 1
+        assert "residual" in capsys.readouterr().err
+        monkeypatch.setattr(dynamics, "TOL_ORBIT", 1e-3)
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["verdict"] == rigidity.UNBOUNDED
+        assert doc["witness"]["stability"] == "repelling"
+        assert doc["tolerances"]["tol_orbit"] == 1e-3
+
+    @pytest.mark.parametrize("name, message", [
+        ("TOL_JAC", "jet Jacobian disagrees with the chain rule"),
+        ("TOL_LAGRANGE", "Lagrange multiplier identity failed")])
+    def test_patched_construction_tolerance(self, capsys, write, monkeypatch,
+                                            name, message):
+        path = write("f.json", SQUARE_2D)
+        monkeypatch.setattr(sphere, name, 0.5)
+        code, doc = run(capsys, ["search-repelling", path, *REPELLING_ARGS])
+        assert code == 0 and doc["tolerances"][name.lower()] == 0.5
+        monkeypatch.setattr(sphere, name, -1.0)  # every check fails
+        assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_patched_origin_tolerance(self, capsys, write, monkeypatch):
+        argv = ["fock", write("f.json", NEAR_ORIGIN), "--N", "4"]
+        assert run(capsys, argv)[1]["fixes_origin"] is False  # f(0) = 1e-6
+        monkeypatch.setattr(fock, "ORIGIN_TOL", 1e-3)
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["fixes_origin"] is True
+        assert doc["tolerances"]["origin_tol"] == 1e-3
+
+    def test_patched_truncation_tolerance(self, capsys, write, monkeypatch):
+        argv = ["fock", write("f.json", SQUARE), "--N", "4"]
+        assert run(capsys, argv)[1]["truncation_loss"] is True
+        monkeypatch.setattr(fock, "TRUNCATION_COEFF_TOL", 2.0)  # above every |c| = 1
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["truncation_loss"] is False
+        assert doc["tolerances"]["truncation_coeff_tol"] == 2.0

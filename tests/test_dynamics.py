@@ -540,9 +540,10 @@ class TestMakeOrbit:
 
     def test_two_cycle_data(self):
         u = PolyFunc(1, {(0,): 2.0, (1,): 1.0})  # u = z + 2
-        orbit = make_orbit(SQUARE_MINUS_1, [0], 2, u)
+        orbit = make_orbit(SQUARE_MINUS_1, [0], 2)
         assert orbit.period == 2
-        assert orbit.u_r_value == pytest.approx(2.0)  # u(0) u(-1) = 2 * 1
+        # u(0) u(-1) = 2 * 1
+        assert weight_cocycle(u, orbit.points) == pytest.approx(2.0)
         assert orbit.stability == "superattracting"
 
     def test_rejects_non_periodic(self):

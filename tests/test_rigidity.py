@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holorigid import rigidity
 from holorigid.dynamics import (
     AllPoints,
     PolyFunc,
@@ -14,6 +15,7 @@ from holorigid.dynamics import (
     cocycle_poly,
     iterate,
     make_orbit,
+    periodic_orbits,
     periodic_points_1d,
 )
 from holorigid.errors import OrbitError, OrderUndeterminedError, PreconditionError
@@ -30,6 +32,7 @@ from holorigid.rigidity import (
     NOT_HYPERCYCLIC,
     NOT_SUPERCYCLIC,
     UNBOUNDED,
+    ObstructionCertificate,
     affine_verdict_1d,
     certify_bounded,
     certify_compact,
@@ -39,6 +42,7 @@ from holorigid.rigidity import (
     duality_check,
     growth_diagnostic_1d,
 )
+from holorigid.sphere import first_near_best
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -67,7 +71,7 @@ class TestBounded:
         # the rank-one space spanned by e^-z shows the graded-image
         # hypothesis cannot be dropped: there uC_f is bounded even though
         # |f'(i)| = sqrt(2) > 1, and the certificate says so explicitly
-        orbit = make_orbit(COUNTEREXAMPLE_MAP, [1j], 1, gaussian_weight)
+        orbit = make_orbit(COUNTEREXAMPLE_MAP, [1j], 1)
         cert = certify_bounded(COUNTEREXAMPLE_MAP, gaussian_weight, orbit)
         assert cert.verdict == UNBOUNDED
         assert cert.witness["eigenvalue"] == pytest.approx(1 + 1j)
@@ -76,7 +80,7 @@ class TestBounded:
 
     def test_vanishing_cocycle_is_inapplicable(self):
         u = PolyFunc(1, {(1,): 1})  # u = z vanishes at the fixed point 0
-        cert = certify_bounded(HALF, u, make_orbit(HALF, [0], 1, u))
+        cert = certify_bounded(HALF, u, make_orbit(HALF, [0], 1))
         assert cert.verdict == INAPPLICABLE
         assert "growth" in cert.witness["note"]
 
@@ -127,7 +131,7 @@ class TestCompact:
             u_val = complex(rng.normal(), rng.normal()) * (rng.integers(0, 2))
             f = PolyMap.from_coeffs_1d([0, lam])
             u = PolyFunc(1, {(0,): u_val, (1,): 0.3})
-            orbit = make_orbit(f, [0], 1, u)
+            orbit = make_orbit(f, [0], 1)
             for certify in (certify_bounded, certify_compact):
                 cert = certify(f, u, orbit)
                 if cert.verdict == UNBOUNDED:
@@ -147,16 +151,97 @@ class TestIterationConsistency:
         # the fixed point of z^4 with weight u_2
         w = np.exp(2j * np.pi / 3)
         u = PolyFunc(1, {(0,): 1.5, (1,): 0.5})
-        orbit = make_orbit(SQUARE, [w], 2, u)
+        orbit = make_orbit(SQUARE, [w], 2)
         cert_orbit = certify_bounded(SQUARE, u, orbit)
         g = iterate(SQUARE, 2)
         v = cocycle_poly(u, SQUARE, 2)
-        cert_fixed = certify_bounded(g, v, make_orbit(g, [w], 1, v))
+        cert_fixed = certify_bounded(g, v, make_orbit(g, [w], 1))
         assert cert_orbit.verdict == cert_fixed.verdict == UNBOUNDED
         assert cert_orbit.witness["eigenvalue"] == pytest.approx(
             cert_fixed.witness["eigenvalue"])
         assert cert_orbit.witness["u_r"] == pytest.approx(
             cert_fixed.witness["u_r"])
+
+
+def _strongest_reference(certs, obstructed):
+    """The witness rule as it stood when every orbit had its own
+    certificate: the first of the strongest verdict within rounding of the
+    largest |eigenvalue|, else the first Inapplicable, else the first."""
+    if not certs:
+        return ObstructionCertificate(
+            NO_OBSTRUCTION,
+            {"orbits_found": 0, "note": "no periodic orbits available to test"},
+            (ASSUME_GRADED_IMAGE,), {})
+    for verdict in (obstructed, INAPPLICABLE):
+        hits = [c for c in certs if c.verdict == verdict]
+        if hits:
+            moduli = [abs(c.witness.get("eigenvalue", 0)) for c in hits]
+            return hits[first_near_best(np.nan_to_num(moduli))]
+    return certs[0]
+
+
+def _all_orbits(f, r_max):
+    return [orbit for _, found, _ in periodic_orbits(f, r_max) for orbit in found]
+
+
+Z2_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])
+
+
+class TestWitnessSelection:
+    @pytest.mark.parametrize("certify, obstructed", [
+        (certify_bounded, UNBOUNDED), (certify_compact, NON_COMPACT)])
+    @pytest.mark.parametrize("f, u, r_max", [
+        (Z2_MINUS_1, None, 6),
+        # u = z + 1 vanishes on the 2-cycle {0, -1} only
+        (Z2_MINUS_1, PolyFunc(1, {(0,): 1, (1,): 1}), 6),
+        # u = z - 1 vanishes at the repelling fixed point 1, the only
+        # obstructing orbit of period 1, and on no period-3 orbit
+        (SQUARE, PolyFunc(1, {(0,): -1, (1,): 1}), 1),
+        (SQUARE, PolyFunc(1, {(0,): -1, (1,): 1}), 3),
+    ], ids=["z2-1", "z2-1-vanishing-2-cycle", "z2-vanishing-r1",
+            "z2-vanishing-r3"])
+    def test_matches_strongest_of_the_per_orbit_certificates(
+            self, certify, obstructed, f, u, r_max):
+        orbits = _all_orbits(f, r_max)
+        want = _strongest_reference([certify(f, u, o) for o in orbits],
+                                    obstructed)
+        assert certify(f, u, *orbits).to_json_dict() == want.to_json_dict()
+
+    def test_every_rule_is_reached(self):
+        vanishing = PolyFunc(1, {(0,): -1, (1,): 1})
+        assert certify_bounded(SQUARE, vanishing,
+                               *_all_orbits(SQUARE, 1)).verdict == INAPPLICABLE
+        assert certify_bounded(HALF, None,
+                               *_all_orbits(HALF, 2)).verdict == NO_OBSTRUCTION
+        assert certify_compact(SQUARE, vanishing,
+                               *_all_orbits(SQUARE, 3)).verdict == NON_COMPACT
+
+    @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
+    def test_no_orbits(self, certify):
+        cert = certify(SQUARE, None)
+        assert cert == _strongest_reference([], UNBOUNDED)
+
+    @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
+    def test_one_verification_per_certificate(self, certify, monkeypatch):
+        walked = []
+        verify = rigidity._verify_orbit
+
+        def counting(f, orbit):
+            walked.append(orbit)
+            verify(f, orbit)
+
+        monkeypatch.setattr(rigidity, "_verify_orbit", counting)
+        orbits = _all_orbits(Z2_MINUS_1, 6)
+        assert len(orbits) > 20
+        cert = certify(Z2_MINUS_1, None, *orbits)
+        assert len(walked) == 1
+        assert walked[0].points[0] == tuple(cert.witness["point"])
+
+    def test_an_unverified_witness_is_rejected_among_good_orbits(self):
+        good = make_orbit(SQUARE, [1], 1)
+        bad = replace(good, points=((complex("nan"),),))
+        with pytest.raises(OrbitError), np.errstate(invalid="ignore"):
+            certify_bounded(SQUARE, None, make_orbit(SQUARE, [0], 1), bad)
 
 
 class TestHypercyclic:

@@ -15,7 +15,6 @@ from holorigid.sphere import (
     MaxSearchConfig,
     SphereMaxProfile,
     _ascend,
-    _first_best,
     _phi_derivatives,
     _side_maxima,
     construct_repelling,
@@ -144,12 +143,6 @@ class TestSphereMax:
         best = sphere_max(SQUARE_FIRST, r, FAST)
         assert best.value == pytest.approx(r * r, rel=1e-12)
         assert np.isfinite(best.grad_norm)
-
-    def test_first_best_skips_non_finite_values(self):
-        values = np.array([np.nan, 3.0, np.inf, 3.0 * (1 + 1e-15), 1.0])
-        assert _first_best(values, 1.0) == 1
-        with pytest.raises(PreconditionError, match="radius 2"):
-            _first_best(np.array([np.nan, np.inf]), 2.0)
 
     def test_flat_maximum_meets_gtol(self):
         # the tangent Hessian of mix3 at r = 1.3 has an eigenvalue near
