@@ -74,7 +74,6 @@ from .fock import (
     truncated_norm,
 )
 from .sphere import (
-    MaxSearchConfig,
     RepellingConstruction,
     SphereMaxProfile,
     construct_repelling,

@@ -243,7 +243,7 @@ def cmd_certify(args) -> int:
 
 def cmd_search_repelling(args) -> int:
     f = load_polymap(read_json(args.map))
-    cfg = sphere.MaxSearchConfig(starts=args.grid_starts, seed=args.seed)
+    cfg = SearchConfig(starts=args.grid_starts, seed=args.seed)
     rc = sphere.construct_repelling(
         f, args.s_range, args.s_steps, cfg, polish_starts=args.starts)
     if args.profile_out:
@@ -269,7 +269,8 @@ def cmd_search_repelling(args) -> int:
                        "tol_eta": sphere.TOL_ETA,
                        "tol_unitary": sphere.TOL_UNITARY,
                        "tol_jac": sphere.TOL_JAC,
-                       "tol_lagrange": sphere.TOL_LAGRANGE},
+                       "tol_lagrange": sphere.TOL_LAGRANGE,
+                       "tol_grad": sphere.TOL_GRAD},
         "metadata": {**_metadata(args), "starts": args.starts},
     }
     _emit(payload, args.format, args.out)

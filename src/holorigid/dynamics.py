@@ -243,12 +243,12 @@ class PolyMap:
         return (out[:, :d], out[:, d:d + d * d].reshape(n, d, d),
                 out[:, d + d * d:].reshape(n, d, d, d))
 
-    def compose(self, inner: "PolyMap", max_terms=DEFAULT_MAX_TERMS) -> "PolyMap":
-        """Coefficient table of self o inner."""
+    def compose(self, inner: "PolyMap") -> "PolyMap":
+        """Coefficient table of self o inner, capped at DEFAULT_MAX_TERMS terms."""
         if inner.dim != self.dim:
             raise PreconditionError("composition dimension mismatch")
-        powers = PowerCache(inner.components, self.dim, max_terms=max_terms)
-        comps = tuple(check_terms(substitute(table, powers), max_terms,
+        powers = PowerCache(inner.components, self.dim, max_terms=DEFAULT_MAX_TERMS)
+        comps = tuple(check_terms(substitute(table, powers), DEFAULT_MAX_TERMS,
                                   "composition produced")
                       for table in self.components)
         return PolyMap(self.dim, comps)
@@ -259,17 +259,17 @@ class PolyMap:
         return JetMap(self.dim, self.dim, comps)
 
 
-def iterate(f: PolyMap, r: int, max_terms=DEFAULT_MAX_TERMS) -> PolyMap:
+def iterate(f: PolyMap, r: int) -> PolyMap:
     """Coefficient table of the r-fold composition f o ... o f."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    if f.degree >= 2 and f.degree ** r > max_terms:
+    if f.degree >= 2 and f.degree ** r > DEFAULT_MAX_TERMS:
         warnings.warn(
             f"deg(f)^r = {f.degree ** r} exceeds the term safety cap "
-            f"{max_terms}; expansion may overflow", stacklevel=2)
+            f"{DEFAULT_MAX_TERMS}; expansion may overflow", stacklevel=2)
     out = f
     for _ in range(r - 1):
-        out = f.compose(out, max_terms)
+        out = f.compose(out)
     return out
 
 
@@ -710,21 +710,20 @@ def weight_cocycle(u, orbit) -> complex:
     return total
 
 
-def cocycle_poly(u: PolyFunc, f: PolyMap, r: int,
-                 max_terms=DEFAULT_MAX_TERMS) -> PolyFunc:
+def cocycle_poly(u: PolyFunc, f: PolyMap, r: int) -> PolyFunc:
     """The cocycle u_r = prod_{j<r} u o f^j as an explicit polynomial."""
     if u.dim != f.dim:
         raise PreconditionError("weight and map dimensions differ")
     out = {(0,) * f.dim: 1.0 + 0j}
     stage = PolyMap.linear(np.eye(f.dim))  # f^0
     for j in range(r):
-        powers = PowerCache(stage.components, f.dim, max_terms=max_terms)
-        factor = check_terms(substitute(u.terms, powers), max_terms,
+        powers = PowerCache(stage.components, f.dim, max_terms=DEFAULT_MAX_TERMS)
+        factor = check_terms(substitute(u.terms, powers), DEFAULT_MAX_TERMS,
                              "composition produced")
-        out = check_terms(table_multiply(out, factor), max_terms,
+        out = check_terms(table_multiply(out, factor), DEFAULT_MAX_TERMS,
                           "polynomial grew to")
         if j + 1 < r:
-            stage = f.compose(stage, max_terms)
+            stage = f.compose(stage)
     return PolyFunc(f.dim, out)
 
 

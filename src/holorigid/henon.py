@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_MAX_TERMS,
     PolyMap,
     SearchConfig,
     companion_roots,
@@ -105,11 +104,11 @@ class HenonComposition:
         return out
 
 
-def to_polymap(h: HenonComposition, max_terms=DEFAULT_MAX_TERMS) -> PolyMap:
+def to_polymap(h: HenonComposition) -> PolyMap:
     """Explicit coefficient tables of the composition (may overflow the cap)."""
     out = h.factors[0].polymap()
     for fac in h.factors[1:]:
-        out = fac.polymap().compose(out, max_terms)
+        out = fac.polymap().compose(out)
     return out
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PolyMap
+from .dynamics import PolyMap, SearchConfig
 from .errors import ConstructionError, PreconditionError, RangeError
 
 TOL_FIX = 1e-6
 TOL_VEC = 1e-6
 TOL_ETA = 1e-3
-TOL_UNITARY = 1e-9
+TOL_UNITARY = 1e-9  # defects of U; norm gap in su_map_between, relative to 1 + ||x||
 TOL_JAC = 1e-9  # jet Jacobian against the chain rule, relative to 1 + ||A||
 TOL_LAGRANGE = 1e-3  # relative error of the Lagrange multiplier identity
 SELECT_MARGIN = 1e-6
@@ -32,16 +32,9 @@ CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
 ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
 SLOPE = np.sqrt(ROUNDING)  # relative slope r |grad| / phi whose gain is ROUNDING
 TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
-
-
-@dataclass(frozen=True)
-class MaxSearchConfig:
-    """Budget for the multistart Riemannian Newton ascent on a sphere."""
-
-    starts: int = 64
-    max_iter: int = 300
-    gtol: float = 1e-10
-    seed: int = 0
+MAX_ITER = 300  # Newton steps per ascent
+TOL_GRAD = 1e-12  # tangent norm, relative to 1 + phi, that ends an ascent
+SIDE_STARTS = 8  # seeded starts of each side maximum for M'(r)
 
 
 @dataclass(frozen=True)
@@ -143,20 +136,20 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     return unit * np.linalg.norm(g_unit, axis=1), step, np.sum(step * g, axis=1)
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float,
-            decrement_tol: float = ROUNDING):
+def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
     """Saddle-free Riemannian Newton ascent of ||f||^2 on spheres of radius r.
 
     r is one radius, or one per row of z0.  All starts run in lockstep.  Each
     step is capped at length r; one batched evaluation of f tries HALVINGS
     fractions 1, 1/2, ... of it on the normalizing retraction, and the largest
     that passes the Armijo test is taken.  Derivatives are evaluated only at
-    the accepted points.  A row stops when its tangent norm meets gtol and,
-    on spheres larger than about SLOPE / gtol, SLOPE / r, below which a step
-    gains no more than the rounding of phi; when its Newton decrement (twice
-    the predicted gain) falls below decrement_tol * phi, by default the
-    rounding of phi; when its remaining Armijo gain falls below the rounding
-    of phi; or when f overflows.  Returns points, ||f|| and tangent norms.
+    the accepted points.  A row stops after MAX_ITER steps, or sooner: when
+    its tangent norm meets TOL_GRAD and, on spheres larger than about
+    SLOPE / TOL_GRAD, SLOPE / r, below which a step gains no more than the
+    rounding of phi; when its Newton decrement (twice the predicted gain)
+    falls below decrement_tol * phi, by default the rounding of phi; when its
+    remaining Armijo gain falls below the rounding of phi; or when f
+    overflows.  Returns points, ||f|| and tangent norms.
     Raises PreconditionError, naming the radius, where ||f|| overflowed at
     a start: the maximum on that sphere overflows too, and the best of the
     other starts would be silently low.
@@ -170,14 +163,14 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, max_iter: int, gtol: float,
     with np.errstate(over="ignore", invalid="ignore"):
         phi, grad, hess = _phi_derivatives(f, x)
         live = np.flatnonzero(_finite_rows(phi, grad, hess))
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             if not live.size:
                 break
             tangent_norm[live], step, decrement = _newton_steps(
                 x[live], r[live], grad[live], hess[live])
             rounding = ROUNDING * phi[live]
             open_ = ((tangent_norm[live]
-                      > np.minimum(gtol, SLOPE / r[live]) * (1.0 + phi[live]))
+                      > np.minimum(TOL_GRAD, SLOPE / r[live]) * (1.0 + phi[live]))
                      & (decrement > decrement_tol * phi[live]))
             live, step, decrement, rounding = (
                 live[open_], step[open_], decrement[open_], rounding[open_])
@@ -224,14 +217,14 @@ def first_near_best(values) -> int:
     return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
 
 
-def _seeded_starts(config: MaxSearchConfig, d: int) -> np.ndarray:
+def _seeded_starts(config: SearchConfig, d: int) -> np.ndarray:
     """The config.starts seeded random starts of one sphere search (zeros dropped)."""
     rng = np.random.default_rng(config.seed)
     raw = rng.normal(size=(config.starts, d)) + 1j * rng.normal(size=(config.starts, d))
     return raw[np.linalg.norm(raw, axis=1) > 1e-12]
 
 
-def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig(),
+def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=64),
                warm_starts=()) -> SphereMax:
     """Best of a multistart ascent: a certified lower bound for M(r).
 
@@ -247,13 +240,13 @@ def sphere_max(f: PolyMap, r: float, config: MaxSearchConfig = MaxSearchConfig()
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise PreconditionError("warm starts must be finite nonzero points")
     starts = np.concatenate([warm, _seeded_starts(config, d)])
-    z, value, grad_norm = _ascend(f, starts, r, config.max_iter, config.gtol)
+    z, value, grad_norm = _ascend(f, starts, r)
     best = first_near_best(value)
     return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 
 def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
-                 config: MaxSearchConfig):
+                 config: SearchConfig):
     """M(r + h) and M(r - h) from one lockstep ascent.
 
     Each side starts from q, then the seeded starts of config, so it returns
@@ -261,8 +254,7 @@ def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
     """
     starts = np.concatenate([q[None], _seeded_starts(config, f.dim)])
     _, value, _ = _ascend(f, np.tile(starts, (2, 1)),
-                          np.repeat([r + h, r - h], len(starts)),
-                          config.max_iter, config.gtol)
+                          np.repeat([r + h, r - h], len(starts)))
     plus, minus = value.reshape(2, -1)
     return (float(plus[first_near_best(plus)]),
             float(minus[first_near_best(minus)]))
@@ -278,7 +270,8 @@ def sphere_audit(f: PolyMap, r: float) -> float:
 
 
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
-                     config: MaxSearchConfig = MaxSearchConfig()) -> SphereMaxProfile:
+                     config: SearchConfig = SearchConfig(starts=64)
+                     ) -> SphereMaxProfile:
     """Sample H(s) = log(M(e^s)/e^s) on a grid, with central-difference H'.
 
     Convexity of H and its eventual positivity (for non-affine f) make any
@@ -301,7 +294,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     n = len(starts)
     # cold pass: every radius from the same seeded starts, one lockstep ascent
     z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
-                          config.max_iter, config.gtol, TIE_TOL)
+                          TIE_TOL)
     z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
     best = np.array([first_near_best(v) for v in value])
     # warm pass: each radius from its neighbours' maximizers, which _ascend
@@ -309,7 +302,7 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
                                if 0 <= j < steps]).T
     warm_z, warm_value, _ = _ascend(f, z[source, best[source]], radii[target],
-                                    config.max_iter, config.gtol, TIE_TOL)
+                                    TIE_TOL)
     samples = []
     for i, r in enumerate(radii):
         mine = target == i
@@ -358,7 +351,8 @@ def select_growth_point(profile: SphereMaxProfile):
 
 
 def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A unitary with determinant 1 sending x to y (requires ||x|| = ||y||).
+    """A unitary with determinant 1 sending x to y (requires ||x|| = ||y||
+    up to TOL_UNITARY (1 + ||x||)).
 
     Rotation in the complex plane spanned by x and y, identity on the
     orthogonal complement; the rank-2 rotation is chosen in SU(2), and the
@@ -368,7 +362,7 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     d = len(x)
     nx = np.linalg.norm(x)
-    if abs(nx - np.linalg.norm(y)) > 1e-9 * (1.0 + nx):
+    if abs(nx - np.linalg.norm(y)) > TOL_UNITARY * (1.0 + nx):
         raise PreconditionError("su_map_between needs vectors of equal norm")
     if nx == 0:
         return np.eye(d, dtype=complex)
@@ -406,7 +400,7 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
-                        config: MaxSearchConfig = MaxSearchConfig(),
+                        config: SearchConfig = SearchConfig(starts=64),
                         polish_starts: int = 200) -> RepellingConstruction:
     """Produce (a, U, p) with f o (aU) fixing p repellingly, fully verified.
 
@@ -426,16 +420,14 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     s = profile.H_values[idx][0]
     r = float(np.exp(s))
 
-    polish = MaxSearchConfig(starts=polish_starts, max_iter=4 * config.max_iter,
-                             gtol=min(config.gtol, 1e-12), seed=config.seed)
     warm = (profile.samples[idx][2],)
-    best = sphere_max(f, r, polish, warm_starts=warm)
+    best = sphere_max(f, r, SearchConfig(polish_starts, config.seed),
+                      warm_starts=warm)
     q, m_r = best.point, best.value
 
     # M'(r) by central differences; each endpoint re-maximized from q
     h = 1e-4 * r
-    side = MaxSearchConfig(starts=8, max_iter=2 * config.max_iter,
-                           gtol=min(config.gtol, 1e-12), seed=config.seed + 1)
+    side = SearchConfig(SIDE_STARTS, config.seed + 1)
     m_plus, m_minus = _side_maxima(f, r, h, q, side)
     m_prime = (m_plus - m_minus) / (2 * h)
     eta = r * m_prime / m_r

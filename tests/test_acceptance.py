@@ -49,7 +49,7 @@ from holorigid.rigidity import (
     certify_cyclic,
     duality_check,
 )
-from holorigid.sphere import MaxSearchConfig, construct_repelling
+from holorigid.sphere import construct_repelling
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -186,7 +186,7 @@ def test_criterion_08_sphere_construction():
     f = PolyMap(2, ({(2, 0): 1}, {(0, 1): 1}))
     start = time.perf_counter()
     rc = construct_repelling(f, (-1.0, 2.5), 25,
-                             MaxSearchConfig(starts=16, seed=3),
+                             SearchConfig(starts=16, seed=3),
                              polish_starts=200)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"

@@ -37,6 +37,11 @@ HENON_MAP = {"dim": 2, "components": [
     [{"alpha": [0, 1], "re": 1.0}],
     [{"alpha": [0, 2], "re": 1.0}, {"alpha": [0, 0], "re": -3.0},
      {"alpha": [1, 0], "re": -0.3}]]}
+# (z1 z2 + 0.5 z3, z2^2 - 0.3 z1, 0.2 z3^3 + z1)
+MIX3 = {"dim": 3, "components": [
+    [{"alpha": [1, 1, 0], "re": 1.0}, {"alpha": [0, 0, 1], "re": 0.5}],
+    [{"alpha": [0, 2, 0], "re": 1.0}, {"alpha": [1, 0, 0], "re": -0.3}],
+    [{"alpha": [0, 0, 3], "re": 0.2}, {"alpha": [1, 0, 0], "re": 1.0}]]}
 NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-6},
                                          {"alpha": [1], "re": 0.5}]]}
 
@@ -467,7 +472,8 @@ class TestPrintedTolerances:
         assert doc["tolerances"] == {
             "tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
             "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY,
-            "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE}
+            "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE,
+            "tol_grad": sphere.TOL_GRAD}
 
     def test_fock(self, capsys, write):
         code, doc = run(capsys, ["fock", write("f.json", HALF), "--N", "4"])
@@ -513,6 +519,26 @@ class TestPrintedTolerances:
         monkeypatch.setattr(sphere, "TOL_VEC", -1.0)  # every residual fails
         assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
         assert "adjoint eigenvector residual too large" in capsys.readouterr().err
+
+    def test_patched_gradient_tolerance(self, capsys, write, monkeypatch):
+        # rows of the ascents on mix3 that meet the looser gradient test stop
+        # sooner; the count is of rows, since one step moves every live row
+        rows = [0]
+        newton_steps = sphere._newton_steps
+
+        def counted(x, *args):
+            rows[0] += len(x)
+            return newton_steps(x, *args)
+
+        monkeypatch.setattr(sphere, "_newton_steps", counted)
+        argv = ["search-repelling", write("f.json", MIX3), *REPELLING_ARGS]
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["tolerances"]["tol_grad"] == sphere.TOL_GRAD
+        default_rows, rows[0] = rows[0], 0
+        monkeypatch.setattr(sphere, "TOL_GRAD", 1.0)
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["tolerances"]["tol_grad"] == 1.0
+        assert rows[0] < default_rows
 
     def test_patched_class_tolerance(self, capsys, write, monkeypatch):
         argv = ["certify", write("f.json", SQUARE), "--mode", "bounded"]

@@ -158,17 +158,19 @@ class TestIterate:
     def test_r_equals_one_is_identity_of_iteration(self):
         assert iterate(HENON, 1).components == HENON.components
 
-    def test_overflow_advises_pointwise(self):
+    def test_overflow_advises_pointwise(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DEFAULT_MAX_TERMS", 64)
         f = PolyMap.from_coeffs_1d([1, 1, 1, 1, 1])
         with pytest.warns(UserWarning, match="safety cap"):
             with pytest.raises(TermOverflowError, match="pointwise"):
-                iterate(f, 8, max_terms=64)
+                iterate(f, 8)
 
-    def test_overflow_warning(self):
+    def test_overflow_warning(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DEFAULT_MAX_TERMS", 100)
         f = PolyMap.from_coeffs_1d([0, 0, 1])
         with pytest.warns(UserWarning, match="safety cap"):
             try:
-                iterate(f, 14, max_terms=100)
+                iterate(f, 14)
             except TermOverflowError:
                 pass
 
@@ -454,14 +456,16 @@ class TestWeightCocycle:
             assert u3(p) == pytest.approx(
                 weight_cocycle(u, orbit_points(f, p, 3)), rel=1e-10)
 
-    def test_cocycle_poly_overflow(self):
+    def test_cocycle_poly_overflow(self, monkeypatch):
         # u_3 = u (u o f) (u o f^2) has degree 7, so 8 terms; every
         # factor and power on the way has at most 5
         f = PolyMap.from_coeffs_1d([0.1, -0.7, 0.4])
         u = PolyFunc(1, {(0,): 1.0, (1,): 2.0})
-        assert len(cocycle_poly(u, f, 3, max_terms=8).terms) == 8
+        monkeypatch.setattr(dynamics, "DEFAULT_MAX_TERMS", 8)
+        assert len(cocycle_poly(u, f, 3).terms) == 8
+        monkeypatch.setattr(dynamics, "DEFAULT_MAX_TERMS", 7)
         with pytest.raises(TermOverflowError, match="grew to 8 terms"):
-            cocycle_poly(u, f, 3, max_terms=7)
+            cocycle_poly(u, f, 3)
 
 
 class TestPeriodicPoints2D:

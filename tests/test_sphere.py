@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holorigid import sphere
-from holorigid.dynamics import PolyMap
-from holorigid.errors import PreconditionError, RangeError
+from holorigid.dynamics import PolyMap, SearchConfig
+from holorigid.errors import ConstructionError, PreconditionError, RangeError
 from holorigid.sphere import (
     TOL_ETA,
-    MaxSearchConfig,
     SphereMaxProfile,
     _ascend,
     _phi_derivatives,
@@ -31,19 +30,19 @@ CUBE_FIRST = PolyMap(2, ({(3, 0): 1}, {(0, 1): 1}))     # (z1^3, z2)
 HENON = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (0, 0): -3, (1, 0): -0.3}))
 MIX3 = PolyMap(3, ({(1, 1, 0): 1, (0, 0, 1): 0.5}, {(0, 2, 0): 1, (1, 0, 0): -0.3},
                    {(0, 0, 3): 0.2, (1, 0, 0): 1}))
-FAST = MaxSearchConfig(starts=16, seed=3)
+FAST = SearchConfig(starts=16, seed=3)
 
 
 class TestSphereMax:
     def test_square_component_maximum(self):
         # ||f||^2 = |z1|^4 + |z2|^2 on |z1|^2 + |z2|^2 = 4 peaks at |z1| = 2
-        best = sphere_max(SQUARE_FIRST, 2.0, MaxSearchConfig(starts=32, seed=3))
+        best = sphere_max(SQUARE_FIRST, 2.0, SearchConfig(starts=32, seed=3))
         assert best.value == pytest.approx(4.0, abs=1e-9)
         assert abs(best.point[0]) == pytest.approx(2.0, abs=1e-7)
         assert abs(best.point[1]) == pytest.approx(0.0, abs=1e-6)
 
     def test_swapped_map_radius_three(self):
-        best = sphere_max(SQUARE_SECOND, 3.0, MaxSearchConfig(starts=32, seed=5))
+        best = sphere_max(SQUARE_SECOND, 3.0, SearchConfig(starts=32, seed=5))
         assert best.value == pytest.approx(9.0, abs=1e-8)
 
     def test_affine_isometry_linear_growth(self):
@@ -69,9 +68,9 @@ class TestSphereMax:
         # the stopping point by about 1e-7; values still agree.
         rng = np.random.default_rng(9)
         starts = rng.normal(size=(24, f.dim)) + 1j * rng.normal(size=(24, f.dim))
-        points, values, _ = _ascend(f, starts, r, 300, 1e-10)
+        points, values, _ = _ascend(f, starts, r)
         for z0, point, value in zip(starts, points, values):
-            alone, alone_value, _ = _ascend(f, z0[None], r, 300, 1e-10)
+            alone, alone_value, _ = _ascend(f, z0[None], r)
             assert abs(alone_value[0] - value) <= 1e-12 * value
             assert np.linalg.norm(alone[0] - point) <= point_tol * r
 
@@ -81,10 +80,10 @@ class TestSphereMax:
         rng = np.random.default_rng(11)
         starts = rng.normal(size=(18, f.dim)) + 1j * rng.normal(size=(18, f.dim))
         radii = np.tile([0.7, 2.0, 3.0], 6)
-        points, values, _ = _ascend(f, starts, radii, 300, 1e-10)
+        points, values, _ = _ascend(f, starts, radii)
         for r in (0.7, 2.0, 3.0):
             rows = radii == r
-            alone, alone_values, _ = _ascend(f, starts[rows], r, 300, 1e-10)
+            alone, alone_values, _ = _ascend(f, starts[rows], r)
             assert np.all(np.abs(alone_values - values[rows]) <= 1e-12 * values[rows])
             assert np.all(np.linalg.norm(alone - points[rows], axis=1) <= point_tol * r)
 
@@ -92,7 +91,7 @@ class TestSphereMax:
         # every (2 e^{it}, 0) attains M(2) = 4 for (z1^2, z2); at t = 0.9 the
         # rounded value exceeds 4 by 1.8e-15, so the witness is the first start
         first, second = np.array([2.0, 0j]), np.array([2.0 * np.exp(0.9j), 0j])
-        _, values, _ = _ascend(SQUARE_FIRST, np.array([first, second]), 2.0, 300, 1e-10)
+        _, values, _ = _ascend(SQUARE_FIRST, np.array([first, second]), 2.0)
         assert values[1] > values[0] == 4.0
         best = sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=(first, second))
         assert best.value == 4.0
@@ -100,7 +99,7 @@ class TestSphereMax:
 
     @pytest.mark.parametrize("f", [HENON, MIX3])
     def test_side_pair_matches_two_sphere_max_calls(self, f):
-        side = MaxSearchConfig(starts=8, max_iter=600, gtol=1e-12, seed=4)
+        side = SearchConfig(starts=8, seed=4)
         r, h = 2.0, 2e-4
         q = sphere_max(f, r, FAST).point
         plus, minus = _side_maxima(f, r, h, q, side)
@@ -137,7 +136,7 @@ class TestSphereMax:
     @pytest.mark.parametrize("s", [50.0, 176.0])
     def test_large_sphere_maximum(self, s):
         # the tangent norm is taken without overflow, and on a large sphere
-        # the gtol test waits for a slope whose gain is below rounding: at
+        # the TOL_GRAD test waits for a slope whose gain is below rounding: at
         # s = 50 the ascent used to stop a few percent below r^2
         r = float(np.exp(s))
         best = sphere_max(SQUARE_FIRST, r, FAST)
@@ -147,10 +146,28 @@ class TestSphereMax:
     def test_flat_maximum_meets_gtol(self):
         # the tangent Hessian of mix3 at r = 1.3 has an eigenvalue near
         # -2.7e-5 beside -30; a gradient ascent ended at tangent norm 1.4e-4
-        # and value 1.77963875 after max_iter
-        best = sphere_max(MIX3, 1.3, MaxSearchConfig(starts=64, seed=3))
+        # and value 1.77963875 after MAX_ITER steps
+        best = sphere_max(MIX3, 1.3, SearchConfig(starts=64, seed=3))
         assert best.grad_norm <= 1e-7
         assert best.value > 1.7796388
+
+
+def _count_newton_steps(monkeypatch) -> list:
+    """Newton steps of each _ascend call from now on, in call order."""
+    iterations = []
+    newton_steps, ascend = sphere._newton_steps, sphere._ascend
+
+    def counted_newton_steps(*args):
+        iterations[-1] += 1
+        return newton_steps(*args)
+
+    def counted_ascend(*args):
+        iterations.append(0)
+        return ascend(*args)
+
+    monkeypatch.setattr(sphere, "_newton_steps", counted_newton_steps)
+    monkeypatch.setattr(sphere, "_ascend", counted_ascend)
+    return iterations
 
 
 def _sequential_profile_values(f, grid, config):
@@ -176,26 +193,15 @@ class TestHadamardProfile:
     def test_profile_stops_at_the_tie_tolerance(self, monkeypatch):
         # on mix3 some cold starts climb a nearly flat ridge by about 1e-11
         # relative per Newton step; stopping at TIE_TOL ends the cold pass
-        # before max_iter, and the samples stay within the tie tolerance of
+        # before MAX_ITER, and the samples stay within the tie tolerance of
         # ascents that run on to the rounding of phi
-        config = MaxSearchConfig(starts=16, seed=101)
-        iterations = []
-        newton_steps, ascend = sphere._newton_steps, sphere._ascend
-
-        def counted_newton_steps(*args):
-            iterations[-1] += 1
-            return newton_steps(*args)
-
-        def counted_ascend(*args):
-            iterations.append(0)
-            return ascend(*args)
-
-        monkeypatch.setattr(sphere, "_newton_steps", counted_newton_steps)
-        monkeypatch.setattr(sphere, "_ascend", counted_ascend)
+        config = SearchConfig(starts=16, seed=101)
+        ascend = sphere._ascend
+        iterations = _count_newton_steps(monkeypatch)
         profile = hadamard_profile(MIX3, config=config)
-        assert iterations[0] < config.max_iter
+        assert iterations[0] < sphere.MAX_ITER
         # the same ascents, stopped at the rounding of phi
-        monkeypatch.setattr(sphere, "_ascend", lambda *args: ascend(*args[:5]))
+        monkeypatch.setattr(sphere, "_ascend", lambda *args: ascend(*args[:3]))
         reference = hadamard_profile(MIX3, config=config)
         values = np.array([m for _, m, _ in profile.samples])
         expected = np.array([m for _, m, _ in reference.samples])
@@ -289,6 +295,14 @@ class TestUnitaryBetween:
         with pytest.raises(PreconditionError):
             su_map_between(np.array([1.0 + 0j, 0j]), np.array([2.0 + 0j, 0j]))
 
+    def test_norm_gap_is_judged_by_tol_unitary(self, monkeypatch):
+        # || ||x|| - ||y|| || = 1e-10 is within TOL_UNITARY (1 + ||x||)
+        x, y = np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 1e-10 + 0j])
+        assert np.linalg.norm(su_map_between(x, y) @ x - y) < 1e-9
+        monkeypatch.setattr(sphere, "TOL_UNITARY", 1e-11)
+        with pytest.raises(PreconditionError, match="equal norm"):
+            su_map_between(x, y)
+
 
 class TestConstructRepelling:
     def test_square_component_reaches_eta_two(self):
@@ -314,23 +328,38 @@ class TestConstructRepelling:
 
     def test_swapped_map(self):
         rc = construct_repelling(SQUARE_SECOND, (-1.0, 2.5), 25,
-                                 MaxSearchConfig(starts=16, seed=5),
+                                 SearchConfig(starts=16, seed=5),
                                  polish_starts=64)
         assert rc.eta == pytest.approx(2.0, abs=1e-3)
 
     def test_mix3_finds_growth(self):
         # H is flat left of a hinge near s = -1/3; the default grid's s = -0.5
         # picks up H' = 3.7e-5 from it, which gives eta = 1.000000
-        rc = construct_repelling(MIX3, config=MaxSearchConfig(starts=16, seed=101),
+        rc = construct_repelling(MIX3, config=SearchConfig(starts=16, seed=101),
                                  polish_starts=32)
         assert rc.s == pytest.approx(1.0)
         assert rc.eta > 1 + TOL_ETA
 
     def test_mix3_maximum_does_not_depend_on_the_seed(self):
         # a gradient ascent spread M by 4.9e-11 relative over these seeds
-        m = [construct_repelling(MIX3, config=MaxSearchConfig(starts=16, seed=seed)).M
+        m = [construct_repelling(MIX3, config=SearchConfig(starts=16, seed=seed)).M
              for seed in range(101, 107)]
         assert max(m) - min(m) <= 1e-13 * max(m)
+
+    def test_every_ascent_stops_below_the_cap(self, monkeypatch):
+        # cold profile, warm profile, polish and sides on mix3
+        iterations = _count_newton_steps(monkeypatch)
+        construct_repelling(MIX3, config=SearchConfig(starts=16, seed=101))
+        assert len(iterations) == 4
+        assert max(iterations) < sphere.MAX_ITER
+
+    def test_every_ascent_reads_the_cap(self, monkeypatch):
+        # one Newton step per ascent does not reach a maximum that verifies
+        iterations = _count_newton_steps(monkeypatch)
+        monkeypatch.setattr(sphere, "MAX_ITER", 1)
+        with pytest.raises(ConstructionError):
+            construct_repelling(MIX3, config=SearchConfig(starts=16, seed=101))
+        assert iterations == [1, 1, 1, 1]
 
     def test_affine_rejected(self):
         with pytest.raises(PreconditionError, match="non-affine"):
