@@ -326,28 +326,44 @@ def cluster_points(points, radius: float, slack=None) -> list:
     ``slack`` of both when one is given per point, or else starts a new one.
     Returns the clusters as lists of indices into ``points``, each led by the
     index of its representative.
+
+    One vectorised pass places a whole cluster: the first unplaced point
+    leads it, and every later unplaced point in reach joins at once.  A
+    pass scans only the sorted points whose first real part, the primary
+    key, is within a padded max(reach, lead slack) of the lead's.
     """
     if len(points) == 0:
         return []
     pts = np.asarray(points, dtype=complex).reshape(len(points), -1)
     keys = [part for col in pts.T[::-1] for part in (col.imag, col.real)]
-    reps = np.empty_like(pts)
-    reach = np.empty(len(pts))  # radius * (1 + |rep|) of each cluster
-    rep_slack = np.empty(len(pts))
+    order = np.lexsort(keys)
+    pts = pts[order]
+    first = pts[:, 0].real  # ascending, NaN last
+    if slack is not None:
+        slack = np.asarray(slack, dtype=float)[order]
+    free = np.ones(len(pts), dtype=bool)
     clusters: list[list] = []
-    for i in np.lexsort(keys).tolist():
-        k = len(clusters)
-        dist = np.linalg.norm(pts[i] - reps[:k], axis=1)
-        hit = dist <= reach[:k]
-        if slack is not None:
-            hit |= dist <= np.minimum(rep_slack[:k], slack[i])
-        hit = np.flatnonzero(hit)
-        if hit.size:
-            clusters[hit[0]].append(i)
-        else:
-            reps[k], reach[k] = pts[i], radius * (1.0 + np.linalg.norm(pts[i]))
-            rep_slack[k] = np.nan if slack is None else slack[i]
-            clusters.append([i])
+    lead = 0
+    while lead < len(pts):
+        rep = pts[lead]
+        reach = radius * (1.0 + np.linalg.norm(rep))
+        bound = reach if slack is None else np.maximum(reach, slack[lead])
+        # a NaN limit sorts last, so the window is then all the rest; an
+        # infinite one leaves out only points with a NaN key, which join none
+        lo = float(first[lead])  # float arithmetic: inf - inf gives no warning
+        limit = lo + 2.0 * float(bound) + 2.0 ** -50 * abs(lo)  # 4 eps |lo|
+        end = np.searchsorted(first, limit, "right")
+        rest = lead + 1 + np.flatnonzero(free[lead + 1:end])
+        if rest.size:
+            dist = np.linalg.norm(pts[rest] - rep, axis=1)
+            hit = dist <= reach
+            if slack is not None:
+                hit |= dist <= np.minimum(slack[lead], slack[rest])
+            rest = rest[hit]
+            free[rest] = False
+        clusters.append([order[lead].item()] + order[rest].tolist())
+        free[lead] = False
+        lead += int(np.argmax(free[lead:])) or len(pts)  # 0: none is free
     return clusters
 
 
@@ -604,10 +620,18 @@ def solve_2x2(m: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multistart Newton budget: ``starts`` seeded starts (reproducible)."""
+    """Multistart Newton budget: ``starts`` seeded starts (reproducible).
+
+    ``starts`` must be an int >= 0 and ``seed`` an int, booleans excluded.
+    """
 
     starts: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.starts, self.seed)) or self.starts < 0:
+            raise PreconditionError(f"{self} needs an int starts >= 0 and an int seed")
 
 
 @dataclass(frozen=True)
@@ -631,6 +655,8 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
     eye = np.eye(2, dtype=complex)
     with np.errstate(all="ignore"):  # divergent starts overflow, then drop
         for _ in range(NEWTON_STEPS):
+            if live.size == 0:
+                break
             w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
             for _ in range(r):
                 w, step_jac = f.evaluate_batch(w)

@@ -152,8 +152,11 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
     overflows.  Returns points, ||f|| and tangent norms.
     Raises PreconditionError, naming the radius, where ||f|| overflowed at
     a start: the maximum on that sphere overflows too, and the best of the
-    other starts would be silently low.
+    other starts would be silently low.  Raises PreconditionError when
+    there is no start at all.
     """
+    if not len(z0):
+        raise PreconditionError("a sphere search needs at least one start")
     d = f.dim
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
     z = z0 * (r / np.linalg.norm(z0, axis=1))[:, None]

@@ -94,23 +94,55 @@ class TestBatchEvaluation:
             HENON.second_order_batch(np.zeros((3, 3)))
 
 
-def _greedy_reference(points, radius):
-    """The one-representative-at-a-time greedy loop cluster_points replaces."""
-    def size(z):
-        return abs(z) if np.ndim(z) == 0 else np.linalg.norm(z)
+def _greedy_reference(points, radius, slack=None):
+    """The one-point-at-a-time greedy loop that cluster_points must match.
 
-    order = sorted(range(len(points)), key=lambda i: tuple(
-        part for x in np.atleast_1d(points[i]) for part in (x.real, x.imag)))
+    Points go in lexicographic order of their real and imaginary parts, NaN
+    last; each joins the first cluster whose lead lies within the lead's
+    reach, or within the slack of both, else leads a new one.  Distances
+    and reaches use the clusterer's arithmetic, so the bits agree.
+    """
+    vec = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]
+
+    def key(i):
+        parts = [part for x in vec[i] for part in (x.real, x.imag)]
+        return tuple((bool(np.isnan(p)), 0.0 if np.isnan(p) else p) for p in parts)
+
     clusters, reach = [], []
-    for i in order:
-        for cl, bound in zip(clusters, reach):
-            if size(points[i] - points[cl[0]]) <= bound:
-                cl.append(i)
-                break
-        else:
-            clusters.append([i])
-            reach.append(radius * (1.0 + size(points[i])))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in sorted(range(len(points)), key=key):
+            for cl, bound in zip(clusters, reach):
+                dist = np.linalg.norm((vec[i] - vec[cl[0]])[None], axis=1)[0]
+                if dist <= bound or (slack is not None
+                                     and dist <= min(slack[cl[0]], slack[i])):
+                    cl.append(i)
+                    break
+            else:
+                clusters.append([i])
+                reach.append(radius * (1.0 + np.linalg.norm(vec[i])))
     return clusters
+
+
+_SPECIAL = (np.nan, np.inf, -np.inf)
+
+
+def _awkward_points(rng, dim, n):
+    """n random points in C^dim (scalars for dim 0) with repeats,
+    near-repeats and some NaN and inf entries."""
+    shape = (n,) if dim == 0 else (n, dim)
+    base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    near = rng.integers(0, n, size=n // 3)
+    base[near] = base[rng.integers(0, n, size=near.size)] + 1e-7 * rng.normal(
+        size=base[near].shape)
+    base[rng.integers(0, n, size=n // 5)] = base[rng.integers(0, n, size=n // 5)]
+    flat = base.reshape(n, -1)
+    for _ in range(3):
+        row, col = rng.integers(0, n), rng.integers(0, flat.shape[1])
+        if rng.random() < 0.5:
+            flat[row, col] = complex(rng.choice(_SPECIAL), flat[row, col].imag)
+        else:
+            flat[row, col] = complex(flat[row, col].real, rng.choice(_SPECIAL))
+    return list(base)
 
 
 class TestClusterPoints:
@@ -124,6 +156,42 @@ class TestClusterPoints:
             for radius in (1e-6, 0.02, 0.3):
                 want = _greedy_reference(points, radius)
                 assert cluster_points(points, radius) == want
+
+    @pytest.mark.parametrize("dim", [0, 2, 3])
+    def test_matches_reference_with_slack_and_non_finite_points(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        for _ in range(20):
+            points = _awkward_points(rng, dim, 60)
+            slack = 10.0 ** rng.uniform(-9, 0, size=60)
+            slack[rng.random(60) < 0.25] = 0.0
+            slack[rng.random(60) < 0.25] = np.inf  # escaped points
+            for radius in (1e-6, 0.05):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert (cluster_points(points, radius)
+                            == _greedy_reference(points, radius))
+                    assert (cluster_points(points, radius, slack)
+                            == _greedy_reference(points, radius, slack))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_property(self, data):
+        dim = data.draw(st.sampled_from([0, 2, 3]))
+        part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0, 4.0, 1e-6, *_SPECIAL]),
+                         st.floats(-5.0, 5.0))
+        width = max(dim, 1)
+        base = [complex(*data.draw(st.tuples(part, part))) for _ in range(4 * width)]
+        base = np.array(base).reshape(4, width)
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(
+            [0.0, 1e-9, 2e-6, 1e-3])), min_size=1, max_size=20))
+        rows = [base[k] + np.eye(width)[0] * nudge for k, nudge in picks]
+        points = [row[0] for row in rows] if dim == 0 else rows
+        radius = data.draw(st.sampled_from([0.0, 1e-6, 0.25, 1.0]))
+        slack = data.draw(st.none() | st.lists(
+            st.sampled_from([0.0, 1e-7, 1e-3, 0.5, np.inf]),
+            min_size=len(points), max_size=len(points)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert (cluster_points(points, radius, slack)
+                    == _greedy_reference(points, radius, slack))
 
     def test_reach_boundary_is_inside(self):
         # |rep| = 5 exactly and radius 0.25, so the reach is exactly 1.5
@@ -468,7 +536,72 @@ class TestWeightCocycle:
             cocycle_poly(u, f, 3)
 
 
+def _newton_reference(f, r, config):
+    """The 2-D multistart as it ran before its early exit: all NEWTON_STEPS
+    steps, even once no start is left.  Returns (points, converged)."""
+    rng = np.random.default_rng(config.seed)
+    rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * dynamics.START_RADIUS
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
+    z = rad * np.exp(1j * ang)
+    live = np.arange(config.starts)
+    converged = np.zeros(config.starts, dtype=bool)
+    eye = np.eye(2, dtype=complex)
+    with np.errstate(all="ignore"):
+        for _ in range(dynamics.NEWTON_STEPS):
+            w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
+            for _ in range(r):
+                w, step_jac = f.evaluate_batch(w)
+                jac = step_jac @ jac
+            fv = w - z[live]
+            done = (np.linalg.norm(fv, axis=1) <= dynamics.NEWTON_RESIDUAL
+                    * (1.0 + np.linalg.norm(z[live], axis=1)))
+            converged[live[done]] = True
+            step, solved = solve_2x2(jac - eye, fv)
+            live, step = live[~done & solved], step[~done & solved]
+            z[live] -= step
+            live = live[np.linalg.norm(z[live], axis=1) <= 1e9]
+    found = list(z[converged])
+    clusters = _greedy_reference(found, dynamics.DEDUP_RADIUS)
+    return tuple(tuple(found[cl[0]]) for cl in clusters), len(found)
+
+
 class TestPeriodicPoints2D:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stops_when_no_start_is_left(self, monkeypatch, seed):
+        rows = []
+        evaluate = PolyMap.evaluate_batch
+
+        def counting(self, points):
+            rows.append(len(points))
+            return evaluate(self, points)
+
+        for r in (1, 2, 3, 4):
+            config = SearchConfig(starts=400, seed=seed)
+            want = _newton_reference(HENON, r, config)
+            rows.clear()
+            monkeypatch.setattr(PolyMap, "evaluate_batch", counting)
+            res = periodic_points_2d(HENON, r, config)
+            monkeypatch.setattr(PolyMap, "evaluate_batch", evaluate)
+            assert rows and min(rows) > 0
+            assert len(rows) < r * dynamics.NEWTON_STEPS
+            assert (res.points, res.converged) == want
+
+    def test_no_starts_finds_nothing(self):
+        res = periodic_points_2d(HENON, 2, SearchConfig(starts=0, seed=1))
+        assert (res.points, res.converged, res.starts) == ((), 0, 0)
+
+    @pytest.mark.parametrize("fields", [
+        {"starts": -1}, {"starts": 2.5}, {"starts": True}, {"starts": "3"},
+        {"seed": 1.0}, {"seed": False}, {"seed": None},
+    ], ids=["negative", "float", "bool", "str", "float-seed", "bool-seed",
+            "none-seed"])
+    def test_invalid_budget_rejected(self, fields):
+        with pytest.raises(PreconditionError, match="SearchConfig"):
+            SearchConfig(**fields)
+
+    def test_numpy_int_budget_accepted(self):
+        assert SearchConfig(np.int64(3), np.int32(4)) == SearchConfig(3, 4)
+
     def test_henon_fixed_points(self):
         # x = y = t with t^2 - 1.3 t - 3 = 0, i.e. t = 2.5 and t = -1.2
         res = periodic_points_2d(HENON, 1, SearchConfig(starts=300, seed=7))

@@ -55,6 +55,15 @@ class TestSphereMax:
             best = sphere_max(f, r, FAST)
             assert r - b_norm - 1e-8 <= best.value <= r + b_norm + 1e-8
 
+    def test_no_start_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one start"):
+            sphere_max(SQUARE_FIRST, 2.0, SearchConfig(starts=0))
+
+    def test_warm_start_alone(self):
+        best = sphere_max(SQUARE_FIRST, 2.0, SearchConfig(starts=0),
+                          warm_starts=[(1.0, 1.0)])
+        assert best.value == pytest.approx(4.0, abs=1e-9)
+
     def test_value_is_audited_upper_envelope(self):
         best = sphere_max(SQUARE_FIRST, 2.0, FAST)
         probe = sphere_audit(SQUARE_FIRST, 2.0)
@@ -207,6 +216,10 @@ class TestHadamardProfile:
         expected = np.array([m for _, m, _ in reference.samples])
         assert np.all(np.abs(values - expected) <= 2e-12 * expected)
         assert select_growth_point(profile) == select_growth_point(reference)
+
+    def test_no_start_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one start"):
+            hadamard_profile(SQUARE_FIRST, (-1.0, 1.0), 5, SearchConfig(starts=0))
 
     def test_square_component_profile_is_hinge(self):
         # M(r) = max(r, r^2), so H(s) = max(s, 0)
@@ -368,6 +381,16 @@ class TestConstructRepelling:
     def test_one_variable_rejected(self):
         with pytest.raises(PreconditionError, match="d >= 2"):
             construct_repelling(PolyMap.from_coeffs_1d([0, 0, 1]))
+
+    def test_polish_from_the_warm_start_alone(self):
+        rc = construct_repelling(SQUARE_FIRST, (-1.0, 2.5), 25, FAST,
+                                 polish_starts=0)
+        assert rc.eta == pytest.approx(2.0, abs=1e-3)
+
+    def test_no_profile_start_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one start"):
+            construct_repelling(SQUARE_FIRST, (-1.0, 2.5), 25,
+                                SearchConfig(starts=0, seed=3))
 
     def test_unhelpful_range_is_recoverable(self):
         with pytest.raises(RangeError, match="extend s_range"):
