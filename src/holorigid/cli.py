@@ -269,8 +269,7 @@ def cmd_search_repelling(args) -> int:
                        "tol_eta": sphere.TOL_ETA,
                        "tol_unitary": sphere.TOL_UNITARY,
                        "tol_jac": sphere.TOL_JAC,
-                       "tol_lagrange": sphere.TOL_LAGRANGE,
-                       "tol_grad": sphere.TOL_GRAD},
+                       "tol_lagrange": sphere.TOL_LAGRANGE},
         "metadata": {**_metadata(args), "starts": args.starts},
     }
     _emit(payload, args.format, args.out)
@@ -383,9 +382,9 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        # a string default goes through type=int, so a malformed HOLO_SEED
-        # is a usage error
-        p.add_argument("--seed", type=int,
+        # a string default goes through the type, so a malformed or negative
+        # HOLO_SEED is a usage error
+        p.add_argument("--seed", type=_int_at_least(0),
                        default=os.environ.get("HOLO_SEED", "0"))
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")

@@ -622,7 +622,7 @@ def solve_2x2(m: np.ndarray, b: np.ndarray):
 class SearchConfig:
     """Multistart Newton budget: ``starts`` seeded starts (reproducible).
 
-    ``starts`` must be an int >= 0 and ``seed`` an int, booleans excluded.
+    ``starts`` and ``seed`` must be ints >= 0, booleans excluded.
     """
 
     starts: int = 2000
@@ -630,8 +630,8 @@ class SearchConfig:
 
     def __post_init__(self):
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.starts, self.seed)) or self.starts < 0:
-            raise PreconditionError(f"{self} needs an int starts >= 0 and an int seed")
+                   and v >= 0 for v in (self.starts, self.seed)):
+            raise PreconditionError(f"{self} needs ints starts >= 0 and seed >= 0")
 
 
 @dataclass(frozen=True)

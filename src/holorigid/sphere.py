@@ -30,10 +30,8 @@ HALVINGS = 4  # backtracking step sizes per batched evaluation
 ARMIJO = 1e-4  # fraction of the predicted gain a step must realize
 CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
 ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
-SLOPE = np.sqrt(ROUNDING)  # relative slope r |grad| / phi whose gain is ROUNDING
 TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 MAX_ITER = 300  # Newton steps per ascent
-TOL_GRAD = 1e-12  # tangent norm, relative to 1 + phi, that ends an ascent
 SIDE_STARTS = 8  # seeded starts of each side maximum for M'(r)
 
 
@@ -144,12 +142,11 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
     fractions 1, 1/2, ... of it on the normalizing retraction, and the largest
     that passes the Armijo test is taken.  Derivatives are evaluated only at
     the accepted points.  A row stops after MAX_ITER steps, or sooner: when
-    its tangent norm meets TOL_GRAD and, on spheres larger than about
-    SLOPE / TOL_GRAD, SLOPE / r, below which a step gains no more than the
-    rounding of phi; when its Newton decrement (twice the predicted gain)
-    falls below decrement_tol * phi, by default the rounding of phi; when its
-    remaining Armijo gain falls below the rounding of phi; or when f
-    overflows.  Returns points, ||f|| and tangent norms.
+    its Newton decrement (twice the predicted gain) falls below
+    decrement_tol * phi, by default the rounding of phi; when no step length
+    gains more than the rounding of phi (the Armijo floor); or when f
+    overflows.  Returns points, ||f|| and tangent norms, the last as
+    evidence only.
     Raises PreconditionError, naming the radius, where ||f|| overflowed at
     a start: the maximum on that sphere overflows too, and the best of the
     other starts would be silently low.  Raises PreconditionError when
@@ -172,9 +169,7 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
             tangent_norm[live], step, decrement = _newton_steps(
                 x[live], r[live], grad[live], hess[live])
             rounding = ROUNDING * phi[live]
-            open_ = ((tangent_norm[live]
-                      > np.minimum(TOL_GRAD, SLOPE / r[live]) * (1.0 + phi[live]))
-                     & (decrement > decrement_tol * phi[live]))
+            open_ = decrement > decrement_tol * phi[live]
             live, step, decrement, rounding = (
                 live[open_], step[open_], decrement[open_], rounding[open_])
             t = np.minimum(1.0, r[live] / np.linalg.norm(step, axis=1))
@@ -207,6 +202,20 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
 def _finite_rows(phi, grad, hess) -> np.ndarray:
     return (np.isfinite(phi) & np.isfinite(grad).all(axis=1)
             & np.isfinite(hess).all(axis=(1, 2)))
+
+
+def _maxima(f: PolyMap, starts: np.ndarray, radii, decrement_tol: float = ROUNDING):
+    """Every start ascended on each of the k radii, as one lockstep ascent.
+
+    Returns points (k, n, d), ||f|| and tangent norms (k, n), and for each
+    radius the index first_near_best picks among its n starts.
+    """
+    n = len(starts)
+    z, value, grad_norm = _ascend(f, np.tile(starts, (len(radii), 1)),
+                                  np.repeat(radii, n), decrement_tol)
+    value = value.reshape(-1, n)
+    best = np.array([first_near_best(v) for v in value])
+    return z.reshape(-1, n, f.dim), value, grad_norm.reshape(-1, n), best
 
 
 def first_near_best(values) -> int:
@@ -243,24 +252,8 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise PreconditionError("warm starts must be finite nonzero points")
     starts = np.concatenate([warm, _seeded_starts(config, d)])
-    z, value, grad_norm = _ascend(f, starts, r)
-    best = first_near_best(value)
-    return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
-
-
-def _side_maxima(f: PolyMap, r: float, h: float, q: np.ndarray,
-                 config: SearchConfig):
-    """M(r + h) and M(r - h) from one lockstep ascent.
-
-    Each side starts from q, then the seeded starts of config, so it returns
-    what sphere_max(f, r +- h, config, warm_starts=(q,)) returns.
-    """
-    starts = np.concatenate([q[None], _seeded_starts(config, f.dim)])
-    _, value, _ = _ascend(f, np.tile(starts, (2, 1)),
-                          np.repeat([r + h, r - h], len(starts)))
-    plus, minus = value.reshape(2, -1)
-    return (float(plus[first_near_best(plus)]),
-            float(minus[first_near_best(minus)]))
+    z, value, grad_norm, (best,) = _maxima(f, starts, [r])
+    return SphereMax(z[0, best], float(value[0, best]), float(grad_norm[0, best]))
 
 
 def sphere_audit(f: PolyMap, r: float) -> float:
@@ -293,13 +286,8 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
         raise PreconditionError("s_range must be nondegenerate with steps >= 3")
     grid = np.linspace(lo, hi, steps)
     radii = np.exp(grid)
-    starts = _seeded_starts(config, f.dim)
-    n = len(starts)
     # cold pass: every radius from the same seeded starts, one lockstep ascent
-    z, value, _ = _ascend(f, np.tile(starts, (steps, 1)), np.repeat(radii, n),
-                          TIE_TOL)
-    z, value = z.reshape(steps, n, f.dim), value.reshape(steps, n)
-    best = np.array([first_near_best(v) for v in value])
+    z, value, _, best = _maxima(f, _seeded_starts(config, f.dim), radii, TIE_TOL)
     # warm pass: each radius from its neighbours' maximizers, which _ascend
     # rescales to its sphere; the cold starts win ties
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
@@ -359,7 +347,8 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Rotation in the complex plane spanned by x and y, identity on the
     orthogonal complement; the rank-2 rotation is chosen in SU(2), and the
-    parallel case corrects the phase on one complement direction.
+    parallel case corrects the phase on one complement direction.  SU(1) is
+    {1}, so in one variable y must equal x up to TOL_UNITARY (1 + |x|).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -367,7 +356,9 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     nx = np.linalg.norm(x)
     if abs(nx - np.linalg.norm(y)) > TOL_UNITARY * (1.0 + nx):
         raise PreconditionError("su_map_between needs vectors of equal norm")
-    if nx == 0:
+    if d == 1 and abs(x[0] - y[0]) > TOL_UNITARY * (1.0 + nx):
+        raise PreconditionError("su_map_between in one variable needs y = x")
+    if nx == 0 or d == 1:
         return np.eye(d, dtype=complex)
     e1 = x / nx
     mu = np.vdot(e1, y)  # component of y along e1
@@ -377,14 +368,12 @@ def su_map_between(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # y = c x with |c| = 1: phase on e1, inverse phase on a complement vector
         c = mu / nx
         u = np.eye(d, dtype=complex) + (c - 1.0) * np.outer(e1, e1.conj())
-        if d >= 2:
-            k = int(np.argmin(np.abs(e1)))
-            e2 = np.zeros(d, dtype=complex)
-            e2[k] = 1.0
-            e2 = e2 - np.vdot(e1, e2) * e1
-            e2 /= np.linalg.norm(e2)
-            u += (np.conj(c) - 1.0) * np.outer(e2, e2.conj())
-        return u
+        k = int(np.argmin(np.abs(e1)))
+        e2 = np.zeros(d, dtype=complex)
+        e2[k] = 1.0
+        e2 = e2 - np.vdot(e1, e2) * e1
+        e2 /= np.linalg.norm(e2)
+        return u + (np.conj(c) - 1.0) * np.outer(e2, e2.conj())
     # near-parallel vectors leave w dominated by cancellation noise, so
     # re-orthogonalize before trusting the frame
     e2 = w / nw
@@ -428,10 +417,12 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
                       warm_starts=warm)
     q, m_r = best.point, best.value
 
-    # M'(r) by central differences; each endpoint re-maximized from q
+    # M'(r) by central differences; each side is what sphere_max(f, r +- h,
+    # SearchConfig(SIDE_STARTS, seed + 1), warm_starts=(q,)) returns
     h = 1e-4 * r
-    side = SearchConfig(SIDE_STARTS, config.seed + 1)
-    m_plus, m_minus = _side_maxima(f, r, h, q, side)
+    side = _seeded_starts(SearchConfig(SIDE_STARTS, config.seed + 1), f.dim)
+    _, sides, _, k = _maxima(f, np.concatenate([q[None], side]), [r + h, r - h])
+    m_plus, m_minus = (float(v[i]) for v, i in zip(sides, k))
     m_prime = (m_plus - m_minus) / (2 * h)
     eta = r * m_prime / m_r
 

@@ -37,11 +37,6 @@ HENON_MAP = {"dim": 2, "components": [
     [{"alpha": [0, 1], "re": 1.0}],
     [{"alpha": [0, 2], "re": 1.0}, {"alpha": [0, 0], "re": -3.0},
      {"alpha": [1, 0], "re": -0.3}]]}
-# (z1 z2 + 0.5 z3, z2^2 - 0.3 z1, 0.2 z3^3 + z1)
-MIX3 = {"dim": 3, "components": [
-    [{"alpha": [1, 1, 0], "re": 1.0}, {"alpha": [0, 0, 1], "re": 0.5}],
-    [{"alpha": [0, 2, 0], "re": 1.0}, {"alpha": [1, 0, 0], "re": -0.3}],
-    [{"alpha": [0, 0, 3], "re": 0.2}, {"alpha": [1, 0, 0], "re": 1.0}]]}
 NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-6},
                                          {"alpha": [1], "re": 0.5}]]}
 
@@ -262,6 +257,25 @@ class TestSearchRepelling:
         assert "radius 1.94243e+130" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("name, rows", [
+        ("sq2.json", 3816), ("henon_readme.json", 4483), ("mix3.json", 13699)])
+    def test_newton_row_steps_of_the_bench_inputs(self, capsys, monkeypatch,
+                                                  name, rows):
+        # every ascent stops at MAX_ITER, its Newton decrement, the Armijo
+        # rounding floor or on overflow; the count is of rows, since one
+        # step moves every live row, and it pins the whole search
+        counted = [0]
+        newton_steps = sphere._newton_steps
+
+        def counting(x, *args):
+            counted[0] += len(x)
+            return newton_steps(x, *args)
+
+        monkeypatch.setattr(sphere, "_newton_steps", counting)
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
+        code, _ = run(capsys, ["search-repelling", str(path), "--seed", "101"])
+        assert code == 0 and counted[0] == rows
+
 
 class TestFock:
     def test_contraction_profile(self, capsys, write, tmp_path):
@@ -391,13 +405,15 @@ class TestContract:
         assert code == 0
         assert doc["metadata"]["seed"] == 123
 
-    def test_malformed_seed_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HOLO_SEED", "abc")
+    @pytest.mark.parametrize("seed, message", [
+        ("abc", "invalid int value: 'abc'"), ("-1", "must be >= 0, got -1")])
+    def test_malformed_seed_env_is_usage_error(self, capsys, monkeypatch, seed,
+                                               message):
+        monkeypatch.setenv("HOLO_SEED", seed)
         code = main(["duality", "--instances", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == (
-            "usage error: argument --seed: invalid int value: 'abc'\n")
+        assert captured.err == f"usage error: argument --seed: {message}\n"
         assert captured.out == ""
         # an explicit --seed never reads the variable
         code, doc = run(capsys, ["duality", "--instances", "2", "--seed", "5"])
@@ -427,6 +443,12 @@ class TestContract:
         ["certify", "SQUARE", "--mode", "bounded", "--starts", "0"],
         ["henon", "HENON_STD", "--r-max", "0"],
         ["henon", "HENON_STD", "--starts", "0"],
+        *([*argv, "--seed", "-1"] for argv in (
+            ["graded", "DOUBLE", "--n", "1"], ["fock", "HALF"],
+            ["certify", "SQUARE", "--mode", "bounded"],
+            ["certify", "SQUARE_2D", "--mode", "hypercyclic"],
+            ["search-repelling", "SQUARE_2D"], ["henon", "HENON_STD"],
+            ["duality"])),
     ], ids=lambda argv: " ".join(argv))
     def test_out_of_range_number_is_usage_error(self, capsys, write, argv):
         docs = {"DOUBLE": DOUBLE, "HALF": HALF, "SQUARE": SQUARE,
@@ -472,8 +494,7 @@ class TestPrintedTolerances:
         assert doc["tolerances"] == {
             "tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
             "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY,
-            "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE,
-            "tol_grad": sphere.TOL_GRAD}
+            "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE}
 
     def test_fock(self, capsys, write):
         code, doc = run(capsys, ["fock", write("f.json", HALF), "--N", "4"])
@@ -519,26 +540,6 @@ class TestPrintedTolerances:
         monkeypatch.setattr(sphere, "TOL_VEC", -1.0)  # every residual fails
         assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
         assert "adjoint eigenvector residual too large" in capsys.readouterr().err
-
-    def test_patched_gradient_tolerance(self, capsys, write, monkeypatch):
-        # rows of the ascents on mix3 that meet the looser gradient test stop
-        # sooner; the count is of rows, since one step moves every live row
-        rows = [0]
-        newton_steps = sphere._newton_steps
-
-        def counted(x, *args):
-            rows[0] += len(x)
-            return newton_steps(x, *args)
-
-        monkeypatch.setattr(sphere, "_newton_steps", counted)
-        argv = ["search-repelling", write("f.json", MIX3), *REPELLING_ARGS]
-        code, doc = run(capsys, argv)
-        assert code == 0 and doc["tolerances"]["tol_grad"] == sphere.TOL_GRAD
-        default_rows, rows[0] = rows[0], 0
-        monkeypatch.setattr(sphere, "TOL_GRAD", 1.0)
-        code, doc = run(capsys, argv)
-        assert code == 0 and doc["tolerances"]["tol_grad"] == 1.0
-        assert rows[0] < default_rows
 
     def test_patched_class_tolerance(self, capsys, write, monkeypatch):
         argv = ["certify", write("f.json", SQUARE), "--mode", "bounded"]

@@ -592,9 +592,9 @@ class TestPeriodicPoints2D:
 
     @pytest.mark.parametrize("fields", [
         {"starts": -1}, {"starts": 2.5}, {"starts": True}, {"starts": "3"},
-        {"seed": 1.0}, {"seed": False}, {"seed": None},
+        {"seed": 1.0}, {"seed": False}, {"seed": None}, {"seed": -1},
     ], ids=["negative", "float", "bool", "str", "float-seed", "bool-seed",
-            "none-seed"])
+            "none-seed", "negative-seed"])
     def test_invalid_budget_rejected(self, fields):
         with pytest.raises(PreconditionError, match="SearchConfig"):
             SearchConfig(**fields)

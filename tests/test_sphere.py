@@ -14,8 +14,9 @@ from holorigid.sphere import (
     TOL_ETA,
     SphereMaxProfile,
     _ascend,
+    _maxima,
     _phi_derivatives,
-    _side_maxima,
+    _seeded_starts,
     construct_repelling,
     hadamard_profile,
     select_growth_point,
@@ -111,7 +112,9 @@ class TestSphereMax:
         side = SearchConfig(starts=8, seed=4)
         r, h = 2.0, 2e-4
         q = sphere_max(f, r, FAST).point
-        plus, minus = _side_maxima(f, r, h, q, side)
+        starts = np.concatenate([q[None], _seeded_starts(side, f.dim)])
+        _, values, _, best = _maxima(f, starts, [r + h, r - h])
+        plus, minus = (v[k] for v, k in zip(values, best))
         for value, radius in ((plus, r + h), (minus, r - h)):
             alone = sphere_max(f, radius, side, warm_starts=(q,)).value
             assert abs(value - alone) <= 1e-12 * alone
@@ -145,8 +148,8 @@ class TestSphereMax:
     @pytest.mark.parametrize("s", [50.0, 176.0])
     def test_large_sphere_maximum(self, s):
         # the tangent norm is taken without overflow, and on a large sphere
-        # the TOL_GRAD test waits for a slope whose gain is below rounding: at
-        # s = 50 the ascent used to stop a few percent below r^2
+        # the ascent runs on until a step gains no more than the rounding of
+        # phi: at s = 50 a gradient stop used to end it a few percent below r^2
         r = float(np.exp(s))
         best = sphere_max(SQUARE_FIRST, r, FAST)
         assert best.value == pytest.approx(r * r, rel=1e-12)
@@ -247,9 +250,11 @@ class TestHadamardProfile:
         # r^2 at s = 177.6 and 177.9, and H' = -0.59
         with pytest.raises(PreconditionError, match="radius 1.35114e[+]77"):
             hadamard_profile(SQUARE_FIRST, (177.0, 177.9), 4, FAST)
+        r = float(np.exp(177.5))
+        h = 0.1 * r
+        starts = np.concatenate([[[1.0, 0.0]], _seeded_starts(FAST, 2)])
         with pytest.raises(PreconditionError, match="radius"):
-            _side_maxima(SQUARE_FIRST, float(np.exp(177.5)), 0.1 * float(np.exp(177.5)),
-                         np.array([1.0, 0.0], dtype=complex), FAST)
+            _maxima(SQUARE_FIRST, starts, [r + h, r - h])
 
     def test_affine_has_no_growth_point(self):
         f = PolyMap.linear(np.eye(2, dtype=complex) * 0.9)
@@ -307,6 +312,13 @@ class TestUnitaryBetween:
     def test_norm_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             su_map_between(np.array([1.0 + 0j, 0j]), np.array([2.0 + 0j, 0j]))
+
+    def test_one_variable_is_the_identity(self):
+        # SU(1) = {1}: 1j * x is out of reach, x within TOL_UNITARY is not
+        x = np.array([1.0 + 0j])
+        assert np.array_equal(su_map_between(x, x * (1 + 1e-12)), np.eye(1))
+        with pytest.raises(PreconditionError, match="one variable"):
+            su_map_between(x, 1j * x)
 
     def test_norm_gap_is_judged_by_tol_unitary(self, monkeypatch):
         # || ||x|| - ||y|| || = 1e-10 is within TOL_UNITARY (1 + ||x||)
