@@ -7,24 +7,29 @@ of unboundedness) but never boundedness.  Every column records whether
 coefficients beyond the cap were discarded, and the restriction-norm
 profile exposes the two regimes: geometric decay for contracting symbols,
 the |alpha|^n lower bound for expanding ones.
+
+``coefficient_matrix`` builds the powers f^beta one degree level at a
+time, each term of a component table or of the weight one vectorised
+multiply-add over the whole level, on dense float columns with the real and
+imaginary parts apart.  The parts are apart because numpy's complex product
+differs from CPython's (ar*br - ai*bi, ar*bi + ai*br) in the last bit on
+SIMD hosts; computed part by part, in table order, each entry keeps the
+bits of the dict products of ``jets.table_multiply``.  The exception is a
+sum of three or more terms where the dict loop takes the power as its outer
+factor (a power with fewer terms than the table, or as many for a
+component): it adds them in the power's order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientDegreeError, StructureError
-from .jets import (
-    Jet,
-    JetMap,
-    PowerCache,
-    graded_basis,
-    multi_indices,
-    table_multiply,
-)
+from .jets import Jet, JetMap, graded_basis, multi_indices
 from .dynamics import PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
@@ -51,7 +56,11 @@ class OperatorMatrix:
 
     ``top_degree[j]`` is the highest degree of u * f^beta_j with a
     coefficient of modulus > TRUNCATION_COEFF_TOL (0 if none); loss flags
-    derive from it.
+    derive from it.  ``norm`` is the largest singular value of ``entries``,
+    factored once: ``truncated_norm``, the n = 0 row of
+    ``restriction_norm_profile`` and the last row of ``norm_sweep`` all
+    read it.  ``dataclasses.replace`` builds a new instance, which does not
+    inherit it.
     """
 
     entries: np.ndarray
@@ -76,6 +85,69 @@ class OperatorMatrix:
     def fixes_origin(self) -> bool:
         return max(abs(v) for v in self.symbol_value_at_zero) <= ORIGIN_TOL
 
+    @cached_property
+    def norm(self) -> float:
+        return _spectral_norm(self.entries)
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+class _GradedMonomials:
+    """The monomials of degree <= cap in graded order.
+
+    A column of coefficients on them is two float arrays, real and
+    imaginary parts, with +0.0 for absent terms.
+    """
+
+    def __init__(self, d: int, cap: int):
+        self.exponents = np.array(graded_basis(d, cap), dtype=np.intp)
+        self.degrees = self.exponents.sum(axis=1)
+        self.cap = cap
+        # counts[m + 1, k]: multi-indices of degree m in k >= 1 variables
+        self._counts = np.array(
+            [[math.comb(m + k - 1, m) if m >= 0 < k else 0
+              for k in range(d + 2)] for m in range(-1, cap + 1)],
+            dtype=np.intp)
+        self._shifts: dict = {}
+
+    def shift(self, alpha) -> tuple:
+        """(n, rows): z^alpha moves the first n monomials, those of degree
+        <= cap - |alpha|, to ``rows`` (a slice when they are one block).
+
+        The row of a monomial counts the monomials of lower degree, then,
+        coordinate by coordinate, those of its degree with a larger
+        exponent there.
+        """
+        got = self._shifts.get(alpha)
+        if got is None:
+            n = int(np.searchsorted(self.degrees, self.cap - sum(alpha),
+                                    side="right"))
+            e = self.exponents[:n] + np.array(alpha, dtype=np.intp)
+            d = e.shape[1]
+            left = e.sum(axis=1)
+            rows = self._counts[left, d + 1]
+            for j in range(d - 1):
+                rows = rows + self._counts[left - e[:, j], d - j]
+                left = left - e[:, j]
+            if n and rows[-1] - rows[0] == n - 1:  # rows increase: one block
+                rows = slice(int(rows[0]), int(rows[0]) + n)
+            got = self._shifts[alpha] = (n, rows)
+        return got
+
+    def times(self, re: np.ndarray, im: np.ndarray, table: dict) -> tuple:
+        """Columns (re, im) times ``table``, without terms above degree cap:
+        the terms are added in table order, each as CPython's product."""
+        out_re = np.zeros_like(re)
+        out_im = np.zeros_like(im)
+        for alpha, c in table.items():
+            n, rows = self.shift(alpha)
+            br, bi = re[:n], im[:n]
+            out_re[rows] += c.real * br - c.imag * bi
+            out_im[rows] += c.real * bi + c.imag * br
+        return out_re, out_im
+
 
 def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     """Unweighted matrix: entry (alpha, beta) is the z^alpha coefficient
@@ -84,6 +156,13 @@ def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     Power products of the component jets themselves (constants included)
     are exact on every retained degree, so no base-point gymnastics are
     needed and f(0) != 0 is handled transparently.
+
+    The powers are built one degree level at a time: f^beta is
+    f^(beta - e_i) * f_i with i the first nonzero index of beta, as in
+    ``PowerCache``, and in graded order the predecessors of the level-n
+    powers with that i are the last ``len(multi_indices(d - i, n - 1))``
+    powers of level n - 1.  Each level's columns and top degrees are read
+    off before the next level replaces it.
     """
     if u.dim != f.dim_in or f.dim_in != f.dim_out:
         raise StructureError("weight and self-map jets must share one dimension")
@@ -92,21 +171,33 @@ def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
         raise InsufficientDegreeError(
             f"insufficient jet degree: cap {cap} < N = {N}"
         )
-    u = u.truncated(cap)
-    powers = PowerCache([c.truncated(cap).coeffs for c in f.components],
-                        f.dim_in, cap=cap)
-    basis = graded_basis(f.dim_in, N)
-    index = {a: i for i, a in enumerate(basis)}
-    m = np.zeros((len(basis), len(basis)), dtype=complex)
-    top = []
-    for j, beta in enumerate(basis):
-        col = table_multiply(u.coeffs, powers.power(beta), cap)
-        top.append(max((sum(a) for a, c in col.items()
-                        if abs(c) > TRUNCATION_COEFF_TOL), default=0))
-        for alpha, c in col.items():
-            if sum(alpha) <= N:
-                m[index[alpha], j] = c
-    return OperatorMatrix(m, basis, N, f.dim_in, tuple(top), f.value())
+    d = f.dim_in
+    weight = u.truncated(cap).coeffs
+    tables = [c.truncated(cap).coeffs for c in f.components]
+    mono = _GradedMonomials(d, cap)
+    basis = graded_basis(d, N)
+    size = len(basis)
+    m = np.zeros((size, size), dtype=complex)
+    top: list = []
+    re = np.zeros((len(mono.degrees), 1))
+    re[0, 0] = 1.0
+    im = np.zeros_like(re)
+    # overflowing powers give inf and nan, as the dict products do
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N + 1):
+            if n:
+                tails = [len(multi_indices(d - i, n - 1)) for i in range(d)]
+                parts = [mono.times(re[:, -t:], im[:, -t:], table)
+                         for t, table in zip(tails, tables)]
+                re, im = map(np.hstack, zip(*parts))
+            col_re, col_im = mono.times(re, im, weight)
+            kept = np.hypot(col_re, col_im) > TRUNCATION_COEFF_TOL
+            cols = slice(len(top), len(top) + re.shape[1])
+            top.extend(np.where(kept, mono.degrees[:, None], 0)
+                       .max(axis=0).tolist())
+            m.real[:, cols] = col_re[:size]
+            m.imag[:, cols] = col_im[:size]
+    return OperatorMatrix(m, basis, N, d, tuple(top), f.value())
 
 
 def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
@@ -142,9 +233,7 @@ def operator_matrix_from_polys(u, f: PolyMap, N: int) -> OperatorMatrix:
 
 def truncated_norm(m: OperatorMatrix) -> float:
     """Largest singular value of the finite section."""
-    if m.entries.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m.entries, 2))
+    return m.norm
 
 
 @dataclass(frozen=True)
@@ -165,7 +254,7 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
     profile is still emitted, with a warning flag.
     """
     starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
-    rows = tuple((n, float(np.linalg.norm(m.entries[:, k:], 2)),
+    rows = tuple((n, _spectral_norm(m.entries[:, k:]) if k else m.norm,
                   any(m.column_loss[k:])) for n, k in enumerate(starts))
     fixes = m.fixes_origin()
     warning = None if fixes else (
@@ -183,7 +272,8 @@ def norm_sweep(m: OperatorMatrix) -> tuple:
     matrix built at cap N, and so does its loss flag, read from top_degree.
     """
     ends = np.searchsorted(m.degrees, np.arange(m.N + 1), side="right")
-    return tuple((n, float(np.linalg.norm(m.entries[:k, :k], 2)),
+    return tuple((n, m.norm if k == len(m.basis)
+                  else _spectral_norm(m.entries[:k, :k]),
                   max(m.top_degree[:k]) > n) for n, k in enumerate(ends))
 
 

@@ -9,7 +9,9 @@ tuples of total degree n (lambda_i the eigenvalues of the linear part of f).
 
 Jets and the polynomial maps of ``dynamics`` share one kernel for sparse
 coefficient tables (exponent tuple -> coefficient): ``table_multiply``,
-``PowerCache`` and ``substitute``.
+``PowerCache`` and ``substitute``.  The Fock matrices of ``fock`` follow
+``PowerCache``'s predecessor rule on dense arrays instead, one degree level
+at a time.
 """
 
 from __future__ import annotations

@@ -422,10 +422,11 @@ def duality_check(L, B, d=None, n=None) -> DualityFlags:
         w = np.ones(B.shape[0])
 
     aug = np.concatenate([B, L], axis=1)
-    smax = np.linalg.norm(aug, 2) if aug.size else 0.0
-    cut = TOL_RANK * max(smax, 1e-300)
+    # np.linalg.norm(aug, 2) is the largest of these same singular values
+    s_aug = np.linalg.svd(aug, compute_uv=False)
+    cut = TOL_RANK * max(s_aug.max(initial=0.0), 1e-300)
     rank_b = int(np.sum(np.linalg.svd(B, compute_uv=False) > cut)) if B.size else 0
-    rank_aug = int(np.sum(np.linalg.svd(aug, compute_uv=False) > cut))
+    rank_aug = int(np.sum(s_aug > cut))
     image_cond = rank_b == rank_aug
 
     # annihilator of span(B): functionals c with c^T (W B) = 0, i.e. the

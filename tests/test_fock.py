@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from holorigid import fock
 from holorigid.dynamics import PolyFunc, PolyMap, cocycle_poly, iterate
 from holorigid.errors import InsufficientDegreeError
 from holorigid.fock import (
+    TRUNCATION_COEFF_TOL,
     TruncatedSpaceModel,
     assumption_witness,
     block_growth_norms,
@@ -23,7 +25,14 @@ from holorigid.fock import (
     sqrt_factorial,
     truncated_norm,
 )
-from holorigid.jets import Jet, JetMap, weighted_pullback
+from holorigid.jets import (
+    Jet,
+    JetMap,
+    PowerCache,
+    graded_basis,
+    table_multiply,
+    weighted_pullback,
+)
 
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
 DOUBLE = PolyMap.from_coeffs_1d([0, 2])
@@ -92,6 +101,82 @@ class TestOperatorMatrix:
             m_plain.entries * w[:, None] / w[None, :])
 
 
+def _dict_coefficient_matrix(u: Jet, f: JetMap, N: int):
+    """Reference: one ``table_multiply`` of the weight and a ``PowerCache``
+    power per column, the dict loop the level assembly replaced."""
+    cap = min(u.cap, f.cap)
+    u = u.truncated(cap)
+    powers = PowerCache([c.truncated(cap).coeffs for c in f.components],
+                        f.dim_in, cap=cap)
+    basis = graded_basis(f.dim_in, N)
+    index = {a: i for i, a in enumerate(basis)}
+    m = np.zeros((len(basis), len(basis)), dtype=complex)
+    top = []
+    for j, beta in enumerate(basis):
+        col = table_multiply(u.coeffs, powers.power(beta), cap)
+        top.append(max((sum(a) for a, c in col.items()
+                        if abs(c) > TRUNCATION_COEFF_TOL), default=0))
+        for alpha, c in col.items():
+            if sum(alpha) <= N:
+                m[index[alpha], j] = c
+    return m, tuple(top)
+
+
+README_HENON = PolyMap(2, ({(0, 1): 1},
+                           {(0, 2): 1, (1, 0): -0.3, (0, 0): -3}))
+MIX3 = PolyMap(3, ({(1, 1, 0): 1, (0, 0, 1): 0.5},
+                   {(0, 2, 0): 1, (1, 0, 0): -0.3},
+                   {(0, 0, 3): 0.2, (1, 0, 0): 1}))
+LINEAR_2D = PolyFunc(2, {(0, 0): 0.7 - 0.2j, (1, 0): 0.31 + 0.4j,
+                         (0, 1): -0.45 + 0.12j})
+LINEAR_1D = PolyFunc(1, {(0,): 0.83 + 0.29j, (1,): -0.37 + 0.41j})
+
+
+class TestLevelAssembly:
+    """The level assembly reproduces the dict loop bit for bit."""
+
+    @pytest.mark.parametrize("u, f, n_cap", [
+        (LINEAR_2D, README_HENON, 16),
+        (LINEAR_1D, PolyMap.from_coeffs_1d([0.27 - 0.53j, 0, 1]), 60),
+        (PolyFunc(1, {(0,): 1.0, (2,): 0.5j}),
+         PolyMap.from_coeffs_1d([0.4 + 0.1j, -0.6j, 0, 1]), 20),
+        (PolyFunc(3, {(0, 0, 0): 1, (0, 1, 0): -0.25j}), MIX3, 4),
+        (LINEAR_2D, PolyMap(2, ({(0, 0): 0.5 + 0.5j, (1, 1): 1},
+                                {(0, 0): -1, (1, 0): 0.3, (0, 2): 1j})), 6),
+        (None, README_HENON, 10),
+        (LINEAR_2D, README_HENON, 0),
+        (LINEAR_2D, README_HENON, 1),
+        (LINEAR_1D, PolyMap.from_coeffs_1d([0.27 - 0.53j, 0, 1]), 0),
+        (LINEAR_1D, PolyMap.from_coeffs_1d([0.27 - 0.53j, 0, 1]), 1),
+        # the powers of 1e30 z^2 overflow to inf, then nan, above row N
+        (PolyFunc(1, {(0,): 1, (1,): 2}), PolyMap.from_coeffs_1d([0, 0, 1e30]),
+         14),
+    ], ids=["henon-readme-N16", "quadc-N60", "monic-cubic", "mix3-N4",
+            "moved-origin", "weight-none", "henon-N0", "henon-N1", "quadc-N0",
+            "quadc-N1", "overflow"])
+    def test_matches_dict_loop_bit_for_bit(self, u, f, n_cap):
+        uj, fj = jets_from_polys(u, f, n_cap)
+        want, want_top = _dict_coefficient_matrix(uj, fj, n_cap)
+        got = coefficient_matrix(uj, fj, n_cap)
+        assert np.array_equal(got.entries.view(np.uint64),
+                              want.view(np.uint64))
+        assert got.top_degree == want_top
+
+    def test_weight_longer_than_an_early_power(self):
+        # u has six terms and f four, so the dict loop sums u * f with f
+        # outermost and the level assembly with u outermost: a degree of
+        # u * f collects up to four terms, added in another order
+        rng = np.random.default_rng(16)
+        u = PolyFunc(1, {(k,): complex(*rng.normal(size=2))
+                         for k in range(6)})
+        f = PolyMap.from_coeffs_1d(rng.normal(size=4) + 1j * rng.normal(size=4))
+        uj, fj = jets_from_polys(u, f, 8)
+        want, want_top = _dict_coefficient_matrix(uj, fj, 8)
+        got = coefficient_matrix(uj, fj, 8)
+        assert got.entries == pytest.approx(want, rel=1e-14, abs=0)
+        assert got.top_degree == want_top
+
+
 class TestTruncatedNorm:
     def test_contraction_norm_one_for_every_cap(self):
         for n_cap in (1, 5, 17, 40):
@@ -120,6 +205,28 @@ class TestTruncatedNorm:
             None, PolyMap.from_coeffs_1d([0, 1.3]), 12))
         norms = [v for _, v, lossy in rows if not lossy]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+class TestSharedNorm:
+    def test_three_outputs_read_one_norm(self):
+        m = operator_matrix_from_polys(LINEAR_2D, README_HENON, 10)
+        assert (truncated_norm(m) == norm_sweep(m)[-1][1]
+                == restriction_norm_profile(m).levels[0][1]
+                == float(np.linalg.norm(m.entries, 2)))
+
+    def test_operator_matrix_does_not_inherit_the_raw_norm(self, monkeypatch):
+        raws = []
+
+        def factored(*args):
+            raws.append(coefficient_matrix(*args))
+            assert raws[-1].norm > 0  # cached before the entries are rescaled
+            return raws[-1]
+
+        monkeypatch.setattr(fock, "coefficient_matrix", factored)
+        m = operator_matrix(*jets_from_polys(WEIGHT_Z, DOUBLE, 12), 12)
+        assert "norm" in vars(raws[0]) and "norm" not in vars(m)
+        assert m.norm == float(np.linalg.norm(m.entries, 2))
+        assert m.norm != raws[0].norm
 
 
 def _rebuilt_sweep(u, f, n_max):
