@@ -40,7 +40,6 @@ from .dynamics import (
     classify,
     cocycle_poly,
     iterate,
-    iterate_point,
     make_orbit,
     multipliers,
     periodic_orbits,

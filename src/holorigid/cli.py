@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fock, henon, jets, rigidity, sphere
-from .dynamics import SearchConfig, make_orbit, periodic_orbits
+from .dynamics import SearchConfig, make_orbit, periodic_orbits, root_count_1d
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import (
@@ -58,6 +58,13 @@ def _parse_complex_list(text: str):
                 for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"cannot parse complex list: {text!r}")
+
+
+def _parse_point(text: str, dim: int) -> np.ndarray:
+    point = _parse_complex_list(text)
+    if len(point) != dim:
+        raise UsageError(f"--point needs {dim} comma-separated entries")
+    return np.array(point, dtype=complex)
 
 
 def _int_at_least(low: int):
@@ -144,10 +151,8 @@ def _metadata(args):
 def cmd_graded(args) -> int:
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight)
-    point = _parse_complex_list(args.point) if args.point else [0j] * f.dim
-    if len(point) != f.dim:
-        raise UsageError(f"--point needs {f.dim} comma-separated entries")
-    p = np.array(point, dtype=complex)
+    p = (_parse_point(args.point, f.dim) if args.point
+         else np.zeros(f.dim, dtype=complex))
     n = args.n
     a = f.jacobian(p)
     u_p = 1.0 + 0j if u is None else u(p)
@@ -206,39 +211,37 @@ def cmd_certify(args) -> int:
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight)
     mode = args.mode
-    meta = _metadata(args)
 
     if mode in ("bounded", "compact"):
         certifier = (rigidity.certify_bounded if mode == "bounded"
                      else rigidity.certify_compact)
         if args.point:
-            pts = [np.array(_parse_complex_list(args.point), dtype=complex)]
-            orbits = [make_orbit(f, p, args.r) for p in pts]
-            search_info = {"point_supplied": True}
+            orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]
+            search = {"point_supplied": True}
         else:
-            orbits, _, search_info = _collect_orbits(f, args.r, args)
-        payload = certifier(f, u, *orbits).to_json_dict()
-        payload["metadata"] = {**meta, "orbits_examined": len(orbits),
-                               "mode": mode, "search": search_info}
+            orbits, _, search = _collect_orbits(f, args.r, args)
+        cert = certifier(f, u, *orbits)
+        extra = {"orbits_examined": len(orbits)}
     elif mode in ("hypercyclic", "supercyclic"):
-        orbits, complete, search_info = _collect_orbits(f, args.r, args)
+        orbits, complete, search = _collect_orbits(f, args.r, args)
         maker = (rigidity.certify_hypercyclic if mode == "hypercyclic"
                  else rigidity.certify_supercyclic)
         cert = maker(orbits, search_complete=complete)
-        payload = cert.to_json_dict()
-        payload["metadata"] = {**meta, "r_max": args.r, "mode": mode,
-                               "search": search_info}
+        extra = {"r_max": args.r}
     elif mode == "cyclic":
         levels = _parse_complex_list(args.lam) if args.lam else None
         cert = rigidity.certify_cyclic(f, u, args.r, lambda_levels=levels)
-        payload = cert.to_json_dict()
-        payload["metadata"] = {**meta, "r": args.r, "mode": mode}
+        # where f^r is the identity the witness has no points_found
+        search = {"complete": cert.witness.get("points_found")
+                  == root_count_1d(f, args.r)}
+        extra = {"r": args.r}
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown mode {mode}")
 
+    payload = cert.to_json_dict()
+    payload["metadata"] = {**_metadata(args), **extra, "mode": mode, "search": search}
     _emit(payload, args.format, args.out)
-    return EXIT_INAPPLICABLE if payload["verdict"] == rigidity.INAPPLICABLE \
-        else EXIT_OK
+    return EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
 
 
 def cmd_search_repelling(args) -> int:

@@ -273,16 +273,26 @@ def iterate(f: PolyMap, r: int) -> PolyMap:
     return out
 
 
-def iterate_point(f: PolyMap, z, r: int) -> np.ndarray:
-    return orbit_points(f, z, r + 1)[-1]
-
-
 def orbit_points(f: PolyMap, p, r: int) -> list:
     """p, f(p), ..., f^(r-1)(p): the one orbit walker, r - 1 calls of f."""
     pts = [_as_point(p, f.dim)]
     for _ in range(r - 1):
         pts.append(f(pts[-1]))
     return pts
+
+
+def _closes(residual, size):
+    """The one closure test: |f^r(p) - p| <= TOL_ORBIT (1 + |p|); NaN fails."""
+    return residual <= TOL_ORBIT * (1.0 + size)
+
+
+def _closed_walk(f: PolyMap, p, r: int):
+    """p, ..., f^r(p), |f^r(p) - p| and |p|; OrbitError unless it closes."""
+    walk = orbit_points(f, p, r + 1)
+    closure, size = np.linalg.norm(walk[r] - walk[0]), np.linalg.norm(walk[0])
+    if not _closes(closure, size):
+        raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
+    return walk, closure, size
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +590,7 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     g, n, slack = _orbit_ratio(f, r, roots, bound=True)
     radii = len(roots) * (np.abs(n) + slack)
     radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
-    ok = np.abs(g) <= TOL_ORBIT * (1.0 + np.abs(roots))
+    ok = _closes(np.abs(g), np.abs(roots))
     meets = _meeting(roots, radii)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
         clusters = [[i] for i in range(len(roots))]
@@ -694,29 +704,34 @@ def _chain_multipliers(f: PolyMap, pts) -> tuple:
 
 def multipliers(f: PolyMap, p, r: int) -> tuple:
     """Eigenvalues of D(f^r) at p, via the Jacobian chain along the orbit."""
-    pts = orbit_points(f, p, r + 1)
-    closure = np.linalg.norm(pts[-1] - pts[0])
-    if not closure <= TOL_ORBIT * (1.0 + np.linalg.norm(pts[0])):  # NaN fails too
-        raise OrbitError(f"point is not {r}-periodic: residual {closure:.3e}")
-    return _chain_multipliers(f, pts[:-1])
+    walk = _closed_walk(f, p, r)[0]
+    return _chain_multipliers(f, walk[:-1])
+
+
+def _modulus_band(m: float):
+    """The one multiplier-modulus rule: "zero" below TOL_CLASS, "below" below
+    1 - TOL_CLASS, "above" above 1 + TOL_CLASS, else "at"; NaN is in none."""
+    if m < TOL_CLASS:
+        return "zero"
+    if m < 1.0 - TOL_CLASS:
+        return "below"
+    if m > 1.0 + TOL_CLASS:
+        return "above"
+    return "at" if m >= 1.0 - TOL_CLASS else None
 
 
 def classify(mults) -> str:
-    """Stability class from the multiplier moduli, at TOL_CLASS."""
-    mods = [abs(m) for m in mults]
-    if not mods:
-        return "inconclusive"
-    if all(m < TOL_CLASS for m in mods):
+    """Stability class from the bands of the multiplier moduli."""
+    bands = {_modulus_band(abs(m)) for m in mults}
+    if bands == {"zero"}:
         return "superattracting"
-    if all(m < 1.0 - TOL_CLASS for m in mods):
+    if bands and bands <= {"zero", "below"}:
         return "attracting"
-    if all(m > 1.0 + TOL_CLASS for m in mods):
+    if bands == {"above"}:
         return "repelling"
-    if any(m > 1.0 + TOL_CLASS for m in mods) and any(m < 1.0 - TOL_CLASS for m in mods):
+    if "above" in bands and bands & {"zero", "below"}:
         return "saddle"
-    if all(abs(m - 1.0) <= TOL_CLASS for m in mods):
-        return "indifferent"
-    return "inconclusive"
+    return "indifferent" if bands == {"at"} else "inconclusive"
 
 
 def evaluate_weight(u, point) -> complex:
@@ -774,13 +789,10 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     multipliers."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    walk = orbit_points(f, p, r + 1)
-    p, tol = walk[0], TOL_ORBIT * (1.0 + np.linalg.norm(walk[0]))
-    closure = np.linalg.norm(walk[r] - p)
-    if not closure <= tol:  # NaN fails too
-        raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
+    walk, closure, size = _closed_walk(f, p, r)
+    p = walk[0]
     exact = next((d for d in range(1, r)
-                  if r % d == 0 and np.linalg.norm(walk[d] - p) <= tol), r)
+                  if r % d == 0 and _closes(np.linalg.norm(walk[d] - p), size)), r)
     pts = walk[:exact]
     mults = _chain_multipliers(f, pts)
     return PeriodicOrbit(

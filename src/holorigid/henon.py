@@ -11,7 +11,7 @@ performed here: callers supply the composition directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .rigidity import (
     NO_OBSTRUCTION,
     UNBOUNDED,
     ObstructionCertificate,
+    _multiplier_tolerances,
     certify_bounded,
 )
 
@@ -133,42 +134,35 @@ def fixed_points(h: GeneralizedHenon):
 def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
                        config: SearchConfig = SearchConfig(starts=200)
                        ) -> ObstructionCertificate:
-    """Search periods 1..r_max for a saddle orbit and certify unboundedness.
+    """Search periods 1..r_max for saddle orbits and certify unboundedness.
 
     Every period runs one Newton multistart on f^r with the same budget,
-    ``config.starts`` starts drawn from ``config.seed``.  The first saddle
-    with nonvanishing cocycle gives Unbounded; saddles with vanishing
-    cocycle leave an Inapplicable record; no saddle found is NoObstruction
-    with an explicit incompleteness flag (the multistart search is not
-    exhaustive).
+    ``config.starts`` starts drawn from ``config.seed``, and hands its saddle
+    orbits to ``certify_bounded``.  The first period giving Unbounded wins,
+    else the first giving Inapplicable; no saddle found is NoObstruction
+    with an explicit incompleteness flag (the multistart is not exhaustive).
     """
     fm = to_polymap(h)
     vanished = None
     for r, orbits, _ in periodic_orbits(fm, r_max, config):
-        for orbit in orbits:
-            if orbit.stability != "saddle":
-                continue
-            cert = certify_bounded(fm, u, orbit)
-            witness = dict(cert.witness)
-            witness["henon_factors"] = len(h.factors)
-            witness["jacobian_determinant"] = h.jacobian_determinant
-            witness["searched_period"] = r
-            cert = ObstructionCertificate(
-                cert.verdict, witness,
-                cert.assumptions + (ASSUME_REDUCTION_SUPPLIED,),
-                cert.tolerances)
-            if cert.verdict == UNBOUNDED:
-                return cert
-            if cert.verdict == INAPPLICABLE and vanished is None:
-                vanished = cert
+        saddles = [orbit for orbit in orbits if orbit.stability == "saddle"]
+        cert = certify_bounded(fm, u, *saddles)
+        cert = replace(cert, witness={
+            **cert.witness, "henon_factors": len(h.factors),
+            "jacobian_determinant": h.jacobian_determinant, "searched_period": r},
+            assumptions=cert.assumptions + (ASSUME_REDUCTION_SUPPLIED,))
+        if cert.verdict == UNBOUNDED:
+            return cert
+        if cert.verdict == INAPPLICABLE and vanished is None:
+            vanished = cert
     if vanished is not None:
         return vanished
     witness = {
         "searched_r_max": r_max,
+        "starts": config.starts,
         "search_complete": False,
         "note": ("no saddle orbit found up to the searched period; saddles "
                  "exist for Henon compositions, so extend the budget"),
     }
-    return ObstructionCertificate(NO_OBSTRUCTION, witness,
-                                  ("search is heuristic",),
-                                  {"starts": config.starts, "r_max": r_max})
+    return ObstructionCertificate(NO_OBSTRUCTION, witness, ("search is heuristic",),
+                                  _multiplier_tolerances())

@@ -39,14 +39,13 @@ from .dynamics import (
     cluster_points,
     cocycle_poly,
     companion_roots,
-    iterate_point,
     make_orbit,
     orbit_points,
     periodic_orbits,
     periodic_points_1d,
     weight_cocycle,
 )
-from .errors import OrbitError, OrderUndeterminedError, PreconditionError
+from .errors import OrderUndeterminedError, PreconditionError
 from .jets import Jet, multi_indices
 from .sphere import first_near_best
 
@@ -109,18 +108,17 @@ def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
     }
 
 
-def _verify_orbit(f: PolyMap, orbit: PeriodicOrbit):
-    p = np.asarray(orbit.points[0], dtype=complex)
-    res = np.linalg.norm(iterate_point(f, p, orbit.period) - p)
-    if not res <= dynamics.TOL_ORBIT * (1.0 + np.linalg.norm(p)):  # NaN fails too
-        raise OrbitError(f"orbit fails verification: residual {res:.3e}")
+def _multiplier_tolerances() -> dict:
+    """The tolerances block of every multiplier certificate."""
+    return {"tol_class": dynamics.TOL_CLASS, "tol_weight": TOL_WEIGHT,
+            "tol_orbit": dynamics.TOL_ORBIT}
 
 
-def _multiplier_certificate(f, u, orbits, verdict, obstructs, note):
+def _multiplier_certificate(f, u, orbits, verdict, bands, note):
     """A verdict from the largest multiplier moduli of the orbits.
 
-    An orbit obstructs when its cocycle clears TOL_WEIGHT and
-    ``obstructs(|largest multiplier|)``; the witness is the first of these
+    An orbit obstructs when its cocycle clears TOL_WEIGHT and its largest
+    |multiplier| is in ``bands``; the witness is the first of these
     within TIE_TOL of the largest modulus, so that ties up to rounding, such
     as the points of one orbit or of conjugate orbits, go by orbit order.
     Otherwise the first orbit with a vanishing cocycle gives Inapplicable
@@ -136,17 +134,16 @@ def _multiplier_certificate(f, u, orbits, verdict, obstructs, note):
                 for orbit in orbits]
     worst = [max(orbit.multipliers, key=abs, default=0j) for orbit in orbits]
     hits = [i for i, (u_r, w) in enumerate(zip(cocycles, worst))
-            if abs(u_r) > TOL_WEIGHT and obstructs(abs(w))]
+            if abs(u_r) > TOL_WEIGHT and dynamics._modulus_band(abs(w)) in bands]
     if hits:
         k = hits[first_near_best(np.nan_to_num([abs(worst[i]) for i in hits]))]
     else:
         k = next((i for i, u_r in enumerate(cocycles)
                   if abs(u_r) <= TOL_WEIGHT), 0)
-    _verify_orbit(f, orbits[k])
+    dynamics._closed_walk(f, orbits[k].points[0], orbits[k].period)
     witness = _orbit_witness(orbits[k], cocycles[k])
     assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
-    tols = {"tol_class": dynamics.TOL_CLASS, "tol_weight": TOL_WEIGHT,
-            "tol_orbit": dynamics.TOL_ORBIT}
+    tols = _multiplier_tolerances()
     if hits:
         witness["eigenvalue"] = complex(worst[k])
         witness["abs_eigenvalue"] = abs(worst[k])
@@ -167,14 +164,12 @@ def certify_bounded(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertifi
     note = ("weight cocycle vanishes on the orbit; the eigenvalue bound does "
             "not apply" + (" (see the one-variable vanishing-weight growth "
                            "diagnostic)" if f.dim == 1 else ""))
-    return _multiplier_certificate(f, u, orbits, UNBOUNDED,
-                                   lambda m: m > 1.0 + dynamics.TOL_CLASS, note)
+    return _multiplier_certificate(f, u, orbits, UNBOUNDED, ("above",), note)
 
 
 def certify_compact(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertificate:
     """Compactness obstruction: any multiplier of modulus >= 1 suffices."""
-    return _multiplier_certificate(f, u, orbits, NON_COMPACT,
-                                   lambda m: m >= 1.0 - dynamics.TOL_CLASS,
+    return _multiplier_certificate(f, u, orbits, NON_COMPACT, ("at", "above"),
                                    "weight cocycle vanishes on the orbit")
 
 
@@ -335,7 +330,7 @@ def affine_verdict_1d(f: PolyMap, r_max: int = 8) -> AffineVerdict:
     a = complex(table.get((1,), 0j))
     b = complex(table.get((0,), 0j))
     if f.degree <= 1:
-        if abs(a) > 1.0 + dynamics.TOL_CLASS:
+        if dynamics._modulus_band(abs(a)) == "above":
             p = b / (1.0 - a)
             orbit = make_orbit(f, [p], 1)
             return AffineVerdict(True, a, b, True, _NO_BOUNDED_STATEMENT,
@@ -377,15 +372,12 @@ def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p) -> GrowthDiagnostic:
     if f.dim != 1 or u_jet.dim != 1:
         raise PreconditionError("growth diagnostic is one-variable only")
     p = complex(np.atleast_1d(np.asarray(p, dtype=complex))[0])
-    res = abs(f([p])[0] - p)
-    if not res <= dynamics.TOL_ORBIT * (1.0 + abs(p)):  # NaN fails too
-        raise OrbitError(f"p is not fixed: residual {res:.3e}")
+    fp = complex(make_orbit(f, [p], 1).multipliers[0])  # f'(p), once p closes
     order = u_jet.order()
     if order is None:
         raise OrderUndeterminedError(
             f"order undetermined at cap {u_jet.cap}: weight jet vanishes"
         )
-    fp = complex(f.jacobian([p])[0, 0])
     if order == 0:
         return GrowthDiagnostic(0, 0.0, False, fp, defer_to_bounded=True)
     quad = 0.5 * order * (math.log(abs(fp)) if abs(fp) > 0 else -math.inf)

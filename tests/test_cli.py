@@ -203,6 +203,20 @@ class TestCertify:
         assert code == 0
         assert doc["metadata"]["search"]["complete"] is complete
 
+    @pytest.mark.parametrize("doc, r, complete", [
+        (SQUARE_MINUS_1, 3, True),
+        (TRANSLATION, 2, True),  # 0 of 0 roots
+        ({"dim": 1, "components": [[{"alpha": [1], "re": -1.0}]]}, 2, False),
+        # z^2 + 1e8: all 8 roots of f^3(z) - z miss the orbit tolerance
+        ({"dim": 1, "components": [[{"alpha": [2], "re": 1.0},
+                                    {"alpha": [0], "re": 1e8}]]}, 3, False),
+    ], ids=["z^2-1", "z+1", "-z", "z^2+1e8"])
+    def test_cyclic_search_completeness(self, capsys, write, doc, r, complete):
+        code, out = run(capsys, ["certify", write("f.json", doc),
+                                 "--mode", "cyclic", "--r", str(r)])
+        assert code == 0
+        assert out["metadata"]["search"] == {"complete": complete}
+
     def test_multiple_root_is_not_complete(self, capsys, write):
         # z + z^2 has a double fixed point at 0: one point for two roots
         parabolic = {"dim": 1, "components": [[{"alpha": [1], "re": 1.0},
@@ -443,6 +457,8 @@ class TestContract:
         ["certify", "SQUARE", "--mode", "bounded", "--starts", "0"],
         ["henon", "HENON_STD", "--r-max", "0"],
         ["henon", "HENON_STD", "--starts", "0"],
+        ["certify", "SQUARE", "--mode", "bounded", "--point", "1,2"],
+        ["graded", "DOUBLE", "--n", "1", "--point", "1,2"],
         *([*argv, "--seed", "-1"] for argv in (
             ["graded", "DOUBLE", "--n", "1"], ["fock", "HALF"],
             ["certify", "SQUARE", "--mode", "bounded"],

@@ -15,7 +15,13 @@ from holorigid.henon import (
     saddle_certificate,
     to_polymap,
 )
-from holorigid.rigidity import INAPPLICABLE, NO_OBSTRUCTION, UNBOUNDED
+from holorigid.rigidity import (
+    INAPPLICABLE,
+    NO_OBSTRUCTION,
+    TOL_WEIGHT,
+    UNBOUNDED,
+    certify_bounded,
+)
 
 STANDARD = GeneralizedHenon((-3, 0, 1), 0.3)  # p(y) = y^2 - 3, delta = 0.3
 
@@ -142,6 +148,23 @@ class TestSaddleCertificate:
         assert cert.verdict == NO_OBSTRUCTION
         assert cert.witness["search_complete"] is False
         assert cert.witness["searched_r_max"] == 2
+        assert cert.witness["starts"] == 0
+        assert cert.tolerances == {"tol_class": dynamics.TOL_CLASS,
+                                   "tol_weight": TOL_WEIGHT,
+                                   "tol_orbit": dynamics.TOL_ORBIT}
+
+    def test_witness_is_certify_bounded_over_the_saddles(self):
+        # the two fixed saddles have largest |multiplier| 2.27 and 4.94, in
+        # that order; the witness is the stronger one
+        comp, config = HenonComposition((STANDARD,)), SearchConfig(150, 11)
+        fm = to_polymap(comp)
+        _, orbits, _ = next(dynamics.periodic_orbits(fm, 1, config))
+        saddles = [orbit for orbit in orbits if orbit.stability == "saddle"]
+        assert len(saddles) == 2
+        want = certify_bounded(fm, None, *saddles).witness
+        cert = saddle_certificate(comp, None, r_max=1, config=config)
+        assert {k: cert.witness[k] for k in want} == want
+        assert cert.witness["abs_eigenvalue"] == pytest.approx(4.94, abs=0.01)
 
     def test_caller_config_at_every_period(self, monkeypatch):
         # a zero weight makes every saddle Inapplicable, so all periods run

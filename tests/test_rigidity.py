@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holorigid import rigidity
+from holorigid import dynamics, rigidity
 from holorigid.dynamics import (
     AllPoints,
+    PeriodicOrbit,
     PolyFunc,
     PolyMap,
     cocycle_poly,
@@ -224,18 +225,18 @@ class TestWitnessSelection:
     @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
     def test_one_verification_per_certificate(self, certify, monkeypatch):
         walked = []
-        verify = rigidity._verify_orbit
+        walk = dynamics._closed_walk
 
-        def counting(f, orbit):
-            walked.append(orbit)
-            verify(f, orbit)
+        def counting(f, p, r):
+            walked.append(p)
+            return walk(f, p, r)
 
-        monkeypatch.setattr(rigidity, "_verify_orbit", counting)
         orbits = _all_orbits(Z2_MINUS_1, 6)
         assert len(orbits) > 20
+        monkeypatch.setattr(dynamics, "_closed_walk", counting)
         cert = certify(Z2_MINUS_1, None, *orbits)
         assert len(walked) == 1
-        assert walked[0].points[0] == tuple(cert.witness["point"])
+        assert walked[0] == tuple(cert.witness["point"])
 
     def test_an_unverified_witness_is_rejected_among_good_orbits(self):
         good = make_orbit(SQUARE, [1], 1)
@@ -365,6 +366,56 @@ class TestAffineVerdict:
         assert verdict.affine and verdict.obstructed
         assert verdict.witness.points == ((0j,),)
         assert verdict.a == pytest.approx(2.0)
+
+
+class TestOneRulePerOrbitFact:
+    """Closure and the multiplier moduli are each decided by one rule in
+    ``dynamics``; patching the rule moves every decision that reads it."""
+
+    def test_closure_predicate(self, monkeypatch):
+        orbit = PeriodicOrbit(points=((1 + 0j,),), period=1,
+                              multipliers=(2 + 0j,), stability="repelling",
+                              residual=0.0)
+        u = Jet.monomial(1, 6, (0j,), (1,))
+        monkeypatch.setattr(dynamics, "_closes", lambda residual, size: False)
+        for call in (lambda: make_orbit(SQUARE, [1], 1),
+                     lambda: dynamics.multipliers(SQUARE, [1], 1),
+                     lambda: growth_diagnostic_1d(DOUBLE, u, 0),
+                     lambda: certify_bounded(SQUARE, None, orbit)):
+            with pytest.raises(OrbitError,
+                               match=r"^f\^1\(p\) - p has residual 0\.000e\+00$"):
+                call()
+
+    @pytest.mark.parametrize("band, stability, bounded, compact, affine", [
+        ("above", "repelling", UNBOUNDED, NON_COMPACT, True),
+        ("at", "indifferent", NO_OBSTRUCTION, NON_COMPACT, False),
+        ("below", "attracting", NO_OBSTRUCTION, NO_OBSTRUCTION, False),
+        (None, "inconclusive", NO_OBSTRUCTION, NO_OBSTRUCTION, False),
+    ])
+    def test_modulus_rule(self, monkeypatch, band, stability, bounded,
+                          compact, affine):
+        # the true moduli are 2 at the fixed point 1 of z^2 and 1/2 for HALF
+        monkeypatch.setattr(dynamics, "_modulus_band", lambda m: band)
+        orbit = make_orbit(SQUARE, [1], 1)
+        assert dynamics.classify([0.5, 2.0]) == orbit.stability == stability
+        assert certify_bounded(SQUARE, None, orbit).verdict == bounded
+        assert certify_compact(SQUARE, None, orbit).verdict == compact
+        assert affine_verdict_1d(HALF).obstructed is affine
+
+    def test_modulus_bands_at_their_edges(self):
+        # 1 + TOL_CLASS rounds up, so |m - 1| <= TOL_CLASS missed that one
+        # modulus: it was neither indifferent nor past the bound, yet it
+        # obstructed compactness
+        tol = dynamics.TOL_CLASS
+        lo, hi = 1.0 - tol, 1.0 + tol
+        moduli = (tol / 2, np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, 2.0),
+                  float("nan"))
+        assert [dynamics._modulus_band(m) for m in moduli] == [
+            "zero", "below", "at", "at", "above", None]
+        orbit = replace(make_orbit(SQUARE, [1], 1), multipliers=(hi,))
+        assert dynamics.classify([hi]) == "indifferent"
+        assert certify_compact(SQUARE, None, orbit).verdict == NON_COMPACT
+        assert certify_bounded(SQUARE, None, orbit).verdict == NO_OBSTRUCTION
 
 
 class TestGrowthDiagnostic:
