@@ -107,30 +107,22 @@ def _emit(payload: dict, fmt: str, out_path=None):
 
 def _render_human(obj, indent=0):
     pad = "  " * indent
+    if not isinstance(obj, (dict, list)):
+        return [f"{pad}{json.dumps(obj)}"]
     lines = []
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_human(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(val)}")
-    elif isinstance(obj, list):
-        for val in obj:
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
-                lines.append(f"{pad}-")
-                lines.extend(_render_human(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(val)}")
-    else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+    items = ([(f"{key}:", val) for key, val in obj.items()]
+             if isinstance(obj, dict) else [("-", val) for val in obj])
+    for head, val in items:
+        if isinstance(val, (dict, list)) and val and not _is_flat(val):
+            lines += [pad + head] + _render_human(val, indent + 1)
+        else:
+            lines.append(f"{pad}{head} {json.dumps(val)}")
     return lines
 
 
 def _is_flat(val):
-    if isinstance(val, list):
-        return all(isinstance(v, (int, float, str, bool, type(None))) for v in val)
-    return False
+    return isinstance(val, list) and all(
+        isinstance(v, (int, float, str, bool, type(None))) for v in val)
 
 
 def _write_csv(path, header, rows):
@@ -333,10 +325,8 @@ def cmd_henon(args) -> int:
 def cmd_duality(args) -> int:
     if args.input:
         doc = read_json(args.input)
-        l_mat = np.array([[complex(e[0], e[1]) for e in row]
-                          for row in doc["L"]])
-        b_mat = np.array([[complex(e[0], e[1]) for e in row]
-                          for row in doc["B"]])
+        l_mat, b_mat = (np.array([[complex(e[0], e[1]) for e in row]
+                                  for row in doc[key]]) for key in ("L", "B"))
         flags = rigidity.duality_check(l_mat, b_mat)
         payload = {
             "subcommand": "duality",
@@ -478,7 +468,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError,) as exc:
+    except PreconditionError as exc:
         print(f"precondition rejected: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except RangeError as exc:

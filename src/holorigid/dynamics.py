@@ -91,7 +91,9 @@ def _monomial_table(tables: list, dim: int):
 
 def _monomial_values(z: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """z^alpha for every row alpha of exps at a stack of points: (N, M)."""
-    powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max(initial=0)), axis=0)
+    powers = np.empty((int(exps.max(initial=0)) + 1,) + z.T.shape, dtype=complex)
+    powers[0], powers[1:] = 1.0, z.T  # z ** 0 is 1 even at inf and NaN
+    np.cumprod(powers, axis=0, out=powers)
     return np.prod(powers[exps, np.arange(z.shape[1])], axis=1).T
 
 
@@ -167,14 +169,10 @@ class PolyMap:
     def linear(cls, a, b=None) -> "PolyMap":
         a = np.asarray(a, dtype=complex)
         d = a.shape[0]
-        b = np.zeros(d, dtype=complex) if b is None else np.asarray(b, dtype=complex)
-        comps = []
-        for i in range(d):
-            table = {tuple(1 if k == j else 0 for k in range(d)): a[i, j]
-                     for j in range(d)}
-            table[(0,) * d] = b[i]
-            comps.append(table)
-        return cls(d, tuple(comps))
+        b = np.zeros(d) if b is None else np.asarray(b, dtype=complex)
+        units = [tuple(e) for e in np.eye(d, dtype=int)]
+        return cls(d, tuple({**dict(zip(units, a[i])), (0,) * d: b[i]}
+                            for i in range(d)))
 
     @property
     def degree(self) -> int:
@@ -620,11 +618,20 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 # two-variable Newton multistart
 
 
-def solve_2x2(m: np.ndarray, b: np.ndarray):
-    """Cramer's rule for stacked 2x2 m x = b; returns x (0 if det == 0), det != 0."""
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    x = np.stack([m[:, 1, 1] * b[:, 0] - m[:, 0, 1] * b[:, 1],
-                  m[:, 0, 0] * b[:, 1] - m[:, 1, 0] * b[:, 0]], axis=1)
+def _chain_2x2(step: np.ndarray, m):
+    """Entries (a, b, c, d) of step @ m, for a stack step (N, 2, 2) and the
+    entries of m.  Stacked 2x2 matrices are kept as entry arrays: numpy runs
+    a stacked complex matmul as one zgemm call per matrix."""
+    p, q, s, t = step.reshape(-1, 4).T
+    a, b, c, d = m
+    return p * a + q * c, p * b + q * d, s * a + t * c, s * b + t * d
+
+
+def solve_2x2(m, v: np.ndarray):
+    """Cramer's rule for m x = v, m by entries; x (0 if det == 0), det != 0."""
+    a, b, c, d = m
+    det = a * d - b * c
+    x = np.stack([d * v[:, 0] - b * v[:, 1], a * v[:, 1] - c * v[:, 0]], axis=1)
     return x / np.where(det == 0, np.inf, det)[:, None], det != 0
 
 
@@ -654,31 +661,32 @@ class SearchResult:
 
 def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
     """Newton multistart for f^r(z) = z on C^2.  Not guaranteed complete."""
-    if f.dim != 2:
-        raise PreconditionError("periodic_points_2d needs a two-variable map")
+    if f.dim != 2 or r < 1:
+        raise PreconditionError("periodic_points_2d needs a 2-variable map, r >= 1")
     rng = np.random.default_rng(config.seed)
     rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * START_RADIUS
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
     z = rad * np.exp(1j * ang)
     live = np.arange(config.starts)
     converged = np.zeros(config.starts, dtype=bool)
-    eye = np.eye(2, dtype=complex)
     with np.errstate(all="ignore"):  # divergent starts overflow, then drop
         for _ in range(NEWTON_STEPS):
             if live.size == 0:
                 break
-            w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
+            w = zl = z[live]
+            a, b, c, d = 1.0, 0.0, 0.0, 1.0  # entries of D(f^r) so far
             for _ in range(r):
                 w, step_jac = f.evaluate_batch(w)
-                jac = step_jac @ jac
-            fv = w - z[live]
+                a, b, c, d = _chain_2x2(step_jac, (a, b, c, d))
+            fv = w - zl
             done = (np.linalg.norm(fv, axis=1)
-                    <= NEWTON_RESIDUAL * (1.0 + np.linalg.norm(z[live], axis=1)))
+                    <= NEWTON_RESIDUAL * (1.0 + np.linalg.norm(zl, axis=1)))
             converged[live[done]] = True
-            step, solved = solve_2x2(jac - eye, fv)
-            live, step = live[~done & solved], step[~done & solved]
-            z[live] -= step
-            live = live[np.linalg.norm(z[live], axis=1) <= 1e9]  # NaN fails too
+            step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
+            keep = ~done & solved
+            live, zl = live[keep], zl[keep] - step[keep]
+            z[live] = zl
+            live = live[np.linalg.norm(zl, axis=1) <= 1e9]  # NaN fails too
     found = list(z[converged])
     clusters = cluster_points(found, DEDUP_RADIUS)
     return SearchResult(

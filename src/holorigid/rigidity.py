@@ -214,8 +214,9 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
     For one-variable polynomial symbols the period-r points come from
     periodic_points_1d: all deg(f)^r roots of f^r(z) - z when their Newton
     disks are pairwise disjoint.  For other symbols the caller must supply
-    the point list.  Points are counted as distinct values; root
-    multiplicity > 1 is flagged in the witness without being interpreted.
+    the point list, and a point f^r moves raises OrbitError.  Points are
+    counted as distinct values; root multiplicity > 1 is flagged in the
+    witness without being interpreted.
     """
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
     tols = {"tol_level_scale": TOL_LEVEL_SCALE,
@@ -231,22 +232,17 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
         if isinstance(detail, AllPoints):
             return _all_points_cyclic(f, u, r, assumptions, tols)
         points = [np.array([z]) for z in detail.points]
-        multiplicity_flags = [m for m in detail.multiplicities]
+        multiplicity_flags = list(detail.multiplicities)
     else:
-        points = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
+        points = [dynamics._closed_walk(f, p, r)[0][0] for p in points]
 
     values = [weight_cocycle(u, orbit_points(f, p, r)) for p in points]
-    clusters = cluster_points(values, TOL_LEVEL_SCALE)
-
     if lambda_levels is not None:
-        levels = [complex(lam) for lam in lambda_levels]
-        pairs = []
-        for lam in levels:
-            members = [i for i, v in enumerate(values)
-                       if abs(v - lam) <= TOL_LEVEL_SCALE * (1.0 + abs(lam))]
-            pairs.append((lam, members))
+        pairs = [(lam, [i for i, v in enumerate(values)
+                        if abs(v - lam) <= TOL_LEVEL_SCALE * (1.0 + abs(lam))])
+                 for lam in map(complex, lambda_levels)]
     else:
-        pairs = [(values[cl[0]], cl) for cl in clusters]
+        pairs = [(values[cl[0]], cl) for cl in cluster_points(values, TOL_LEVEL_SCALE)]
 
     witness = {
         "period_bound": r,
@@ -356,7 +352,7 @@ class GrowthDiagnostic:
     """Vanishing-weight growth data at a fixed point (one variable).
 
     The k-step graded action carries the factor |f'(p)|^(m k^2 / 2) on top
-    of exponential terms, so a positive quadratic coefficient certifies
+    of exponential terms, so |f'(p)| in the "above" modulus band certifies
     unboundedness for any space with continuous inclusion.
     """
 
@@ -381,7 +377,7 @@ def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p) -> GrowthDiagnostic:
     if order == 0:
         return GrowthDiagnostic(0, 0.0, False, fp, defer_to_bounded=True)
     quad = 0.5 * order * (math.log(abs(fp)) if abs(fp) > 0 else -math.inf)
-    return GrowthDiagnostic(order, quad, quad > 0, fp)
+    return GrowthDiagnostic(order, quad, dynamics._modulus_band(abs(fp)) == "above", fp)
 
 
 class DualityFlags(NamedTuple):

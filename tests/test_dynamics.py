@@ -92,6 +92,24 @@ class TestBatchEvaluation:
         with pytest.raises(PreconditionError):
             HENON.second_order_batch(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("exps", [[[0, 1], [0, 2], [0, 0], [1, 0]],
+                                      [[3, 1], [0, 5]], [[0, 0]]],
+                             ids=["henon", "degree-5", "constant"])
+    def test_power_table_matches_the_list_form(self, exps):
+        # the preallocated table runs the same cumprod as the list it
+        # replaced, so every bit agrees, also where the powers overflow
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        z[:5] *= 1e80
+        z[5, 0], z[6, 1], z[7] = np.inf, complex(np.nan, 1.0), np.nan
+        exps = np.array(exps)
+        with np.errstate(all="ignore"):
+            got = dynamics._monomial_values(z, exps)
+            powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max()), axis=0)
+            want = np.prod(powers[exps, np.arange(2)], axis=1).T
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 def _greedy_reference(points, radius, slack=None):
     """The one-point-at-a-time greedy loop that cluster_points must match.
@@ -537,31 +555,66 @@ class TestWeightCocycle:
 
 def _newton_reference(f, r, config):
     """The 2-D multistart as it ran before its early exit: all NEWTON_STEPS
-    steps, even once no start is left.  Returns (points, converged)."""
+    steps, even once no start is left, on the same per-step helpers.
+    Returns (points, converged)."""
     rng = np.random.default_rng(config.seed)
     rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * dynamics.START_RADIUS
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
     z = rad * np.exp(1j * ang)
     live = np.arange(config.starts)
     converged = np.zeros(config.starts, dtype=bool)
-    eye = np.eye(2, dtype=complex)
     with np.errstate(all="ignore"):
         for _ in range(dynamics.NEWTON_STEPS):
-            w, jac = z[live], np.broadcast_to(eye, (len(live), 2, 2))
+            w, jac = z[live], (1.0, 0.0, 0.0, 1.0)
             for _ in range(r):
                 w, step_jac = f.evaluate_batch(w)
-                jac = step_jac @ jac
+                jac = dynamics._chain_2x2(step_jac, jac)
             fv = w - z[live]
             done = (np.linalg.norm(fv, axis=1) <= dynamics.NEWTON_RESIDUAL
                     * (1.0 + np.linalg.norm(z[live], axis=1)))
             converged[live[done]] = True
-            step, solved = solve_2x2(jac - eye, fv)
+            a, b, c, d = jac
+            step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
             live, step = live[~done & solved], step[~done & solved]
             z[live] -= step
             live = live[np.linalg.norm(z[live], axis=1) <= 1e9]
     found = list(z[converged])
     clusters = _greedy_reference(found, dynamics.DEDUP_RADIUS)
     return tuple(tuple(found[cl[0]]) for cl in clusters), len(found)
+
+
+def _random_2x2(rng, n):
+    return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+
+
+class TestJacobianChain:
+    """The multistart keeps D(f^r) as four entry arrays, not a stack of
+    2x2 matrices."""
+
+    def test_matches_matmul(self):
+        rng = np.random.default_rng(6)
+        step, m = _random_2x2(rng, 60), _random_2x2(rng, 60)
+        step[3, 0, 1], step[5, 1, 1] = np.inf, complex(np.nan, 0.0)
+        m[7, 0, 0], m[9] = complex(1.0, np.inf), np.nan
+        with np.errstate(all="ignore"):
+            got = np.stack(dynamics._chain_2x2(step, m.reshape(-1, 4).T), axis=1)
+            want = np.matmul(step, m).reshape(-1, 4)
+            bound = 4 * np.finfo(float).eps * (np.abs(step) @ np.abs(m)).reshape(-1, 4)
+        # an overflowing row may give inf where zgemm gives NaN
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [3, 5, 7, 9]
+        ok = np.isfinite(want)
+        assert np.all(np.abs(got - want)[ok] <= bound[ok])
+
+    def test_a_row_does_not_depend_on_the_stack(self):
+        # gemm and gemv may block a stack by its height; ufuncs go entry
+        # by entry
+        rng = np.random.default_rng(9)
+        step, m = _random_2x2(rng, 1600), _random_2x2(rng, 1600)
+        rows = [np.stack(dynamics._chain_2x2(step[:n], m[:n].reshape(-1, 4).T))
+                for n in (1, 7, 1600)]
+        assert rows[0].tobytes() == rows[1][:, :1].copy().tobytes()
+        assert rows[1].tobytes() == rows[2][:, :7].copy().tobytes()
 
 
 class TestPeriodicPoints2D:
@@ -628,11 +681,16 @@ class TestPeriodicPoints2D:
         with pytest.raises(PreconditionError):
             periodic_points_2d(SQUARE, 1)
 
+    def test_period_zero_rejected(self):
+        # f^0 has no Jacobian chain to solve with
+        with pytest.raises(PreconditionError, match="r >= 1"):
+            periodic_points_2d(HENON, 0, SearchConfig(starts=10))
+
     def test_singular_system_is_dropped_alone(self):
         m = np.array([[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[0, 1j], [1, 0]]],
                      dtype=complex)
         b = np.array([[3, 2], [1, 1], [1j, 2]], dtype=complex)
-        x, ok = solve_2x2(m, b)
+        x, ok = solve_2x2(m.reshape(-1, 4).T, b)
         assert ok.tolist() == [True, False, True]
         for i in (0, 2):
             assert np.allclose(x[i], np.linalg.solve(m[i], b[i]), rtol=1e-15)

@@ -321,6 +321,11 @@ class TestCyclic:
         assert cert.verdict == NOT_CYCLIC  # both sit on the level u_1 = 1 > r
         assert cert.witness["count"] == 2
 
+    def test_external_points_must_be_periodic(self):
+        # none of these is fixed by z^2, so no level count may rest on them
+        with pytest.raises(OrbitError, match=r"^f\^1\(p\) - p has residual"):
+            certify_cyclic(SQUARE, None, 1, points=[[0.3], [0.5], [0.7]])
+
     def test_2d_without_points_rejected(self):
         henon = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (1, 0): -0.3}))
         with pytest.raises(PreconditionError):
@@ -401,6 +406,8 @@ class TestOneRulePerOrbitFact:
         assert certify_bounded(SQUARE, None, orbit).verdict == bounded
         assert certify_compact(SQUARE, None, orbit).verdict == compact
         assert affine_verdict_1d(HALF).obstructed is affine
+        diag = growth_diagnostic_1d(HALF, Jet.monomial(1, 6, (0j,), (1,)), 0)
+        assert diag.obstruction is (band == "above")
 
     def test_modulus_bands_at_their_edges(self):
         # 1 + TOL_CLASS rounds up, so |m - 1| <= TOL_CLASS missed that one
@@ -435,6 +442,14 @@ class TestGrowthDiagnostic:
         u = Jet.monomial(1, 6, (0j,), (2,))
         diag = growth_diagnostic_1d(HALF, u, 0)
         assert diag.quad_coeff == pytest.approx(-np.log(2))
+        assert not diag.obstruction
+
+    def test_expansion_inside_the_tolerance_does_not_obstruct(self):
+        # |f'(0)| = 1 + 1e-12 is in the "at" band: the sign of log|f'(0)|
+        # is then rounding, and it is reported without obstructing
+        u = Jet.monomial(1, 6, (0j,), (1,))
+        diag = growth_diagnostic_1d(PolyMap.from_coeffs_1d([0, 1 + 1e-12]), u, 0)
+        assert diag.quad_coeff == pytest.approx(0.5e-12, rel=1e-3)
         assert not diag.obstruction
 
     def test_zero_jet_is_undetermined(self):
