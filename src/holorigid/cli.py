@@ -87,10 +87,14 @@ def _float_range(text: str):
     return lo, hi
 
 
-def _load_weight_arg(path):
+def _load_weight_arg(path, dim: int):
+    """The weight file at ``path`` (None without one); it must live on C^dim."""
     if path is None:
         return None
-    return load_weight(read_json(path))
+    u = load_weight(read_json(path))
+    if u.dim != dim:
+        raise PreconditionError(f"weight is on C^{u.dim}, the map on C^{dim}")
+    return u
 
 
 def _emit(payload: dict, fmt: str, out_path=None):
@@ -142,7 +146,7 @@ def _metadata(args):
 
 def cmd_graded(args) -> int:
     f = load_polymap(read_json(args.map))
-    u = _load_weight_arg(args.weight)
+    u = _load_weight_arg(args.weight, f.dim)
     p = (_parse_point(args.point, f.dim) if args.point
          else np.zeros(f.dim, dtype=complex))
     n = args.n
@@ -201,7 +205,7 @@ def _collect_orbits(f, r_max, args):
 
 def cmd_certify(args) -> int:
     f = load_polymap(read_json(args.map))
-    u = _load_weight_arg(args.weight)
+    u = _load_weight_arg(args.weight, f.dim)
     mode = args.mode
 
     if mode in ("bounded", "compact"):
@@ -273,7 +277,7 @@ def cmd_search_repelling(args) -> int:
 
 def cmd_fock(args) -> int:
     f = load_polymap(read_json(args.map))
-    u = _load_weight_arg(args.weight)
+    u = _load_weight_arg(args.weight, f.dim)
     n_cap = args.N if args.N is not None else (
         fock.DEFAULT_CAP_1D if f.dim == 1 else fock.DEFAULT_CAP_2D)
     matrix = fock.operator_matrix_from_polys(u, f, n_cap)
@@ -312,7 +316,7 @@ def cmd_fock(args) -> int:
 
 def cmd_henon(args) -> int:
     comp = load_henon(read_json(args.henon))
-    u = _load_weight_arg(args.weight)
+    u = _load_weight_arg(args.weight, 2)  # Henon maps act on C^2
     cfg = SearchConfig(starts=args.starts, seed=args.seed)
     cert = henon.saddle_certificate(comp, u, r_max=args.r_max, config=cfg)
     payload = cert.to_json_dict()

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OrbitError, PreconditionError
-from .jets import Jet, JetMap, PowerCache, check_terms, substitute, table_multiply
+from .jets import Jet, JetMap, PowerCache, _as_base, check_terms, substitute, \
+    table_multiply
 
 DEFAULT_MAX_TERMS = 4096
 TOL_ORBIT = 1e-8
@@ -30,6 +31,7 @@ DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
 NEWTON_STEPS = 100
 START_RADIUS = 5.0  # 2-D multistart: starts uniform in a polydisc of this radius
+ESCAPE_NORM = 1e9  # 2-D multistart: a start whose norm passes this has diverged
 SWEEPS_PER_ROOT = 20
 STALL_STEP = 2.0 ** -42  # about 1000 eps: Aberth steps this small are rounding noise
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
@@ -71,7 +73,7 @@ def _poly_degree(table: dict) -> int:
 
 def _poly_to_jet(table: dict, dim: int, base, cap: int) -> Jet:
     """Taylor expansion of a polynomial table at a new base point."""
-    base = tuple(complex(b) for b in base)
+    base = _as_base(base, dim)
     shifts = [_poly_clean({tuple(1 if k == j else 0 for k in range(dim)): 1.0,
                            (0,) * dim: base[j]})
               for j in range(dim)]
@@ -686,7 +688,7 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
             keep = ~done & solved
             live, zl = live[keep], zl[keep] - step[keep]
             z[live] = zl
-            live = live[np.linalg.norm(zl, axis=1) <= 1e9]  # NaN fails too
+            live = live[np.linalg.norm(zl, axis=1) <= ESCAPE_NORM]  # NaN fails too
     found = list(z[converged])
     clusters = cluster_points(found, DEDUP_RADIUS)
     return SearchResult(

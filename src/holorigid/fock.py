@@ -13,11 +13,8 @@ time, each term of a component table or of the weight one vectorised
 multiply-add over the whole level, on dense float columns with the real and
 imaginary parts apart.  The parts are apart because numpy's complex product
 differs from CPython's (ar*br - ai*bi, ar*bi + ai*br) in the last bit on
-SIMD hosts; computed part by part, in table order, each entry keeps the
-bits of the dict products of ``jets.table_multiply``.  The exception is a
-sum of three or more terms where the dict loop takes the power as its outer
-factor (a power with fewer terms than the table, or as many for a
-component): it adds them in the power's order.
+SIMD hosts.  Computed part by part, with the table outermost as in
+``jets.table_multiply``, each entry keeps the bits of the dict products.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDegreeError, StructureError
-from .jets import Jet, JetMap, graded_basis, multi_indices
-from .dynamics import PolyFunc, PolyMap
+from .errors import InsufficientDegreeError, PreconditionError, StructureError
+from .jets import Jet, JetMap, PowerCache, check_terms, graded_basis, \
+    multi_indices, substitute
+from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
 ORIGIN_TOL = 1e-12  # largest |f(0)| entry for which f fixes the origin
@@ -158,7 +156,7 @@ def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     needed and f(0) != 0 is handled transparently.
 
     The powers are built one degree level at a time: f^beta is
-    f^(beta - e_i) * f_i with i the first nonzero index of beta, as in
+    f_i * f^(beta - e_i) with i the first nonzero index of beta, as in
     ``PowerCache``, and in graded order the predecessors of the level-n
     powers with that i are the last ``len(multi_indices(d - i, n - 1))``
     powers of level n - 1.  Each level's columns and top degrees are read
@@ -360,6 +358,10 @@ def conjugate_translation(f: PolyMap, u, p):
     if u is None:
         return g, None
     if isinstance(u, PolyFunc):
-        carrier = PolyMap(f.dim, (u.terms,) * f.dim).compose(shift)
-        return g, PolyFunc(f.dim, carrier.components[0])
+        if u.dim != f.dim:
+            raise PreconditionError("weight and map dimensions differ")
+        powers = PowerCache(shift.components, f.dim, max_terms=DEFAULT_MAX_TERMS)
+        return g, PolyFunc(f.dim, check_terms(substitute(u.terms, powers),
+                                              DEFAULT_MAX_TERMS,
+                                              "composition produced"))
     return g, (lambda z, _u=u, _p=p: _u(np.asarray(z) + _p))

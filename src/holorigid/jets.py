@@ -8,10 +8,11 @@ eigenvalues are u(p) * lambda_1^{n_1} ... lambda_d^{n_d} over the exponent
 tuples of total degree n (lambda_i the eigenvalues of the linear part of f).
 
 Jets and the polynomial maps of ``dynamics`` share one kernel for sparse
-coefficient tables (exponent tuple -> coefficient): ``table_multiply``,
-``PowerCache`` and ``substitute``.  The Fock matrices of ``fock`` follow
-``PowerCache``'s predecessor rule on dense arrays instead, one degree level
-at a time.
+coefficient tables (exponent tuple -> coefficient): ``table_multiply``, which
+adds every product with its first table outermost; ``PowerCache``, which
+builds g^alpha as g_i * g^(alpha - e_i), i the first nonzero index; and
+``substitute``.  The Fock matrices of ``fock`` run the same products in the
+same order on dense arrays, one degree level at a time, and keep their bits.
 """
 
 from __future__ import annotations
@@ -174,31 +175,18 @@ def _check_aligned(a: Jet, b: Jet):
 def table_multiply(a: dict, b: dict, cap=None) -> dict:
     """Product of two coefficient tables, without terms above degree ``cap``.
 
-    Without a cap this is the plain double loop, ``a`` outermost.  With a
-    cap the larger factor is bucketed by degree, so each term of the
-    smaller one only scans partners that can still fit under the cap.
-    Exact zeros are dropped, so tables never hold them.
+    Every product is added with ``a`` outermost and ``b`` in its own order,
+    so a coefficient sums its products in the order of the ``a`` terms that
+    reach it.  Exact zeros are dropped, so tables never hold them.
     """
     out: dict = {}
-    if cap is None:
-        for ka, ca in a.items():
-            for kb, cb in b.items():
+    terms = [(kb, cb, sum(kb)) for kb, cb in b.items()]
+    for ka, ca in a.items():
+        room = math.inf if cap is None else cap - sum(ka)
+        for kb, cb, db in terms:
+            if db <= room:
                 key = tuple(x + y for x, y in zip(ka, kb))
                 out[key] = out.get(key, 0j) + ca * cb
-    else:
-        if len(b) < len(a):
-            a, b = b, a
-        by_deg: dict[int, list] = {}
-        for beta, cb in b.items():
-            by_deg.setdefault(sum(beta), []).append((beta, cb))
-        for alpha, ca in a.items():
-            da = sum(alpha)
-            for db, bucket in by_deg.items():
-                if da + db > cap:
-                    continue
-                for beta, cb in bucket:
-                    key = tuple(x + y for x, y in zip(alpha, beta))
-                    out[key] = out.get(key, 0j) + ca * cb
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -232,7 +220,7 @@ class PowerCache:
             i = next(k for k, a in enumerate(alpha) if a > 0)
             prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
             got = check_terms(
-                table_multiply(self.power(prev), self.tables[i], self.cap),
+                table_multiply(self.tables[i], self.power(prev), self.cap),
                 self.max_terms, "polynomial grew to")
             self.memo[alpha] = got
         return got

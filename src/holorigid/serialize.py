@@ -127,6 +127,8 @@ def dump_polymap(f: PolyMap) -> dict:
 
 def load_weight(obj) -> PolyFunc:
     dim = _require(obj, "dim", "weight", int)
+    if dim < 1:
+        raise SchemaError("weight.dim: must be >= 1")
     terms = _require(obj, "terms", "weight", list)
     return PolyFunc(dim, _load_terms(terms, dim, "weight.terms"))
 

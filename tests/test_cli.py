@@ -31,6 +31,8 @@ AFFINE_2D = {"dim": 2, "components": [
     [{"alpha": [1, 0], "re": 0.5}], [{"alpha": [0, 1], "re": 0.5}]]}
 WEIGHT_ONE = {"dim": 1, "terms": [{"alpha": [0], "re": 1.0}]}
 WEIGHT_Z = {"dim": 1, "terms": [{"alpha": [1], "re": 1.0}]}
+WEIGHT_2D = {"dim": 2, "terms": [{"alpha": [0, 0], "re": 1.0},
+                                 {"alpha": [1, 0], "re": 0.5}]}
 HENON_STD = {"factors": [{"p": [-3, 0, 1], "delta": [0.3, 0.0]}]}
 # (x, y) -> (y, y^2 - 3 - 0.3 x), the same map as a polynomial map of C^2
 HENON_MAP = {"dim": 2, "components": [
@@ -335,6 +337,35 @@ class TestHenonCommand:
         bad = {"factors": [{"p": [0, 0, 1], "delta": 0}]}
         code, _ = run(capsys, ["henon", write("h.json", bad)])
         assert code == 1
+
+
+class TestWeightOnAnotherSpace:
+    """A weight whose dim is not the map's exits 4 with one message, before
+    any work, in every subcommand that takes a weight."""
+
+    @pytest.mark.parametrize("command, fmap, weight, flags", [
+        ("graded", SQUARE_MINUS_1, WEIGHT_2D, ["--n", "2"]),
+        ("graded", HENON_MAP, WEIGHT_ONE, ["--n", "2", "--point", "1,2"]),
+        ("certify", SQUARE_MINUS_1, WEIGHT_2D, ["--mode", "bounded"]),
+        ("certify", HENON_MAP, WEIGHT_ONE, ["--mode", "bounded", "--starts", "20"]),
+        ("certify", HENON_MAP, WEIGHT_ONE,
+         ["--mode", "hypercyclic", "--starts", "20"]),
+        ("certify", SQUARE_MINUS_1, WEIGHT_2D, ["--mode", "cyclic", "--r", "2"]),
+        ("fock", SQUARE_MINUS_1, WEIGHT_2D, ["--N", "4"]),
+        ("fock", HENON_MAP, WEIGHT_ONE, ["--N", "4"]),
+        ("henon", HENON_STD, WEIGHT_ONE, ["--r-max", "1", "--starts", "20"]),
+    ], ids=["graded-1d", "graded-2d", "certify-bounded-1d", "certify-bounded-2d",
+            "certify-hypercyclic", "certify-cyclic", "fock-1d", "fock-2d",
+            "henon"])
+    def test_exit_4(self, capsys, write, command, fmap, weight, flags):
+        code = main([command, write("f.json", fmap), write("u.json", weight),
+                     *flags])
+        captured = capsys.readouterr()
+        spaces = ("C^2, the map on C^1" if weight is WEIGHT_2D
+                  else "C^1, the map on C^2")
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"precondition rejected: weight is on {spaces}\n"
 
 
 class TestDuality:

@@ -33,7 +33,12 @@ from holorigid.dynamics import (
     solve_2x2,
     weight_cocycle,
 )
-from holorigid.errors import OrbitError, PreconditionError, TermOverflowError
+from holorigid.errors import (
+    OrbitError,
+    PreconditionError,
+    StructureError,
+    TermOverflowError,
+)
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])          # z^2
 SQUARE_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])  # z^2 - 1
@@ -505,6 +510,21 @@ class TestClassify:
         assert classify(mults) == want
 
 
+class TestTaylorExpansion:
+    def test_base_point_of_another_space_is_rejected(self):
+        u = PolyFunc(2, {(1, 1): 1.0})
+        for base in ((0j,), (0j, 0j, 0j)):
+            with pytest.raises(StructureError, match="base point has length"):
+                u.to_jet(base, 3)
+        with pytest.raises(StructureError, match="base point has length 1"):
+            HENON.to_jetmap((1j,), 3)
+
+    def test_moved_base(self):
+        # z^2 at 1 + w is 1 + 2w + w^2
+        jet = PolyFunc(1, {(2,): 1.0}).to_jet((1.0,), 2)
+        assert jet.coeffs == {(0,): 1 + 0j, (1,): 2 + 0j, (2,): 1 + 0j}
+
+
 class TestWeightCocycle:
     def test_trivial_weight(self):
         assert weight_cocycle(None, [np.array([1 + 2j]), np.array([3j])]) == 1
@@ -577,7 +597,7 @@ def _newton_reference(f, r, config):
             step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
             live, step = live[~done & solved], step[~done & solved]
             z[live] -= step
-            live = live[np.linalg.norm(z[live], axis=1) <= 1e9]
+            live = live[np.linalg.norm(z[live], axis=1) <= dynamics.ESCAPE_NORM]
     found = list(z[converged])
     clusters = _greedy_reference(found, dynamics.DEDUP_RADIUS)
     return tuple(tuple(found[cl[0]]) for cl in clusters), len(found)

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holorigid import fock
 from holorigid.dynamics import PolyFunc, PolyMap, cocycle_poly, iterate
-from holorigid.errors import InsufficientDegreeError
+from holorigid.errors import InsufficientDegreeError, PreconditionError
 from holorigid.fock import (
     TRUNCATION_COEFF_TOL,
     TruncatedSpaceModel,
@@ -163,9 +165,8 @@ class TestLevelAssembly:
         assert got.top_degree == want_top
 
     def test_weight_longer_than_an_early_power(self):
-        # u has six terms and f four, so the dict loop sums u * f with f
-        # outermost and the level assembly with u outermost: a degree of
-        # u * f collects up to four terms, added in another order
+        # u has six terms and f four: a degree of u * f collects up to four
+        # products, which both routes add with u outermost
         rng = np.random.default_rng(16)
         u = PolyFunc(1, {(k,): complex(*rng.normal(size=2))
                          for k in range(6)})
@@ -173,7 +174,30 @@ class TestLevelAssembly:
         uj, fj = jets_from_polys(u, f, 8)
         want, want_top = _dict_coefficient_matrix(uj, fj, 8)
         got = coefficient_matrix(uj, fj, 8)
-        assert got.entries == pytest.approx(want, rel=1e-14, abs=0)
+        assert np.array_equal(got.entries.view(np.uint64),
+                              want.view(np.uint64))
+        assert got.top_degree == want_top
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_loop_property(self, data):
+        d = data.draw(st.sampled_from([1, 2]))
+        coeff = st.complex_numbers(max_magnitude=2.0)
+
+        def table(low, high):
+            return st.dictionaries(st.sampled_from(graded_basis(d, 3)), coeff,
+                                   min_size=low, max_size=high)
+
+        # sums of three or more products, which an order can tell apart
+        u = PolyFunc(d, data.draw(table(3, 8)))
+        f = PolyMap(d, tuple(data.draw(table(2, 5)) for _ in range(d)))
+        n_cap = data.draw(st.integers(0, 8 if d == 1 else 5))
+        cap = data.draw(st.integers(n_cap, n_cap + 6))  # below it, powers lose terms
+        uj, fj = u.to_jet((0j,) * d, cap), f.to_jetmap((0j,) * d, cap)
+        want, want_top = _dict_coefficient_matrix(uj, fj, n_cap)
+        got = coefficient_matrix(uj, fj, n_cap)
+        assert np.array_equal(got.entries.view(np.uint64),
+                              want.view(np.uint64))
         assert got.top_degree == want_top
 
 
@@ -366,6 +390,21 @@ class TestTranslationConjugation:
         u = PolyFunc(1, {(1,): 1.0})
         g, v = conjugate_translation(SQUARE, u, [1.0])
         assert v(np.array([0j])) == pytest.approx(1.0)  # u(0 + 1)
+
+    def test_recentred_weight_is_the_composed_table(self):
+        # the weight's table is u o shift, with the bits of a composed map
+        p = np.array([0.3 - 0.2j, 1.1j])
+        u = PolyFunc(2, {(0, 0): 1.5, (2, 1): 0.25 - 1j, (0, 3): 2j})
+        f = PolyMap(2, ({(1, 0): 0.5, (0, 2): 1}, {(0, 1): 2.0, (2, 0): -1}))
+        _, v = conjugate_translation(f, u, p)
+        shift = PolyMap.linear(np.eye(2), p)
+        want = PolyMap(2, (u.terms, {})).compose(shift).components[0]
+        assert ([(k, c.real.hex(), c.imag.hex()) for k, c in v.terms.items()]
+                == [(k, c.real.hex(), c.imag.hex()) for k, c in want.items()])
+
+    def test_weight_on_another_space_is_rejected(self):
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            conjugate_translation(SQUARE, PolyFunc(2, {(1, 0): 1}), [1.0])
 
     def test_pointwise_conjugation_identity(self):
         rng = np.random.default_rng(8)

@@ -25,6 +25,7 @@ from holorigid.jets import (
     jetmap_compose,
     multi_indices,
     multiset_close,
+    table_multiply,
     weighted_pullback,
 )
 
@@ -105,6 +106,57 @@ class TestMultiply:
     def test_cap_violation_rejected_at_construction(self):
         with pytest.raises(StructureError):
             jet1(2, {3: 1.0})
+
+
+def _plain_double_loop(a: dict, b: dict) -> dict:
+    """The uncapped product as the two-loop kernel ran it: ``a`` outermost."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0j) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _bits(table: dict) -> list:
+    """Keys in table order with the exact bits of each coefficient."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in table.items()]
+
+
+def _random_table(rng, d, cap, size):
+    basis = graded_basis(d, cap)
+    picks = rng.choice(len(basis), size=min(size, len(basis)), replace=False)
+    return {basis[i]: complex(*rng.normal(size=2)) for i in picks}
+
+
+class TestTableMultiply:
+    """One loop and one product order: ``a`` outermost, ``b`` inner, with
+    the terms above the cap skipped."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uncapped_is_the_plain_double_loop(self, d):
+        rng = np.random.default_rng(19 + d)
+        for _ in range(20):
+            a = _random_table(rng, d, 4, int(rng.integers(1, 9)))
+            b = _random_table(rng, d, 4, int(rng.integers(1, 13)))
+            assert _bits(table_multiply(a, b)) == _bits(_plain_double_loop(a, b))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_capped_drops_the_terms_above_the_cap(self, d):
+        rng = np.random.default_rng(29 + d)
+        for _ in range(20):
+            a = _random_table(rng, d, 4, int(rng.integers(1, 9)))
+            b = _random_table(rng, d, 4, int(rng.integers(1, 13)))
+            full = table_multiply(a, b)
+            for cap in range(-1, 10):
+                kept = {k: v for k, v in full.items() if sum(k) <= cap}
+                assert _bits(table_multiply(a, b, cap)) == _bits(kept)
+
+    def test_exact_cancellation_is_dropped(self):
+        # (1 + z)(1 - z) = 1 - z^2: the z terms cancel to an exact zero
+        a, b = {(0,): 1 + 0j, (1,): 1 + 0j}, {(0,): 1 + 0j, (1,): -1 + 0j}
+        assert table_multiply(a, b) == {(0,): 1 + 0j, (2,): -1 + 0j}
+        assert table_multiply(a, b, 1) == {(0,): 1 + 0j}
 
 
 class TestCompose:

@@ -97,6 +97,11 @@ class TestWeightAndJet:
         u = load_weight({"dim": 1, "terms": [{"alpha": [2], "re": 0.5}]})
         assert load_weight(dump_weight(u)) == u
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_weight_dim_below_one_rejected(self, dim):
+        with pytest.raises(SchemaError, match="weight.dim: must be >= 1"):
+            load_weight({"dim": dim, "terms": []})
+
     def test_jet_roundtrip(self):
         doc = {"dim": 1, "cap": 3, "base": [[0.0, 1.0]],
                "terms": [{"alpha": [1], "re": 2.0, "im": 0.0}]}
