@@ -13,20 +13,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
-from . import fock, henon, jets, rigidity, sphere
+from . import dynamics, fock, henon, jets, rigidity, sphere
 from .dynamics import SearchConfig, make_orbit, periodic_orbits, root_count_1d
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
-from .errors import (
-    ConstructionError,
-    HoloError,
-    PreconditionError,
-    RangeError,
-    SchemaError,
-)
+from .errors import ConstructionError, HoloError, PreconditionError, \
+    RangeError, SchemaError
 from .jets import Jet, eigenvalue_law, graded_eigenvalues, \
     graded_matrix_bruteforce, graded_matrix_formula, multiset_close
 from .serialize import dump_polymap, encode, load_henon, load_polymap, \
@@ -97,16 +94,24 @@ def _load_weight_arg(path, dim: int):
     return u
 
 
-def _emit(payload: dict, fmt: str, out_path=None):
-    if fmt == "human":
-        text = "\n".join(_render_human(payload)) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class Outcome(NamedTuple):
+    """What a subcommand hands to ``main``, which stamps, renders and writes
+    the payload, then prints ``failure`` (a failed self-check) to stderr."""
+
+    payload: dict
+    metadata: dict = {}  # the keys after "seed"
+    code: int = EXIT_OK
+    failure: str | None = None
+
+
+ERRORS = (  # exception class, stderr label, exit code; the first match wins
+    (UsageError, "usage error", EXIT_USAGE),
+    (SchemaError, "schema error", EXIT_USAGE),
+    (PreconditionError, "precondition rejected", EXIT_PRECONDITION),
+    (RangeError, "recoverable", EXIT_USAGE),
+    (ConstructionError, "construction failed", EXIT_USAGE),
+    (HoloError, "error", EXIT_USAGE),
+)
 
 
 def _render_human(obj, indent=0):
@@ -136,15 +141,18 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _metadata(args):
-    return {"seed": args.seed}
+def _multistart_tolerances() -> dict:
+    """The cuts of the two-variable Newton multistart, read at call time."""
+    return {"newton_residual": dynamics.NEWTON_RESIDUAL,
+            "escape_norm": dynamics.ESCAPE_NORM,
+            "dedup_radius": dynamics.DEDUP_RADIUS}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_graded(args) -> int:
+def cmd_graded(args) -> Outcome:
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight, f.dim)
     p = (_parse_point(args.point, f.dim) if args.point
@@ -176,14 +184,11 @@ def cmd_graded(args) -> int:
         "predicted_eigenvalues": encode(list(predicted)),
         "eigenvalue_law_match": multiset_close(eigs, predicted),
         "tolerances": {"agreement": GRADED_AGREEMENT_TOL, "tol_eig": jets.TOL_EIG},
-        "metadata": _metadata(args),
     }
-    _emit(payload, args.format, args.out)
-    if mismatch > GRADED_AGREEMENT_TOL:
-        print(f"self-check failed: formula and brute-force matrices differ "
-              f"by {mismatch:.3e}", file=sys.stderr)
-        return EXIT_SELF_CHECK
-    return EXIT_OK
+    failure = (f"self-check failed: formula and brute-force matrices differ "
+               f"by {mismatch:.3e}" if mismatch > GRADED_AGREEMENT_TOL else None)
+    return Outcome(payload, code=EXIT_SELF_CHECK if failure else EXIT_OK,
+                   failure=failure)
 
 
 def _collect_orbits(f, r_max, args):
@@ -203,14 +208,11 @@ def _collect_orbits(f, r_max, args):
     return orbits, complete, {"complete": complete, **runs}
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> Outcome:
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight, f.dim)
-    mode = args.mode
-
+    mode, certifier = args.mode, getattr(rigidity, f"certify_{args.mode}")
     if mode in ("bounded", "compact"):
-        certifier = (rigidity.certify_bounded if mode == "bounded"
-                     else rigidity.certify_compact)
         if args.point:
             orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]
             search = {"point_supplied": True}
@@ -218,29 +220,26 @@ def cmd_certify(args) -> int:
             orbits, _, search = _collect_orbits(f, args.r, args)
         cert = certifier(f, u, *orbits)
         extra = {"orbits_examined": len(orbits)}
-    elif mode in ("hypercyclic", "supercyclic"):
-        orbits, complete, search = _collect_orbits(f, args.r, args)
-        maker = (rigidity.certify_hypercyclic if mode == "hypercyclic"
-                 else rigidity.certify_supercyclic)
-        cert = maker(orbits, search_complete=complete)
-        extra = {"r_max": args.r}
     elif mode == "cyclic":
         levels = _parse_complex_list(args.lam) if args.lam else None
-        cert = rigidity.certify_cyclic(f, u, args.r, lambda_levels=levels)
+        cert = certifier(f, u, args.r, lambda_levels=levels)
         # where f^r is the identity the witness has no points_found
         search = {"complete": cert.witness.get("points_found")
                   == root_count_1d(f, args.r)}
         extra = {"r": args.r}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {mode}")
+    else:  # hypercyclic, supercyclic
+        orbits, complete, search = _collect_orbits(f, args.r, args)
+        cert = certifier(orbits, search_complete=complete)
+        extra = {"r_max": args.r}
 
     payload = cert.to_json_dict()
-    payload["metadata"] = {**_metadata(args), **extra, "mode": mode, "search": search}
-    _emit(payload, args.format, args.out)
-    return EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
+    if f.dim != 1 and "point_supplied" not in search:  # cyclic needs dim 1
+        payload["tolerances"].update(_multistart_tolerances())
+    code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
+    return Outcome(payload, {**extra, "mode": mode, "search": search}, code)
 
 
-def cmd_search_repelling(args) -> int:
+def cmd_search_repelling(args) -> Outcome:
     f = load_polymap(read_json(args.map))
     cfg = SearchConfig(starts=args.grid_starts, seed=args.seed)
     rc = sphere.construct_repelling(
@@ -251,31 +250,16 @@ def cmd_search_repelling(args) -> int:
                     for s, h, hp in rc.profile.H_values])
     payload = {
         "subcommand": "search-repelling",
-        "a": rc.a,
-        "U": encode(rc.U),
-        "p": encode(rc.p),
-        "eta": rc.eta,
-        "residual_fix": rc.residual_fix,
-        "residual_eigvec": rc.residual_eigvec,
-        "r": rc.r,
-        "s": rc.s,
-        "M": rc.M,
-        "q": encode(rc.q),
-        "lagrange_multiplier": rc.lagrange_multiplier,
-        "lagrange_identity_error": rc.lagrange_identity_error,
-        "eigenvalues": encode(list(rc.eigenvalues)),
+        **encode({field.name: getattr(rc, field.name) for field in fields(rc)
+                  if field.name != "profile"}),
         "tolerances": {"tol_fix": sphere.TOL_FIX, "tol_vec": sphere.TOL_VEC,
-                       "tol_eta": sphere.TOL_ETA,
-                       "tol_unitary": sphere.TOL_UNITARY,
-                       "tol_jac": sphere.TOL_JAC,
-                       "tol_lagrange": sphere.TOL_LAGRANGE},
-        "metadata": {**_metadata(args), "starts": args.starts},
+                       "tol_eta": sphere.TOL_ETA, "tol_unitary": sphere.TOL_UNITARY,
+                       "tol_jac": sphere.TOL_JAC, "tol_lagrange": sphere.TOL_LAGRANGE},
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
+    return Outcome(payload, {"starts": args.starts})
 
 
-def cmd_fock(args) -> int:
+def cmd_fock(args) -> Outcome:
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight, f.dim)
     n_cap = args.N if args.N is not None else (
@@ -298,7 +282,6 @@ def cmd_fock(args) -> int:
                  "is evidence, boundedness is never claimed"),
         "tolerances": {"truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
                        "origin_tol": fock.ORIGIN_TOL},
-        "metadata": _metadata(args),
     }
     if args.sweep_out:
         _write_csv(args.sweep_out, ["N", "norm", "flag"],
@@ -310,40 +293,35 @@ def cmd_fock(args) -> int:
         with open(args.matrix_out, "w", encoding="utf-8") as fh:
             json.dump({"basis": [list(a) for a in matrix.basis],
                        "entries": encode(matrix.entries)}, fh, indent=2)
-    _emit(payload, args.format, args.out)
-    return EXIT_OK
+    return Outcome(payload)
 
 
-def cmd_henon(args) -> int:
+def cmd_henon(args) -> Outcome:
     comp = load_henon(read_json(args.henon))
     u = _load_weight_arg(args.weight, 2)  # Henon maps act on C^2
     cfg = SearchConfig(starts=args.starts, seed=args.seed)
     cert = henon.saddle_certificate(comp, u, r_max=args.r_max, config=cfg)
     payload = cert.to_json_dict()
-    payload["metadata"] = {**_metadata(args), "r_max": args.r_max,
-                           "map": encode(dump_polymap(henon.to_polymap(comp)))}
-    _emit(payload, args.format, args.out)
-    return EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
+    payload["tolerances"].update(_multistart_tolerances())
+    code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
+    return Outcome(payload, {"r_max": args.r_max, "map": encode(
+        dump_polymap(henon.to_polymap(comp)))}, code)
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args) -> Outcome:
     if args.input:
         doc = read_json(args.input)
         l_mat, b_mat = (np.array([[complex(e[0], e[1]) for e in row]
                                   for row in doc[key]]) for key in ("L", "B"))
         flags = rigidity.duality_check(l_mat, b_mat)
-        payload = {
+        return Outcome({
             "subcommand": "duality",
             "image_cond": flags.image_cond,
             "kernel_cond": flags.kernel_cond,
             "agree": flags.image_cond == flags.kernel_cond,
-            "metadata": _metadata(args),
-        }
-        _emit(payload, args.format, args.out)
-        return EXIT_OK
+        })
     rng = np.random.default_rng(args.seed)
     rows, cols = args.rows, args.cols
-    disagreements = 0
     results = []
     for k in range(args.instances):
         width = int(rng.integers(1, rows + 1))
@@ -356,18 +334,18 @@ def cmd_duality(args) -> int:
                 + 1j * rng.normal(size=(rows, cols))
         flags = rigidity.duality_check(l_mat, b)
         results.append([flags.image_cond, flags.kernel_cond])
-        if flags.image_cond != flags.kernel_cond:
-            disagreements += 1
+    disagreements = sum(1 for image, kernel in results if image != kernel)
     payload = {
         "subcommand": "duality",
         "instances": args.instances,
         "disagreements": disagreements,
         "all_agree": disagreements == 0,
         "flags": results,
-        "metadata": _metadata(args),
     }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if disagreements == 0 else EXIT_SELF_CHECK
+    failure = (f"self-check failed: {disagreements} of {args.instances} "
+               f"instances disagree" if disagreements else None)
+    return Outcome(payload, code=EXIT_SELF_CHECK if failure else EXIT_OK,
+                   failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +356,14 @@ def build_parser() -> Parser:
     parser = Parser(prog="holorigid", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, func):
         # a string default goes through the type, so a malformed or negative
         # HOLO_SEED is a usage error
         p.add_argument("--seed", type=_int_at_least(0),
                        default=os.environ.get("HOLO_SEED", "0"))
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("graded", help="graded matrices and their eigenvalues")
     p.add_argument("map")
@@ -393,8 +372,7 @@ def build_parser() -> Parser:
                    help="base point, comma-separated complex entries")
     p.add_argument("--n", type=_int_at_least(0), required=True,
                    help="homogeneous degree")
-    common(p)
-    p.set_defaults(func=cmd_graded)
+    common(p, cmd_graded)
 
     p = sub.add_parser("certify", help="obstruction certificates")
     p.add_argument("map")
@@ -410,8 +388,7 @@ def build_parser() -> Parser:
                    help="certify the orbit through this point only")
     p.add_argument("--starts", type=_int_at_least(1), default=400,
                    help="Newton multistart budget for 2d point search")
-    common(p)
-    p.set_defaults(func=cmd_certify)
+    common(p, cmd_certify)
 
     p = sub.add_parser("search-repelling",
                        help="constructive repelling fixed point (d >= 2)")
@@ -424,8 +401,7 @@ def build_parser() -> Parser:
                    help="starts per profile grid point")
     p.add_argument("--profile-out", default=None,
                    help="write the Hadamard profile CSV (s, H, H')")
-    common(p)
-    p.set_defaults(func=cmd_search_repelling)
+    common(p, cmd_search_repelling)
 
     p = sub.add_parser("fock", help="truncated Fock-space operator tables")
     p.add_argument("map")
@@ -438,16 +414,14 @@ def build_parser() -> Parser:
                    help="truncated-norm sweep CSV (N, norm, flag)")
     p.add_argument("--matrix-out", default=None,
                    help="JSON dump of the operator matrix")
-    common(p)
-    p.set_defaults(func=cmd_fock)
+    common(p, cmd_fock)
 
     p = sub.add_parser("henon", help="saddle certificates for Henon compositions")
     p.add_argument("henon")
     p.add_argument("weight", nargs="?", default=None)
     p.add_argument("--r-max", type=_int_at_least(1), default=4)
     p.add_argument("--starts", type=_int_at_least(1), default=200)
-    common(p)
-    p.set_defaults(func=cmd_henon)
+    common(p, cmd_henon)
 
     p = sub.add_parser("duality", help="graded image/kernel condition check")
     p.add_argument("--input", default=None,
@@ -455,36 +429,34 @@ def build_parser() -> Parser:
     p.add_argument("--instances", type=_int_at_least(1), default=100)
     p.add_argument("--rows", type=_int_at_least(1), default=6)
     p.add_argument("--cols", type=_int_at_least(1), default=4)
-    common(p)
-    p.set_defaults(func=cmd_duality)
+    common(p, cmd_duality)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the only place that stamps, writes and reports."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"precondition rejected: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except RangeError as exc:
-        print(f"recoverable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}; diagnostics: "
-              f"{json.dumps(encode(exc.diagnostics))}", file=sys.stderr)
-        return EXIT_USAGE
-    except HoloError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        payload, metadata, code, failure = args.func(args)
+    except (UsageError, HoloError) as exc:
+        label, code = next((label, code) for kind, label, code in ERRORS
+                           if isinstance(exc, kind))
+        detail = (f"; diagnostics: {json.dumps(encode(exc.diagnostics))}"
+                  if isinstance(exc, ConstructionError) else "")
+        print(f"{label}: {exc}{detail}", file=sys.stderr)
+        return code
+    payload["metadata"] = {"seed": args.seed, **metadata}
+    text = ("\n".join(_render_human(payload)) if args.format == "human"
+            else json.dumps(payload, indent=2)) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if failure:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -755,6 +755,8 @@ def evaluate_weight(u, point) -> complex:
 
 def weight_cocycle(u, orbit) -> complex:
     """Product of the weight along the orbit: u_r = prod_j u(orbit[j])."""
+    if u is None:
+        return 1.0 + 0j
     total = 1.0 + 0j
     for p in orbit:
         total *= evaluate_weight(u, p)

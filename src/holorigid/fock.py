@@ -25,10 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDegreeError, PreconditionError, StructureError
-from .jets import Jet, JetMap, PowerCache, check_terms, graded_basis, \
-    multi_indices, substitute
-from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
+from .errors import InsufficientDegreeError, StructureError
+from .jets import Jet, JetMap, graded_basis, multi_indices
+from .dynamics import PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
 ORIGIN_TOL = 1e-12  # largest |f(0)| entry for which f fixes the origin
@@ -342,26 +341,3 @@ def assumption_witness(model: TruncatedSpaceModel, n_max: int) -> dict:
             ),
         }
     return report
-
-
-def conjugate_translation(f: PolyMap, u, p):
-    """Move the distinguished point p to 0: g = f(. + p) - p, v = u(. + p).
-
-    Useful before matrix assembly, since the monomial model is 0-centered.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    shift = PolyMap.linear(np.eye(f.dim), p)
-    g = f.compose(shift)
-    comps = tuple({**table, (0,) * f.dim: table.get((0,) * f.dim, 0j) - pi}
-                  for table, pi in zip(g.components, p))
-    g = PolyMap(f.dim, comps)
-    if u is None:
-        return g, None
-    if isinstance(u, PolyFunc):
-        if u.dim != f.dim:
-            raise PreconditionError("weight and map dimensions differ")
-        powers = PowerCache(shift.components, f.dim, max_terms=DEFAULT_MAX_TERMS)
-        return g, PolyFunc(f.dim, check_terms(substitute(u.terms, powers),
-                                              DEFAULT_MAX_TERMS,
-                                              "composition produced"))
-    return g, (lambda z, _u=u, _p=p: _u(np.asarray(z) + _p))

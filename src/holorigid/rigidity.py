@@ -130,8 +130,7 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
             NO_OBSTRUCTION,
             {"orbits_found": 0, "note": "no periodic orbits available to test"},
             (ASSUME_GRADED_IMAGE,), {})
-    cocycles = [weight_cocycle(u, [np.asarray(p) for p in orbit.points])
-                for orbit in orbits]
+    cocycles = [weight_cocycle(u, orbit.points) for orbit in orbits]
     worst = [max(orbit.multipliers, key=abs, default=0j) for orbit in orbits]
     hits = [i for i, (u_r, w) in enumerate(zip(cocycles, worst))
             if abs(u_r) > TOL_WEIGHT and dynamics._modulus_band(abs(w)) in bands]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +15,7 @@ import pytest
 import holorigid
 from holorigid import cli, dynamics, fock, jets, rigidity, sphere
 from holorigid.cli import main
+from holorigid.serialize import encode
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
 SQUARE_MINUS_1 = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0},
@@ -41,6 +42,7 @@ HENON_MAP = {"dim": 2, "components": [
      {"alpha": [1, 0], "re": -0.3}]]}
 NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-6},
                                          {"alpha": [1], "re": 0.5}]]}
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 @pytest.fixture
@@ -83,9 +85,12 @@ class TestGraded:
             return type(good)(n, 1, good.entries + 1.0, good.basis_order)
 
         monkeypatch.setattr(cli_mod, "graded_matrix_bruteforce", broken)
-        code, _ = run(capsys, ["graded", write("f.json", DOUBLE),
-                               "--point", "0", "--n", "3"])
+        code = main(["graded", write("f.json", DOUBLE), "--point", "0", "--n", "3"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert json.loads(captured.out)["max_entry_mismatch"] == 1.0
+        assert captured.err == ("self-check failed: formula and brute-force "
+                                "matrices differ by 1.000e+00\n")
 
 
 class TestCertify:
@@ -383,6 +388,80 @@ class TestDuality:
         assert code == 0
         assert doc["image_cond"] and doc["kernel_cond"] and doc["agree"]
 
+    def test_one_disagreement_exits_2_with_one_line(self, capsys, monkeypatch):
+        check, calls = rigidity.duality_check, []
+
+        def disagree_once(l_mat, b_mat):
+            flags = check(l_mat, b_mat)
+            calls.append(flags)
+            if len(calls) == 2:
+                return flags._replace(kernel_cond=not flags.image_cond)
+            return flags
+
+        monkeypatch.setattr(rigidity, "duality_check", disagree_once)
+        code = main(["duality", "--instances", "5", "--seed", "7"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 2
+        assert doc["disagreements"] == 1 and doc["all_agree"] is False
+        assert doc["flags"][1][0] != doc["flags"][1][1]
+        assert captured.err == "self-check failed: 1 of 5 instances disagree\n"
+
+
+class TestSinglePath:
+    """Every subcommand finishes through ``main``: ``metadata`` is the last
+    key with ``seed`` first, ``--format human`` renders the JSON payload and
+    ``--out`` gets the bytes stdout would."""
+
+    @pytest.mark.parametrize("argv, metadata", [
+        (["graded", "henon_readme.json", "--n", "3", "--point", "1,2"], []),
+        (["certify", "quad1.json", "--mode", "bounded", "--r", "3"],
+         ["orbits_examined", "mode", "search"]),
+        (["search-repelling", "sq2.json", "--starts", "20", "--grid-starts", "4",
+          "--s-steps", "5"], ["starts"]),
+        (["fock", "henon_readme.json", "--N", "4"], []),
+        (["henon", "henon.json", "--r-max", "1", "--starts", "40"],
+         ["r_max", "map"]),
+        (["duality", "--instances", "4"], []),
+    ], ids=["graded", "certify", "search-repelling", "fock", "henon", "duality"])
+    def test_stamp_render_and_write_once(self, capsys, tmp_path, argv, metadata):
+        argv = [str(BENCH_INPUTS / a) if a.endswith(".json") else a
+                for a in argv] + ["--seed", "11"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert list(doc)[-1] == "metadata"
+        assert list(doc["metadata"]) == ["seed", *metadata]
+        assert doc["metadata"]["seed"] == 11
+
+        assert main(argv + ["--format", "human"]) == 0
+        assert capsys.readouterr().out == "\n".join(cli._render_human(doc)) + "\n"
+
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == text.encode()
+
+    def test_repelling_payload_is_the_construction(self, capsys, monkeypatch):
+        # every field of the construction but its profile, in declaration
+        # order, between the subcommand name and the tolerances
+        built = []
+        construct = sphere.construct_repelling
+
+        def keep(*args, **kwargs):
+            built.append(construct(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(sphere, "construct_repelling", keep)
+        code, doc = run(capsys, ["search-repelling", str(BENCH_INPUTS / "sq2.json"),
+                                 "--starts", "20", "--grid-starts", "4",
+                                 "--s-steps", "5"])
+        names = [f.name for f in fields(built[0]) if f.name != "profile"]
+        assert code == 0
+        assert list(doc) == ["subcommand", *names, "tolerances", "metadata"]
+        assert doc["eigenvalues"] == encode(list(built[0].eigenvalues))
+        assert doc["U"] == encode(built[0].U)
+
 
 class TestContract:
     def test_unknown_flag_is_usage_error(self, capsys, write):
@@ -513,6 +592,9 @@ REPELLING_ARGS = ["--s-range=-1.0:2.5", "--starts", "80", "--grid-starts", "12",
 MULTIPLIER_TOLS = {"tol_class": dynamics.TOL_CLASS,
                    "tol_weight": rigidity.TOL_WEIGHT,
                    "tol_orbit": dynamics.TOL_ORBIT}
+MULTISTART_TOLS = {"newton_residual": dynamics.NEWTON_RESIDUAL,
+                   "escape_norm": dynamics.ESCAPE_NORM,
+                   "dedup_radius": dynamics.DEDUP_RADIUS}
 
 
 class TestPrintedTolerances:
@@ -533,6 +615,36 @@ class TestPrintedTolerances:
                                  "--mode", mode, "--r", "2"])
         assert code == 0
         assert doc["tolerances"] == want
+
+    @pytest.mark.parametrize("argv, want", [
+        *((["certify", "HENON_MAP", "--mode", mode], MULTIPLIER_TOLS)
+          for mode in ("bounded", "compact")),
+        *((["certify", "HENON_MAP", "--mode", mode], {"tol_orbit": dynamics.TOL_ORBIT})
+          for mode in ("hypercyclic", "supercyclic")),
+        (["henon", "HENON_STD", "--r-max", "1"], MULTIPLIER_TOLS),
+    ], ids=["bounded", "compact", "hypercyclic", "supercyclic", "henon"])
+    def test_two_variable_multistart(self, capsys, write, argv, want):
+        docs = {"HENON_MAP": HENON_MAP, "HENON_STD": HENON_STD}
+        argv = [write(f"{a}.json", docs[a]) if a in docs else a for a in argv]
+        code, doc = run(capsys, argv + ["--starts", "40"])
+        assert code == 0
+        assert doc["tolerances"] == {**want, **MULTISTART_TOLS}
+
+    def test_supplied_point_prints_no_multistart_cuts(self, capsys, write):
+        # (2.5, 2.5) is a fixed point of (x, y) -> (y, y^2 - 3 - 0.3 x)
+        code, doc = run(capsys, ["certify", write("f.json", HENON_MAP),
+                                 "--mode", "bounded", "--point", "2.5,2.5"])
+        assert code == 0 and doc["tolerances"] == MULTIPLIER_TOLS
+
+    def test_patched_escape_norm(self, capsys, write, monkeypatch):
+        argv = ["certify", write("f.json", HENON_MAP), "--mode", "hypercyclic",
+                "--starts", "40"]
+        assert run(capsys, argv)[1]["witness"]["orbits_found"] > 0
+        monkeypatch.setattr(dynamics, "ESCAPE_NORM", 1e-3)  # every start escapes
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["witness"]["orbits_found"] == 0
+        assert doc["metadata"]["search"]["r=1"]["converged"] == 0
+        assert doc["tolerances"]["escape_norm"] == 1e-3
 
     def test_search_repelling(self, capsys, write):
         code, doc = run(capsys, ["search-repelling", write("f.json", SQUARE_2D),

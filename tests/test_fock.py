@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from holorigid import fock
 from holorigid.dynamics import PolyFunc, PolyMap, cocycle_poly, iterate
-from holorigid.errors import InsufficientDegreeError, PreconditionError
+from holorigid.errors import InsufficientDegreeError
 from holorigid.fock import (
     TRUNCATION_COEFF_TOL,
     TruncatedSpaceModel,
     assumption_witness,
     block_growth_norms,
     coefficient_matrix,
-    conjugate_translation,
     jets_from_polys,
     norm_sweep,
     operator_matrix,
@@ -376,41 +375,3 @@ class TestAssumptionWitness:
         report = assumption_witness(TruncatedSpaceModel(1, 3), 5)
         assert report["levels"][5] == {"n": 5, "realized": False,
                                        "note": "not realized at cap"}
-
-
-class TestTranslationConjugation:
-    def test_recentred_map_fixes_origin(self):
-        # f = z^2 fixes 1; g = f(z+1) - 1 = z^2 + 2z fixes 0
-        g, v = conjugate_translation(SQUARE, None, [1.0])
-        assert g([0])[0] == pytest.approx(0.0)
-        assert g.components[0] == {(1,): 2 + 0j, (2,): 1 + 0j}
-        assert v is None
-
-    def test_recentred_weight(self):
-        u = PolyFunc(1, {(1,): 1.0})
-        g, v = conjugate_translation(SQUARE, u, [1.0])
-        assert v(np.array([0j])) == pytest.approx(1.0)  # u(0 + 1)
-
-    def test_recentred_weight_is_the_composed_table(self):
-        # the weight's table is u o shift, with the bits of a composed map
-        p = np.array([0.3 - 0.2j, 1.1j])
-        u = PolyFunc(2, {(0, 0): 1.5, (2, 1): 0.25 - 1j, (0, 3): 2j})
-        f = PolyMap(2, ({(1, 0): 0.5, (0, 2): 1}, {(0, 1): 2.0, (2, 0): -1}))
-        _, v = conjugate_translation(f, u, p)
-        shift = PolyMap.linear(np.eye(2), p)
-        want = PolyMap(2, (u.terms, {})).compose(shift).components[0]
-        assert ([(k, c.real.hex(), c.imag.hex()) for k, c in v.terms.items()]
-                == [(k, c.real.hex(), c.imag.hex()) for k, c in want.items()])
-
-    def test_weight_on_another_space_is_rejected(self):
-        with pytest.raises(PreconditionError, match="dimensions differ"):
-            conjugate_translation(SQUARE, PolyFunc(2, {(1, 0): 1}), [1.0])
-
-    def test_pointwise_conjugation_identity(self):
-        rng = np.random.default_rng(8)
-        p = np.array([0.3 - 0.2j, 1.1j])
-        f = PolyMap(2, ({(1, 0): 0.5, (0, 2): 1}, {(0, 1): 2.0, (2, 0): -1}))
-        g, _ = conjugate_translation(f, None, p)
-        for _ in range(5):
-            z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert np.allclose(g(z), f(z + p) - p, atol=1e-12)
