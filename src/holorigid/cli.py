@@ -209,9 +209,13 @@ def _collect_orbits(f, r_max, args):
 
 
 def cmd_certify(args) -> Outcome:
+    mode, certifier = args.mode, getattr(rigidity, f"certify_{args.mode}")
+    if args.point is not None and mode not in ("bounded", "compact"):
+        raise UsageError("--point applies only to --mode bounded and compact")
+    if args.lam is not None and mode != "cyclic":
+        raise UsageError("--lambda applies only to --mode cyclic")
     f = load_polymap(read_json(args.map))
     u = _load_weight_arg(args.weight, f.dim)
-    mode, certifier = args.mode, getattr(rigidity, f"certify_{args.mode}")
     if mode in ("bounded", "compact"):
         if args.point:
             orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]

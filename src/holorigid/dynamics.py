@@ -3,10 +3,11 @@
 Periodic points p with f^r(p) = p carry a multiplier multiset, the
 eigenvalues of the Jacobian of f^r along the orbit, and a weight cocycle
 value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
-dividing r are the roots of f^r(z) - z, found all at once by Aberth-Ehrlich
-on the pointwise iterate from the preimages of a point under f^r and
-certified by pairwise disjoint Newton disks; in two variables a seeded
-Newton multistart supplies witnesses without any completeness claim.
+dividing r are the roots of f^r(z) - z, found all at once by cyclic Newton
+on the orbit system from the preimage tree of a point under f^r, with
+Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
+Newton disks; in two variables a seeded Newton multistart supplies
+witnesses without any completeness claim.
 ``periodic_orbits`` runs the search for each period in turn; it is the one
 loop over periods that the obstructions share.
 """
@@ -33,7 +34,9 @@ NEWTON_STEPS = 100
 START_RADIUS = 5.0  # 2-D multistart: starts uniform in a polydisc of this radius
 ESCAPE_NORM = 1e9  # 2-D multistart: a start whose norm passes this has diverged
 SWEEPS_PER_ROOT = 20
-STALL_STEP = 2.0 ** -42  # about 1000 eps: Aberth steps this small are rounding noise
+SHOOTING_STEPS = 25  # cyclic Newton steps per row of the one-variable search
+SHOOTING_REACH = 0.3  # a cyclic Newton step moves no z_j by more than this (1 + |z_j|)
+STALL_STEP = 2.0 ** -42  # about 1000 eps: root steps this small are rounding noise
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
 
 
@@ -324,7 +327,7 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
         c = c[:-1]
     if len(c) < 2:
         return np.zeros(0, dtype=complex)
-    return _preimages(c, 1, 0j)
+    return _preimages(c, 1, 0j)[-1]
 
 
 def cluster_points(points, radius: float, slack=None) -> list:
@@ -377,52 +380,57 @@ def cluster_points(points, radius: float, slack=None) -> list:
     return clusters
 
 
-def durand_kerner(ratio, starts) -> np.ndarray:
+def _settled(size, last, scale):
+    """Whether a root step is at rounding level: below 4 eps ``scale``, or
+    below STALL_STEP ``scale`` and not under half the ``last`` step, as a
+    converging simple root's always is."""
+    return (size <= 4.0 * np.finfo(float).eps * scale) | (
+        (size <= STALL_STEP * scale) & (size > 0.5 * last))
+
+
+def durand_kerner(ratio, starts, rows=None) -> np.ndarray:
     """All roots of a polynomial g of degree len(starts), by Aberth-Ehrlich.
 
     Aberth-Ehrlich is Durand-Kerner's cubically convergent refinement: each
     sweep moves every approximation by N_i / (1 - N_i sum_{j != i} 1 /
     (z_i - z_j)), where ``ratio(z)`` returns the Newton ratio N = g / g' at
-    an array of points.  An approximation freezes once its step is at
-    rounding level, or once a step below STALL_STEP (relative) has stopped
-    halving, which a converging simple root never does: that step is the
-    rounding noise of g / g'.  The budget is SWEEPS_PER_ROOT * deg(g) sweeps.
-    """
+    an array of points.  Only ``rows`` (default all) move, for at most
+    SWEEPS_PER_ROOT sweeps per row.  A row freezes once its step is
+    ``_settled`` or its N is not finite; one that sits on another moves
+    off it by DEDUP_RADIUS (1 + |z|), each in a direction of its own."""
     z = np.array(starts, dtype=complex)
-    active = np.arange(len(z))
+    active = np.arange(len(z)) if rows is None else np.asarray(rows, dtype=np.intp)
     last = np.full(len(z), np.inf)
-    for _ in range(SWEEPS_PER_ROOT * len(z)):
+    for _ in range(SWEEPS_PER_ROOT * len(active)):
         if active.size == 0:
             break
         n = ratio(z[active])
-        sums = _over_rows(z, active, lambda _, diff: np.sum(1.0 / diff, axis=1))
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            sums = _inverse_sums(z, active)
             step = n / (1.0 - n * sums)
         moved = np.isfinite(step)
         z[active[moved]] -= step[moved]
-        size, scale = np.abs(step), 1.0 + np.abs(z[active])
-        stalled = (size <= STALL_STEP * scale) & (size > 0.5 * last[active])
-        still = ~moved | ((size > 4.0 * np.finfo(float).eps * scale) & ~stalled)
+        stuck = active[~moved & np.isfinite(n)]
+        z[stuck] += DEDUP_RADIUS * (1.0 + np.abs(z[stuck])) * np.exp(1j * stuck)
+        size = np.abs(step)
+        still = (moved & ~_settled(size, last[active], 1.0 + np.abs(z[active]))
+                 | ~moved & np.isfinite(n))
         last[active] = size
         active = active[still]
     return z
 
 
-def _over_rows(z: np.ndarray, rows: np.ndarray, reduce) -> np.ndarray:
-    """reduce(block, diff) over row blocks of diff[i, j] = z_i - z_j.
-
-    ``block`` holds the indices i in ``rows`` of one block of about 2^18
-    entries; the diagonal of ``diff`` is set to inf.  The per-row results
-    are concatenated in the order of ``rows``.
-    """
-    size = max(1, 2 ** 18 // max(len(z), 1))
+def _inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1 / (z_i - z_j) for each i in ``rows``, in row blocks of
+    about 2^18 differences."""
+    size = max(1, 2 ** 18 // len(z))
     out = []
     for lo in range(0, len(rows), size):
         block = rows[lo:lo + size]
         diff = z[block, None] - z[None, :]
         diff[np.arange(len(block)), block] = np.inf
-        out.append(reduce(block, diff))
-    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+        out.append(np.sum(1.0 / diff, axis=1))
+    return np.concatenate(out)
 
 
 def root_count_1d(f: PolyMap, r: int) -> int:
@@ -462,12 +470,12 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(r):
             far = np.abs(w) > escape
-            n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
-            live, w, dw = live[~far], w[~far], dw[~far]
+            if far.any():
+                n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
+                live, w, dw, e = live[~far], w[~far], dw[~far], e[~far]
             slope = np.polyval(dc, w)
             if bound:
-                e = (np.abs(slope) * e[~far]
-                     + 2.0 * deg * eps * np.polyval(abs_c, np.abs(w)))
+                e = np.abs(slope) * e + 2.0 * deg * eps * np.polyval(abs_c, np.abs(w))
             dw = dw * slope
             w = np.polyval(c, w)
         g[live] = w - z[live]
@@ -477,28 +485,66 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     return g, n, slack
 
 
-def _preimages(c: np.ndarray, r: int, z0: complex) -> np.ndarray:
-    """The deg^r points of f^-r(z0), f with ascending coefficients c.
-
-    Each level is one stacked eigvals call over the companion matrices of
-    f(w) - z, one per point z of the level before.  Raises PreconditionError
-    where a companion matrix overflows.
-    """
+def _preimages(c: np.ndarray, r: int, z0: complex) -> list:
+    """Levels k = 0, ..., r of the preimage tree of z0 under f (ascending
+    coefficients c): the deg^k points of f^-k(z0), point i of level k a
+    preimage of point i // deg of level k - 1, one stacked eigvals call per
+    level.  Raises PreconditionError where a companion matrix overflows."""
     deg = len(c) - 1
     companion = np.zeros((deg, deg), dtype=complex)
     companion[1:, :-1] = np.eye(deg - 1)
-    level = np.array([z0], dtype=complex)
+    levels = [np.array([z0], dtype=complex)]
     with np.errstate(over="ignore", invalid="ignore"):
         companion[:, -1] = -c[:-1] / c[-1]
         for _ in range(r):
-            stack = np.repeat(companion[None], len(level), axis=0)
-            stack[:, 0, -1] = (level - c[0]) / c[-1]
+            stack = np.repeat(companion[None], len(levels[-1]), axis=0)
+            stack[:, 0, -1] = (levels[-1] - c[0]) / c[-1]
             if not np.isfinite(stack).all():
                 raise PreconditionError(
                     f"the preimages of {z0:.6g} under f^{r} overflow: the "
                     "coefficients of f are out of floating-point range")
-            level = np.linalg.eigvals(stack).ravel()
-    return level
+            levels.append(np.linalg.eigvals(stack).ravel())
+    return levels
+
+
+def _shoot(c: np.ndarray, levels: list) -> np.ndarray:
+    """z_0 of each row of the cyclic system F_j = f(z_j) - z_{j+1 mod r},
+    r = len(levels) - 1, solved by Newton (multiple shooting) for all rows
+    at once; f has ascending coefficients c.  Leaf w starts its row at z_j =
+    the ancestor of w at level r - j.  A step dz_{j+1} = f'(z_j) dz_j - F_j
+    from dz_0 = x runs as P_j x + Q_j and closes at x = Q_r / (1 - P_r); a
+    step that moves some z_j by more than SHOOTING_REACH (1 + |z_j|) is
+    scaled down to that.  A row stops when its relative step is
+    ``_settled`` or not finite, or after SHOOTING_STEPS steps."""
+    r, deg = len(levels) - 1, len(c) - 1
+    leaf = np.arange(len(levels[-1]))
+    z = np.stack([levels[r - j][leaf // deg ** j] for j in range(r)])
+    desc = c[::-1]
+    active, last = leaf, np.full(len(leaf), np.inf)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(SHOOTING_STEPS):
+            if active.size == 0:
+                break
+            w = z[:, active]
+            residual, slope = np.full_like(w, desc[0]), np.zeros_like(w)
+            for a in desc[1:]:  # Horner for f and f' at once
+                slope, residual = slope * w + residual, residual * w + a
+            residual[:-1] -= w[1:]
+            residual[-1] -= w[0]
+            p, q = np.ones_like(w), np.zeros_like(w)
+            for j in range(r - 1):
+                p[j + 1] = slope[j] * p[j]
+                q[j + 1] = slope[j] * q[j] - residual[j]
+            x = (slope[-1] * q[-1] - residual[-1]) / (1.0 - slope[-1] * p[-1])
+            step = p * x + q
+            size = np.max(np.abs(step) / (1.0 + np.abs(w)), axis=0)
+            step *= np.minimum(1.0, SHOOTING_REACH / size)
+            moved = np.isfinite(size)
+            z[:, active[moved]] = w[:, moved] - step[:, moved]
+            still = moved & ~_settled(size, last[active], 1.0)
+            last[active] = size
+            active = active[still]
+    return z[0]
 
 
 def _overlapping(z: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -520,9 +566,23 @@ def _overlapping(z: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarr
 
 
 def _meeting(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Whether each disk (z_i, radii_i) meets another."""
-    return _over_rows(z, np.arange(len(z)), lambda block, diff: np.any(
-        np.abs(diff) <= radii[block, None] + radii[None, :], axis=1))
+    """Whether each disk (z_i, radii_i) meets another, for finite z: sorted
+    by real part, disk i is compared only with those within radii_i +
+    max(radii), padded against rounding; an infinite disk meets all."""
+    big = float(np.max(radii, initial=0.0))
+    meets = np.full(len(z), len(z) > 1 and np.isinf(big))
+    if meets.all():  # an infinite disk, or none at all
+        return meets
+    order = np.argsort(z.real, kind="stable")
+    zs, rs, x = z[order], radii[order], z.real[order]
+    with np.errstate(over="ignore"):  # an infinite limit takes all the rest
+        limit = x + 2.0 * (rs + big) + 2.0 ** -50 * np.abs(x)
+    width = np.searchsorted(x, limit, "right") - np.arange(len(z))
+    for k in range(1, int(np.max(width))):
+        i = np.flatnonzero(width > k)
+        hit = i[np.abs(zs[i] - zs[i + k]) <= rs[i] + rs[i + k]]
+        meets[order[hit]] = meets[order[hit + k]] = True
+    return meets
 
 
 def _point_order(z: np.ndarray) -> np.ndarray:
@@ -550,15 +610,60 @@ class PeriodicPoints1D:
     unresolved: tuple = ()
 
 
+def _certificate(f: PolyMap, r: int, roots: np.ndarray):
+    """g = f^r(z) - z at the roots, the rounding slack of g / g', the Newton
+    disk radii, whether each root closes, and whether its disk meets another."""
+    g, n, slack = _orbit_ratio(f, r, roots, bound=True)
+    radii = len(roots) * (np.abs(n) + slack)
+    radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
+    return g, slack, radii, _closes(np.abs(g), np.abs(roots)), _meeting(roots, radii)
+
+
+def _escape_tree(f: PolyMap, r: int) -> list:
+    """``_preimages`` of z0 = R e^(0.7i), |f(z)| >= 2|z| on |z| >= R."""
+    c = _coeffs_1d(f.components[0])
+    with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
+        radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
+    return _preimages(c, r, radius * np.exp(0.7j))
+
+
+def _approximations(f: PolyMap, r: int) -> tuple:
+    """The D = deg(f)^r roots of f^r(z) - z, deg f >= 2, and their
+    ``_certificate``.  ``_shoot`` takes each of the D leaves of the
+    ``_escape_tree`` to a periodic point.  Rows whose root does not close,
+    and those ``_overlapping`` gives up (two leaves often reach one root),
+    go back to their leaves for Aberth-Ehrlich with the rest held fixed.
+    Unless that certifies all D, Aberth-Ehrlich from all the leaves gives
+    the roots: only it settles multiple roots."""
+    levels = _escape_tree(f, r)
+    leaves = levels[-1]
+
+    def ratio(z):
+        return _orbit_ratio(f, r, z)[1]
+
+    roots = _shoot(_coeffs_1d(f.components[0]), levels)
+    cert = _certificate(f, r, roots)
+    _, _, radii, ok, meets = cert
+    if ok.all() and not meets.any():
+        return roots, cert
+    bad = ~ok
+    bad[_overlapping(roots, radii, np.flatnonzero(meets))] = True
+    roots[bad] = leaves[bad]
+    roots = durand_kerner(ratio, roots, np.flatnonzero(bad))
+    cert = _certificate(f, r, roots)
+    _, _, _, ok, meets = cert
+    if bad.all() or ok.all() and not meets.any():  # bad.all(): all leaves moved
+        return roots, cert
+    roots = durand_kerner(ratio, leaves)
+    return roots, _certificate(f, r, roots)
+
+
 def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     """All complex solutions of f^r(z) = z (distinct values).
 
     Returns ALL_POINTS when f^r is the identity map.  For deg f >= 2 the
-    D = deg(f)^r roots of f^r(z) - z come from one Aberth-Ehrlich run on the
-    pointwise iterate, started at the D points of f^-r(z0), z0 on the circle
-    |z| = R outside which |f(z)| >= 2|z|: periodic points are distributed
-    like iterated preimages (Lyubich, ETDS 1983), so each start lies near a
-    root.  D above DEFAULT_MAX_TERMS is rejected.  When every root meets
+    D = deg(f)^r roots of f^r(z) - z (D above DEFAULT_MAX_TERMS is
+    rejected) come from ``_approximations``.  When every root meets
     TOL_ORBIT and the D Newton disks are pairwise disjoint, which proves one
     root in each, every root is a point.  Otherwise roots are clustered at
     radius 1e-6 * (1 + |p|), and fewer than D points are returned; should
@@ -575,23 +680,14 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
             raise PreconditionError(
                 f"f^{r}(z) - z has {total} roots, more than the cap "
                 f"{DEFAULT_MAX_TERMS}")
-        c = _coeffs_1d(f.components[0])
-        with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
-            radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
-        roots = durand_kerner(lambda z: _orbit_ratio(f, r, z)[1],
-                              _preimages(c, r, radius * np.exp(0.7j)))
+        roots, (g, slack, radii, ok, meets) = _approximations(f, r)
     else:
         table = iterate(f, r).components[0]
         b, a = (complex(table.get((k,), 0j)) for k in (0, 1))
         if abs(a - 1.0) <= IDENTITY_COEFF_TOL and abs(b) <= IDENTITY_COEFF_TOL:
             return ALL_POINTS
         roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
-
-    g, n, slack = _orbit_ratio(f, r, roots, bound=True)
-    radii = len(roots) * (np.abs(n) + slack)
-    radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
-    ok = _closes(np.abs(g), np.abs(roots))
-    meets = _meeting(roots, radii)
+        g, slack, radii, ok, meets = _certificate(f, r, roots)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
         clusters = [[i] for i in range(len(roots))]
     else:

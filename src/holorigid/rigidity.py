@@ -224,9 +224,8 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
     if points is None:
         if f.dim != 1:
             raise PreconditionError(
-                "complete periodic-point enumeration needs a one-variable "
-                "polynomial; supply points= for other symbols"
-            )
+                "the cyclic obstruction counts every periodic point, and "
+                "only a one-variable polynomial has them all enumerated")
         detail = periodic_points_1d(f, r, detail=True)
         if isinstance(detail, AllPoints):
             return _all_points_cyclic(f, u, r, assumptions, tols)

@@ -1,4 +1,4 @@
-"""JSON schemas for maps, weights, jets, and Henon data.
+"""JSON schemas for maps, weights, and Henon data.
 
 Complex numbers travel as [re, im] pairs.  Numbers must be finite and not
 booleans: json reads NaN, Infinity and 1e400 as non-finite floats, and
@@ -13,7 +13,6 @@ import json
 import math
 
 from .errors import SchemaError
-from .jets import Jet, JetMap
 from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
 
 # Largest exponent a document may hold.  One variable gets no further: f(z) - z
@@ -72,7 +71,7 @@ def encode(value):
     raise TypeError(f"cannot encode {type(value)!r}")
 
 
-def _load_terms(items, dim, where, cap=None) -> dict:
+def _load_terms(items, dim, where) -> dict:
     if not isinstance(items, list):
         raise SchemaError(f"{where}: expected a list of terms")
     table = {}
@@ -83,9 +82,6 @@ def _load_terms(items, dim, where, cap=None) -> dict:
                                         and 0 <= a <= MAX_EXPONENT for a in alpha):
             raise SchemaError(f"{spot}.alpha: expected {dim} integers from 0 "
                               f"to {MAX_EXPONENT}")
-        if cap is not None and sum(alpha) > cap:
-            raise SchemaError(f"{spot}.alpha: total degree {sum(alpha)} "
-                              f"exceeds cap {cap}")
         re = term.get("re", 0.0)
         im = term.get("im", 0.0)
         for name, value in (("re", re), ("im", im)):
@@ -135,41 +131,6 @@ def load_weight(obj) -> PolyFunc:
 
 def dump_weight(u: PolyFunc) -> dict:
     return {"dim": u.dim, "terms": _dump_terms(u.terms)}
-
-
-def _load_base(obj, dim, where) -> tuple:
-    base = _require(obj, "base", where, list)
-    if len(base) != dim:
-        raise SchemaError(f"{where}.base: expected {dim} entries")
-    return tuple(_cnum(b, f"{where}.base[{i}]") for i, b in enumerate(base))
-
-
-def load_jet(obj) -> Jet:
-    dim = _require(obj, "dim", "jet", int)
-    cap = _require(obj, "cap", "jet", int)
-    if cap < 0:
-        raise SchemaError("jet.cap: must be >= 0")
-    base = _load_base(obj, dim, "jet")
-    terms = _load_terms(_require(obj, "terms", "jet", list), dim, "jet.terms", cap)
-    return Jet(dim, cap, base, terms)
-
-
-def dump_jet(j: Jet) -> dict:
-    return {"dim": j.dim, "cap": j.cap,
-            "base": [[b.real, b.imag] for b in j.base],
-            "terms": _dump_terms(j.coeffs)}
-
-
-def load_jetmap(obj) -> JetMap:
-    dim = _require(obj, "dim", "jetmap", int)
-    cap = _require(obj, "cap", "jetmap", int)
-    base = _load_base(obj, dim, "jetmap")
-    comps = _require(obj, "components", "jetmap", list)
-    jets = tuple(
-        Jet(dim, cap, base,
-            _load_terms(c, dim, f"jetmap.components[{i}]", cap))
-        for i, c in enumerate(comps))
-    return JetMap(dim, len(jets), jets)
 
 
 def load_henon(obj):

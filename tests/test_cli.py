@@ -113,14 +113,15 @@ class TestCertify:
         # do the six points of each; roots moved by a few ulps, in any order,
         # must give the same witness
         from holorigid import dynamics
-        solve, rng = dynamics.durand_kerner, np.random.default_rng(6)
+        solve, rng = dynamics._approximations, np.random.default_rng(6)
 
-        def perturbed(ratio, starts):
-            z = solve(ratio, starts)
+        def perturbed(f, r):
+            z = solve(f, r)[0]
             ulps = rng.integers(-3, 4, size=(2, len(z))) * np.finfo(float).eps
-            return rng.permutation(z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1]))
+            z = rng.permutation(z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1]))
+            return z, dynamics._certificate(f, r, z)
 
-        monkeypatch.setattr(dynamics, "durand_kerner", perturbed)
+        monkeypatch.setattr(dynamics, "_approximations", perturbed)
         path = write("f.json", SQUARE_MINUS_1)
         witnesses = [run(capsys, ["certify", path, "--mode", "bounded", "--r", "6"])[1]
                      ["witness"] for _ in range(6)]
@@ -585,6 +586,26 @@ class TestContract:
         assert code == 1
         assert captured.err.startswith("usage error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        *(["--mode", mode, "--point", "1"]
+          for mode in ("cyclic", "hypercyclic", "supercyclic")),
+        *(["--mode", mode, "--lambda", "2"]
+          for mode in ("bounded", "compact", "hypercyclic", "supercyclic")),
+    ], ids=lambda argv: " ".join(argv))
+    def test_ignored_certify_flag_is_usage_error(self, capsys, write, argv):
+        code = main(["certify", write("f.json", SQUARE), "--r", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("usage error: --")
+        assert captured.err.count("\n") == 1
+
+    def test_cyclic_on_two_variables_names_no_library_keyword(self, capsys, write):
+        code = main(["certify", write("f.json", HENON_MAP), "--mode", "cyclic"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("precondition rejected: the cyclic")
+        assert "points=" not in captured.err and captured.err.count("\n") == 1
 
 
 REPELLING_ARGS = ["--s-range=-1.0:2.5", "--starts", "80", "--grid-starts", "12",

@@ -265,6 +265,17 @@ class TestIterate:
                 pass
 
 
+def _approximating(roots):
+    """A stand-in for ``dynamics._approximations`` that returns ``roots``."""
+    roots = np.asarray(roots, dtype=complex)
+    return lambda f, r: (roots, dynamics._certificate(f, r, roots))
+
+
+def _counted_ratio(f, r, sweeps):
+    """The Newton ratio of f^r(z) - z, appending to ``sweeps`` per call."""
+    return lambda z: sweeps.append(1) or dynamics._orbit_ratio(f, r, z)[1]
+
+
 class TestPeriodicPoints1D:
     def test_square_fixed_points(self):
         assert sorted(periodic_points_1d(SQUARE, 1), key=abs) == \
@@ -368,8 +379,8 @@ class TestPeriodicPoints1D:
         # fixed points 0 and 1e-5; approximations 2e-6 inside each pass the
         # residual test and the dedup radius, but their Newton disks meet
         f = PolyMap.from_coeffs_1d([0, 1 - 1e-5, 1])
-        monkeypatch.setattr(dynamics, "durand_kerner", lambda ratio, starts:
-                            np.array([2e-6, 8e-6], dtype=complex))
+        monkeypatch.setattr(dynamics, "_approximations",
+                            _approximating([2e-6, 8e-6]))
         detail = periodic_points_1d(f, 1, detail=True)
         assert len(detail.points) < 2
         assert len(detail.unresolved) == 2
@@ -380,26 +391,115 @@ class TestPeriodicPoints1D:
         # it a Newton disk of radius 3 that covers the other two, whose tiny
         # disks are disjoint: only the covering disk goes
         f = PolyMap.from_coeffs_1d([1e-10, 1 - 1e-10, -1, 1])
-        monkeypatch.setattr(dynamics, "durand_kerner", lambda ratio, starts:
-                            np.array([0, 1e-5, 1], dtype=complex))
+        monkeypatch.setattr(dynamics, "_approximations",
+                            _approximating([0, 1e-5, 1]))
         detail = periodic_points_1d(f, 1, detail=True)
         assert detail.points == (1e-5, 1) and detail.multiplicities == (1, 1)
         assert detail.unresolved == (0j,)
         assert abs(detail.points[1] - detail.points[0]) > sum(detail.radii)
 
-    def test_stalled_root_freezes(self, monkeypatch):
+    def test_stalled_root_freezes(self):
         # a root of z^2 - 2 near 0.0483 keeps an Aberth step of 1.2e-15, above
         # 4 eps (1 + |z|), and used to run the whole 20 * 256 sweep budget
-        sweeps = []
-        solve = dynamics.durand_kerner
+        f, sweeps = PolyMap.from_coeffs_1d([-2, 0, 1]), []
+        roots = durand_kerner(_counted_ratio(f, 8, sweeps),
+                              dynamics._escape_tree(f, 8)[-1])
+        assert len(sweeps) <= 60
+        _, _, _, ok, meets = dynamics._certificate(f, 8, roots)
+        assert ok.all() and not meets.any()
 
-        def counting(ratio, starts):
-            return solve(lambda z: sweeps.append(1) or ratio(z), starts)
+    def test_coincident_starts_are_moved_apart(self, monkeypatch):
+        # two equal starts make 1 / (z_i - z_j) infinite; that row used to
+        # keep the whole 20 * 8 sweep budget, and one root came back twice
+        # while both fixed points (1 +- sqrt 5) / 2 were missing
+        sweeps = []
+        starts = dynamics._escape_tree(SQUARE_MINUS_1, 3)[-1].copy()
+        starts[1] = starts[0]
+        roots = durand_kerner(_counted_ratio(SQUARE_MINUS_1, 3, sweeps), starts)
+        assert len(sweeps) <= 40
+        for p in ((1 + 5 ** 0.5) / 2, (1 - 5 ** 0.5) / 2):
+            assert np.min(np.abs(roots - p)) < 1e-12
+        monkeypatch.setattr(dynamics, "_approximations", _approximating(roots))
+        detail = periodic_points_1d(SQUARE_MINUS_1, 3, detail=True)
+        assert len(detail.points) == 8 and detail.multiplicities == (1,) * 8
+
+    def test_row_with_no_newton_ratio_freezes(self):
+        # g = z^2 - 1 with its Newton ratio NaN at the first start: no step
+        # can move that row, which used to stay active for the whole budget
+        sweeps, starts = [], np.array([0.3 + 0.2j, 2.0 - 1.0j])
+
+        def ratio(z):
+            sweeps.append(1)
+            return np.where(z == starts[0], np.nan, (z * z - 1) / (2 * z))
+
+        roots = durand_kerner(ratio, starts)
+        assert len(sweeps) <= 10 and roots[0] == starts[0]
+
+    def test_only_uncertified_rows_reach_aberth(self, monkeypatch):
+        # cyclic Newton from the preimage tree certifies all but a few of
+        # the 4096 roots of f^12(z) - z; Aberth moves only those
+        rows, solve = [], dynamics.durand_kerner
+
+        def counting(ratio, starts, moving=None):
+            rows.append(len(starts) if moving is None else len(moving))
+            return solve(ratio, starts, moving)
 
         monkeypatch.setattr(dynamics, "durand_kerner", counting)
-        detail = periodic_points_1d(PolyMap.from_coeffs_1d([-2, 0, 1]), 8, detail=True)
-        assert len(sweeps) <= 60
-        assert len(detail.points) == 256 and detail.unresolved == ()
+        detail = periodic_points_1d(SQUARE_MINUS_1, 12, detail=True)
+        assert len(detail.points) == 4096 and detail.unresolved == ()
+        assert len(rows) <= 1 and sum(rows) <= 64
+
+    @pytest.mark.parametrize("coeffs, r", [
+        (coeffs, r) for coeffs in (
+            [-1, 0, 1], [1j, 0, 1], [0.25, 0, 1], [-0.75, 0, 1],
+            [-0.12 + 0.74j, 0, 1],  # the rabbit
+            [0.33202574981319277 + 0.4621597843756524j, 0, 1],  # quadc
+            [0.5, -1, 0, 2])
+        for r in range(1, 9) if (len(coeffs) - 1) ** r <= 256])
+    def test_shooting_matches_aberth_alone(self, monkeypatch, coeffs, r):
+        # z^2 + 1/4 and z^2 - 3/4 (even r) have multiple roots, which only
+        # the run from all the leaves settles: that result is returned as is
+        f = PolyMap.from_coeffs_1d(coeffs)
+        new = periodic_points_1d(f, r, detail=True)
+
+        def aberth_alone(f, r):
+            leaves = dynamics._escape_tree(f, r)[-1]
+            return _approximating(durand_kerner(_counted_ratio(f, r, []), leaves))(f, r)
+
+        monkeypatch.setattr(dynamics, "_approximations", aberth_alone)
+        ref = periodic_points_1d(f, r, detail=True)
+        assert new.multiplicities == ref.multiplicities
+        assert new.unresolved == ref.unresolved
+        if ref.multiplicities != (1,) * f.degree ** r:
+            assert new == ref
+            return
+        p, q = np.array(new.points), np.array(ref.points)
+        near = np.argmin(np.abs(p[:, None] - q[None, :]), axis=1)
+        assert sorted(near) == list(range(len(q)))
+        assert np.all(np.abs(p - q[near])
+                      <= np.array(new.radii) + np.array(ref.radii)[near])
+
+    def test_meeting_matches_all_pairs(self):
+        # integer centres and half-integer radii make exact touching pairs
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(0, 40))
+            z = rng.integers(-6, 7, n) + 1j * rng.integers(-6, 7, n)
+            if trial % 2:
+                z = z * rng.uniform(0.5, 2) + rng.normal() * 1e3
+            radii = rng.integers(0, 6, n) / 2.0
+            if trial % 5 == 0 and n:
+                radii[rng.integers(n)] = np.inf
+            hit = np.abs(z[:, None] - z[None, :]) <= radii[:, None] + radii[None, :]
+            np.fill_diagonal(hit, False)
+            assert np.array_equal(dynamics._meeting(z, radii), hit.any(axis=1))
+
+    def test_preimage_levels_keep_their_parents(self):
+        levels = dynamics._escape_tree(PolyMap.from_coeffs_1d([0.5, -1, 0, 2]), 4)
+        for k in range(1, 5):
+            image = 2 * levels[k] ** 3 - levels[k] + 0.5
+            parent = levels[k - 1][np.arange(3 ** k) // 3]
+            assert np.allclose(image, parent, rtol=1e-9, atol=1e-9)
 
     def test_degree_1024_certified(self):
         detail = periodic_points_1d(SQUARE_MINUS_1, 10, detail=True)

@@ -19,13 +19,10 @@ from holorigid.dynamics import PolyFunc, PolyMap
 from holorigid.errors import SchemaError
 from holorigid.serialize import (
     MAX_EXPONENT,
-    dump_jet,
     dump_polymap,
     dump_weight,
     encode,
     load_henon,
-    load_jet,
-    load_jetmap,
     load_polymap,
     load_weight,
 )
@@ -92,7 +89,7 @@ class TestPolyMap:
             load_polymap(doc)
 
 
-class TestWeightAndJet:
+class TestWeight:
     def test_weight_roundtrip(self):
         u = load_weight({"dim": 1, "terms": [{"alpha": [2], "re": 0.5}]})
         assert load_weight(dump_weight(u)) == u
@@ -101,44 +98,6 @@ class TestWeightAndJet:
     def test_weight_dim_below_one_rejected(self, dim):
         with pytest.raises(SchemaError, match="weight.dim: must be >= 1"):
             load_weight({"dim": dim, "terms": []})
-
-    def test_jet_roundtrip(self):
-        doc = {"dim": 1, "cap": 3, "base": [[0.0, 1.0]],
-               "terms": [{"alpha": [1], "re": 2.0, "im": 0.0}]}
-        jet = load_jet(doc)
-        assert jet.base == (1j,)
-        assert load_jet(dump_jet(jet)).coeffs == jet.coeffs
-
-    def test_jet_cap_violation_rejected(self):
-        doc = {"dim": 1, "cap": 2, "base": [[0.0, 0.0]],
-               "terms": [{"alpha": [3], "re": 1.0}]}
-        with pytest.raises(SchemaError, match="exceeds cap 2"):
-            load_jet(doc)
-
-    @pytest.mark.parametrize("base", [math.nan, [0.0, math.inf], True, [1.0, False]])
-    def test_jet_base_must_be_finite_numbers(self, base):
-        doc = {"dim": 1, "cap": 2, "base": [base], "terms": []}
-        with pytest.raises(SchemaError, match=r"jet.base\[0\]: expected a finite"):
-            load_jet(doc)
-
-    def test_boolean_cap_rejected(self):
-        doc = {"dim": 1, "cap": True, "base": [0.0], "terms": []}
-        with pytest.raises(SchemaError, match="jet.cap: wrong type"):
-            load_jet(doc)
-
-    def test_jet_base_length(self):
-        doc = {"dim": 2, "cap": 2, "base": [[0.0, 0.0]], "terms": []}
-        with pytest.raises(SchemaError, match="jet.base"):
-            load_jet(doc)
-
-    def test_jetmap_components(self):
-        doc = {"dim": 2, "cap": 2, "base": [[0.0, 0.0], [0.0, 0.0]],
-               "components": [
-                   [{"alpha": [1, 0], "re": 1.0}],
-                   [{"alpha": [0, 1], "re": 1.0}],
-               ]}
-        jm = load_jetmap(doc)
-        assert jm.dim_out == 2 and jm.cap == 2
 
 
 class TestHenon:
@@ -162,6 +121,11 @@ class TestHenon:
     def test_non_finite_delta_rejected(self):
         with pytest.raises(SchemaError, match=r"factors\[0\].delta"):
             load_henon({"factors": [{"p": [0, 0, 1], "delta": [math.nan, 0.0]}]})
+
+    @pytest.mark.parametrize("delta", [math.nan, [0.0, math.inf], True, [1.0, False]])
+    def test_delta_must_be_finite_numbers(self, delta):
+        with pytest.raises(SchemaError, match=r"delta: expected a finite"):
+            load_henon({"factors": [{"p": [0, 0, 1], "delta": delta}]})
 
     def test_empty_factors_rejected(self):
         with pytest.raises(SchemaError, match="nonempty"):
