@@ -83,7 +83,6 @@ from .sphere import (
 from .henon import (
     GeneralizedHenon,
     HenonComposition,
-    fixed_points,
     saddle_certificate,
     to_polymap,
 )

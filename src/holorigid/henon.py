@@ -18,8 +18,6 @@ import numpy as np
 from .dynamics import (
     PolyMap,
     SearchConfig,
-    companion_roots,
-    classify,
     periodic_orbits,
 )
 from .errors import PreconditionError
@@ -74,12 +72,6 @@ class GeneralizedHenon:
             p_y = p_y * y + c
         return np.array([y, p_y - self.delta * x])
 
-    def p_derivative(self, y: complex) -> complex:
-        out = 0j
-        for k in range(self.degree, 0, -1):
-            out = out * y + k * self.p_coeffs[k]
-        return out
-
 
 @dataclass(frozen=True)
 class HenonComposition:
@@ -110,24 +102,6 @@ def to_polymap(h: HenonComposition) -> PolyMap:
     out = h.factors[0].polymap()
     for fac in h.factors[1:]:
         out = fac.polymap().compose(out)
-    return out
-
-
-def fixed_points(h: GeneralizedHenon):
-    """Fixed points of a single factor with multipliers and stability.
-
-    The first component forces x = y, so fixed points are (t, t) with
-    p(t) - (1 + delta) t = 0; the Jacobian there is [[0, 1],
-    [-delta, p'(t)]], whose eigenvalues solve mu^2 - p'(t) mu + delta = 0.
-    """
-    coeffs = np.array(h.p_coeffs, dtype=complex)
-    coeffs[1] -= 1.0 + h.delta
-    out = []
-    for t in companion_roots(coeffs):
-        jac = np.array([[0.0, 1.0], [-h.delta, h.p_derivative(t)]])
-        mults = tuple(sorted(np.linalg.eigvals(jac),
-                             key=lambda z: (z.real, z.imag)))
-        out.append((np.array([t, t]), mults, classify(mults)))
     return out
 
 

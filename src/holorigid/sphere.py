@@ -256,15 +256,6 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
     return SphereMax(z[0, best], float(value[0, best]), float(grad_norm[0, best]))
 
 
-def sphere_audit(f: PolyMap, r: float) -> float:
-    """Largest ||f|| over 10,000 random sphere points (seed 1); it must not
-    exceed a claimed maximum."""
-    rng, shape = np.random.default_rng(1), (10_000, f.dim)
-    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    batch *= (r / np.linalg.norm(batch, axis=1))[:, None]
-    return float(np.linalg.norm(f.values_batch(batch), axis=1).max(initial=0.0))
-
-
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
                      config: SearchConfig = SearchConfig(starts=64)
                      ) -> SphereMaxProfile:

@@ -28,8 +28,7 @@ from holorigid.fock import (
     restriction_norm_profile,
     truncated_norm,
 )
-from holorigid.henon import GeneralizedHenon, HenonComposition, fixed_points, \
-    saddle_certificate
+from holorigid.henon import GeneralizedHenon, HenonComposition, saddle_certificate
 from holorigid.jets import (
     Jet,
     JetMap,
@@ -50,6 +49,8 @@ from holorigid.rigidity import (
     duality_check,
 )
 from holorigid.sphere import construct_repelling
+
+from oracles import fixed_points
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])

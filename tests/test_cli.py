@@ -60,6 +60,16 @@ def run(capsys, argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+def run_module(*argv):
+    """``python -m holorigid.cli argv`` in a fresh process, for what reaches
+    the real stderr (warnings, tracebacks)."""
+    src = str(Path(holorigid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    return subprocess.run([sys.executable, "-m", "holorigid.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestGraded:
     def test_power_eigenvalue(self, capsys, write):
         code, doc = run(capsys, ["graded", write("f.json", DOUBLE),
@@ -194,6 +204,14 @@ class TestCertify:
         assert doc["verdict"] == "NonCompact"
         assert doc["witness"]["abs_eigenvalue"] == 2.0
 
+    def test_overflowing_walk_is_one_error_line(self):
+        # 5 escapes under z^2 - 1: the walk reaches inf, then NaN, and the
+        # closure test rejects it with no numpy warning on stderr
+        proc = run_module("certify", str(BENCH_INPUTS / "quad1.json"), "--mode",
+                          "bounded", "--r", "12", "--point", "5")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: f^12(p) - p has residual nan\n"
+
     def test_identity_search_is_not_complete(self, capsys, write):
         # every point is fixed: one generic orbit is a witness, but the
         # points cannot all be listed
@@ -267,13 +285,8 @@ class TestSearchRepelling:
 
     def test_overflow_exit_4_without_traceback(self, write):
         # ||f|| overflows on every sphere of radius e^300 .. e^400
-        src = str(Path(holorigid.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "holorigid.cli", "search-repelling",
-             write("f.json", SQUARE_2D), "--s-range=300:400"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("search-repelling", write("f.json", SQUARE_2D),
+                          "--s-range=300:400")
         assert proc.returncode == 4
         assert proc.stderr.startswith("precondition rejected:")
         assert "radius 1.94243e+130" in proc.stderr

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,80 @@ class TestBatchEvaluation:
             want = np.prod(powers[exps, np.arange(2)], axis=1).T
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _numpy_scalar_eval(table, z):
+    """The per-point evaluator on numpy complex128 scalars (the elements of
+    a complex array): the bit-for-bit oracle of the CPython complex one."""
+    total = 0j
+    for alpha, c in table.items():
+        term = c
+        for zi, a in zip(np.asarray(z, dtype=complex), alpha):
+            if a:
+                term *= zi ** a
+        total += term
+    return total
+
+
+def _bits(values):
+    """repr of each complex value: equal exactly when the bits are, except
+    that every NaN is alike; -0.0 and 0.0 differ."""
+    return [repr(complex(v)) for v in np.ravel(values)]
+
+
+_EDGE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e40,
+                  max_value=1e40)  # z^8 overflows past about 1e38.5
+
+
+@st.composite
+def _tables_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    alpha = st.tuples(*[st.integers(0, 8)] * dim)
+    coeff = st.builds(complex, _EDGE, _EDGE) | st.complex_numbers(
+        max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+    tables = [draw(st.dictionaries(alpha, coeff, min_size=1, max_size=6))
+              for _ in range(dim + 1)]
+    point = draw(st.lists(st.builds(complex, _EDGE, _EDGE), min_size=dim,
+                          max_size=dim))
+    return dim, tables, np.array(point, dtype=complex)
+
+
+class TestScalarEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables_and_points())
+    def test_bits_match_numpy_scalars(self, case):
+        dim, tables, z = case
+        f, u = PolyMap(dim, tables[:dim]), PolyFunc(dim, tables[dim])
+        with np.errstate(all="ignore"):
+            values = [_numpy_scalar_eval(c, z) for c in f.components]
+            jac = [[_numpy_scalar_eval(p, z) for p in row] for row in f._partials]
+            weight = _numpy_scalar_eval(u.terms, z)
+        assert _bits(f(z)) == _bits(values)
+        assert _bits(f(list(z))) == _bits(values)
+        assert _bits(f.jacobian(z)) == _bits(jac)
+        assert _bits(u(z)) == _bits(weight)
+
+    @pytest.mark.parametrize("n", [4, 7, 99, 100, 150])
+    @pytest.mark.parametrize("z", [1.01 - 0.02j, complex(-0.0, 1.0), 0.5 + 1e-300j,
+                                   complex(2e3, -0.0), -0.0j])
+    def test_powers_match_numpy_scalars(self, n, z):
+        with np.errstate(all="ignore"):
+            want = np.complex128(z) ** n
+        assert _bits([dynamics._power(z, n)]) == _bits([want])
+
+    def test_overflow_gives_numpy_values_without_warnings(self):
+        # 5 escapes under z^2 - 1: f^9(5) is inf + NaN i, f^10(5) is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = orbit_points(SQUARE_MINUS_1, [5.0], 13)
+            with pytest.raises(OrbitError, match=r"f\^12\(p\) - p has residual nan"):
+                make_orbit(SQUARE_MINUS_1, [5.0], 12)
+        table = SQUARE_MINUS_1.components[0]
+        with np.errstate(all="ignore"):
+            want = [np.complex128(5.0)]
+            for _ in range(12):
+                want.append(_numpy_scalar_eval(table, [want[-1]]))
+        assert _bits(walk) == _bits(want)
 
 
 def _greedy_reference(points, radius, slack=None):
@@ -844,6 +920,26 @@ class TestMakeOrbit:
             assert calls == {"__call__": r, "jacobian": orbit.period}
             seen.add(orbit.period)
         assert seen == periods
+
+    @pytest.mark.parametrize("coeffs, r", [
+        ([-1, 0, 1], 8),
+        # the monic cubic of the orbits-1d bench workload at seed 101
+        ([0.0819349424353658 + 0.45586142076960334j,
+          -0.1901103581365004 - 0.5023748452206457j,
+          0.4532698611820751 - 0.08320577685661905j, 1], 4),
+    ], ids=["square-minus-1", "cubic"])
+    def test_one_variable_multiplier_is_the_matrix_chain(self, coeffs, r):
+        # a 1x1 chain is its own eigenvalue: the scalar product must give
+        # the bits of eigvals of the 1x1 @ chain
+        f = PolyMap.from_coeffs_1d(coeffs)
+        points = periodic_points_1d(f, r)
+        assert len(points) == f.degree ** r
+        for p in points:
+            orbit = make_orbit(f, [p], r)
+            jac = np.eye(1, dtype=complex)
+            for x in orbit.points:
+                jac = f.jacobian(x) @ jac
+            assert _bits(orbit.multipliers) == _bits(np.linalg.eigvals(jac))
 
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])

@@ -11,7 +11,6 @@ from holorigid.errors import PreconditionError
 from holorigid.henon import (
     GeneralizedHenon,
     HenonComposition,
-    fixed_points,
     saddle_certificate,
     to_polymap,
 )
@@ -22,6 +21,8 @@ from holorigid.rigidity import (
     UNBOUNDED,
     certify_bounded,
 )
+
+from oracles import fixed_points
 
 STANDARD = GeneralizedHenon((-3, 0, 1), 0.3)  # p(y) = y^2 - 3, delta = 0.3
 
