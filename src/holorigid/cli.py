@@ -114,10 +114,18 @@ ERRORS = (  # exception class, stderr label, exit code; the first match wins
 )
 
 
+def _dumps(obj, **kwargs) -> str:
+    """json.dumps without NaN or Infinity, tokens that strict parsers reject."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise PreconditionError("the result holds a non-finite number") from None
+
+
 def _render_human(obj, indent=0):
     pad = "  " * indent
     if not isinstance(obj, (dict, list)):
-        return [f"{pad}{json.dumps(obj)}"]
+        return [f"{pad}{_dumps(obj)}"]
     lines = []
     items = ([(f"{key}:", val) for key, val in obj.items()]
              if isinstance(obj, dict) else [("-", val) for val in obj])
@@ -125,7 +133,7 @@ def _render_human(obj, indent=0):
         if isinstance(val, (dict, list)) and val and not _is_flat(val):
             lines += [pad + head] + _render_human(val, indent + 1)
         else:
-            lines.append(f"{pad}{head} {json.dumps(val)}")
+            lines.append(f"{pad}{head} {_dumps(val)}")
     return lines
 
 
@@ -249,9 +257,9 @@ def cmd_search_repelling(args) -> Outcome:
     rc = sphere.construct_repelling(
         f, args.s_range, args.s_steps, cfg, polish_starts=args.starts)
     if args.profile_out:
-        _write_csv(args.profile_out, ["s", "H", "H_prime"],
-                   [(s, h, "" if hp is None else hp)
-                    for s, h, hp in rc.profile.H_values])
+        _write_csv(args.profile_out, ["s", "H", "H_prime"],  # "": not sampled
+                   [["" if v is None else v for v in row]
+                    for row in rc.profile.H_values])
     payload = {
         "subcommand": "search-repelling",
         **encode({field.name: getattr(rc, field.name) for field in fields(rc)
@@ -443,6 +451,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload, metadata, code, failure = args.func(args)
+        payload["metadata"] = {"seed": args.seed, **metadata}
+        text = ("\n".join(_render_human(payload)) if args.format == "human"
+                else _dumps(payload, indent=2)) + "\n"
     except (UsageError, HoloError) as exc:
         label, code = next((label, code) for kind, label, code in ERRORS
                            if isinstance(exc, kind))
@@ -450,9 +461,6 @@ def main(argv=None) -> int:
                   if isinstance(exc, ConstructionError) else "")
         print(f"{label}: {exc}{detail}", file=sys.stderr)
         return code
-    payload["metadata"] = {"seed": args.seed, **metadata}
-    text = ("\n".join(_render_human(payload)) if args.format == "human"
-            else json.dumps(payload, indent=2)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -322,12 +323,17 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _closed_walk(f: PolyMap, p, r: int):
-    """p, ..., f^r(p), |f^r(p) - p| and |p|; OrbitError unless it closes."""
+    """p, ..., f^r(p), |f^r(p) - p|, |p| and the exact period (least d | r
+    with f^d(p) back at p); OrbitError unless it closes.  Norms overflow
+    quietly: one errstate in several variables, float arithmetic in one."""
     walk = orbit_points(f, p, r + 1)
-    closure, size = _norm(walk[r] - walk[0]), _norm(walk[0])
-    if not _closes(closure, size):
-        raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
-    return walk, closure, size
+    with np.errstate(over="ignore", invalid="ignore") if f.dim > 1 else nullcontext():
+        closure, size = _norm(walk[r] - walk[0]), _norm(walk[0])
+        if not _closes(closure, size):
+            raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
+        exact = next((d for d in range(1, r) if r % d == 0
+                      and _closes(_norm(walk[d] - walk[0]), size)), r)
+    return walk, closure, size, exact
 
 
 # ---------------------------------------------------------------------------
@@ -935,9 +941,7 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     multipliers."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    walk, closure, size = _closed_walk(f, p, r)
-    exact = next((d for d in range(1, r)
-                  if r % d == 0 and _closes(_norm(walk[d] - walk[0]), size)), r)
+    walk, closure, size, exact = _closed_walk(f, p, r)
     mults = _chain_multipliers(f, walk[:exact])
     return PeriodicOrbit(
         points=tuple(tuple(x.tolist()) for x in walk[:exact]),

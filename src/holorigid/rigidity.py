@@ -97,6 +97,10 @@ class ObstructionCertificate:
 
 
 def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
+    for name, values in (("multipliers", orbit.multipliers), ("u_r", (u_r,))):
+        if not np.isfinite(values).all():
+            raise PreconditionError(  # no verdict rests on an overflow
+                f"the witness field {name!r} holds a non-finite number")
     return {
         "point": list(orbit.points[0]),
         "orbit": [list(p) for p in orbit.points],

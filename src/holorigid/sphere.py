@@ -47,7 +47,9 @@ class SphereMaxProfile:
     """Sampled sphere maxima with log-log derivative estimates.
 
     samples hold (r, M(r), argmax); H_values hold (s, H(s), H'(s)) with H'
-    by central differences (None at the grid ends).
+    by central differences (None at the grid ends).  A profile stopped at its
+    growth point samples only up to that point's right neighbour: H and H'
+    are None beyond it, and H' there too.
     """
 
     samples: tuple
@@ -72,6 +74,11 @@ class RepellingConstruction:
     profile: "SphereMaxProfile | None" = None
 
 
+def _norms(v: np.ndarray, axis=-1) -> np.ndarray:
+    """np.linalg.norm's own formula for norms over axis, without its dispatch."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=axis))
+
+
 def _phi_derivatives(f: PolyMap, x: np.ndarray):
     """phi = ||f||^2 at a stack of points x = (Re z, Im z), with its gradient
     (N, 2d) and Hessian (N, 2d, 2d) in those real coordinates.
@@ -84,19 +91,24 @@ def _phi_derivatives(f: PolyMap, x: np.ndarray):
     grad = 2.0 * np.matmul(fz.conj()[:, None, :], jac)[:, 0].conj()
     a = np.matmul(jac.conj().transpose(0, 2, 1), jac)
     b = np.einsum("ni,nijk->njk", fz.conj(), second)
-    hess = 2.0 * np.block([[a.real + b.real, -a.imag - b.imag],
-                           [a.imag - b.imag, a.real - b.real]])
-    return (np.linalg.norm(fz, axis=1) ** 2,
-            np.concatenate([grad.real, grad.imag], axis=1), hess)
+    hess = np.empty((len(x), 2, d, 2, d))  # 2 [[Re(A+B), -Im(A+B)], [Im(A-B), Re(A-B)]]
+    np.add(a.real, b.real, out=hess[:, 0, :, 0])
+    np.subtract(np.negative(a.imag), b.imag, out=hess[:, 0, :, 1])
+    np.subtract(a.imag, b.imag, out=hess[:, 1, :, 0])
+    np.subtract(a.real, b.real, out=hess[:, 1, :, 1])
+    hess *= 2.0
+    return (_norms(fz) ** 2, np.concatenate([grad.real, grad.imag], axis=1),
+            hess.reshape(len(x), 2 * d, 2 * d))
 
 
 def _phi(f: PolyMap, x: np.ndarray) -> np.ndarray:
     """phi = ||f||^2 alone at a stack of points x = (Re z, Im z)."""
     d = f.dim
-    return np.linalg.norm(f.values_batch(x[:, :d] + 1j * x[:, d:]), axis=1) ** 2
+    return _norms(f.values_batch(x[:, :d] + 1j * x[:, d:])) ** 2
 
 
-def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                  eye: np.ndarray):
     """Tangent gradient norm, saddle-free Newton step and Newton decrement on
     spheres.
 
@@ -110,98 +122,128 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     up to the overflow threshold still gets a step; a row whose terms
     overflow anyway gets a NaN step and decrement.  The gradient norm is
     taken through the same power of two, so its square does not overflow.
+    eye is the identity of the real coordinates, built once per ascent.
     """
     normal = x / r[:, None]
-    radial = np.sum(normal * grad, axis=1)
+    radial = np.add.reduce(normal * grad, axis=1)
     g = grad - radial[:, None] * normal
     weingarten = radial / r
-    unit = np.ldexp(1.0, np.frexp(np.abs(hess).max(axis=(1, 2)) + np.abs(weingarten))[1])
+    unit = np.ldexp(1.0, np.frexp(np.maximum.reduce(np.abs(hess), axis=(1, 2))
+                                  + np.abs(weingarten))[1])
     hess, weingarten = hess / unit[:, None, None], weingarten / unit
     outer = normal[:, :, None] * normal[:, None, :]
-    proj = np.eye(x.shape[1]) - outer
+    proj = eye - outer
     h = proj @ hess @ proj - weingarten[:, None, None] * proj
-    overflow = ~np.isfinite(h).all(axis=(1, 2))
+    overflow = ~np.logical_and.reduce(np.isfinite(h), axis=(1, 2))
     h[overflow] = 0.0
-    size = np.linalg.norm(h, axis=(1, 2))
+    size = _norms(h, (1, 2))
     lam, vec = np.linalg.eigh(h - (3.0 * size)[:, None, None] * outer)
-    scale = np.linalg.norm(hess, axis=(1, 2)) + np.abs(weingarten)
+    scale = _norms(hess, (1, 2)) + np.abs(weingarten)
     floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)[:, None]
     g_unit = g / unit[:, None]
     coef = np.matmul(g_unit[:, None, :], vec)[:, 0]
     coef /= np.maximum(np.abs(lam), floor)
     coef[overflow] = np.nan
     step = np.matmul(vec, coef[:, :, None])[:, :, 0]
-    return unit * np.linalg.norm(g_unit, axis=1), step, np.sum(step * g, axis=1)
+    return unit * _norms(g_unit), step, np.add.reduce(step * g, axis=1)
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING):
+def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING,
+            grow=None):
     """Saddle-free Riemannian Newton ascent of ||f||^2 on spheres of radius r.
 
-    r is one radius, or one per row of z0.  All starts run in lockstep.  Each
-    step is capped at length r; one batched evaluation of f tries HALVINGS
-    fractions 1, 1/2, ... of it on the normalizing retraction, and the largest
-    that passes the Armijo test is taken.  Derivatives are evaluated only at
-    the accepted points.  A row stops after MAX_ITER steps, or sooner: when
-    its Newton decrement (twice the predicted gain) falls below
-    decrement_tol * phi, by default the rounding of phi; when no step length
-    gains more than the rounding of phi (the Armijo floor); or when f
-    overflows.  Returns points, ||f|| and tangent norms, the last as
-    evidence only.
-    Raises PreconditionError, naming the radius, where ||f|| overflowed at
-    a start: the maximum on that sphere overflows too, and the best of the
-    other starts would be silently low.  Raises PreconditionError when
-    there is no start at all.
+    r is one radius, or one per row; rows past those of z0 wait until grow
+    starts them.  All rows run in lockstep on one compact state of the live
+    rows.  Each step is capped at length r; one batched evaluation of f
+    tries HALVINGS fractions 1, 1/2, ... of it on the normalizing
+    retraction, and the largest that passes the Armijo test is taken;
+    derivatives are evaluated only at the accepted points.  A row stops
+    after MAX_ITER steps of its own, or when its Newton decrement (twice the
+    predicted gain) falls below decrement_tol * phi, by default the rounding
+    of phi, when no step gains more than the rounding of phi, or when f
+    overflows.  After each step in which rows stopped, grow (if given) sees
+    the stopped flags, points and ||f|| of all rows, and returns the rows
+    that join at the next step with their starts, or None: every live row
+    then retires where it stands and the ascent returns.  Returns points,
+    ||f|| and tangent norms (evidence only) of every row.
+    Raises PreconditionError where there is no start, or where ||f||
+    overflowed at a row of an ascent that ran to its end, naming the radius:
+    the best of the other starts on that sphere would be silently low.
     """
     if not len(z0):
         raise PreconditionError("a sphere search needs at least one start")
-    d = f.dim
-    r = np.broadcast_to(np.asarray(r, dtype=float), (len(z0),))
-    z = z0 * (r / np.linalg.norm(z0, axis=1))[:, None]
-    x = np.concatenate([z.real, z.imag], axis=1)
-    tangent_norm = np.full(len(x), np.inf)
-    halvings = 0.5 ** np.arange(HALVINGS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, grad, hess = _phi_derivatives(f, x)
-        live = np.flatnonzero(_finite_rows(phi, grad, hess))
-        for _ in range(MAX_ITER):
-            if not live.size:
+    d, halvings, fresh, eye = f.dim, 0.5 ** np.arange(HALVINGS), False, np.eye(2 * f.dim)
+    live = None  # row, steps, x, radius, phi, grad, hess, tangent norm
+    r = np.asarray(r, dtype=float)
+    r = np.broadcast_to(r, (max(len(z0), r.size),))
+    z, value = np.zeros((len(r), d), dtype=complex), np.zeros(len(r))
+    tangent_norm, done = np.full(len(r), np.inf), np.zeros(len(r), dtype=bool)
+    joins = np.arange(len(z0)), z0
+
+    def stop(mask, final=True):  # write the masked live rows out, drop them
+        nonlocal live, fresh
+        out, keep = np.flatnonzero(mask), np.flatnonzero(~mask)
+        rows, x, phi, tangent = (live[k][out] for k in (0, 2, 4, 7))
+        z[rows], value[rows] = x[:, :d] + 1j * x[:, d:], np.sqrt(phi)
+        tangent_norm[rows] = tangent
+        done[rows] = fresh = final
+        live = [a[keep] for a in live]
+
+    # divide: t = r / 0 for a row whose zero step has stopped it, never read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            rows, start = joins
+            if len(rows):  # rows join with MAX_ITER steps of their own
+                start = start * (r[rows] / _norms(start))[:, None]
+                x = np.concatenate([start.real, start.imag], axis=1)
+                block = [rows, np.zeros_like(rows), x, r[rows], *_phi_derivatives(f, x),
+                         np.full(len(x), np.inf)]
+                live = block if live is None else [*map(np.concatenate, zip(live, block))]
+                joins = (), ()
+            _, steps, _, _, phi, grad, hess, _ = live
+            finished = ~(np.isfinite(phi) & np.isfinite(grad).all(axis=1)
+                         & np.isfinite(hess).all(axis=(1, 2))) | (steps >= MAX_ITER)
+            if finished.any():
+                stop(finished)
+            if grow is not None and fresh:
+                fresh, joins = False, grow(done, z, value)
+                if joins is None:
+                    stop(live[0] >= 0, final=False)
+                    return z, value, tangent_norm
+                if len(joins[0]):
+                    continue
+            if not len(live[0]):
                 break
-            tangent_norm[live], step, decrement = _newton_steps(
-                x[live], r[live], grad[live], hess[live])
-            rounding = ROUNDING * phi[live]
-            open_ = decrement > decrement_tol * phi[live]
-            live, step, decrement, rounding = (
-                live[open_], step[open_], decrement[open_], rounding[open_])
-            t = np.minimum(1.0, r[live] / np.linalg.norm(step, axis=1))
-            moved = np.zeros(len(live), dtype=bool)
-            todo = t * decrement > rounding
+            _, steps, x, rad, phi, grad, hess, _ = live
+            live[7], step, decrement = _newton_steps(x, rad, grad, hess, eye)
+            live[1] = steps + 1
+            rounding = ROUNDING * phi
+            t = np.minimum(1.0, rad / _norms(step))
+            todo = (decrement > decrement_tol * phi) & (t * decrement > rounding)
+            moved = np.zeros(len(x), dtype=bool)
             while todo.any():
-                rows, ts = live[todo], t[todo, None] * halvings
-                cand = x[rows, None] + ts[..., None] * step[todo, None]
-                cand *= (r[rows, None] / np.linalg.norm(cand, axis=2))[..., None]
+                idx = np.flatnonzero(todo)
+                ts = t[idx, None] * halvings
+                cand = x[idx, None] + ts[..., None] * step[idx, None]
+                cand *= (rad[idx, None] / _norms(cand))[..., None]
                 gain = (_phi(f, cand.reshape(-1, 2 * d)).reshape(ts.shape)
-                        - phi[rows, None])
-                accept = gain > np.maximum(ARMIJO * ts * decrement[todo, None],
-                                           rounding[todo, None])
+                        - phi[idx, None])
+                accept = gain > np.maximum(ARMIJO * ts * decrement[idx, None],
+                                           rounding[idx, None])
                 hit = accept.any(axis=1)
-                x[rows[hit]] = cand[hit, np.argmax(accept, axis=1)[hit]]
-                moved[np.flatnonzero(todo)[hit]] = True
-                t[todo] = ts[:, -1] * 0.5
+                x[idx[hit]] = cand[hit, np.argmax(accept, axis=1)[hit]]
+                moved[idx[hit]] = True
+                t[idx] = ts[:, -1] * 0.5
                 todo &= ~moved & (t * decrement > rounding)
-            live = live[moved]
-            if live.size:
-                phi[live], grad[live], hess[live] = _phi_derivatives(f, x[live])
-                live = live[_finite_rows(phi[live], grad[live], hess[live])]
-    bad = np.flatnonzero(~np.isfinite(phi))
+            if not moved.all():
+                stop(~moved)
+            if len(live[0]):
+                live[4:7] = _phi_derivatives(f, live[2])
+    bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         raise PreconditionError(
             f"||f|| overflowed at a start on the sphere of radius {r[bad[0]]:.6g}")
-    return x[:, :d] + 1j * x[:, d:], np.sqrt(phi), tangent_norm
-
-
-def _finite_rows(phi, grad, hess) -> np.ndarray:
-    return (np.isfinite(phi) & np.isfinite(grad).all(axis=1)
-            & np.isfinite(hess).all(axis=(1, 2)))
+    return z, value, tangent_norm
 
 
 def _maxima(f: PolyMap, starts: np.ndarray, radii, decrement_tol: float = ROUNDING):
@@ -264,44 +306,67 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     Convexity of H and its eventual positivity (for non-affine f) make any
     grid point with H > 0 and H' > 0 usable for the construction.  One
     lockstep ascent runs the seeded starts of sphere_max at every radius;
-    a second restarts each radius from its neighbours' maximizers.  A warm
-    result is kept only where it is higher than every cold one by more than
-    TIE_TOL relative (first_near_best).  The samples serve to pick a grid point
-    and to seed the polish, so both passes stop a start once its Newton
-    decrement falls below TIE_TOL * phi: on a nearly flat ridge, as for mix3
-    on spheres of radius e^1.3 to e^3, a start otherwise gains about 1e-11
-    relative per step for hundreds of steps.
+    once all cold starts of a radius have stopped, its maximizer restarts
+    each neighbouring radius in the same lockstep.  A warm result is kept
+    only where it beats every cold one by more than TIE_TOL relative
+    (first_near_best).  Every start stops once its Newton decrement falls
+    below TIE_TOL * phi: on a nearly flat ridge, as for mix3 on spheres of
+    radius e^1.3 to e^3, it otherwise gains about 1e-11 relative per step
+    for hundreds of steps.
     """
+    return _profile(f, s_range, steps, config, stop=False)
+
+
+def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, stop: bool):
+    """hadamard_profile; with stop, every row retires once select_growth_point
+    is decided on final samples, and H is kept only up to the growth point's
+    right neighbour."""
     lo, hi = float(s_range[0]), float(s_range[1])
     if not (hi > lo) or steps < 3:
         raise PreconditionError("s_range must be nondegenerate with steps >= 3")
     grid = np.linspace(lo, hi, steps)
-    radii = np.exp(grid)
-    # cold pass: every radius from the same seeded starts, one lockstep ascent
-    z, value, _, best = _maxima(f, _seeded_starts(config, f.dim), radii, TIE_TOL)
-    # warm pass: each radius from its neighbours' maximizers, which _ascend
-    # rescales to its sphere; the cold starts win ties
+    radii, starts = np.exp(grid), _seeded_starts(config, f.dim)
+    n, known = len(starts), 0
+    # the warm rows follow the cold ones: radius target[k] from source[k]
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
                                if 0 <= j < steps]).T
-    warm_z, warm_value, _ = _ascend(f, z[source, best[source]], radii[target],
-                                    TIE_TOL)
-    samples = []
-    for i, r in enumerate(radii):
-        mine = target == i
-        points = np.concatenate([z[i], warm_z[mine]])
-        values = np.concatenate([value[i], warm_value[mine]])
-        k = first_near_best(values)
-        samples.append((float(r), float(values[k]), points[k]))
-    h = np.array([np.log(m) - np.log(r) for r, m, _ in samples])
+    rows = [np.r_[i * n:(i + 1) * n, steps * n + np.flatnonzero(target == i)]
+            for i in range(steps)]  # the cold starts win ties
+    samples, h, best = [None] * steps, [None] * steps, {}  # best: seeded radius -> row
+
+    def grow(done, z, value):
+        nonlocal known
+        cold, seeded = done[:steps * n].reshape(steps, n).all(axis=1), np.zeros(steps, bool)
+        for i in np.flatnonzero(cold).tolist():
+            mine, block = rows[i], value[i * n:(i + 1) * n]
+            if samples[i] is None and done[mine].all() and np.isfinite(value[mine]).all():
+                k = mine[first_near_best(value[mine])]
+                samples[i] = (float(radii[i]), float(value[k]), z[k].copy())
+                h[i] = np.log(samples[i][1]) - np.log(samples[i][0])
+            if i not in best and np.isfinite(block).all():  # restart the neighbours
+                best[i], seeded[i] = i * n + first_near_best(block), True
+        warm = np.flatnonzero(seeded[source])
+        if stop and (h + [None])[known] is not None:  # the final prefix grew
+            known = (h + [None]).index(None)
+            idx = select_growth_point(SphereMaxProfile((), _h_values(grid, h)))
+            if idx is not None:
+                h[idx + 2:] = samples[idx + 2:] = [None] * (steps - idx - 2)
+                return None
+        return steps * n + warm, z[[best[j] for j in source[warm]]]
+
+    _ascend(f, np.tile(starts, (steps, 1)),
+            np.concatenate([np.repeat(radii, n), radii[target]]), TIE_TOL, grow)
+    return SphereMaxProfile(tuple(x for x in samples if x), _h_values(grid, h))
+
+
+def _h_values(grid, h):
+    """(s, H, H') per grid point, H' by central differences; None where H is
+    not sampled, and H' also at the grid ends and beside such a point."""
     spacing = grid[1] - grid[0]
-    h_values = []
-    for i, s in enumerate(grid):
-        if 0 < i < steps - 1:
-            hp = float((h[i + 1] - h[i - 1]) / (2 * spacing))
-        else:
-            hp = None
-        h_values.append((float(s), float(h[i]), hp))
-    return SphereMaxProfile(tuple(samples), tuple(h_values))
+    return tuple((float(s), None if h[i] is None else float(h[i]),
+                  float((h[i + 1] - h[i - 1]) / (2 * spacing))
+                  if 0 < i < len(grid) - 1 and None not in (h[i - 1], h[i + 1])
+                  else None) for i, s in enumerate(grid))
 
 
 def select_growth_point(profile: SphereMaxProfile):
@@ -311,13 +376,16 @@ def select_growth_point(profile: SphereMaxProfile):
     eta = 1 + H' must clear 1 + TOL_ETA.  A grid point straddling a kink of H
     (left/right difference disagreement above 1e-2) is skipped, since the
     derivative estimate there is meaningless; raises RangeError when no
-    point qualifies.
+    point qualifies.  The scan returns None where it first needs an H that
+    the profile does not hold yet.
     """
     hv = profile.H_values
     s_grid = [s for s, _, _ in hv]
     h = [x for _, x, _ in hv]
     for i in range(1, len(hv) - 1):
         s, h_i, hp = hv[i]
+        if None in h[i - 1:i + 2]:
+            return None
         if h_i <= 10 * SELECT_MARGIN or hp is None or hp <= TOL_ETA:
             continue
         spacing = s_grid[i] - s_grid[i - 1]
@@ -387,6 +455,10 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
                         polish_starts: int = 200) -> RepellingConstruction:
     """Produce (a, U, p) with f o (aU) fixing p repellingly, fully verified.
 
+    The profile runs as in hadamard_profile until select_growth_point is
+    decided on final samples: cold rows up to idx + 2 and warm rows up to
+    idx + 1 have stopped, every smaller index is rejected.  Then every row
+    retires, and the grid past idx + 1 is never read.
     Raises PreconditionError for affine or one-variable maps, RangeError
     when the sampled s-range shows no growth point, and ConstructionError
     (with diagnostics) when a residual check fails.
@@ -398,7 +470,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
             "the construction needs a non-affine polynomial map: some "
             "component must carry a term of total degree >= 2"
         )
-    profile = hadamard_profile(f, s_range, steps, config)
+    profile = _profile(f, s_range, steps, config, stop=True)
     idx = select_growth_point(profile)
     s = profile.H_values[idx][0]
     r = float(np.exp(s))

@@ -212,6 +212,37 @@ class TestCertify:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: f^12(p) - p has residual nan\n"
 
+    def test_overflowing_two_variable_walk_is_one_error_line(self):
+        # the residual norm of a Henon walk from (1e30, 1e30) overflows in
+        # BLAS ddot; one errstate per walk keeps its warning off stderr
+        proc = run_module("certify", str(BENCH_INPUTS / "henon_readme.json"),
+                          "--mode", "bounded", "--r", "3", "--point", "1e30,1e30")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: f^3(p) - p has residual inf\n"
+
+    def test_non_finite_multiplier_is_refused(self, write):
+        # in floating point f(0) = 1 and f(1) rounds to 0, so the walk closes
+        # only by rounding and f'(0) f'(1) = -1e320 overflows
+        rounded = {"dim": 1, "components": [[
+            {"alpha": [0], "re": 1.0}, {"alpha": [1], "re": 1e160},
+            {"alpha": [2], "re": -1e160}]]}
+        proc = run_module("certify", write("f.json", rounded), "--mode",
+                          "bounded", "--r", "2", "--point", "0")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: the witness field "
+                               "'multipliers' holds a non-finite number\n")
+
+    @pytest.mark.parametrize("form", ["json", "human"])
+    def test_non_finite_payload_is_refused(self, capsys, write, monkeypatch, form):
+        # no subcommand prints NaN or Infinity, which strict parsers reject
+        monkeypatch.setattr(rigidity, "TOL_WEIGHT", float("nan"))
+        code = main(["certify", write("f.json", SQUARE), "--mode", "bounded",
+                     "--r", "1", "--format", form])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == ("precondition rejected: the result holds a "
+                                "non-finite number\n")
+
     def test_identity_search_is_not_complete(self, capsys, write):
         # every point is fixed: one generic orbit is a witness, but the
         # points cannot all be listed
@@ -273,6 +304,14 @@ class TestSearchRepelling:
         lines = prof.read_text().splitlines()
         assert lines[0] == "s,H,H_prime"
         assert len(lines) == 26
+        # the construction reads H up to the growth point's right neighbour,
+        # and H' there would need the next H
+        rows = [line.split(",") for line in lines[1:]]
+        idx = next(i for i, (s, _, _) in enumerate(rows)
+                   if float(s) == pytest.approx(doc["s"]))
+        assert all(h and hp for _, h, hp in rows[1:idx + 1])
+        assert rows[idx + 1][1] and not rows[idx + 1][2]
+        assert all(not h and not hp for _, h, hp in rows[idx + 2:])
 
     def test_affine_exit_4(self, capsys, write):
         code, _ = run(capsys, ["search-repelling", write("f.json", AFFINE_2D)])
@@ -293,7 +332,7 @@ class TestSearchRepelling:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("name, rows", [
-        ("sq2.json", 3816), ("henon_readme.json", 4483), ("mix3.json", 13699)])
+        ("sq2.json", 3816), ("henon_readme.json", 4483), ("mix3.json", 13003)])
     def test_newton_row_steps_of_the_bench_inputs(self, capsys, monkeypatch,
                                                   name, rows):
         # every ascent stops at MAX_ITER, its Newton decrement, the Armijo

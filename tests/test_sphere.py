@@ -221,7 +221,8 @@ class TestHadamardProfile:
         profile = hadamard_profile(MIX3, config=config)
         assert iterations[0] < sphere.MAX_ITER
         # the same ascents, stopped at the rounding of phi
-        monkeypatch.setattr(sphere, "_ascend", lambda *args: ascend(*args[:3]))
+        monkeypatch.setattr(sphere, "_ascend", lambda f, z0, r, tol, grow=None:
+                            ascend(f, z0, r, sphere.ROUNDING, grow))
         reference = hadamard_profile(MIX3, config=config)
         values = np.array([m for _, m, _ in profile.samples])
         expected = np.array([m for _, m, _ in reference.samples])
@@ -365,6 +366,37 @@ class TestConstructRepelling:
                                  polish_starts=64)
         assert rc.eta == pytest.approx(2.0, abs=1e-3)
 
+    @pytest.mark.parametrize("f", [SQUARE_FIRST, HENON, MIX3],
+                             ids=["sq2", "henon", "mix3"])
+    def test_stopped_profile_agrees_with_the_full_grid(self, f):
+        # the construction stops its profile once the growth point is
+        # decided; what it reports is what the full grid reports there
+        config = SearchConfig(starts=16, seed=101)
+        stopped = construct_repelling(f, config=config, polish_starts=16).profile
+        full = hadamard_profile(f, config=config)
+        idx = select_growth_point(stopped)
+        assert idx == select_growth_point(full)
+        assert len(stopped.samples) == idx + 2
+        assert len(stopped.H_values) == len(full.H_values) == 25
+        for i, ((s, h, hp), (s_full, h_full, hp_full)) in enumerate(
+                zip(stopped.H_values, full.H_values)):
+            assert s == s_full
+            if i > idx + 1:
+                assert h is None and hp is None
+                continue
+            assert abs(h - h_full) <= 2e-12 * abs(h_full)
+            assert (hp is None) == (i in (0, idx + 1))
+
+    def test_overflow_past_the_read_grid_is_not_read(self):
+        # ||f||^2 = |z1|^4 overflows from s = 177.4 on; the growth point
+        # s = 15.75 is decided before the profile reads those radii, while
+        # the full grid still rejects them
+        rc = construct_repelling(SQUARE_FIRST, (-1.0, 200.0), 25, FAST,
+                                 polish_starts=16)
+        assert rc.s == 15.75 and len(rc.profile.samples) == 4
+        with pytest.raises(PreconditionError, match="radius 3.84117e[+]79"):
+            hadamard_profile(SQUARE_FIRST, (-1.0, 200.0), 25, FAST)
+
     def test_mix3_finds_growth(self):
         # H is flat left of a hinge near s = -1/3; the default grid's s = -0.5
         # picks up H' = 3.7e-5 from it, which gives eta = 1.000000
@@ -380,10 +412,11 @@ class TestConstructRepelling:
         assert max(m) - min(m) <= 1e-13 * max(m)
 
     def test_every_ascent_stops_below_the_cap(self, monkeypatch):
-        # cold profile, warm profile, polish and sides on mix3
+        # the profile (cold and warm rows in one lockstep), polish and sides
+        # on mix3
         iterations = _count_newton_steps(monkeypatch)
         construct_repelling(MIX3, config=SearchConfig(starts=16, seed=101))
-        assert len(iterations) == 4
+        assert len(iterations) == 3
         assert max(iterations) < sphere.MAX_ITER
 
     def test_every_ascent_reads_the_cap(self, monkeypatch):
@@ -392,7 +425,8 @@ class TestConstructRepelling:
         monkeypatch.setattr(sphere, "MAX_ITER", 1)
         with pytest.raises(ConstructionError):
             construct_repelling(MIX3, config=SearchConfig(starts=16, seed=101))
-        assert iterations == [1, 1, 1, 1]
+        # the warm rows of the profile join after the step of their sources
+        assert iterations == [2, 1, 1]
 
     def test_affine_rejected(self):
         with pytest.raises(PreconditionError, match="non-affine"):
