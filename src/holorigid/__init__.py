@@ -7,7 +7,6 @@ from .errors import (
     HoloError,
     InsufficientDegreeError,
     OrbitError,
-    OrderUndeterminedError,
     PreconditionError,
     RangeError,
     SchemaError,
@@ -25,10 +24,8 @@ from .jets import (
     graded_matrix_formula,
     jet_compose,
     jet_multiply,
-    jetmap_compose,
     multi_indices,
     multiset_close,
-    weighted_pullback,
 )
 from .dynamics import (
     ALL_POINTS,
@@ -50,7 +47,6 @@ from .dynamics import (
 from .rigidity import (
     AffineVerdict,
     DualityFlags,
-    GrowthDiagnostic,
     ObstructionCertificate,
     affine_verdict_1d,
     certify_bounded,
@@ -59,13 +55,9 @@ from .rigidity import (
     certify_hypercyclic,
     certify_supercyclic,
     duality_check,
-    growth_diagnostic_1d,
 )
 from .fock import (
     OperatorMatrix,
-    TruncatedSpaceModel,
-    assumption_witness,
-    block_growth_norms,
     coefficient_matrix,
     operator_matrix,
     operator_matrix_from_polys,

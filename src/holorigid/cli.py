@@ -9,6 +9,7 @@ format is a rendering of the same JSON payload, never a separate path.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -50,11 +51,15 @@ class Parser(argparse.ArgumentParser):
 
 
 def _parse_complex_list(text: str):
+    """Finite complex numbers, comma-separated, as JSON documents hold them."""
     try:
-        return [complex(part.strip().replace(" ", ""))
-                for part in text.split(",") if part.strip()]
+        values = [complex(part.strip().replace(" ", ""))
+                  for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"cannot parse complex list: {text!r}")
+    if not all(map(cmath.isfinite, values)):
+        raise UsageError(f"non-finite number in complex list: {text!r}")
+    return values
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
@@ -76,11 +81,13 @@ def _int_at_least(low: int):
 
 
 def _float_range(text: str):
-    """argparse type: 'lo:hi' with two floats."""
+    """argparse type: 'lo:hi' with two finite floats."""
     try:
         lo, hi = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi floats, got {text!r}")
+    if not all(map(cmath.isfinite, (lo, hi))):
+        raise argparse.ArgumentTypeError(f"expected finite lo:hi, got {text!r}")
     return lo, hi
 
 

@@ -17,10 +17,6 @@ class InsufficientDegreeError(HoloError):
     """A jet was truncated below the degree the operation needs."""
 
 
-class OrderUndeterminedError(HoloError):
-    """A vanishing order could not be read off a jet truncated at its cap."""
-
-
 class TermOverflowError(HoloError):
     """Symbolic polynomial composition exceeded the term-count safety cap."""
 

@@ -40,14 +40,6 @@ def sqrt_factorial(alpha) -> float:
 
 
 @dataclass(frozen=True)
-class TruncatedSpaceModel:
-    """Monomial model of a Fock space restricted to degree <= N."""
-
-    d: int
-    N: int
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix of the weighted composition operator on the truncated basis.
 
@@ -272,72 +264,3 @@ def norm_sweep(m: OperatorMatrix) -> tuple:
     return tuple((n, m.norm if k == len(m.basis)
                   else _spectral_norm(m.entries[:k, :k]),
                   max(m.top_degree[:k]) > n) for n, k in enumerate(ends))
-
-
-def graded_level_block(m: OperatorMatrix, from_level: int, to_level: int) -> np.ndarray:
-    """Submatrix mapping degree-``from_level`` columns to degree-``to_level`` rows."""
-    return m.entries[np.ix_(m.degrees == to_level, m.degrees == from_level)]
-
-
-def block_growth_norms(u: Jet, f: JetMap, n: int, k_max: int, N: int,
-                       weighted: bool = False) -> tuple:
-    """Norms of k-fold products of consecutive graded level blocks.
-
-    The weight's vanishing order m shifts each block from level j to level
-    j + m.  In Taylor coordinates (weighted=False) the k-step product for
-    u = u_m z^m, f = lam z is exactly |u_m|^k |lam|^(k n + m k(k-1)/2): the
-    second difference of the log sequence recovers log |lam|.  The Fock
-    normalization (weighted=True) multiplies in sqrt((n+km)! / n!)-type
-    factors, which the caller must account for separately.
-    """
-    m_ord = u.order()
-    if m_ord is None:
-        raise InsufficientDegreeError("weight jet vanishes to its cap")
-    if n + k_max * max(m_ord, 1) > N:
-        raise InsufficientDegreeError(
-            f"need N >= {n + k_max * max(m_ord, 1)} to take {k_max} steps"
-        )
-    mat = operator_matrix(u, f, N) if weighted else coefficient_matrix(u, f, N)
-    norms = []
-    prod = None
-    for k in range(1, k_max + 1):
-        level = n + (k - 1) * m_ord
-        block = graded_level_block(mat, level, level + m_ord)
-        prod = block if prod is None else block @ prod
-        norms.append(float(np.linalg.norm(prod, 2)))
-    return tuple(norms)
-
-
-def assumption_witness(model: TruncatedSpaceModel, n_max: int) -> dict:
-    """Exhibit basis elements realizing every degree-n monomial class.
-
-    For the monomial model each class is realized by e_alpha itself, which
-    certifies that the induced graded subspace is the full jet space at
-    every level up to the cap; levels beyond the cap are reported as not
-    realized rather than guessed.  For d = 1 the report also traces the
-    dimension-counting argument: each graded piece has dimension 0 or 1,
-    and an infinite-dimensional space must hit dimension 1 infinitely often.
-    """
-    levels = []
-    for n in range(n_max + 1):
-        if n <= model.N:
-            levels.append({
-                "n": n,
-                "realized": True,
-                "witnesses": [list(a) for a in multi_indices(model.d, n)],
-            })
-        else:
-            levels.append({"n": n, "realized": False,
-                           "note": "not realized at cap"})
-    report = {"d": model.d, "N": model.N, "levels": levels}
-    if model.d == 1:
-        report["one_variable_argument"] = {
-            "graded_dimensions": [1 if n <= model.N else 0
-                                  for n in range(n_max + 1)],
-            "note": (
-                "each graded piece of a one-variable space has dimension 0 "
-                "or 1; were it 0 from some level on, the space would embed "
-                "in a finite jet space, impossible for infinite dimension"
-            ),
-        }
-    return report

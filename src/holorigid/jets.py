@@ -33,7 +33,6 @@ from .errors import (
 MultiIndex = tuple  # exponent vector: one non-negative int per variable
 
 TOL_EIG = 1e-8  # relative gap of paired eigenvalues in ``multiset_close``
-TOL_ORDER = 1e-12  # a coefficient below this, relative, does not set ``Jet.order``
 
 
 def base_tolerance(q) -> float:
@@ -106,10 +105,6 @@ class Jet:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def zero(cls, dim, cap, base):
-        return cls(dim, cap, base, {})
-
-    @classmethod
     def constant(cls, dim, cap, base, value):
         return cls(dim, cap, base, {(0,) * dim: complex(value)})
 
@@ -124,17 +119,6 @@ class Jet:
     def value(self) -> complex:
         """Value at the base point (the constant coefficient)."""
         return self.coeffs.get((0,) * self.dim, 0j)
-
-    def order(self):
-        """Smallest total degree carrying a coefficient of modulus above
-        TOL_ORDER * max(1, max |c|).
-
-        Returns None when no coefficient exceeds that up to the cap.
-        """
-        scale = max([abs(c) for c in self.coeffs.values()], default=0.0)
-        tol = TOL_ORDER * max(1.0, scale)
-        degs = [sum(a) for a, c in self.coeffs.items() if abs(c) > tol]
-        return min(degs) if degs else None
 
     def truncated(self, cap: int) -> "Jet":
         return Jet(self.dim, cap, self.base,
@@ -325,19 +309,6 @@ def jet_compose(h: Jet, f: JetMap) -> Jet:
     exactly, which makes the truncation exact.
     """
     return JetComposer(f).compose(h)
-
-
-def jetmap_compose(f: JetMap, g: JetMap) -> JetMap:
-    """Jet map of f o g; g must send its base to the base of f."""
-    composer = JetComposer(g)
-    return JetMap(g.dim_in, f.dim_out,
-                  tuple(composer.compose(c) for c in f.components))
-
-
-def weighted_pullback(u: Jet, f: JetMap, h: Jet) -> Jet:
-    """Jet of u * (h o f) at the base of f (and of u)."""
-    _check_aligned(u, f.components[0])
-    return jet_multiply(u, jet_compose(h, f))
 
 
 @dataclass(frozen=True)

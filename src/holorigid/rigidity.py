@@ -10,10 +10,7 @@ hypotheses it is conditional on.  The mechanisms:
   supercyclicity (dim V >= 2);
 * more than r periodic points of period dividing r on one level set of the
   cocycle u_r rule out cyclicity, given linear independence of the point
-  evaluations;
-* when the weight vanishes at a fixed point of order m and |f'(p)| > 1, the
-  quadratic-exponent growth |f'(p)|^(m k^2 / 2) of the k-step graded action
-  outruns any exponential bound, so boundedness again fails (one variable).
+  evaluations.
 
 A certificate never asserts the converse: NoObstruction means this toolkit
 found nothing, not that the property holds.
@@ -45,8 +42,8 @@ from .dynamics import (
     periodic_points_1d,
     weight_cocycle,
 )
-from .errors import OrderUndeterminedError, PreconditionError
-from .jets import Jet, multi_indices
+from .errors import PreconditionError
+from .jets import multi_indices
 from .sphere import first_near_best
 
 UNBOUNDED = "Unbounded"
@@ -161,13 +158,11 @@ def certify_bounded(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertifi
     """Boundedness obstruction from the strongest of the periodic orbits.
 
     A multiplier of modulus > 1 with u_r(p) != 0 yields Unbounded; a
-    vanishing cocycle yields Inapplicable (for one variable the growth
-    diagnostic covers that regime); otherwise NoObstruction.
+    vanishing cocycle yields Inapplicable; otherwise NoObstruction.
     """
-    note = ("weight cocycle vanishes on the orbit; the eigenvalue bound does "
-            "not apply" + (" (see the one-variable vanishing-weight growth "
-                           "diagnostic)" if f.dim == 1 else ""))
-    return _multiplier_certificate(f, u, orbits, UNBOUNDED, ("above",), note)
+    return _multiplier_certificate(
+        f, u, orbits, UNBOUNDED, ("above",),
+        "weight cocycle vanishes on the orbit; the eigenvalue bound does not apply")
 
 
 def certify_compact(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertificate:
@@ -347,39 +342,6 @@ def affine_verdict_1d(f: PolyMap, r_max: int = 8) -> AffineVerdict:
                          _NO_BOUNDED_STATEMENT + " (witness search exhausted "
                          f"at period {r_max}; a repelling orbit exists at "
                          "some higher period)", None, r_max)
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    """Vanishing-weight growth data at a fixed point (one variable).
-
-    The k-step graded action carries the factor |f'(p)|^(m k^2 / 2) on top
-    of exponential terms, so |f'(p)| in the "above" modulus band certifies
-    unboundedness for any space with continuous inclusion.
-    """
-
-    m: int
-    quad_coeff: float
-    obstruction: bool
-    derivative: complex
-    defer_to_bounded: bool = False
-
-
-def growth_diagnostic_1d(f: PolyMap, u_jet: Jet, p) -> GrowthDiagnostic:
-    """Order of vanishing of the weight against |f'(p)| at a fixed point."""
-    if f.dim != 1 or u_jet.dim != 1:
-        raise PreconditionError("growth diagnostic is one-variable only")
-    p = complex(np.atleast_1d(np.asarray(p, dtype=complex))[0])
-    fp = complex(make_orbit(f, [p], 1).multipliers[0])  # f'(p), once p closes
-    order = u_jet.order()
-    if order is None:
-        raise OrderUndeterminedError(
-            f"order undetermined at cap {u_jet.cap}: weight jet vanishes"
-        )
-    if order == 0:
-        return GrowthDiagnostic(0, 0.0, False, fp, defer_to_bounded=True)
-    quad = 0.5 * order * (math.log(abs(fp)) if abs(fp) > 0 else -math.inf)
-    return GrowthDiagnostic(order, quad, dynamics._modulus_band(abs(fp)) == "above", fp)
 
 
 class DualityFlags(NamedTuple):

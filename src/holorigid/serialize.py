@@ -129,10 +129,6 @@ def load_weight(obj) -> PolyFunc:
     return PolyFunc(dim, _load_terms(terms, dim, "weight.terms"))
 
 
-def dump_weight(u: PolyFunc) -> dict:
-    return {"dim": u.dim, "terms": _dump_terms(u.terms)}
-
-
 def load_henon(obj):
     from .henon import GeneralizedHenon, HenonComposition
 

@@ -325,7 +325,9 @@ def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, stop: bool):
     if not (hi > lo) or steps < 3:
         raise PreconditionError("s_range must be nondegenerate with steps >= 3")
     grid = np.linspace(lo, hi, steps)
-    radii, starts = np.exp(grid), _seeded_starts(config, f.dim)
+    with np.errstate(over="ignore"):  # an infinite radius fails only if read
+        radii = np.exp(grid)
+    starts = _seeded_starts(config, f.dim)
     n, known = len(starts), 0
     # the warm rows follow the cold ones: radius target[k] from source[k]
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)

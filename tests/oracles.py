@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from holorigid.dynamics import classify, companion_roots
+from holorigid.jets import jet_compose, jet_multiply
 
 
 def fixed_points(h):
@@ -26,3 +27,9 @@ def fixed_points(h):
                              key=lambda z: (z.real, z.imag)))
         out.append((np.array([t, t]), mults, classify(mults)))
     return out
+
+
+def weighted_pullback(u, f, h):
+    """Jet of u * (h o f) at the base of f, by dict jet products: the route
+    that the dense Fock matrices are checked against."""
+    return jet_multiply(u, jet_compose(h, f))

@@ -331,6 +331,15 @@ class TestSearchRepelling:
         assert "radius 1.94243e+130" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    def test_radii_past_the_growth_point_may_overflow(self):
+        # e^s overflows from s = 709.8 on, far past the growth point at
+        # s = 65.75, so the construction reads none of those radii and no
+        # warning reaches stderr
+        proc = run_module("search-repelling", str(BENCH_INPUTS / "sq2.json"),
+                          "--s-range=-1:800", "--seed", "101")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["s"] == 65.75
+
     @pytest.mark.parametrize("name, rows", [
         ("sq2.json", 3816), ("henon_readme.json", 4483), ("mix3.json", 13003)])
     def test_newton_row_steps_of_the_bench_inputs(self, capsys, monkeypatch,
@@ -622,6 +631,16 @@ class TestContract:
         ["henon", "HENON_STD", "--starts", "0"],
         ["certify", "SQUARE", "--mode", "bounded", "--point", "1,2"],
         ["graded", "DOUBLE", "--n", "1", "--point", "1,2"],
+        # as in a JSON document, every number must be finite
+        ["certify", "SQUARE", "--mode", "cyclic", "--r", "2", "--lambda", "inf"],
+        ["certify", "SQUARE", "--mode", "cyclic", "--r", "2", "--lambda", "1,-infj"],
+        ["certify", "SQUARE", "--mode", "bounded", "--r", "1", "--point", "nan"],
+        ["certify", "SQUARE", "--mode", "bounded", "--r", "1", "--point", "1e400"],
+        ["graded", "DOUBLE", "--n", "2", "--point", "nan"],
+        ["graded", "SQUARE_2D", "--n", "2", "--point", "1,1e400j"],
+        ["search-repelling", "SQUARE_2D", "--s-range=-1:inf"],
+        ["search-repelling", "SQUARE_2D", "--s-range=nan:1"],
+        ["search-repelling", "SQUARE_2D", "--s-range=-1e400:1"],
         *([*argv, "--seed", "-1"] for argv in (
             ["graded", "DOUBLE", "--n", "1"], ["fock", "HALF"],
             ["certify", "SQUARE", "--mode", "bounded"],
@@ -637,7 +656,7 @@ class TestContract:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("usage error:")
-        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         *(["--mode", mode, "--point", "1"]

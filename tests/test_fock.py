@@ -14,9 +14,6 @@ from holorigid.dynamics import PolyFunc, PolyMap, cocycle_poly, iterate
 from holorigid.errors import InsufficientDegreeError
 from holorigid.fock import (
     TRUNCATION_COEFF_TOL,
-    TruncatedSpaceModel,
-    assumption_witness,
-    block_growth_norms,
     coefficient_matrix,
     jets_from_polys,
     norm_sweep,
@@ -32,8 +29,9 @@ from holorigid.jets import (
     PowerCache,
     graded_basis,
     table_multiply,
-    weighted_pullback,
 )
+
+from oracles import weighted_pullback
 
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
 DOUBLE = PolyMap.from_coeffs_1d([0, 2])
@@ -332,46 +330,3 @@ class TestCompositionCompatibility:
         safe = n_cap - 2
         assert product[:, :safe] == pytest.approx(direct.entries[:, :safe],
                                                   abs=1e-9)
-
-
-class TestGrowthLaw:
-    def test_weighted_blocks_match_closed_form(self):
-        # product of k subdiagonal blocks from level n:
-        # 2^(kn + k(k-1)/2) * sqrt((n+k)!/n!)
-        n = 2
-        uj, fj = jets_from_polys(WEIGHT_Z, DOUBLE, 26)
-        norms = block_growth_norms(uj, fj, n, 12, 26, weighted=True)
-        for k, got in enumerate(norms, start=1):
-            want = 2.0 ** (k * n + k * (k - 1) / 2) * math.sqrt(
-                math.factorial(n + k) / math.factorial(n))
-            assert got == pytest.approx(want, rel=1e-9)
-
-    def test_coefficient_blocks_quadratic_exponent(self):
-        # in Taylor coordinates the k-step norm is exactly
-        # 2^(kn + k(k-1)/2), so the second difference of the log is log 2
-        uj, fj = jets_from_polys(WEIGHT_Z, DOUBLE, 26)
-        norms = block_growth_norms(uj, fj, 3, 20, 26, weighted=False)
-        second = np.diff(np.log(norms), 2)
-        assert np.max(np.abs(second - np.log(2.0))) < 1e-6
-
-    def test_budget_checked(self):
-        uj, fj = jets_from_polys(WEIGHT_Z, DOUBLE, 10)
-        with pytest.raises(InsufficientDegreeError):
-            block_growth_norms(uj, fj, 5, 10, 10)
-
-
-class TestAssumptionWitness:
-    def test_one_variable_witnesses(self):
-        report = assumption_witness(TruncatedSpaceModel(1, 10), 7)
-        level = report["levels"][7]
-        assert level["realized"] and level["witnesses"] == [[7]]
-        assert "one_variable_argument" in report
-
-    def test_two_variable_level_two(self):
-        report = assumption_witness(TruncatedSpaceModel(2, 5), 2)
-        assert report["levels"][2]["witnesses"] == [[2, 0], [1, 1], [0, 2]]
-
-    def test_beyond_cap_is_honest(self):
-        report = assumption_witness(TruncatedSpaceModel(1, 3), 5)
-        assert report["levels"][5] == {"n": 5, "realized": False,
-                                       "note": "not realized at cap"}

@@ -1,4 +1,4 @@
-"""Certificates, the affine dichotomy, growth diagnostics, and duality."""
+"""Certificates, the affine dichotomy, and duality."""
 
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ from holorigid.dynamics import (
     periodic_orbits,
     periodic_points_1d,
 )
-from holorigid.errors import OrbitError, OrderUndeterminedError, PreconditionError
-from holorigid.jets import Jet
+from holorigid.errors import OrbitError, PreconditionError
 from holorigid.rigidity import (
     ASSUME_DIM_GE_1,
     ASSUME_DIM_GE_2,
@@ -41,7 +40,6 @@ from holorigid.rigidity import (
     certify_hypercyclic,
     certify_supercyclic,
     duality_check,
-    growth_diagnostic_1d,
 )
 from holorigid.sphere import first_near_best
 
@@ -83,7 +81,8 @@ class TestBounded:
         u = PolyFunc(1, {(1,): 1})  # u = z vanishes at the fixed point 0
         cert = certify_bounded(HALF, u, make_orbit(HALF, [0], 1))
         assert cert.verdict == INAPPLICABLE
-        assert "growth" in cert.witness["note"]
+        assert cert.witness["note"] == ("weight cocycle vanishes on the orbit; "
+                                        "the eigenvalue bound does not apply")
 
     def test_unverified_orbit_rejected(self):
         orbit = make_orbit(SQUARE, [1], 1)
@@ -381,11 +380,9 @@ class TestOneRulePerOrbitFact:
         orbit = PeriodicOrbit(points=((1 + 0j,),), period=1,
                               multipliers=(2 + 0j,), stability="repelling",
                               residual=0.0)
-        u = Jet.monomial(1, 6, (0j,), (1,))
         monkeypatch.setattr(dynamics, "_closes", lambda residual, size: False)
         for call in (lambda: make_orbit(SQUARE, [1], 1),
                      lambda: dynamics.multipliers(SQUARE, [1], 1),
-                     lambda: growth_diagnostic_1d(DOUBLE, u, 0),
                      lambda: certify_bounded(SQUARE, None, orbit)):
             with pytest.raises(OrbitError,
                                match=r"^f\^1\(p\) - p has residual 0\.000e\+00$"):
@@ -406,8 +403,6 @@ class TestOneRulePerOrbitFact:
         assert certify_bounded(SQUARE, None, orbit).verdict == bounded
         assert certify_compact(SQUARE, None, orbit).verdict == compact
         assert affine_verdict_1d(HALF).obstructed is affine
-        diag = growth_diagnostic_1d(HALF, Jet.monomial(1, 6, (0j,), (1,)), 0)
-        assert diag.obstruction is (band == "above")
 
     def test_modulus_bands_at_their_edges(self):
         # 1 + TOL_CLASS rounds up, so |m - 1| <= TOL_CLASS missed that one
@@ -423,52 +418,6 @@ class TestOneRulePerOrbitFact:
         assert dynamics.classify([hi]) == "indifferent"
         assert certify_compact(SQUARE, None, orbit).verdict == NON_COMPACT
         assert certify_bounded(SQUARE, None, orbit).verdict == NO_OBSTRUCTION
-
-
-class TestGrowthDiagnostic:
-    def test_simple_zero_with_expansion(self):
-        u = Jet.monomial(1, 6, (0j,), (1,))
-        diag = growth_diagnostic_1d(DOUBLE, u, 0)
-        assert diag.m == 1
-        assert diag.quad_coeff == pytest.approx(np.log(2) / 2)
-        assert diag.obstruction
-
-    def test_nonvanishing_weight_defers(self):
-        u = Jet.constant(1, 6, (0j,), 1.0)
-        diag = growth_diagnostic_1d(DOUBLE, u, 0)
-        assert diag.defer_to_bounded and not diag.obstruction
-
-    def test_double_zero_with_contraction(self):
-        u = Jet.monomial(1, 6, (0j,), (2,))
-        diag = growth_diagnostic_1d(HALF, u, 0)
-        assert diag.quad_coeff == pytest.approx(-np.log(2))
-        assert not diag.obstruction
-
-    def test_expansion_inside_the_tolerance_does_not_obstruct(self):
-        # |f'(0)| = 1 + 1e-12 is in the "at" band: the sign of log|f'(0)|
-        # is then rounding, and it is reported without obstructing
-        u = Jet.monomial(1, 6, (0j,), (1,))
-        diag = growth_diagnostic_1d(PolyMap.from_coeffs_1d([0, 1 + 1e-12]), u, 0)
-        assert diag.quad_coeff == pytest.approx(0.5e-12, rel=1e-3)
-        assert not diag.obstruction
-
-    def test_zero_jet_is_undetermined(self):
-        u = Jet.zero(1, 6, (0j,))
-        with pytest.raises(OrderUndeterminedError, match="order undetermined"):
-            growth_diagnostic_1d(DOUBLE, u, 0)
-
-    def test_non_fixed_point_rejected(self):
-        u = Jet.monomial(1, 6, (0.5 + 0j,), (1,))
-        with pytest.raises(OrbitError):
-            growth_diagnostic_1d(DOUBLE, u, 0.5)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is NaN
-    @pytest.mark.parametrize("p", [float("nan"), complex("inf")],
-                             ids=["nan", "inf"])
-    def test_non_finite_point_rejected(self, p):
-        u = Jet(1, 4, (0j,), {(1,): 1})
-        with pytest.raises(OrbitError):
-            growth_diagnostic_1d(DOUBLE, u, p)
 
 
 def random_conditioned_basis(rng, rows, cols, max_cond=1e6):

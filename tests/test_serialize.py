@@ -20,7 +20,6 @@ from holorigid.errors import SchemaError
 from holorigid.serialize import (
     MAX_EXPONENT,
     dump_polymap,
-    dump_weight,
     encode,
     load_henon,
     load_polymap,
@@ -89,10 +88,15 @@ class TestPolyMap:
             load_polymap(doc)
 
 
+def weight_document(u: PolyFunc) -> dict:
+    return {"dim": u.dim, "terms": [{"alpha": list(a), "re": c.real, "im": c.imag}
+                                    for a, c in u.terms.items()]}
+
+
 class TestWeight:
     def test_weight_roundtrip(self):
         u = load_weight({"dim": 1, "terms": [{"alpha": [2], "re": 0.5}]})
-        assert load_weight(dump_weight(u)) == u
+        assert load_weight(weight_document(u)) == u
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_weight_dim_below_one_rejected(self, dim):
@@ -173,10 +177,9 @@ class TestRoundTripProperties:
     @settings(max_examples=100, deadline=None)
     @given(_weights)
     def test_weight_round_trip_is_exact(self, u):
-        text = json.dumps(dump_weight(u))
-        v = load_weight(json.loads(text))
-        assert v == u
-        assert json.dumps(dump_weight(v)) == text
+        # the JSON text holds the bits of every coefficient, -0.0 included
+        v = load_weight(json.loads(json.dumps(weight_document(u))))
+        assert v == u and repr(v.terms) == repr(u.terms)
 
 
 _KEYS = st.sampled_from(["dim", "components", "alpha", "re", "im", "terms", "x"])
