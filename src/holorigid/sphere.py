@@ -322,6 +322,8 @@ def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, stop: bool):
     is decided on final samples, and H is kept only up to the growth point's
     right neighbour."""
     lo, hi = float(s_range[0]), float(s_range[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise PreconditionError(f"s_range must be finite, got ({lo}, {hi})")
     if not (hi > lo) or steps < 3:
         raise PreconditionError("s_range must be nondegenerate with steps >= 3")
     grid = np.linspace(lo, hi, steps)

@@ -196,6 +196,9 @@ class TestCertify:
                                  "--mode", "bounded"])
         assert code == 3
         assert doc["verdict"] == "Inapplicable"
+        assert doc["witness"]["note"] == ("weight cocycle vanishes on the "
+                                          "orbit; the eigenvalue bound does "
+                                          "not apply")
 
     def test_point_override(self, capsys, write):
         code, doc = run(capsys, ["certify", write("f.json", SQUARE),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import holorigid
@@ -48,3 +49,19 @@ def test_every_export_is_used_or_documented():
     exported, known = exported_names(), referenced_names() | documented_names()
     assert "certify_bounded" in exported and "make_orbit" in known
     assert [name for name in exported if name not in known] == []
+
+
+def test_an_export_nothing_reads_is_caught(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .core import helper, lookup, used\n", encoding="utf-8")
+    (package / "core.py").write_text(
+        "def used():\n    pass\n\ndef helper():\n    pass\n\n"
+        "def lookup(module):\n    return module.used\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text("Call `pkg.lookup(m)`.\n",
+                                        encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", package)
+    monkeypatch.setattr(sys.modules[__name__], "README", tmp_path / "README.md")
+    exported, known = exported_names(), referenced_names() | documented_names()
+    assert [name for name in exported if name not in known] == ["helper"]

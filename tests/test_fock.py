@@ -330,3 +330,32 @@ class TestCompositionCompatibility:
         safe = n_cap - 2
         assert product[:, :safe] == pytest.approx(direct.entries[:, :safe],
                                                   abs=1e-9)
+
+
+class TestGrowthLaw:
+    # u = z and f = 2z shift level j to level j + 1 alone, so the product of
+    # k level blocks from level n is the one nonzero entry (n + k, n) of M^k
+
+    def test_weighted_blocks_match_closed_form(self):
+        # Fock normalization: 2^(kn + k(k-1)/2) * sqrt((n+k)!/n!)
+        n = 2
+        m = operator_matrix_from_polys(WEIGHT_Z, DOUBLE, 26).entries
+        power = np.eye(len(m))
+        for k in range(1, 13):
+            power = m @ power
+            assert np.flatnonzero(power[:, n]).tolist() == [n + k]
+            want = 2.0 ** (k * n + k * (k - 1) / 2) * math.sqrt(
+                math.factorial(n + k) / math.factorial(n))
+            assert abs(power[n + k, n]) == pytest.approx(want, rel=1e-9)
+
+    def test_coefficient_blocks_quadratic_exponent(self):
+        # in Taylor coordinates the k-step product is exactly
+        # 2^(kn + k(k-1)/2), so the second difference of the log is log 2
+        n = 3
+        m = coefficient_matrix(*jets_from_polys(WEIGHT_Z, DOUBLE, 26), 26).entries
+        power, norms = np.eye(len(m)), []
+        for k in range(1, 21):
+            power = m @ power
+            norms.append(abs(power[n + k, n]))
+        second = np.diff(np.log(norms), 2)
+        assert np.max(np.abs(second - np.log(2.0))) < 1e-6

@@ -397,6 +397,25 @@ class TestConstructRepelling:
         with pytest.raises(PreconditionError, match="radius 3.84117e[+]79"):
             hadamard_profile(SQUARE_FIRST, (-1.0, 200.0), 25, FAST)
 
+    @pytest.mark.parametrize("build", [hadamard_profile, construct_repelling],
+                             ids=["profile", "construction"])
+    @pytest.mark.parametrize("s_range", [(-1.0, np.inf), (-np.inf, 3.0),
+                                         (np.nan, 3.0)],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_range_is_named(self, build, s_range):
+        # (-1, inf) passed the hi > lo check, and np.linspace turned it into
+        # radius nan with an "invalid value" warning
+        with pytest.raises(PreconditionError, match=r"^s_range must be finite"):
+            build(SQUARE_FIRST, s_range, 25, FAST)
+
+    @pytest.mark.parametrize("s_range, steps", [((3.0, 3.0), 25),
+                                                ((3.0, -1.0), 25),
+                                                ((-1.0, 3.0), 2)],
+                             ids=["empty", "reversed", "two-steps"])
+    def test_degenerate_grid_is_rejected(self, s_range, steps):
+        with pytest.raises(PreconditionError, match="nondegenerate with steps >= 3"):
+            construct_repelling(SQUARE_FIRST, s_range, steps, FAST)
+
     def test_mix3_finds_growth(self):
         # H is flat left of a hinge near s = -1/3; the default grid's s = -0.5
         # picks up H' = 3.7e-5 from it, which gives eta = 1.000000
