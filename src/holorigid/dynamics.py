@@ -127,6 +127,13 @@ def _monomial_values(z: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.prod(powers[exps, np.arange(z.shape[1])], axis=1).T
 
 
+def _monomial_products(z: np.ndarray, exps: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """_monomial_values times coef.T; one point runs as two copies of itself,
+    as numpy reduces one row by other loops and multiplies it by gemv."""
+    pair = np.concatenate([z, z]) if len(z) == 1 else z
+    return (_monomial_values(pair, exps) @ coef.T)[:len(z)]
+
+
 def _as_point(z, dim: int) -> np.ndarray:
     if type(z) is np.ndarray and z.dtype == complex and z.shape == (dim,):
         return z  # as np.asarray would: a walk's points take this path
@@ -250,14 +257,14 @@ class PolyMap:
         z = _as_points(points, self.dim)
         exps, coef, _, count = self._monomial_matrix
         d = self.dim
-        out = _monomial_values(z, exps[:count]) @ coef[:d + d * d, :count].T
+        out = _monomial_products(z, exps[:count], coef[:d + d * d, :count])
         return out[:, :d], out[:, d:].reshape(len(z), d, d)
 
     def values_batch(self, points) -> np.ndarray:
         """f alone at a stack of points: (N, d) -> (N, d)."""
         z = _as_points(points, self.dim)
         exps, coef, count, _ = self._monomial_matrix
-        return _monomial_values(z, exps[:count]) @ coef[:self.dim, :count].T
+        return _monomial_products(z, exps[:count], coef[:self.dim, :count])
 
     def second_order_batch(self, points):
         """f, its Jacobian and its second partials at a stack of points:
@@ -265,7 +272,7 @@ class PolyMap:
         last being the second partial of f_i by z_j and z_k at point n."""
         z = _as_points(points, self.dim)
         exps, coef, _, _ = self._monomial_matrix
-        out = _monomial_values(z, exps) @ coef.T
+        out = _monomial_products(z, exps, coef)
         n, d = len(z), self.dim
         return (out[:, :d], out[:, d:d + d * d].reshape(n, d, d),
                 out[:, d + d * d:].reshape(n, d, d, d))

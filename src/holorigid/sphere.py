@@ -148,23 +148,22 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     return unit * _norms(g_unit), step, np.add.reduce(step * g, axis=1)
 
 
-def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING,
-            grow=None):
+def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol=ROUNDING, grow=None):
     """Saddle-free Riemannian Newton ascent of ||f||^2 on spheres of radius r.
 
-    r is one radius, or one per row; rows past those of z0 wait until grow
-    starts them.  All rows run in lockstep on one compact state of the live
-    rows.  Each step is capped at length r; one batched evaluation of f
-    tries HALVINGS fractions 1, 1/2, ... of it on the normalizing
-    retraction, and the largest that passes the Armijo test is taken;
-    derivatives are evaluated only at the accepted points.  A row stops
-    after MAX_ITER steps of its own, or when its Newton decrement (twice the
-    predicted gain) falls below decrement_tol * phi, by default the rounding
-    of phi, when no step gains more than the rounding of phi, or when f
-    overflows.  After each step in which rows stopped, grow (if given) sees
-    the stopped flags, points and ||f|| of all rows, and returns the rows
-    that join at the next step with their starts, or None: every live row
-    then retires where it stands and the ascent returns.  Returns points,
+    r and decrement_tol are one value, or one per row; rows past those of z0
+    wait until grow starts them.  All rows run in lockstep on one compact
+    state of the live rows.  Each step is capped at length r; one batched
+    evaluation of f tries HALVINGS fractions 1, 1/2, ... of it on the
+    normalizing retraction, and the largest that passes the Armijo test is
+    taken; derivatives are evaluated only at the accepted points.  A row
+    stops after MAX_ITER steps, when its Newton decrement (twice the
+    predicted gain) falls below decrement_tol * phi, when no step gains more
+    than the rounding of phi, or when f overflows.  After a step in which
+    rows stopped, grow sees the stopped flags, points and ||f|| (current for
+    live rows) of all rows, and returns None (every live row retires where
+    it stands and the ascent returns), or rows that start anew with their
+    starts and radii, and live rows that retire unstopped.  Returns points,
     ||f|| and tangent norms (evidence only) of every row.
     Raises PreconditionError where there is no start, or where ||f||
     overflowed at a row of an ascent that ran to its end, naming the radius:
@@ -174,11 +173,11 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING,
         raise PreconditionError("a sphere search needs at least one start")
     d, halvings, fresh, eye = f.dim, 0.5 ** np.arange(HALVINGS), False, np.eye(2 * f.dim)
     live = None  # row, steps, x, radius, phi, grad, hess, tangent norm
-    r = np.asarray(r, dtype=float)
-    r = np.broadcast_to(r, (max(len(z0), r.size),))
+    r = np.array(np.broadcast_to(r, (max(len(z0), np.size(r)),)), dtype=float)
+    tol = np.broadcast_to(decrement_tol, r.shape)
     z, value = np.zeros((len(r), d), dtype=complex), np.zeros(len(r))
     tangent_norm, done = np.full(len(r), np.inf), np.zeros(len(r), dtype=bool)
-    joins = np.arange(len(z0)), z0
+    joins = np.arange(len(z0)), z0, r[:len(z0)], ()
 
     def stop(mask, final=True):  # write the masked live rows out, drop them
         nonlocal live, fresh
@@ -192,34 +191,38 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING,
     # divide: t = r / 0 for a row whose zero step has stopped it, never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            rows, start = joins
+            rows, start, radii, retire = joins
+            if live is not None and len(rows) + len(retire):
+                stop(np.isin(live[0], np.r_[rows, retire]), final=False)
             if len(rows):  # rows join with MAX_ITER steps of their own
-                start = start * (r[rows] / _norms(start))[:, None]
+                r[rows], done[rows] = radii, False
+                start = start * (radii / _norms(start))[:, None]
                 x = np.concatenate([start.real, start.imag], axis=1)
-                block = [rows, np.zeros_like(rows), x, r[rows], *_phi_derivatives(f, x),
+                block = [rows, np.zeros_like(rows), x, radii, *_phi_derivatives(f, x),
                          np.full(len(x), np.inf)]
                 live = block if live is None else [*map(np.concatenate, zip(live, block))]
-                joins = (), ()
+            joins = (), (), (), ()
             _, steps, _, _, phi, grad, hess, _ = live
             finished = ~(np.isfinite(phi) & np.isfinite(grad).all(axis=1)
                          & np.isfinite(hess).all(axis=(1, 2))) | (steps >= MAX_ITER)
             if finished.any():
                 stop(finished)
             if grow is not None and fresh:
-                fresh, joins = False, grow(done, z, value)
+                value[live[0]], fresh = np.sqrt(live[4]), False
+                joins = grow(done, z, value)
                 if joins is None:
                     stop(live[0] >= 0, final=False)
                     return z, value, tangent_norm
-                if len(joins[0]):
+                if len(joins[0]) or len(joins[3]):
                     continue
             if not len(live[0]):
                 break
-            _, steps, x, rad, phi, grad, hess, _ = live
+            row, steps, x, rad, phi, grad, hess, _ = live
             live[7], step, decrement = _newton_steps(x, rad, grad, hess, eye)
             live[1] = steps + 1
             rounding = ROUNDING * phi
             t = np.minimum(1.0, rad / _norms(step))
-            todo = (decrement > decrement_tol * phi) & (t * decrement > rounding)
+            todo = (decrement > tol[row] * phi) & (t * decrement > rounding)
             moved = np.zeros(len(x), dtype=bool)
             while todo.any():
                 idx = np.flatnonzero(todo)
@@ -239,25 +242,16 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol: float = ROUNDING,
                 stop(~moved)
             if len(live[0]):
                 live[4:7] = _phi_derivatives(f, live[2])
+    _overflow_check(value, r)
+    return z, value, tangent_norm
+
+
+def _overflow_check(value: np.ndarray, r: np.ndarray):
+    """PreconditionError naming the radius of the first row whose ||f|| overflowed."""
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         raise PreconditionError(
             f"||f|| overflowed at a start on the sphere of radius {r[bad[0]]:.6g}")
-    return z, value, tangent_norm
-
-
-def _maxima(f: PolyMap, starts: np.ndarray, radii, decrement_tol: float = ROUNDING):
-    """Every start ascended on each of the k radii, as one lockstep ascent.
-
-    Returns points (k, n, d), ||f|| and tangent norms (k, n), and for each
-    radius the index first_near_best picks among its n starts.
-    """
-    n = len(starts)
-    z, value, grad_norm = _ascend(f, np.tile(starts, (len(radii), 1)),
-                                  np.repeat(radii, n), decrement_tol)
-    value = value.reshape(-1, n)
-    best = np.array([first_near_best(v) for v in value])
-    return z.reshape(-1, n, f.dim), value, grad_norm.reshape(-1, n), best
 
 
 def first_near_best(values) -> int:
@@ -284,7 +278,8 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
 
     warm_starts seed extra ascents ahead of the seeded ones; the returned
     point is the first start, in that order, whose value is the best up to
-    rounding (first_near_best).
+    rounding (first_near_best).  A row rounds in any lockstep as it does
+    alone, so construct_repelling runs these rows beside its profile.
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
@@ -293,9 +288,9 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
     norms = np.linalg.norm(warm, axis=1)
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise PreconditionError("warm starts must be finite nonzero points")
-    starts = np.concatenate([warm, _seeded_starts(config, d)])
-    z, value, grad_norm, (best,) = _maxima(f, starts, [r])
-    return SphereMax(z[0, best], float(value[0, best]), float(grad_norm[0, best]))
+    z, value, grad_norm = _ascend(f, np.concatenate([warm, _seeded_starts(config, d)]), r)
+    best = first_near_best(value)
+    return SphereMax(z[best], float(value[best]), float(grad_norm[best]))
 
 
 def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
@@ -314,13 +309,20 @@ def hadamard_profile(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     radius e^1.3 to e^3, it otherwise gains about 1e-11 relative per step
     for hundreds of steps.
     """
-    return _profile(f, s_range, steps, config, stop=False)
+    return _profile(f, s_range, steps, config)
 
 
-def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, stop: bool):
-    """hadamard_profile; with stop, every row retires once select_growth_point
-    is decided on final samples, and H is kept only up to the growth point's
-    right neighbour."""
+def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, polish_starts=None):
+    """hadamard_profile; with polish_starts, construct_repelling's whole search.
+
+    Then select_growth_point also runs on the current best ||f|| of radii
+    without a final sample: rows of radii past this provisional point + 2
+    (warm rows aimed past it + 1) retire unstopped, to restart if it moves
+    up, and the seeded polish and side rows run at its radius.  The sample
+    joins them once the point is decided, q once the polish has stopped.
+    Returns the profile (H kept up to the growth point's right neighbour),
+    the growth point, q, M(r), the tangent norm at q, M(r + h) and M(r - h).
+    """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise PreconditionError(f"s_range must be finite, got ({lo}, {hi})")
@@ -329,38 +331,85 @@ def _profile(f: PolyMap, s_range, steps: int, config: SearchConfig, stop: bool):
     grid = np.linspace(lo, hi, steps)
     with np.errstate(over="ignore"):  # an infinite radius fails only if read
         radii = np.exp(grid)
-    starts = _seeded_starts(config, f.dim)
-    n, known = len(starts), 0
+    construct, d = polish_starts is not None, f.dim
+    starts = _seeded_starts(config, d)
+    n, known, idx = len(starts), 0, None
     # the warm rows follow the cold ones: radius target[k] from source[k]
     target, source = np.array([(i, j) for i in range(steps) for j in (i - 1, i + 1)
                                if 0 <= j < steps]).T
     rows = [np.r_[i * n:(i + 1) * n, steps * n + np.flatnonzero(target == i)]
             for i in range(steps)]  # the cold starts win ties
     samples, h, best = [None] * steps, [None] * steps, {}  # best: seeded radius -> row
+    # then the polish rows from pw, the r + h side from sp, the r - h side from sm
+    polish = _seeded_starts(SearchConfig(polish_starts or 0, config.seed), d)
+    side = _seeded_starts(SearchConfig(SIDE_STARTS if construct else 0, config.seed + 1), d)
+    pw = steps * n + len(target)
+    sp, sm = pw + 1 + len(polish), pw + 2 + len(polish) + len(side)
+    total = sm + 1 + len(side) if construct else pw
+    origin = np.concatenate([np.tile(starts, (steps, 1)), np.zeros((total - steps * n, d))])
+    origin[pw + 1:sp], origin[sp + 1:sm], origin[sm + 1:] = polish, side, side
+    radius = np.concatenate([np.repeat(radii, n), radii[target], np.ones(total - pw)])
+    # a profile row runs while need (its radius index, + 1 if warm) <= reach;
+    # key: where each row last started (0 for a profile row), -1 if not yet
+    need = np.r_[np.repeat(np.arange(steps), n), np.full(len(target), 2 * steps)]
+    key = np.r_[np.zeros(steps * n, int), np.full(total - steps * n, -1)]
 
     def grow(done, z, value):
-        nonlocal known
-        cold, seeded = done[:steps * n].reshape(steps, n).all(axis=1), np.zeros(steps, bool)
-        for i in np.flatnonzero(cold).tolist():
+        nonlocal known, idx
+        for i in np.flatnonzero(done[:steps * n].reshape(steps, n).all(axis=1)).tolist():
             mine, block = rows[i], value[i * n:(i + 1) * n]
             if samples[i] is None and done[mine].all() and np.isfinite(value[mine]).all():
                 k = mine[first_near_best(value[mine])]
                 samples[i] = (float(radii[i]), float(value[k]), z[k].copy())
                 h[i] = np.log(samples[i][1]) - np.log(samples[i][0])
             if i not in best and np.isfinite(block).all():  # restart the neighbours
-                best[i], seeded[i] = i * n + first_near_best(block), True
-        warm = np.flatnonzero(seeded[source])
-        if stop and (h + [None])[known] is not None:  # the final prefix grew
-            known = (h + [None]).index(None)
-            idx = select_growth_point(SphereMaxProfile((), _h_values(grid, h)))
-            if idx is not None:
-                h[idx + 2:] = samples[idx + 2:] = [None] * (steps - idx - 2)
-                return None
-        return steps * n + warm, z[[best[j] for j in source[warm]]]
+                best[i] = i * n + first_near_best(block)
+                warm = steps * n + np.flatnonzero(source == i)
+                origin[warm], need[warm] = z[best[i]], target[warm - steps * n] + 1
+        top = idx
+        if construct and idx is None and (h + [None])[known] is not None:
+            known = (h + [None]).index(None)  # the final prefix grew
+            idx = top = select_growth_point(SphereMaxProfile((), _h_values(grid, h)))
+        if construct and idx is None:
+            current = value[:steps * n].reshape(steps, n).max(axis=1)
+            np.maximum.at(current, target, value[steps * n:pw])
+            guess = [x if x is not None else g if np.isfinite(g) else None
+                     for x, g in zip(h, (np.log(current) - np.log(radii)).tolist())]
+            try:
+                top = select_growth_point(SphereMaxProfile((), _h_values(grid, guess)))
+            except RangeError:
+                top = None
+        want = np.full(total, -1)
+        reach = -1 if idx is not None else steps if top is None else top + 2
+        want[:pw][need <= reach] = 0
+        if top is not None:
+            r = float(np.exp(grid[top]))
+            radius[pw:sp], radius[sp:sm], radius[sm:] = r, r + 1e-4 * r, r - 1e-4 * r
+            want[pw + 1:sp] = want[sp + 1:sm] = want[sm + 1:] = top
+        if idx is not None:
+            origin[pw], want[pw] = samples[idx][2], idx
+            if (done & (key == idx))[pw:sp].all():
+                _overflow_check(value[pw:sp], radius[pw:sp])
+                origin[sp] = origin[sm] = z[pw + first_near_best(value[pw:sp])]
+                want[sp] = want[sm] = idx
+                if (done & (key == idx))[sp:].all():
+                    _overflow_check(value[sp:], radius[sp:])
+                    return None
+        start = (want >= 0) & (want != key)
+        park = (want < 0) & (key >= 0) & ~done
+        key[park], key[start] = -1, want[start]
+        return np.flatnonzero(start), origin[start], radius[start], np.flatnonzero(park)
 
-    _ascend(f, np.tile(starts, (steps, 1)),
-            np.concatenate([np.repeat(radii, n), radii[target]]), TIE_TOL, grow)
-    return SphereMaxProfile(tuple(x for x in samples if x), _h_values(grid, h))
+    z, value, tangent = _ascend(f, origin[:steps * n], radius,
+                                np.where(np.arange(total) < pw, TIE_TOL, ROUNDING), grow)
+    if idx is not None:
+        h[idx + 2:] = samples[idx + 2:] = [None] * (steps - idx - 2)
+    profile = SphereMaxProfile(tuple(x for x in samples if x), _h_values(grid, h))
+    if not construct:
+        return profile
+    k = pw + first_near_best(value[pw:sp])
+    return (profile, idx, z[k], float(value[k]), float(tangent[k]),
+            *(float(v[first_near_best(v)]) for v in (value[sp:sm], value[sm:])))
 
 
 def _h_values(grid, h):
@@ -459,10 +508,11 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
                         polish_starts: int = 200) -> RepellingConstruction:
     """Produce (a, U, p) with f o (aU) fixing p repellingly, fully verified.
 
-    The profile runs as in hadamard_profile until select_growth_point is
-    decided on final samples: cold rows up to idx + 2 and warm rows up to
-    idx + 1 have stopped, every smaller index is rejected.  Then every row
-    retires, and the grid past idx + 1 is never read.
+    One lockstep ascent (_profile) runs hadamard_profile's profile up to the
+    growth point s, never reading the grid past its right neighbour, and, bit
+    for bit, q and M(r) = sphere_max(f, r = e^s, SearchConfig(polish_starts,
+    seed), warm_starts=(sample at s,)) and M(r +- 1e-4 r) = sphere_max(f,
+    r +- 1e-4 r, SearchConfig(SIDE_STARTS, seed + 1), warm_starts=(q,)).
     Raises PreconditionError for affine or one-variable maps, RangeError
     when the sampled s-range shows no growth point, and ConstructionError
     (with diagnostics) when a residual check fails.
@@ -474,23 +524,11 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
             "the construction needs a non-affine polynomial map: some "
             "component must carry a term of total degree >= 2"
         )
-    profile = _profile(f, s_range, steps, config, stop=True)
-    idx = select_growth_point(profile)
+    profile, idx, q, m_r, grad_norm, m_plus, m_minus = _profile(
+        f, s_range, steps, config, polish_starts)
     s = profile.H_values[idx][0]
     r = float(np.exp(s))
-
-    warm = (profile.samples[idx][2],)
-    best = sphere_max(f, r, SearchConfig(polish_starts, config.seed),
-                      warm_starts=warm)
-    q, m_r = best.point, best.value
-
-    # M'(r) by central differences; each side is what sphere_max(f, r +- h,
-    # SearchConfig(SIDE_STARTS, seed + 1), warm_starts=(q,)) returns
-    h = 1e-4 * r
-    side = _seeded_starts(SearchConfig(SIDE_STARTS, config.seed + 1), f.dim)
-    _, sides, _, k = _maxima(f, np.concatenate([q[None], side]), [r + h, r - h])
-    m_plus, m_minus = (float(v[i]) for v, i in zip(sides, k))
-    m_prime = (m_plus - m_minus) / (2 * h)
+    m_prime = (m_plus - m_minus) / (2e-4 * r)  # central differences, h = 1e-4 r
     eta = r * m_prime / m_r
 
     p = f(q)
@@ -532,7 +570,7 @@ def construct_repelling(f: PolyMap, s_range=(-1.0, 3.0), steps: int = 25,
     diagnostics = {
         "residual_fix": residual_fix, "residual_eigvec": residual_eigvec,
         "eta": eta, "eig_gap": eig_gap, "lagrange_error": lam_err,
-        "grad_norm": best.grad_norm, "r": r, "M": m_r,
+        "grad_norm": grad_norm, "r": r, "M": m_r,
         "hint": "try a finer derivative step or more starts",
     }
     if residual_fix > TOL_FIX:

@@ -343,24 +343,28 @@ class TestSearchRepelling:
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["s"] == 65.75
 
-    @pytest.mark.parametrize("name, rows", [
-        ("sq2.json", 3816), ("henon_readme.json", 4483), ("mix3.json", 13003)])
+    @pytest.mark.parametrize("name, iterations, rows", [
+        ("sq2.json", 18, 3002), ("henon_readme.json", 24, 4483),
+        ("mix3.json", 68, 10372)])
     def test_newton_row_steps_of_the_bench_inputs(self, capsys, monkeypatch,
-                                                  name, rows):
+                                                  name, iterations, rows):
         # every ascent stops at MAX_ITER, its Newton decrement, the Armijo
         # rounding floor or on overflow; the count is of rows, since one
-        # step moves every live row, and it pins the whole search
-        counted = [0]
+        # step moves every live row, and it pins the whole search.  The
+        # profile, polish and sides share one lockstep, whose steps are
+        # counted too
+        counted = [0, 0]
         newton_steps = sphere._newton_steps
 
         def counting(x, *args):
-            counted[0] += len(x)
+            counted[0] += 1
+            counted[1] += len(x)
             return newton_steps(x, *args)
 
         monkeypatch.setattr(sphere, "_newton_steps", counting)
         path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
         code, _ = run(capsys, ["search-repelling", str(path), "--seed", "101"])
-        assert code == 0 and counted[0] == rows
+        assert code == 0 and counted == [iterations, rows]
 
 
 class TestFock:
