@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDegreeError, StructureError
+from .errors import InsufficientDegreeError, PreconditionError, StructureError
 from .jets import Jet, JetMap, graded_basis, multi_indices
 from .dynamics import PolyFunc, PolyMap
 
@@ -33,6 +33,8 @@ TRUNCATION_COEFF_TOL = 1e-14
 ORIGIN_TOL = 1e-12  # largest |f(0)| entry for which f fixes the origin
 DEFAULT_CAP_1D = 40
 DEFAULT_CAP_2D = 12
+TAIL_TOL = 2.0 ** -48  # largest relative shortfall of a profile row read off the power vector
+POWER_STEPS = 64  # power steps on A^H A behind that vector
 
 
 def sqrt_factorial(alpha) -> float:
@@ -216,6 +218,8 @@ def jets_from_polys(u, f: PolyMap, N: int):
 
 
 def operator_matrix_from_polys(u, f: PolyMap, N: int) -> OperatorMatrix:
+    if N > 170:  # 171! is past float range, and with it sqrt_factorial((N,))
+        raise PreconditionError(f"N = {N}: sqrt(N!) is past float range")
     uj, fj = jets_from_polys(u, f, N)
     return operator_matrix(uj, fj, N)
 
@@ -241,16 +245,46 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
     vanishing to order n at 0.  When the symbol fixes 0 those subspaces are
     invariant and the profile mirrors the eigenvalue bound; otherwise the
     profile is still emitted, with a warning flag.
+
+    Row 0 is ``m.norm``.  A column block never has a larger norm than the
+    whole matrix, so for the power vector v (``_power_vector``) the tail A_k
+    of the columns from k on has ||A_k v_k|| / ||v_k|| <= ||A_k|| <= m.norm.
+    Where that lower bound is within TAIL_TOL of m.norm the row prints it
+    (capped at m.norm), however v was found; every other tail, and every
+    tail when there is no v, takes its own SVD.
     """
+    a, norm = m.entries, m.norm
     starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
-    rows = tuple((n, _spectral_norm(m.entries[:, k:]) if k else m.norm,
-                  any(m.column_loss[k:])) for n, k in enumerate(starts))
+    rows = [(0, norm, any(m.column_loss))]
+    # an overflowing power step or tail gives inf or nan, and that row its SVD
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = _power_vector(a, norm)
+        for n, k in enumerate(starts[1:], 1):
+            low = (np.nan if v is None else
+                   np.linalg.norm(a[:, k:] @ v[k:]) / np.linalg.norm(v[k:]))
+            value = (float(min(low, norm)) if (1.0 - TAIL_TOL) * norm <= low < np.inf
+                     else _spectral_norm(a[:, k:]))
+            rows.append((n, value, any(m.column_loss[k:])))
     fixes = m.fixes_origin()
     warning = None if fixes else (
         "symbol does not fix 0: the order-n subspaces are not invariant and "
         "the profile is only a family of section norms"
     )
-    return RestrictionProfile(rows, fixes, warning)
+    return RestrictionProfile(tuple(rows), fixes, warning)
+
+
+def _power_vector(a: np.ndarray, norm: float):
+    """A unit v with ||a v|| >= (1 - TAIL_TOL) norm, from at most
+    POWER_STEPS power steps on a^H a from the unit vector of equal entries,
+    or None."""
+    v = np.full(a.shape[1], a.shape[1] ** -0.5)
+    for _ in range(POWER_STEPS):
+        w = a @ v
+        if np.linalg.norm(w) >= (1.0 - TAIL_TOL) * norm:
+            return v
+        v = a.conj().T @ w
+        v /= np.linalg.norm(v) or 1.0  # a zero v stays zero and never passes
+    return None
 
 
 def norm_sweep(m: OperatorMatrix) -> tuple:

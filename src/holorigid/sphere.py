@@ -165,7 +165,8 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol=ROUNDING, grow=None):
     it stands and the ascent returns), or rows that start anew with their
     starts and radii, and live rows that retire unstopped.  Returns points,
     ||f|| and tangent norms (evidence only) of every row.
-    Raises PreconditionError where there is no start, or where ||f||
+    Raises PreconditionError where there is no start, where r^2 or ||f||^2
+    at a joining start is below the smallest normal float, or where ||f||
     overflowed at a row of an ascent that ran to its end, naming the radius:
     the best of the other starts on that sphere would be silently low.
     """
@@ -200,6 +201,12 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol=ROUNDING, grow=None):
                 x = np.concatenate([start.real, start.imag], axis=1)
                 block = [rows, np.zeros_like(rows), x, radii, *_phi_derivatives(f, x),
                          np.full(len(x), np.inf)]
+                # the ascent squares r and ||f||: below the smallest normal
+                # float they lose their precision, or vanish
+                low = np.minimum(radii * radii, block[4]) < np.finfo(float).tiny
+                if low.any():
+                    raise PreconditionError("r^2 or ||f||^2 underflowed at a start on "
+                                            f"the sphere of radius {radii[low][0]:.6g}")
                 live = block if live is None else [*map(np.concatenate, zip(live, block))]
             joins = (), (), (), ()
             _, steps, _, _, phi, grad, hess, _ = live

@@ -343,6 +343,16 @@ class TestSearchRepelling:
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["s"] == 65.75
 
+    @pytest.mark.parametrize("name", ["sq2.json", "henon_readme.json", "mix3.json"])
+    def test_underflowing_radii_exit_4_without_traceback(self, name):
+        # e^-800 is 0 and e^-745.8 subnormal: eigh used to see NaN and raise
+        # LinAlgError; the Henon map's ||f||^2 stays near 9, but r^2 underflows
+        proc = run_module("search-repelling", str(BENCH_INPUTS / name),
+                          "--s-range=-800:-700", "--seed", "101")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: r^2 or ||f||^2 underflowed "
+                               "at a start on the sphere of radius 0\n")
+
     @pytest.mark.parametrize("name, iterations, rows", [
         ("sq2.json", 18, 3002), ("henon_readme.json", 24, 4483),
         ("mix3.json", 68, 10372)])
@@ -388,6 +398,13 @@ class TestFock:
         text = sweep.read_text().splitlines()
         assert any(line.endswith("*") for line in text[1:])
         assert doc["truncation_loss"]
+
+    def test_cap_past_float_factorials_exit_4(self):
+        # sqrt(171!) is past float range; 170 still builds
+        proc = run_module("fock", str(BENCH_INPUTS / "quad1.json"), "--N", "171")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: N = 171: sqrt(N!) is "
+                               "past float range\n")
 
     def test_matrix_dump(self, capsys, write, tmp_path):
         out = tmp_path / "m.json"
@@ -759,7 +776,8 @@ class TestPrintedTolerances:
         assert code == 0
         assert doc["tolerances"] == {
             "truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
-            "origin_tol": fock.ORIGIN_TOL}
+            "origin_tol": fock.ORIGIN_TOL, "tail_tol": fock.TAIL_TOL,
+            "power_steps": fock.POWER_STEPS}
 
     def test_graded(self, capsys, write):
         code, doc = run(capsys, ["graded", write("f.json", DOUBLE),

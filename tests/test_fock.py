@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from holorigid import fock
 from holorigid.dynamics import PolyFunc, PolyMap, cocycle_poly, iterate
-from holorigid.errors import InsufficientDegreeError
+from holorigid.errors import InsufficientDegreeError, PreconditionError
 from holorigid.fock import (
     TRUNCATION_COEFF_TOL,
     coefficient_matrix,
@@ -85,6 +85,14 @@ class TestOperatorMatrix:
             for row in range(n_cap + 1):
                 assert mat.entries[row, col] == pytest.approx(
                     pulled.term((row,)), rel=1e-9, abs=1e-9)
+
+    def test_cap_past_float_factorials_rejected_before_any_jet(self, monkeypatch):
+        # 170! is the largest factorial below the float maximum
+        assert operator_matrix_from_polys(None, HALF, 170).entries[170, 170] == 0.5 ** 170
+        monkeypatch.setattr(fock, "jets_from_polys", None)  # never reached
+        for f in (HALF, HENON):
+            with pytest.raises(PreconditionError, match="N = 171"):
+                operator_matrix_from_polys(None, f, 171)
 
     def test_insufficient_cap_rejected(self):
         u = Jet.constant(1, 3, (0j,), 1.0)
@@ -312,6 +320,76 @@ class TestRestrictionProfile:
         prof = restriction_norm_profile(m)
         assert not prof.fixes_origin
         assert "not invariant" in prof.invariance_warning
+
+
+def _lapack_profile(m):
+    """The profile norms as one SVD per tail (row 0 is m.norm)."""
+    starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
+    return [fock._spectral_norm(m.entries[:, k:]) if k else m.norm
+            for k in starts]
+
+
+class TestCertifiedTails:
+    """Rows read off the power vector stay within TAIL_TOL of LAPACK's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_bracket_the_tail_norm(self, data):
+        d = data.draw(st.sampled_from([1, 2]))
+        coeff = st.complex_numbers(max_magnitude=3.0)
+        # a map without low-degree terms sends its high columns past N, so
+        # some tails are zero
+        low = data.draw(st.sampled_from([0, 1, 2]))
+        terms = [a for a in graded_basis(d, 3) if sum(a) >= low]
+        f = PolyMap(d, tuple(data.draw(st.dictionaries(
+            st.sampled_from(terms), coeff, min_size=1, max_size=4))
+            for _ in range(d)))
+        u = PolyFunc(d, data.draw(st.dictionaries(
+            st.sampled_from(graded_basis(d, 2)), coeff, max_size=4)))
+        m = operator_matrix_from_polys(u, f, data.draw(
+            st.integers(0, 14 if d == 1 else 7)))
+        levels = restriction_norm_profile(m).levels
+        assert levels[0][1] == m.norm
+        slack = fock.TAIL_TOL + 64 * np.finfo(float).eps
+        for (n, value, _), k in zip(levels, np.searchsorted(
+                m.degrees, np.arange(m.N + 1))):
+            tail = m.entries[:, k:]
+            want = float(np.linalg.norm(tail, 2))
+            assert value <= m.norm
+            assert abs(value - want) <= slack * want
+            if not tail.any():
+                assert value == 0.0
+
+    @pytest.mark.parametrize("u, f, n_cap", [
+        (None, HALF, 20), (None, DOUBLE, 20), (None, SQUARE, 16),
+        (LINEAR_2D, README_HENON, 10),
+        (LINEAR_1D, PolyMap.from_coeffs_1d([0.27 - 0.53j, 0, 1]), 40),
+    ], ids=["half", "double", "square", "henon", "quadc"])
+    def test_no_power_steps_gives_the_lapack_rows(self, monkeypatch, u, f, n_cap):
+        monkeypatch.setattr(fock, "POWER_STEPS", 0)
+        m = operator_matrix_from_polys(u, f, n_cap)
+        got = [value for _, value, _ in restriction_norm_profile(m).levels]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(_lapack_profile(m)).view(np.uint64))
+
+    @pytest.mark.parametrize("f, svd_levels", [
+        (HALF, range(1, 17)),    # top vector e_0: no tail holds it
+        (DOUBLE, ()),            # top vector e_16: every tail holds it
+        (SQUARE, range(9, 17)),  # top column 8; the columns past it are zero
+    ], ids=["half", "double", "square"])
+    def test_each_tail_takes_its_path(self, monkeypatch, f, svd_levels):
+        m = operator_matrix_from_polys(None, f, 16)
+        lapack, svd, sizes = _lapack_profile(m), fock._spectral_norm, []
+
+        def counted(a):
+            sizes.append(a.shape[1])
+            return svd(a)
+
+        monkeypatch.setattr(fock, "_spectral_norm", counted)
+        levels = restriction_norm_profile(m).levels
+        assert sizes == [17 - n for n in svd_levels]
+        for (_, value, _), want in zip(levels, lapack):
+            assert abs(value - want) <= fock.TAIL_TOL * want
 
 
 class TestCompositionCompatibility:

@@ -139,6 +139,21 @@ class TestSphereMax:
         with pytest.raises(PreconditionError, match="radius 1e[+]200"):
             sphere_max(SQUARE_FIRST, 1e200, FAST)
 
+    @pytest.mark.parametrize("f, r", [(SQUARE_FIRST, 1e-160), (HENON, 1e-160),
+                                      (SQUARE_FIRST, 0.0), (MIX3, 5e-324),
+                                      (PolyMap(2, ({(3, 0): 1}, {(0, 3): 1})), 1e-60)])
+    def test_underflow_names_the_radius(self, f, r):
+        # r^2 is below the smallest normal float on the first four spheres
+        # ((z1^2, z2) has ||f||^2 <= r^2 there, Henon keeps about 9); on the
+        # last r^2 = 1e-120 is normal, but ||(z1^3, z2^3)||^2 <= 1e-360 is not
+        with pytest.raises(PreconditionError, match=f"underflowed.*radius {r:.6g}$"):
+            _ascend(f, _seeded_starts(FAST, f.dim), r)
+
+    def test_small_sphere_with_normal_squares_is_searched(self):
+        # r^2 = 1e-300, and ||f||^2 >= |z2|^2 stays normal at every start
+        best = sphere_max(SQUARE_FIRST, 1e-150, FAST)
+        assert best.value == pytest.approx(1e-150, rel=1e-12)
+
     def test_newton_step_near_overflow(self):
         # M(r) = r^2 and ||f||^2 = 1e308 at the maximum: the Hessian's
         # squared entries overflow, so its terms are scaled before eigh
