@@ -27,8 +27,8 @@ from .errors import ConstructionError, HoloError, PreconditionError, \
     RangeError, SchemaError
 from .jets import Jet, eigenvalue_law, graded_eigenvalues, \
     graded_matrix_bruteforce, graded_matrix_formula, multiset_close
-from .serialize import dump_polymap, encode, load_henon, load_polymap, \
-    load_weight, read_json
+from .serialize import _cnum, _require, dump_polymap, encode, load_henon, \
+    load_polymap, load_weight, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,6 +37,7 @@ EXIT_INAPPLICABLE = 3
 EXIT_PRECONDITION = 4
 
 GRADED_AGREEMENT_TOL = 1e-8
+_DUALITY_CHUNK = 256  # most instances one duality stack holds
 
 
 class UsageError(Exception):
@@ -99,6 +100,18 @@ def _load_weight_arg(path, dim: int):
     if u.dim != dim:
         raise PreconditionError(f"weight is on C^{u.dim}, the map on C^{dim}")
     return u
+
+
+def _load_grid(doc, key: str) -> np.ndarray:
+    """Matrix ``key`` of a duality document: finite numbers or [re, im] pairs."""
+    grid = _require(doc, key, "duality", list)
+    if not grid or not all(isinstance(row, list) and len(row) == len(grid[0])
+                           for row in grid):
+        raise SchemaError(f"duality.{key}: expected a nonempty list of rows "
+                          "of equal length")
+    return np.array([[_cnum(e, f"duality.{key}[{i}][{j}]")
+                      for j, e in enumerate(row)]
+                     for i, row in enumerate(grid)], dtype=complex)
 
 
 class Outcome(NamedTuple):
@@ -331,9 +344,7 @@ def cmd_henon(args) -> Outcome:
 def cmd_duality(args) -> Outcome:
     if args.input:
         doc = read_json(args.input)
-        l_mat, b_mat = (np.array([[complex(e[0], e[1]) for e in row]
-                                  for row in doc[key]]) for key in ("L", "B"))
-        flags = rigidity.duality_check(l_mat, b_mat)
+        flags = rigidity.duality_check(*(_load_grid(doc, key) for key in "LB"))
         return Outcome({
             "subcommand": "duality",
             "image_cond": flags.image_cond,
@@ -343,17 +354,25 @@ def cmd_duality(args) -> Outcome:
     rng = np.random.default_rng(args.seed)
     rows, cols = args.rows, args.cols
     results = []
-    for k in range(args.instances):
-        width = int(rng.integers(1, rows + 1))
-        b = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
-        if k % 2 == 0:
-            l_mat = b @ (rng.normal(size=(width, cols))
-                         + 1j * rng.normal(size=(width, cols)))
-        else:
-            l_mat = rng.normal(size=(rows, cols)) \
-                + 1j * rng.normal(size=(rows, cols))
-        flags = rigidity.duality_check(l_mat, b)
-        results.append([flags.image_cond, flags.kernel_cond])
+    # the instances are drawn in order, then checked in stacks of one width
+    for start in range(0, args.instances, _DUALITY_CHUNK):
+        pairs = []
+        for k in range(start, min(start + _DUALITY_CHUNK, args.instances)):
+            width = int(rng.integers(1, rows + 1))
+            b = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+            if k % 2 == 0:
+                l_mat = b @ (rng.normal(size=(width, cols))
+                             + 1j * rng.normal(size=(width, cols)))
+            else:
+                l_mat = rng.normal(size=(rows, cols)) \
+                    + 1j * rng.normal(size=(rows, cols))
+            pairs.append((l_mat, b))
+        flags = np.zeros((len(pairs), 2), dtype=bool)
+        for width in {b.shape[1] for _, b in pairs}:
+            ks = [k for k, (_, b) in enumerate(pairs) if b.shape[1] == width]
+            flags[ks] = np.column_stack(rigidity.duality_check(
+                *(np.stack([pairs[k][i] for k in ks]) for i in (0, 1))))
+        results += flags.tolist()
     disagreements = sum(1 for image, kernel in results if image != kernel)
     payload = {
         "subcommand": "duality",

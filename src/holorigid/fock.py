@@ -197,11 +197,16 @@ def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
     entry(alpha, beta) = [z^alpha](u * f^beta) * sqrt(alpha!) / sqrt(beta!).
     Discarded coefficients of modulus > TRUNCATION_COEFF_TOL set the
     per-column loss flag; loss is reported, not fatal, because finite
-    sections are only ever used for norm lower bounds.
+    sections are only ever used for norm lower bounds.  An entry that
+    overflows to inf or nan raises PreconditionError.
     """
     raw = coefficient_matrix(u, f, N)
     w = np.array([sqrt_factorial(a) for a in raw.basis])
-    return replace(raw, entries=raw.entries * w[:, None] / w[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = raw.entries * w[:, None] / w[None, :]
+    if not np.isfinite(entries).all():  # no SVD converges on inf or nan
+        raise PreconditionError(f"N = {N}: the matrix has a non-finite entry")
+    return replace(raw, entries=entries)
 
 
 def jets_from_polys(u, f: PolyMap, N: int):

@@ -358,44 +358,49 @@ def duality_check(L, B, d=None, n=None) -> DualityFlags:
     transposed (dual) map.  When d and n are given the pairing carries the
     factorial weights of degree-n multi-indices; the two flags agree either
     way on well-conditioned data.
+
+    L (..., rows, cols) and B (..., rows, width) may be stacks with equal
+    leading axes: each step runs over the whole stack, and the flags are
+    bool arrays of the leading shape.  One 2-D pair gives Python bools.
     """
     L = np.asarray(L, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    if B.ndim != 2 or L.ndim != 2 or B.shape[0] != L.shape[0]:
+    if B.ndim < 2 or L.shape[:-1] != B.shape[:-1]:
         raise PreconditionError(
             f"inconsistent shapes: L {L.shape}, B {B.shape}"
         )
+    rows = B.shape[-2]
     if d is not None and n is not None:
         w = np.array([math.prod(math.factorial(a) for a in alpha)
                       for alpha in multi_indices(d, n)], dtype=float)
-        if len(w) != B.shape[0]:
+        if len(w) != rows:
             raise PreconditionError("pairing weights do not match row count")
     else:
-        w = np.ones(B.shape[0])
+        w = np.ones(rows)
 
-    aug = np.concatenate([B, L], axis=1)
+    aug = np.concatenate([B, L], axis=-1)
     # np.linalg.norm(aug, 2) is the largest of these same singular values
     s_aug = np.linalg.svd(aug, compute_uv=False)
-    cut = TOL_RANK * max(s_aug.max(initial=0.0), 1e-300)
-    rank_b = int(np.sum(np.linalg.svd(B, compute_uv=False) > cut)) if B.size else 0
-    rank_aug = int(np.sum(s_aug > cut))
-    image_cond = rank_b == rank_aug
+    cut = TOL_RANK * np.maximum(s_aug.max(axis=-1, initial=0.0), 1e-300)[..., None]
+    rank_b = np.sum(np.linalg.svd(B, compute_uv=False) > cut, axis=-1) if B.size else 0
+    image_cond = rank_b == np.sum(s_aug > cut, axis=-1)
 
     # annihilator of span(B): functionals c with c^T (W B) = 0, i.e. the
-    # null space of (W B)^T under the plain (bilinear) product
-    wb = w[:, None] * B
-    m = wb.T
+    # null space of (W B)^T under the plain (bilinear) product; its basis
+    # is the columns of vh^H from rank_m on, the others masked to zero
+    m = np.swapaxes(w[:, None] * B, -1, -2)
     if m.size:
         _, s, vh = np.linalg.svd(m, full_matrices=True)
-        rank_m = int(np.sum(s > TOL_RANK * max(s[0] if len(s) else 0.0, 1e-300)))
-        null_basis = vh[rank_m:, :].conj().T  # columns y with m @ y = 0
+        cut_m = TOL_RANK * np.maximum(s.max(axis=-1, initial=0.0), 1e-300)
+        rank_m = np.sum(s > cut_m[..., None], axis=-1)
+        null_basis = np.swapaxes(vh.conj(), -1, -2) * (
+            np.arange(rows) >= rank_m[..., None])[..., None, :]
     else:
-        null_basis = np.eye(B.shape[0], dtype=complex)
-    if null_basis.shape[1] == 0:
-        kernel_cond = True
-    else:
-        # dual map kills the annihilator iff L^T W y = 0 for every such y
-        resid = L.T @ (w[:, None] * null_basis)
-        scale = max(np.linalg.norm(w[:, None] * L, 2), 1e-300)
-        kernel_cond = bool(np.linalg.norm(resid, 2) <= 10 * TOL_RANK * scale)
-    return DualityFlags(image_cond, kernel_cond)
+        null_basis = np.eye(rows, dtype=complex)
+    # dual map kills the annihilator iff L^T W y = 0 for every such y; a
+    # masked column adds a zero column, and an empty basis a zero residual
+    resid = np.swapaxes(L, -1, -2) @ (w[:, None] * null_basis)
+    scale = np.maximum(np.linalg.norm(w[:, None] * L, 2, axis=(-2, -1)), 1e-300)
+    flags = DualityFlags(image_cond, np.linalg.norm(
+        resid, 2, axis=(-2, -1)) <= 10 * TOL_RANK * scale)
+    return DualityFlags(*map(bool, flags)) if L.ndim == 2 else flags

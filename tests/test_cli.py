@@ -406,6 +406,15 @@ class TestFock:
         assert proc.stderr == ("precondition rejected: N = 171: sqrt(N!) is "
                                "past float range\n")
 
+    def test_overflowing_matrix_exit_4(self, write):
+        # the powers of 1e150 z + z^2 overflow from degree 3 on
+        big = write("big.json", {"dim": 1, "components": [
+            [{"alpha": [1], "re": 1e150}, {"alpha": [2], "re": 1.0}]]})
+        proc = run_module("fock", big, "--N", "6")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: N = 6: the matrix has a "
+                               "non-finite entry\n")
+
     def test_matrix_dump(self, capsys, write, tmp_path):
         out = tmp_path / "m.json"
         code, _ = run(capsys, ["fock", write("f.json", HALF), "--N", "4",
@@ -459,6 +468,10 @@ class TestWeightOnAnotherSpace:
         assert captured.err == f"precondition rejected: weight is on {spaces}\n"
 
 
+LB_L = [[[0.0, 0.0]], [[0.0, 0.0]]]
+LB_B = [[[1.0, 0.0]], [[0.0, 1.0]]]
+
+
 class TestDuality:
     def test_random_instances_agree(self, capsys):
         code, doc = run(capsys, ["duality", "--instances", "30", "--seed", "7"])
@@ -475,23 +488,80 @@ class TestDuality:
         assert doc["image_cond"] and doc["kernel_cond"] and doc["agree"]
 
     def test_one_disagreement_exits_2_with_one_line(self, capsys, monkeypatch):
-        check, calls = rigidity.duality_check, []
+        # the instances go to the check in stacks: flip instance 1's
+        # kernel_cond where the stack holds its B
+        b1 = list(_duality_instances(7, 2, 6, 4))[1][1]
+        check, flipped = rigidity.duality_check, []
 
         def disagree_once(l_mat, b_mat):
             flags = check(l_mat, b_mat)
-            calls.append(flags)
-            if len(calls) == 2:
-                return flags._replace(kernel_cond=not flags.image_cond)
-            return flags
+            hit = (np.all(b_mat == b1, axis=(-2, -1)) if b_mat.shape[1:] == b1.shape
+                   else np.zeros(len(b_mat), dtype=bool))
+            flipped.append(int(hit.sum()))
+            return flags._replace(kernel_cond=np.where(
+                hit, ~flags.image_cond, flags.kernel_cond))
 
         monkeypatch.setattr(rigidity, "duality_check", disagree_once)
         code = main(["duality", "--instances", "5", "--seed", "7"])
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
+        assert sum(flipped) == 1
         assert code == 2
         assert doc["disagreements"] == 1 and doc["all_agree"] is False
         assert doc["flags"][1][0] != doc["flags"][1][1]
         assert captured.err == "self-check failed: 1 of 5 instances disagree\n"
+
+    def test_stacks_match_one_check_per_instance(self, capsys):
+        # 600 instances fill two whole stacks and part of a third
+        assert 2 * cli._DUALITY_CHUNK < 600
+        code, doc = run(capsys, ["duality", "--instances", "600", "--rows", "7",
+                                 "--cols", "3", "--seed", "3"])
+        want = [list(rigidity.duality_check(l_mat, b))
+                for l_mat, b in _duality_instances(3, 600, 7, 3)]
+        assert code == 0 and doc["instances"] == 600
+        assert doc["flags"] == want
+        assert {image for image, _ in want} == {True, False}
+
+    @pytest.mark.parametrize("doc", [
+        {"L": [[[float("nan"), 0.0]], [[0.0, 0.0]]], "B": LB_B},
+        {"L": LB_L, "B": [[[1.0, 0.0]], [[float("inf"), 1.0]]]},
+        {"L": [[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "B": LB_B},
+        {"L": LB_L},
+        {"L": [0.0, 1.0], "B": LB_B},
+        {"L": LB_L, "B": [[[1.0, 0.0]], [[0.0, 1.0, 2.0]]]},
+        {"L": LB_L, "B": [[True], [[0.0, 1.0]]]},
+        {"L": [], "B": []},
+        [LB_L],
+    ], ids=["nan", "inf", "ragged", "missing-B", "bare-row", "triple",
+            "bool", "empty", "not-an-object"])
+    def test_malformed_input_is_schema_error(self, capsys, write, doc):
+        code = main(["duality", "--input", write("lb.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("schema error: duality")
+        assert captured.err.count("\n") == 1
+
+    def test_input_entries_are_numbers_or_pairs(self, capsys, write):
+        # a bare number is a real entry, as everywhere in a document
+        pairs = {"L": [[[2.0, 0.0]], [[0.0, 0.0]]], "B": LB_B}
+        bare = {"L": [[2], [0.0]], "B": [[1.0], [[0.0, 1.0]]]}
+        _, want = run(capsys, ["duality", "--input", write("p.json", pairs)])
+        code, doc = run(capsys, ["duality", "--input", write("b.json", bare)])
+        assert code == 0 and doc == want
+
+
+def _duality_instances(seed, count, rows, cols):
+    """The (L, B) pairs ``duality`` draws from its seed, in order."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        width = int(rng.integers(1, rows + 1))
+        b = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+        if k % 2 == 0:
+            l_mat = b @ (rng.normal(size=(width, cols))
+                         + 1j * rng.normal(size=(width, cols)))
+        else:
+            l_mat = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        yield l_mat, b
 
 
 class TestSinglePath:

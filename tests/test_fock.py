@@ -94,6 +94,21 @@ class TestOperatorMatrix:
             with pytest.raises(PreconditionError, match="N = 171"):
                 operator_matrix_from_polys(None, f, 171)
 
+    def test_overflowing_entries_rejected_before_any_svd(self, monkeypatch):
+        big = PolyMap.from_coeffs_1d([0, 1e150, 1])
+        # (1e150)^2 is finite: the matrix keeps the bits of the scaled
+        # coefficient matrix
+        uj, fj = jets_from_polys(None, big, 2)
+        raw = coefficient_matrix(uj, fj, 2)
+        w = np.array([sqrt_factorial(a) for a in raw.basis])
+        want = raw.entries * w[:, None] / w[None, :]
+        got = operator_matrix_from_polys(None, big, 2).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        monkeypatch.setattr(np.linalg, "svd", None)  # never reached
+        monkeypatch.setattr(np.linalg, "norm", None)
+        with pytest.raises(PreconditionError, match="N = 6: .* non-finite"):
+            operator_matrix_from_polys(None, big, 6)
+
     def test_insufficient_cap_rejected(self):
         u = Jet.constant(1, 3, (0j,), 1.0)
         f = JetMap(1, 1, (Jet(1, 3, (0j,), {(1,): 1}),))

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holorigid import dynamics, rigidity
 from holorigid.dynamics import (
@@ -20,6 +22,7 @@ from holorigid.dynamics import (
     periodic_points_1d,
 )
 from holorigid.errors import OrbitError, PreconditionError
+from holorigid.jets import multi_indices
 from holorigid.rigidity import (
     ASSUME_DIM_GE_1,
     ASSUME_DIM_GE_2,
@@ -477,3 +480,43 @@ class TestDuality:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             duality_check(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    def test_stack_mismatch_rejected(self):
+        for l_mat, b in [(np.zeros((3, 4, 2)), np.zeros((2, 4, 2))),
+                         (np.zeros((3, 4, 2)), np.zeros((4, 2))),
+                         (np.zeros(4), np.zeros(4))]:
+            with pytest.raises(PreconditionError):
+                duality_check(l_mat, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_stack_is_its_slices(self, data):
+        count = data.draw(st.integers(0, 8))
+        rows = data.draw(st.integers(1, 7))
+        cols = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(0, rows))
+        pairings = [(d, n) for d in (1, 2, 3) for n in range(7)
+                    if len(multi_indices(d, n)) == rows]
+        dn = data.draw(st.sampled_from([(None, None)] + pairings))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+        def gauss(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        # each slice its own rank and scale, so a rank cut or null-space
+        # mask shared across the stack would misjudge some slice
+        b = np.zeros((count, rows, width), dtype=complex)
+        for k in range(count):
+            rank = int(rng.integers(0, width + 1))
+            b[k] = gauss(rows, rank) @ gauss(rank, width) * 10 ** rng.uniform(-6, 6)
+        l_mat = gauss(count, rows, cols) * 10 ** rng.uniform(-6, 6, (count, 1, 1))
+        # even slices of L lie in span(B), odd ones most likely not
+        l_mat[::2] = b[::2] @ gauss(width, cols)
+        got = duality_check(l_mat, b, *dn)
+        assert got.image_cond.shape == got.kernel_cond.shape == (count,)
+        want = [duality_check(l_k, b_k, *dn) for l_k, b_k in zip(l_mat, b)]
+        assert [tuple(pair) for pair in zip(*got)] == want
+        for l_k, b_k, flags in zip(l_mat, b, want):
+            one = duality_check(l_k[None], b_k[None], *dn)
+            assert [tuple(pair) for pair in zip(*one)] == [flags]
+            assert type(flags.image_cond) is type(flags.kernel_cond) is bool
