@@ -45,10 +45,8 @@ from .dynamics import (
     weight_cocycle,
 )
 from .rigidity import (
-    AffineVerdict,
     DualityFlags,
     ObstructionCertificate,
-    affine_verdict_1d,
     certify_bounded,
     certify_compact,
     certify_cyclic,

@@ -975,6 +975,9 @@ def periodic_orbits(f: PolyMap, r_max: int,
     variables every r runs the Newton multistart with the same ``config``,
     and the record carries its ``starts``, ``converged`` and ``seed``.
     """
+    if f.dim > 2:
+        raise PreconditionError(f"periodic orbits are searched for only on "
+                                f"C^1 and C^2, and this map is on C^{f.dim}")
     for r in range(1, r_max + 1):
         if f.dim == 1:
             found = periodic_points_1d(f, r)

@@ -254,9 +254,10 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
     Row 0 is ``m.norm``.  A column block never has a larger norm than the
     whole matrix, so for the power vector v (``_power_vector``) the tail A_k
     of the columns from k on has ||A_k v_k|| / ||v_k|| <= ||A_k|| <= m.norm.
-    Where that lower bound is within TAIL_TOL of m.norm the row prints it
-    (capped at m.norm), however v was found; every other tail, and every
-    tail when there is no v, takes its own SVD.
+    Where that lower bound is within TAIL_TOL of m.norm the row prints it,
+    however v was found; every other tail, and every tail when there is no
+    v, takes its own SVD.  Every row is capped at m.norm, since an SVD of a
+    tail can round above it.
     """
     a, norm = m.entries, m.norm
     starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
@@ -267,9 +268,9 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
         for n, k in enumerate(starts[1:], 1):
             low = (np.nan if v is None else
                    np.linalg.norm(a[:, k:] @ v[k:]) / np.linalg.norm(v[k:]))
-            value = (float(min(low, norm)) if (1.0 - TAIL_TOL) * norm <= low < np.inf
+            value = (low if (1.0 - TAIL_TOL) * norm <= low < np.inf
                      else _spectral_norm(a[:, k:]))
-            rows.append((n, value, any(m.column_loss[k:])))
+            rows.append((n, float(min(value, norm)), any(m.column_loss[k:])))
     fixes = m.fixes_origin()
     warning = None if fixes else (
         "symbol does not fix 0: the order-n subspaces are not invariant and "

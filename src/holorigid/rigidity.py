@@ -5,7 +5,9 @@ hypotheses it is conditional on.  The mechanisms:
 
 * a periodic orbit with a multiplier of modulus > 1 and nonvanishing weight
   cocycle rules out boundedness (modulus >= 1 rules out compactness), given
-  the graded-image condition for the ambient space;
+  the graded-image condition for the ambient space; in one variable at
+  degree >= 2 such an orbit always exists, and a search that misses it
+  says so;
 * any periodic point at all rules out hypercyclicity (dim V >= 1) and
   supercyclicity (dim V >= 2);
 * more than r periodic points of period dividing r on one level set of the
@@ -36,9 +38,7 @@ from .dynamics import (
     cluster_points,
     cocycle_poly,
     companion_roots,
-    make_orbit,
     orbit_points,
-    periodic_orbits,
     periodic_points_1d,
     weight_cocycle,
 )
@@ -70,6 +70,12 @@ ASSUME_DIM_GE_1 = "dim V >= 1"
 ASSUME_DIM_GE_2 = "dim V >= 2"
 ASSUME_CONTINUOUS_INCLUSION = (
     "V is a quasi-Banach space continuously included in the holomorphic functions"
+)
+HIGHER_PERIOD = (
+    "f has degree >= 2, so it has infinitely many repelling cycles, and all "
+    "but finitely many avoid the zeros of a weight that is not identically "
+    "zero: a cycle this search did not reach obstructs boundedness and "
+    "compactness"
 )
 
 
@@ -124,12 +130,17 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
     as the points of one orbit or of conjugate orbits, go by orbit order.
     Otherwise the first orbit with a vanishing cocycle gives Inapplicable
     with ``note``, and otherwise the first orbit gives NoObstruction.  Only
-    the witness orbit is verified and encoded.
+    the witness orbit is verified and encoded.  Where f is one-variable of
+    degree >= 2 these two carry ``higher_period``: the theorem that an
+    obstructing cycle exists past the orbits tested.
     """
+    exhausted = ({"higher_period": HIGHER_PERIOD}
+                 if f.dim == 1 and f.degree >= 2 else {})
     if not orbits:
         return ObstructionCertificate(
             NO_OBSTRUCTION,
-            {"orbits_found": 0, "note": "no periodic orbits available to test"},
+            {"orbits_found": 0, "note": "no periodic orbits available to test",
+             **exhausted},
             (ASSUME_GRADED_IMAGE,), {})
     cocycles = [weight_cocycle(u, orbit.points) for orbit in orbits]
     worst = [max(orbit.multipliers, key=abs, default=0j) for orbit in orbits]
@@ -148,10 +159,12 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
         witness["eigenvalue"] = complex(worst[k])
         witness["abs_eigenvalue"] = abs(worst[k])
         return ObstructionCertificate(verdict, witness, assumptions, tols)
-    if abs(cocycles[k]) <= TOL_WEIGHT:
+    vanishing = abs(cocycles[k]) <= TOL_WEIGHT
+    if vanishing:
         witness["note"] = note
-        return ObstructionCertificate(INAPPLICABLE, witness, assumptions, tols)
-    return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
+    witness.update(exhausted)
+    return ObstructionCertificate(INAPPLICABLE if vanishing else NO_OBSTRUCTION,
+                                  witness, assumptions, tols)
 
 
 def certify_bounded(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertificate:
@@ -229,11 +242,13 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
         if isinstance(detail, AllPoints):
             return _all_points_cyclic(f, u, r, assumptions, tols)
         points = [np.array([z]) for z in detail.points]
+        walks = [orbit_points(f, p, r) for p in points]
         multiplicity_flags = list(detail.multiplicities)
     else:
-        points = [dynamics._closed_walk(f, p, r)[0][0] for p in points]
+        walks = [dynamics._closed_walk(f, p, r)[0][:-1] for p in points]
+        points = [walk[0] for walk in walks]
 
-    values = [weight_cocycle(u, orbit_points(f, p, r)) for p in points]
+    values = [weight_cocycle(u, walk) for walk in walks]
     if lambda_levels is not None:
         pairs = [(lam, [i for i, v in enumerate(values)
                         if abs(v - lam) <= TOL_LEVEL_SCALE * (1.0 + abs(lam))])
@@ -289,59 +304,6 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
     witness["note"] = ("f^r is the identity but the weight is not polynomial; "
                        "level sets cannot be enumerated")
     return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
-
-
-@dataclass(frozen=True)
-class AffineVerdict:
-    """Outcome of the one-variable affine classification."""
-
-    affine: bool
-    a: complex | None
-    b: complex | None
-    obstructed: bool
-    statement: str
-    witness: PeriodicOrbit | None
-    searched_r: int
-
-
-_NO_BOUNDED_STATEMENT = (
-    "no weighted composition operator with nonzero weight and this symbol is "
-    "bounded on any infinite-dimensional quasi-Banach space continuously "
-    "included in the entire functions"
-)
-
-
-def affine_verdict_1d(f: PolyMap, r_max: int = 8) -> AffineVerdict:
-    """Classify a one-variable polynomial symbol by the affine dichotomy.
-
-    Degree >= 2 forces a repelling periodic orbit (returned as the witness);
-    affine symbols obstruct exactly when |a| > 1.
-    """
-    if f.dim != 1:
-        raise PreconditionError("affine_verdict_1d needs a one-variable map")
-    table = f.components[0]
-    a = complex(table.get((1,), 0j))
-    b = complex(table.get((0,), 0j))
-    if f.degree <= 1:
-        if dynamics._modulus_band(abs(a)) == "above":
-            p = b / (1.0 - a)
-            orbit = make_orbit(f, [p], 1)
-            return AffineVerdict(True, a, b, True, _NO_BOUNDED_STATEMENT,
-                                 orbit, 1)
-        return AffineVerdict(True, a, b, False,
-                             "affine symbol with |a| <= 1: consistent with "
-                             "boundedness", None, 0)
-    for r, orbits, _ in periodic_orbits(f, r_max):
-        for orbit in orbits:
-            if orbit.stability == "repelling":
-                return AffineVerdict(False, None, None, True,
-                                     _NO_BOUNDED_STATEMENT, orbit, r)
-    # degree >= 2 always has a repelling orbit; reaching here means the
-    # scan budget was too small
-    return AffineVerdict(False, None, None, True,
-                         _NO_BOUNDED_STATEMENT + " (witness search exhausted "
-                         f"at period {r_max}; a repelling orbit exists at "
-                         "some higher period)", None, r_max)
 
 
 class DualityFlags(NamedTuple):

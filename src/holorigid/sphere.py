@@ -288,8 +288,8 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
     rounding (first_near_best).  A row rounds in any lockstep as it does
     alone, so construct_repelling runs these rows beside its profile.
     """
-    if r <= 0:
-        raise PreconditionError("radius must be positive")
+    if not 0 < r < np.inf:  # NaN fails too
+        raise PreconditionError(f"radius must be positive and finite, got {r}")
     d = f.dim
     warm = np.array(list(warm_starts), dtype=complex).reshape(-1, d)
     norms = np.linalg.norm(warm, axis=1)

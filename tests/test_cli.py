@@ -111,6 +111,7 @@ class TestCertify:
         assert doc["verdict"] == "Unbounded"
         assert doc["witness"]["eigenvalue"] == [2.0, 0.0]
         assert doc["witness"]["point"] == [[1.0, 0.0]]
+        assert "higher_period" not in doc["witness"]
         assert any("graded image" in a for a in doc["assumptions"])
 
     def test_contraction_clear(self, capsys, write):
@@ -199,6 +200,24 @@ class TestCertify:
         assert doc["witness"]["note"] == ("weight cocycle vanishes on the "
                                           "orbit; the eigenvalue bound does "
                                           "not apply")
+
+    @pytest.mark.parametrize("fmap, weight, want, code", [
+        # z^2 - z - 1 vanishes at both fixed points of z^2 - 1
+        (SQUARE_MINUS_1, {"dim": 1, "terms": [
+            {"alpha": [2], "re": 1.0}, {"alpha": [1], "re": -1.0},
+            {"alpha": [0], "re": -1.0}]}, "Inapplicable", 3),
+        ({"dim": 1, "components": [[{"alpha": [2], "re": 1.0},
+                                    {"alpha": [0], "re": 0.25}]]},
+         None, "NoObstruction", 0),
+    ], ids=["vanishing-weight", "parabolic"])
+    def test_a_missed_obstruction_is_stated(self, capsys, write, fmap, weight,
+                                            want, code):
+        argv = ["certify", write("f.json", fmap), "--mode", "bounded", "--r", "1"]
+        if weight is not None:
+            argv[2:2] = [write("u.json", weight)]
+        got, doc = run(capsys, argv)
+        assert (got, doc["verdict"]) == (code, want)
+        assert doc["witness"]["higher_period"] == rigidity.HIGHER_PERIOD
 
     def test_point_override(self, capsys, write):
         code, doc = run(capsys, ["certify", write("f.json", SQUARE),
@@ -771,6 +790,16 @@ class TestContract:
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("precondition rejected: the cyclic")
         assert "points=" not in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["bounded", "compact", "hypercyclic",
+                                      "supercyclic"])
+    def test_three_variables_name_no_library_function(self, capsys, mode):
+        code = main(["certify", str(BENCH_INPUTS / "mix3.json"), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == ("precondition rejected: periodic orbits are "
+                                "searched for only on C^1 and C^2, and this "
+                                "map is on C^3\n")
 
 
 REPELLING_ARGS = ["--s-range=-1.0:2.5", "--starts", "80", "--grid-starts", "12",

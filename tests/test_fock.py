@@ -338,9 +338,9 @@ class TestRestrictionProfile:
 
 
 def _lapack_profile(m):
-    """The profile norms as one SVD per tail (row 0 is m.norm)."""
+    """The profile norms as one SVD per tail, capped at m.norm (row 0)."""
     starts = np.searchsorted(m.degrees, np.arange(m.N + 1))
-    return [fock._spectral_norm(m.entries[:, k:]) if k else m.norm
+    return [min(fock._spectral_norm(m.entries[:, k:]), m.norm) if k else m.norm
             for k in starts]
 
 
@@ -374,6 +374,16 @@ class TestCertifiedTails:
             assert abs(value - want) <= slack * want
             if not tail.any():
                 assert value == 0.0
+
+    def test_an_svd_row_is_capped_at_the_norm(self):
+        # LAPACK rounds the tail from degree 1 on one ulp above the norm of
+        # the whole matrix, 3.0592642267871
+        m = operator_matrix_from_polys(PolyFunc(1, {(0,): 1, (2,): 1.5j}),
+                                       PolyMap.from_coeffs_1d([0, 0.75]), 5)
+        assert fock._spectral_norm(m.entries[:, 1:]) > m.norm
+        levels = restriction_norm_profile(m).levels
+        assert levels[1][1] == m.norm
+        assert all(value <= m.norm for _, value, _ in levels)
 
     @pytest.mark.parametrize("u, f, n_cap", [
         (None, HALF, 20), (None, DOUBLE, 20), (None, SQUARE, 16),

@@ -1,4 +1,4 @@
-"""Certificates, the affine dichotomy, and duality."""
+"""Certificates, the one-variable dichotomy, and duality."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from holorigid import dynamics, rigidity
 from holorigid.dynamics import (
-    AllPoints,
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
@@ -19,7 +18,6 @@ from holorigid.dynamics import (
     iterate,
     make_orbit,
     periodic_orbits,
-    periodic_points_1d,
 )
 from holorigid.errors import OrbitError, PreconditionError
 from holorigid.jets import multi_indices
@@ -36,7 +34,6 @@ from holorigid.rigidity import (
     NOT_SUPERCYCLIC,
     UNBOUNDED,
     ObstructionCertificate,
-    affine_verdict_1d,
     certify_bounded,
     certify_compact,
     certify_cyclic,
@@ -48,7 +45,6 @@ from holorigid.sphere import first_near_best
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
-DOUBLE = PolyMap.from_coeffs_1d([0, 2])
 COUNTEREXAMPLE_MAP = PolyMap.from_coeffs_1d([0.5, 1, 0.5])  # (z+1)^2 / 2
 
 
@@ -221,8 +217,10 @@ class TestWitnessSelection:
 
     @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
     def test_no_orbits(self, certify):
-        cert = certify(SQUARE, None)
-        assert cert == _strongest_reference([], UNBOUNDED)
+        want = _strongest_reference([], UNBOUNDED)
+        assert certify(HALF, None) == want
+        assert certify(SQUARE, None) == replace(want, witness={
+            **want.witness, "higher_period": rigidity.HIGHER_PERIOD})
 
     @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
     def test_one_verification_per_certificate(self, certify, monkeypatch):
@@ -323,6 +321,21 @@ class TestCyclic:
         assert cert.verdict == NOT_CYCLIC  # both sit on the level u_1 = 1 > r
         assert cert.witness["count"] == 2
 
+    def test_supplied_points_are_walked_once(self, monkeypatch):
+        # 0 and the seventh roots of unity have period dividing 3 under z^2
+        pts = [[0j]] + [[np.exp(2j * np.pi * k / 7)] for k in range(7)]
+        u = PolyFunc(1, {(0,): 2, (1,): 1})
+        want = [dynamics.weight_cocycle(u, dynamics.orbit_points(SQUARE, p, 3))
+                for p in pts]
+        calls, call = [], PolyMap.__call__
+        monkeypatch.setattr(PolyMap, "__call__",
+                            lambda f, z: calls.append(z) or call(f, z))
+        cert = certify_cyclic(SQUARE, u, 3, points=pts)
+        assert len(calls) == 3 * len(pts)
+        levels = cert.witness["levels"]
+        assert all(level["lambda"] in want for level in levels)  # bit for bit
+        assert sorted(level["count"] for level in levels) == [1, 1, 3, 3]
+
     def test_external_points_must_be_periodic(self):
         # none of these is fixed by z^2, so no level count may rest on them
         with pytest.raises(OrbitError, match=r"^f\^1\(p\) - p has residual"):
@@ -334,45 +347,47 @@ class TestCyclic:
             certify_cyclic(henon, None, 1)
 
 
-def _first_repelling_reference(f, r_max):
-    """Reference scan: for r = 1..r_max, every point of period dividing r,
-    tested at the declared r; the first repelling orbit and its r."""
-    for r in range(1, r_max + 1):
-        pts = periodic_points_1d(f, r)
-        if isinstance(pts, AllPoints):
-            continue
-        for z in pts:
-            orbit = make_orbit(f, [z], r)
-            if orbit.stability == "repelling":
-                return orbit, r
-    return None, r_max
+class TestHigherPeriod:
+    """In one variable at degree >= 2 an obstructing cycle always exists, so
+    a certificate that found none says so; an affine map az + b obstructs
+    exactly when its fixed point's multiplier a is past the band."""
 
+    @pytest.mark.parametrize("certify", [certify_bounded, certify_compact])
+    @pytest.mark.parametrize("f, u, r_max, want", [
+        # u = z^2 - z - 1 vanishes at both fixed points of z^2 - 1
+        (Z2_MINUS_1, PolyFunc(1, {(0,): -1, (1,): -1, (2,): 1}), 1,
+         INAPPLICABLE),
+        # z^2 + 1/4 has one parabolic fixed point, multiplier 1
+        (PolyMap.from_coeffs_1d([0.25, 0, 1]), None, 1, None),
+    ], ids=["vanishing-weight", "parabolic"])
+    def test_a_search_that_misses_says_so(self, certify, f, u, r_max, want):
+        cert = certify(f, u, *_all_orbits(f, r_max))
+        if want is None:  # the parabolic point obstructs compactness only
+            want = NO_OBSTRUCTION if certify is certify_bounded else NON_COMPACT
+        assert cert.verdict == want
+        assert ("higher_period" in cert.witness) is (want != NON_COMPACT)
+        if want != NON_COMPACT:
+            assert cert.witness["higher_period"] == rigidity.HIGHER_PERIOD
 
-class TestAffineVerdict:
-    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [-1, 0, 1], [1j, 0, 1],
-                                        [0.1, -0.5, 0.3j, 1]],
-                             ids=["z2", "z2-1", "z2+i", "cubic"])
-    def test_witness_matches_the_reference_scan(self, coeffs):
+    @pytest.mark.parametrize("coeffs, want", [
+        ([0, 2], UNBOUNDED), ([1, 0.5], NO_OBSTRUCTION),
+        ([0, -1.5j], UNBOUNDED), ([3, np.exp(0.3j)], NO_OBSTRUCTION),
+    ], ids=["2z", "z/2+1", "-1.5iz", "rotation"])
+    def test_affine_obstructs_past_the_band(self, coeffs, want):
         f = PolyMap.from_coeffs_1d(coeffs)
-        verdict = affine_verdict_1d(f, r_max=4)
-        assert (verdict.witness, verdict.searched_r) == \
-            _first_repelling_reference(f, 4)
+        cert = certify_bounded(f, None, *_all_orbits(f, 3))
+        a, b = coeffs[1], coeffs[0]
+        assert cert.verdict == want and "higher_period" not in cert.witness
+        assert cert.witness["point"] == pytest.approx([b / (1 - a)])
+        if want == UNBOUNDED:
+            assert cert.witness["eigenvalue"] == pytest.approx(a)
 
-    def test_square_yields_repelling_witness(self):
-        verdict = affine_verdict_1d(SQUARE)
-        assert not verdict.affine and verdict.obstructed
-        assert verdict.witness.points == ((1 + 0j,),)
-        assert abs(verdict.witness.multipliers[0]) > 1
-
-    def test_gentle_affine_is_consistent(self):
-        verdict = affine_verdict_1d(PolyMap.from_coeffs_1d([1, 0.5]))
-        assert verdict.affine and not verdict.obstructed
-
-    def test_expanding_affine(self):
-        verdict = affine_verdict_1d(DOUBLE)
-        assert verdict.affine and verdict.obstructed
-        assert verdict.witness.points == ((0j,),)
-        assert verdict.a == pytest.approx(2.0)
+    def test_two_variables_never_claim_it(self):
+        f = PolyMap(2, ({(2, 0): 1}, {(0, 1): 0.5}))
+        cert = certify_bounded(f, PolyFunc(2, {(1, 0): 1}),
+                               make_orbit(f, [0, 0], 1))
+        assert cert.verdict == INAPPLICABLE
+        assert "higher_period" not in cert.witness
 
 
 class TestOneRulePerOrbitFact:
@@ -391,21 +406,20 @@ class TestOneRulePerOrbitFact:
                                match=r"^f\^1\(p\) - p has residual 0\.000e\+00$"):
                 call()
 
-    @pytest.mark.parametrize("band, stability, bounded, compact, affine", [
-        ("above", "repelling", UNBOUNDED, NON_COMPACT, True),
-        ("at", "indifferent", NO_OBSTRUCTION, NON_COMPACT, False),
-        ("below", "attracting", NO_OBSTRUCTION, NO_OBSTRUCTION, False),
-        (None, "inconclusive", NO_OBSTRUCTION, NO_OBSTRUCTION, False),
+    @pytest.mark.parametrize("band, stability, bounded, compact", [
+        ("above", "repelling", UNBOUNDED, NON_COMPACT),
+        ("at", "indifferent", NO_OBSTRUCTION, NON_COMPACT),
+        ("below", "attracting", NO_OBSTRUCTION, NO_OBSTRUCTION),
+        (None, "inconclusive", NO_OBSTRUCTION, NO_OBSTRUCTION),
     ])
-    def test_modulus_rule(self, monkeypatch, band, stability, bounded,
-                          compact, affine):
+    def test_modulus_rule(self, monkeypatch, band, stability, bounded, compact):
         # the true moduli are 2 at the fixed point 1 of z^2 and 1/2 for HALF
         monkeypatch.setattr(dynamics, "_modulus_band", lambda m: band)
         orbit = make_orbit(SQUARE, [1], 1)
         assert dynamics.classify([0.5, 2.0]) == orbit.stability == stability
         assert certify_bounded(SQUARE, None, orbit).verdict == bounded
         assert certify_compact(SQUARE, None, orbit).verdict == compact
-        assert affine_verdict_1d(HALF).obstructed is affine
+        assert certify_bounded(HALF, None, make_orbit(HALF, [0], 1)).verdict == bounded
 
     def test_modulus_bands_at_their_edges(self):
         # 1 + TOL_CLASS rounds up, so |m - 1| <= TOL_CLASS missed that one

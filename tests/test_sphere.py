@@ -130,6 +130,12 @@ class TestSphereMax:
         with pytest.raises(PreconditionError):
             sphere_max(SQUARE_FIRST, 0.0, FAST)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_radius_is_named(self, r):
+        with pytest.raises(PreconditionError,
+                           match=f"^radius must be positive and finite, got {r}$"):
+            sphere_max(SQUARE_FIRST, r, FAST)
+
     def test_zero_warm_start_rejected(self):
         with pytest.raises(PreconditionError, match="nonzero"):
             sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=([0, 0],))
