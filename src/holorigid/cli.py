@@ -313,8 +313,7 @@ def cmd_fock(args) -> Outcome:
         "note": ("finite sections only give norm lower bounds; divergence "
                  "is evidence, boundedness is never claimed"),
         "tolerances": {"truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
-                       "origin_tol": fock.ORIGIN_TOL, "tail_tol": fock.TAIL_TOL,
-                       "power_steps": fock.POWER_STEPS},
+                       "tail_tol": fock.TAIL_TOL, "power_steps": fock.POWER_STEPS},
     }
     if args.sweep_out:
         _write_csv(args.sweep_out, ["N", "norm", "flag"],

@@ -29,7 +29,6 @@ from .jets import Jet, JetMap, PowerCache, _as_base, check_terms, substitute, \
 DEFAULT_MAX_TERMS = 4096
 TOL_ORBIT = 1e-8
 TOL_CLASS = 1e-9
-IDENTITY_COEFF_TOL = 1e-12
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
 NEWTON_STEPS = 100
@@ -706,7 +705,10 @@ def _approximations(f: PolyMap, r: int) -> tuple:
 def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     """All complex solutions of f^r(z) = z (distinct values).
 
-    Returns ALL_POINTS when f^r is the identity map.  For deg f >= 2 the
+    Returns ALL_POINTS when f^r is the identity map, read exactly off the
+    coefficients of f = az + b: a is a root of unity of order dividing r,
+    and b = 0 where a = 1.  Otherwise an affine f has one point, its fixed
+    point b / (1 - a), or none when a = 1.  For deg f >= 2 the
     D = deg(f)^r roots of f^r(z) - z (D above DEFAULT_MAX_TERMS is
     rejected) come from ``_approximations``.  When every root meets
     TOL_ORBIT and the D Newton disks are pairwise disjoint, which proves one
@@ -727,9 +729,10 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
                 f"{DEFAULT_MAX_TERMS}")
         roots, (g, slack, radii, ok, meets) = _approximations(f, r)
     else:
-        table = iterate(f, r).components[0]
-        b, a = (complex(table.get((k,), 0j)) for k in (0, 1))
-        if abs(a - 1.0) <= IDENTITY_COEFF_TOL and abs(b) <= IDENTITY_COEFF_TOL:
+        b, a = (f.components[0].get((k,), 0j) for k in (0, 1))
+        # the roots of unity among Gaussian dyadics: 1, -1, i, -i
+        order = {1: 1, -1: 2, 1j: 4, -1j: 4}.get(a)
+        if order is not None and r % order == 0 and (a != 1 or b == 0):
             return ALL_POINTS
         roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
         g, slack, radii, ok, meets = _certificate(f, r, roots)
@@ -973,7 +976,9 @@ def periodic_orbits(f: PolyMap, r_max: int,
     as f^r(z) - z has roots; where f^r is the identity, the orbit through
     GENERIC_POINT is offered and the record is incomplete.  In two
     variables every r runs the Newton multistart with the same ``config``,
-    and the record carries its ``starts``, ``converged`` and ``seed``.
+    and the record carries its ``starts``, ``converged`` and ``seed``.  A
+    point whose walk ``make_orbit`` rejects is left out, and its record is
+    then incomplete.
     """
     if f.dim > 2:
         raise PreconditionError(f"periodic orbits are searched for only on "
@@ -991,5 +996,10 @@ def periodic_orbits(f: PolyMap, r_max: int,
             points = result.points
             record = {"complete": False, "starts": result.starts,
                       "converged": result.converged, "seed": result.seed}
-        orbits = [make_orbit(f, p, r) for p in points]
+        orbits = []
+        for p in points:
+            try:
+                orbits.append(make_orbit(f, p, r))
+            except OrbitError:  # closed in the search, not in the walk
+                record["complete"] = False
         yield r, [orbit for orbit in orbits if orbit.period == r], record

@@ -30,7 +30,6 @@ from .jets import Jet, JetMap, graded_basis, multi_indices
 from .dynamics import PolyFunc, PolyMap
 
 TRUNCATION_COEFF_TOL = 1e-14
-ORIGIN_TOL = 1e-12  # largest |f(0)| entry for which f fixes the origin
 DEFAULT_CAP_1D = 40
 DEFAULT_CAP_2D = 12
 TAIL_TOL = 2.0 ** -48  # largest relative shortfall of a profile row read off the power vector
@@ -74,7 +73,8 @@ class OperatorMatrix:
         return max(self.top_degree) > self.N
 
     def fixes_origin(self) -> bool:
-        return max(abs(v) for v in self.symbol_value_at_zero) <= ORIGIN_TOL
+        """f(0) = 0 exactly, as the jets at 0 carry the constant terms of f."""
+        return not any(self.symbol_value_at_zero)
 
     @cached_property
     def norm(self) -> float:

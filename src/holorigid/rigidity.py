@@ -29,15 +29,11 @@ import numpy as np
 from . import dynamics
 from .dynamics import (
     AllPoints,
-    DEDUP_RADIUS,
     GENERIC_POINT,
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
-    _coeffs_1d,
     cluster_points,
-    cocycle_poly,
-    companion_roots,
     orbit_points,
     periodic_points_1d,
     weight_cocycle,
@@ -283,19 +279,11 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
                         "note": "u_r is constant on all of the plane"})
         return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
     if isinstance(u, PolyFunc):
-        u_r = cocycle_poly(u, f, r)
-        if u_r.degree == 0:
-            witness.update({"lambda": complex(next(iter(u_r.terms.values()), 0j)),
-                            "count": None, "count_infinite": True,
-                            "note": "u_r is constant on all of the plane"})
-            return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
-        # count distinct solutions of u_r(z) = lam at a generic level lam
-        lam = u_r(np.array([GENERIC_POINT]))
-        shifted = dict(u_r.terms)
-        zero = (0,) * f.dim
-        shifted[zero] = shifted.get(zero, 0j) - lam
-        count = len(cluster_points(companion_roots(_coeffs_1d(shifted)),
-                                   DEDUP_RADIUS))
+        # f = az + b with a a root of unity, so u o f^j has the leading term
+        # of u times a^(j deg u): u_r has degree r deg u, and only its
+        # finitely many critical values are levels with fewer points
+        lam = weight_cocycle(u, orbit_points(f, np.array([GENERIC_POINT]), r))
+        count = r * u.degree
         witness.update({"lambda": complex(lam), "count": count,
                         "note": "generic level set of the polynomial cocycle"})
         if count > r:

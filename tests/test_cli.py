@@ -40,7 +40,7 @@ HENON_MAP = {"dim": 2, "components": [
     [{"alpha": [0, 1], "re": 1.0}],
     [{"alpha": [0, 2], "re": 1.0}, {"alpha": [0, 0], "re": -3.0},
      {"alpha": [1, 0], "re": -0.3}]]}
-NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-6},
+NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-13},
                                          {"alpha": [1], "re": 0.5}]]}
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
@@ -433,6 +433,11 @@ class TestFock:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == ("precondition rejected: N = 6: the matrix has a "
                                "non-finite entry\n")
+
+    def test_any_constant_term_moves_the_origin(self, capsys, write):
+        code, doc = run(capsys, ["fock", write("f.json", NEAR_ORIGIN), "--N", "4"])
+        assert code == 0 and doc["fixes_origin"] is False  # f(0) = 1e-13
+        assert "not invariant" in doc["invariance_warning"]
 
     def test_matrix_dump(self, capsys, write, tmp_path):
         out = tmp_path / "m.json"
@@ -875,8 +880,7 @@ class TestPrintedTolerances:
         assert code == 0
         assert doc["tolerances"] == {
             "truncation_coeff_tol": fock.TRUNCATION_COEFF_TOL,
-            "origin_tol": fock.ORIGIN_TOL, "tail_tol": fock.TAIL_TOL,
-            "power_steps": fock.POWER_STEPS}
+            "tail_tol": fock.TAIL_TOL, "power_steps": fock.POWER_STEPS}
 
     def test_graded(self, capsys, write):
         code, doc = run(capsys, ["graded", write("f.json", DOUBLE),
@@ -951,14 +955,6 @@ class TestPrintedTolerances:
         monkeypatch.setattr(sphere, name, -1.0)  # every check fails
         assert main(["search-repelling", path, *REPELLING_ARGS]) == 1
         assert message in capsys.readouterr().err
-
-    def test_patched_origin_tolerance(self, capsys, write, monkeypatch):
-        argv = ["fock", write("f.json", NEAR_ORIGIN), "--N", "4"]
-        assert run(capsys, argv)[1]["fixes_origin"] is False  # f(0) = 1e-6
-        monkeypatch.setattr(fock, "ORIGIN_TOL", 1e-3)
-        code, doc = run(capsys, argv)
-        assert code == 0 and doc["fixes_origin"] is True
-        assert doc["tolerances"]["origin_tol"] == 1e-3
 
     def test_patched_truncation_tolerance(self, capsys, write, monkeypatch):
         argv = ["fock", write("f.json", SQUARE), "--N", "4"]

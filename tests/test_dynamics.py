@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,6 +353,28 @@ def _counted_ratio(f, r, sweeps):
     return lambda z: sweeps.append(1) or dynamics._orbit_ratio(f, r, z)[1]
 
 
+ROOTS_OF_UNITY = [1 + 0j, -1 + 0j, 1j, -1j]
+# roots of unity of order 3, 6, 8 and 5 to double precision: none is exact
+DECIMAL_ROTATIONS = [complex(-0.5, 0.8660254037844386),
+                     complex(0.5, 0.8660254037844386),
+                     complex(0.7071067811865476, 0.7071067811865476),
+                     complex(0.30901699437494745, 0.9510565162951535)]
+
+
+def _affine_iterate_is_identity(a, b, r):
+    """Whether f^r = id for f = az + b, in exact arithmetic over Q(i):
+    f^r(z) = a^r z + b (1 + a + ... + a^(r-1))."""
+    def times(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    a, b = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b))
+    power, total = (1, 0), (0, 0)
+    for _ in range(r):
+        total = (total[0] + power[0], total[1] + power[1])
+        power = times(power, a)
+    return power == (1, 0) and times(b, total) == (0, 0)
+
+
 class TestPeriodicPoints1D:
     def test_square_fixed_points(self):
         assert sorted(periodic_points_1d(SQUARE, 1), key=abs) == \
@@ -370,6 +393,19 @@ class TestPeriodicPoints1D:
 
     def test_translation_has_no_periodic_points(self):
         assert periodic_points_1d(PolyMap.from_coeffs_1d([1, 1]), 3) == []
+
+    @given(a=st.sampled_from(ROOTS_OF_UNITY + DECIMAL_ROTATIONS)
+           | st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+           b=st.sampled_from([0j, 1e-13 + 0j])
+           | st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           r=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_affine_identity_is_exact(self, a, b, r):
+        got = periodic_points_1d(PolyMap.from_coeffs_1d([b, a]), r)
+        if _affine_iterate_is_identity(a, b, r):
+            assert got is ALL_POINTS
+        else:  # the fixed point, the one root of f^r(z) - z where a != 1
+            assert got == ([] if a == 1 else [b / (1 - a)])
 
     def test_residuals_meet_orbit_tolerance(self):
         rng = np.random.default_rng(2)
@@ -996,6 +1032,19 @@ class TestPeriodicOrbits:
         assert [o.points for o in fixed] == [((0j,),)] and first["complete"]
         assert [o.points for o in orbits] == [((GENERIC_POINT,), (-GENERIC_POINT,))]
         assert second == {"complete": False}
+
+    def test_a_point_the_walk_rejects_is_left_out(self):
+        # the search's closure test passes this root of f^4(z) - z, and the
+        # orbit walk's, in other arithmetic, fails it
+        f = PolyMap.from_coeffs_1d(
+            [complex(-2138.8257435130076, 1159.7557898703005), 0, 1])
+        point = 47.313805745776875 - 12.127834442468746j
+        assert point in periodic_points_1d(f, 4)
+        with pytest.raises(OrbitError, match="residual 5.905e-07"):
+            make_orbit(f, [point], 4)
+        *_, (_, orbits, record) = periodic_orbits(f, 4)
+        assert record == {"complete": False} and len(orbits) == 10
+        assert all(orbit.points[0] != (point,) for orbit in orbits)
 
     def test_two_variable_record(self):
         config = SearchConfig(starts=60, seed=3)

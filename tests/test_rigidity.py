@@ -274,6 +274,10 @@ class TestHypercyclic:
         assert "not a proof of absence" in cert.witness["note"]
 
 
+SCALED_COMPLEX = st.builds(lambda re, im, e: complex(re, im) * 10.0 ** e,
+                           st.floats(-2, 2), st.floats(-2, 2), st.integers(-2, 2))
+
+
 class TestCyclic:
     def test_square_period_two_level_one(self):
         cert = certify_cyclic(SQUARE, None, 2)
@@ -302,6 +306,24 @@ class TestCyclic:
         # u_2(z) = u(z) u(-z) has degree 4 > 2: generic levels have 4 points
         assert cert.verdict == NOT_CYCLIC
         assert cert.witness["count"] == 4
+
+    @given(a=st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j]),
+           b=SCALED_COMPLEX, k=st.integers(1, 3),
+           lower=st.lists(SCALED_COMPLEX, min_size=1, max_size=3),
+           lead=st.builds(complex, st.floats(0.5, 2), st.floats(-2, 2)),
+           scale=st.integers(-2, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_all_points_count_is_the_cocycle_degree(self, a, b, k, lower, lead,
+                                                    scale):
+        # coefficients of unlike sizes put distinct points of a level close
+        f = PolyMap.from_coeffs_1d([0 if a == 1 else b, a])
+        r = k * {1: 1, -1: 2}.get(a, 4)  # f^r is the identity
+        u = PolyFunc(1, {(j,): c for j, c in
+                         enumerate(lower + [lead * 10.0 ** scale])})
+        cert = certify_cyclic(f, u, r)
+        count = cocycle_poly(u, f, r).degree
+        assert cert.witness["count"] == count
+        assert cert.verdict == (NOT_CYCLIC if count > r else NO_OBSTRUCTION)
 
     def test_all_points_with_opaque_weight_is_honest(self):
         cert = certify_cyclic(PolyMap.from_coeffs_1d([0, -1]),
