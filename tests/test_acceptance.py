@@ -19,6 +19,7 @@ from holorigid.dynamics import (
     SearchConfig,
     classify,
     make_orbit,
+    orbits_of_period,
     periodic_points_1d,
 )
 from holorigid.fock import (
@@ -160,7 +161,8 @@ def test_criterion_07_cyclicity_bound():
     gaps = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(gaps, np.inf)
     assert np.all(gaps > radii[:, None] + radii[None, :])
-    cert = certify_cyclic(SQUARE, None, 2)
+    orbits, _ = orbits_of_period(SQUARE, 2)
+    cert = certify_cyclic(SQUARE, None, 2, *orbits)
     assert cert.verdict == NOT_CYCLIC
     assert cert.witness["lambda"] == pytest.approx(1 + 0j)
     assert cert.witness["count"] == 4 > 2

@@ -296,6 +296,22 @@ class TestCertify:
         assert code == 0
         assert out["metadata"]["search"] == {"complete": complete}
 
+    def test_cyclic_counts_only_walked_orbits(self, capsys, write):
+        # a root of f^4(z) - z closes in the root search but not in the
+        # orbit walk: cyclic leaves it out, as bounded and hypercyclic do
+        quadc = {"dim": 1, "components": [[
+            {"alpha": [2], "re": 1.0},
+            {"alpha": [0], "re": -2138.8257435130076, "im": 1159.7557898703005}]]}
+        code, doc = run(capsys, ["certify", write("f.json", quadc),
+                                 "--mode", "cyclic", "--r", "4"])
+        assert code == 0
+        assert doc["witness"]["points_found"] == 14
+        assert doc["metadata"]["search"] == {"complete": False}
+        # u = 1: every point is on the level 1, which the witness lists
+        assert doc["verdict"] == "NotCyclic" and doc["witness"]["count"] == 14
+        rejected = [[47.313805745776875, -12.127834442468746]]
+        assert rejected not in doc["witness"]["level_points"]
+
     def test_multiple_root_is_not_complete(self, capsys, write):
         # z + z^2 has a double fixed point at 0: one point for two roots
         parabolic = {"dim": 1, "components": [[{"alpha": [1], "re": 1.0},

@@ -17,6 +17,7 @@ from holorigid.dynamics import (
     cocycle_poly,
     iterate,
     make_orbit,
+    orbits_of_period,
     periodic_orbits,
 )
 from holorigid.errors import OrbitError, PreconditionError
@@ -278,20 +279,25 @@ SCALED_COMPLEX = st.builds(lambda re, im, e: complex(re, im) * 10.0 ** e,
                            st.floats(-2, 2), st.floats(-2, 2), st.integers(-2, 2))
 
 
+def _orbits(f, r):
+    return orbits_of_period(f, r)[0]
+
+
 class TestCyclic:
     def test_square_period_two_level_one(self):
-        cert = certify_cyclic(SQUARE, None, 2)
+        cert = certify_cyclic(SQUARE, None, 2, *_orbits(SQUARE, 2))
         assert cert.verdict == NOT_CYCLIC
         assert cert.witness["lambda"] == pytest.approx(1 + 0j)
         assert cert.witness["count"] == 4
         assert ASSUME_EVALUATIONS_INDEPENDENT in cert.assumptions
 
     def test_count_is_recomputable_from_witness(self):
-        cert = certify_cyclic(SQUARE, None, 2)
+        cert = certify_cyclic(SQUARE, None, 2, *_orbits(SQUARE, 2))
         assert len(cert.witness["level_points"]) == cert.witness["count"]
 
     def test_translation_no_periodic_points(self):
-        cert = certify_cyclic(PolyMap.from_coeffs_1d([1, 1]), None, 4)
+        f = PolyMap.from_coeffs_1d([1, 1])
+        cert = certify_cyclic(f, None, 4, *_orbits(f, 4))
         assert cert.verdict == NO_OBSTRUCTION
         assert cert.witness["points_found"] == 0
 
@@ -306,6 +312,15 @@ class TestCyclic:
         # u_2(z) = u(z) u(-z) has degree 4 > 2: generic levels have 4 points
         assert cert.verdict == NOT_CYCLIC
         assert cert.witness["count"] == 4
+
+    def test_generic_count_names_no_level(self):
+        # u = (z - G)^2 at the generic point G: its level u(G) = 0 holds G
+        # alone, not the 2 points of a generic level
+        g = dynamics.GENERIC_POINT
+        u = PolyFunc(1, {(2,): 1.0, (1,): -2 * g, (0,): g * g})
+        cert = certify_cyclic(PolyMap.from_coeffs_1d([0, 1]), u, 1)
+        assert cert.verdict == NOT_CYCLIC and cert.witness["count"] == 2
+        assert "lambda" not in cert.witness
 
     @given(a=st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j]),
            b=SCALED_COMPLEX, k=st.integers(1, 3),
@@ -332,14 +347,15 @@ class TestCyclic:
         assert "cannot be enumerated" in cert.witness["note"]
 
     def test_explicit_levels(self):
-        cert = certify_cyclic(SQUARE, None, 2, lambda_levels=[1.0, 5.0])
+        cert = certify_cyclic(SQUARE, None, 2, *_orbits(SQUARE, 2),
+                              lambda_levels=[1.0, 5.0])
         assert cert.witness["levels"][1]["count"] == 0
         assert cert.verdict == NOT_CYCLIC
 
     def test_external_points_for_2d_symbol(self):
         henon = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (0, 0): -3, (1, 0): -0.3}))
         pts = [np.array([2.5, 2.5]), np.array([-1.2, -1.2])]
-        cert = certify_cyclic(henon, None, 1, points=pts)
+        cert = certify_cyclic(henon, None, 1, *(make_orbit(henon, p, 1) for p in pts))
         assert cert.verdict == NOT_CYCLIC  # both sit on the level u_1 = 1 > r
         assert cert.witness["count"] == 2
 
@@ -352,7 +368,8 @@ class TestCyclic:
         calls, call = [], PolyMap.__call__
         monkeypatch.setattr(PolyMap, "__call__",
                             lambda f, z: calls.append(z) or call(f, z))
-        cert = certify_cyclic(SQUARE, u, 3, points=pts)
+        orbits = [make_orbit(SQUARE, p, 3) for p in pts]
+        cert = certify_cyclic(SQUARE, u, 3, *orbits)
         assert len(calls) == 3 * len(pts)
         levels = cert.witness["levels"]
         assert all(level["lambda"] in want for level in levels)  # bit for bit
@@ -361,12 +378,23 @@ class TestCyclic:
     def test_external_points_must_be_periodic(self):
         # none of these is fixed by z^2, so no level count may rest on them
         with pytest.raises(OrbitError, match=r"^f\^1\(p\) - p has residual"):
-            certify_cyclic(SQUARE, None, 1, points=[[0.3], [0.5], [0.7]])
+            certify_cyclic(SQUARE, None, 1, *(make_orbit(SQUARE, p, 1)
+                                              for p in [[0.3], [0.5], [0.7]]))
 
-    def test_2d_without_points_rejected(self):
-        henon = PolyMap(2, ({(0, 1): 1}, {(0, 2): 1, (1, 0): -0.3}))
-        with pytest.raises(PreconditionError):
-            certify_cyclic(henon, None, 1)
+    def test_a_hand_built_witness_is_walked(self):
+        # three "fixed points" of z^2 that are not: the level they would
+        # crowd is the witness, and its orbits are walked before it is
+        fake = [PeriodicOrbit(((x + 0j,),), 1, (2 * x + 0j,), "attracting", 0.0)
+                for x in (0.3, 0.5, 0.7)]
+        with pytest.raises(OrbitError, match=r"^f\^1\(p\) - p has residual"):
+            certify_cyclic(SQUARE, None, 1, *fake)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_orbit_period_must_divide_r(self, r):
+        # the period-3 orbit of z^2 through e^(2 pi i / 7) has no u_4
+        orbit = make_orbit(SQUARE, [np.exp(2j * np.pi / 7)], 3)
+        with pytest.raises(PreconditionError, match="period dividing r"):
+            certify_cyclic(SQUARE, None, r, orbit)
 
 
 class TestHigherPeriod:
