@@ -27,8 +27,8 @@ from .errors import ConstructionError, HoloError, PreconditionError, \
     RangeError, SchemaError
 from .jets import Jet, eigenvalue_law, graded_eigenvalues, \
     graded_matrix_bruteforce, graded_matrix_formula, multiset_close
-from .serialize import _cnum, _require, dump_polymap, encode, load_henon, \
-    load_polymap, load_weight, read_json
+from .serialize import _cnum, _require, encode, load_henon, load_polymap, \
+    load_weight, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,6 +90,19 @@ def _float_range(text: str):
     if not all(map(cmath.isfinite, (lo, hi))):
         raise argparse.ArgumentTypeError(f"expected finite lo:hi, got {text!r}")
     return lo, hi
+
+
+def _load_map_arg(path):
+    """The map of the document at ``path`` and, where it gives Henon
+    ``factors`` in place of ``components``, their composition (else None)."""
+    doc = read_json(path)
+    if not (isinstance(doc, dict) and "factors" in doc):
+        return load_polymap(doc), None
+    if "components" in doc:
+        raise SchemaError("map: a document gives 'factors' or 'components', "
+                          "not both")
+    comp = load_henon(doc)
+    return henon.to_polymap(comp), comp
 
 
 def _load_weight_arg(path, dim: int):
@@ -242,7 +255,7 @@ def cmd_certify(args) -> Outcome:
         raise UsageError("--point applies only to --mode bounded and compact")
     if args.lam is not None and mode != "cyclic":
         raise UsageError("--lambda applies only to --mode cyclic")
-    f = load_polymap(read_json(args.map))
+    f, comp = _load_map_arg(args.map)
     u = _load_weight_arg(args.weight, f.dim)
     if mode in ("bounded", "compact"):
         if args.point:
@@ -266,6 +279,8 @@ def cmd_certify(args) -> Outcome:
         cert = certifier(orbits, search_complete=complete)
         extra = {"r_max": args.r}
 
+    if comp is not None:
+        cert = henon._factor_certificate(cert, comp)
     payload = cert.to_json_dict()
     if f.dim != 1 and "point_supplied" not in search:  # cyclic needs dim 1
         payload["tolerances"].update(_multistart_tolerances())
@@ -328,18 +343,6 @@ def cmd_fock(args) -> Outcome:
             json.dump({"basis": [list(a) for a in matrix.basis],
                        "entries": encode(matrix.entries)}, fh, indent=2)
     return Outcome(payload)
-
-
-def cmd_henon(args) -> Outcome:
-    comp = load_henon(read_json(args.henon))
-    u = _load_weight_arg(args.weight, 2)  # Henon maps act on C^2
-    cfg = SearchConfig(starts=args.starts, seed=args.seed)
-    cert = henon.saddle_certificate(comp, u, r_max=args.r_max, config=cfg)
-    payload = cert.to_json_dict()
-    payload["tolerances"].update(_multistart_tolerances())
-    code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
-    return Outcome(payload, {"r_max": args.r_max, "map": encode(
-        dump_polymap(henon.to_polymap(comp)))}, code)
 
 
 def cmd_duality(args) -> Outcome:
@@ -456,12 +459,15 @@ def build_parser() -> Parser:
                    help="JSON dump of the operator matrix")
     common(p, cmd_fock)
 
-    p = sub.add_parser("henon", help="saddle certificates for Henon compositions")
-    p.add_argument("henon")
+    p = sub.add_parser("henon", help="certify --mode bounded --r R-MAX on "
+                       "Henon factors, with 200 starts by default")
+    p.add_argument("map", metavar="henon")
     p.add_argument("weight", nargs="?", default=None)
-    p.add_argument("--r-max", type=_int_at_least(1), default=4)
+    p.add_argument("--r-max", dest="r", metavar="R_MAX", type=_int_at_least(1),
+                   default=4)
     p.add_argument("--starts", type=_int_at_least(1), default=200)
-    common(p, cmd_henon)
+    p.set_defaults(mode="bounded", point=None, lam=None)
+    common(p, cmd_certify)
 
     p = sub.add_parser("duality", help="graded image/kernel condition check")
     p.add_argument("--input", default=None,

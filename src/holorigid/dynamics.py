@@ -495,17 +495,19 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     f^r is formed.  A running bound e on the rounding error of g grows by
     |f'(w)| e + 2 deg eps sum |c_k||w|^k per Horner step, plus eps |z| for
     the final subtraction; the slack is e / |g'|, so |N| + slack bounds the
-    ratio |g| / |g'| of the exact g.  Once |f^k(z)| passes the bound beyond
-    which one more step could overflow, f^r behaves like
+    ratio |g| / |g'| of the exact g.  For deg >= 2, once |f^k(z)| passes
+    the bound beyond which one more step could overflow, f^r behaves like
     (f^k)^(deg^(r-k)): g is inf there, N is f^k / ((f^k)' deg^(r-k)) and
-    the slack is inf.  Without ``bound`` the slack is None.
+    the slack is inf.  An affine f is never cut.  Without ``bound`` the
+    slack is None.
     """
     c = _coeffs_1d(f.components[0])[::-1]
     dc = np.polyder(c)
     abs_c = np.abs(c)
     deg = len(c) - 1
     eps = np.finfo(float).eps
-    escape = (1e300 / max(1.0, float(np.sum(abs_c)))) ** (1.0 / max(deg, 1))
+    escape = (1e300 / max(1.0, float(np.sum(abs_c)))) ** (1.0 / deg) \
+        if deg >= 2 else np.inf
     g = np.full(len(z), np.inf, dtype=complex)
     n = np.empty(len(z), dtype=complex)
     slack = np.full(len(z), np.inf) if bound else None
@@ -632,8 +634,11 @@ def _meeting(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
 def _point_order(z: np.ndarray) -> np.ndarray:
     """Indices of z by real part rounded to 1e-9, then imaginary part, so that
     conjugate points, whose real parts agree only up to rounding, come in
-    the same order whatever their last bits."""
-    return np.lexsort((z.imag, np.round(z.real, 9)))
+    the same order whatever their last bits.  A real part that rounding
+    would overflow, above about 1.8e299, is its own key."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounded = np.round(z.real, 9)
+    return np.lexsort((z.imag, np.where(np.isfinite(rounded), rounded, z.real)))
 
 
 @dataclass(frozen=True)
@@ -718,14 +723,15 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 
     Returns ALL_POINTS where f^r is the identity (``_iterate_is_identity``);
     otherwise an affine f = az + b has one point, its fixed point
-    b / (1 - a), or none when a = 1.  For deg f >= 2 the
-    D = deg(f)^r roots of f^r(z) - z (D above DEFAULT_MAX_TERMS is
-    rejected) come from ``_approximations``.  When every root meets
-    TOL_ORBIT and the D Newton disks are pairwise disjoint, which proves one
-    root in each, every root is a point.  Otherwise roots are clustered at
-    radius 1e-6 * (1 + |p|), and fewer than D points are returned; should
-    the clusters still number D, ``_overlapping`` drops disks until the rest
-    are disjoint.  Points come in ``_point_order``.
+    b / (1 - a), or none when a = 1 or that quotient is not finite.  For
+    deg f >= 2 the D = deg(f)^r roots of f^r(z) - z (D above
+    DEFAULT_MAX_TERMS is rejected) come from ``_approximations``.  When
+    every root meets TOL_ORBIT and the D Newton disks are pairwise
+    disjoint, which proves one root in each, every root is a point.
+    Otherwise roots are clustered at radius 1e-6 * (1 + |p|), and fewer
+    than D points are returned; should the clusters still number D,
+    ``_overlapping`` drops disks until the rest are disjoint.  Points come
+    in ``_point_order``.
     """
     if f.dim != 1:
         raise PreconditionError("periodic_points_1d needs a one-variable map")
@@ -743,6 +749,7 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
             return ALL_POINTS
         b, a = (f.components[0].get((k,), 0j) for k in (0, 1))
         roots = np.array([b / (1.0 - a)] if a != 1 else [], dtype=complex)
+        roots = roots[np.isfinite(roots)]
         g, slack, radii, ok, meets = _certificate(f, r, roots)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
         clusters = [[i] for i in range(len(roots))]

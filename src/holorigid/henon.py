@@ -1,10 +1,11 @@
-"""Generalized Henon maps on C^2 and their saddle periodic points.
+"""Generalized Henon maps on C^2 and their compositions.
 
 A generalized Henon map is (x, y) -> (y, p(y) - delta * x) with deg p >= 2
 and delta != 0 (the Jacobian determinant is delta, so the map is a
 polynomial automorphism).  Finite compositions of such maps always carry a
 saddle periodic point; finding one, with a nonvanishing weight cocycle,
-yields an Unbounded certificate through the boundedness obstruction.
+yields an Unbounded certificate through the boundedness obstruction, which
+searches the composition's coefficient tables like any map on C^2.
 The reduction of a general polynomial automorphism to Henon factors is not
 performed here: callers supply the composition directly.
 """
@@ -15,20 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    PolyMap,
-    SearchConfig,
-    periodic_orbits,
-)
+from .dynamics import PolyMap, SearchConfig, periodic_orbits
 from .errors import PreconditionError
-from .rigidity import (
-    INAPPLICABLE,
-    NO_OBSTRUCTION,
-    UNBOUNDED,
-    ObstructionCertificate,
-    _multiplier_tolerances,
-    certify_bounded,
-)
+from .rigidity import ObstructionCertificate, certify_bounded
 
 ASSUME_REDUCTION_SUPPLIED = (
     "the verdict concerns the supplied Henon composition; if it stands in "
@@ -105,38 +95,30 @@ def to_polymap(h: HenonComposition) -> PolyMap:
     return out
 
 
+def _factor_certificate(cert: ObstructionCertificate,
+                        h: HenonComposition) -> ObstructionCertificate:
+    """``cert`` on the map of h, with its factor count, its Jacobian
+    determinant and the reduction hypothesis: every certificate built from
+    a factor document."""
+    return replace(cert, witness={
+        **cert.witness, "henon_factors": len(h.factors),
+        "jacobian_determinant": h.jacobian_determinant},
+        assumptions=cert.assumptions + (ASSUME_REDUCTION_SUPPLIED,))
+
+
 def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
                        config: SearchConfig = SearchConfig(starts=200)
                        ) -> ObstructionCertificate:
-    """Search periods 1..r_max for saddle orbits and certify unboundedness.
+    """``certify_bounded`` over every periodic orbit of period 1..r_max.
 
     Every period runs one Newton multistart on f^r with the same budget,
-    ``config.starts`` starts drawn from ``config.seed``, and hands its saddle
-    orbits to ``certify_bounded``.  The first period giving Unbounded wins,
-    else the first giving Inapplicable; no saddle found is NoObstruction
-    with an explicit incompleteness flag (the multistart is not exhaustive).
+    ``config.starts`` starts drawn from ``config.seed``, as ``certify
+    --mode bounded`` does, so the witness is the orbit of largest
+    obstructing |multiplier| over all periods.  Henon compositions carry
+    saddle orbits, but the multistart is not exhaustive: NoObstruction
+    means none was found.
     """
     fm = to_polymap(h)
-    vanished = None
-    for r, orbits, _ in periodic_orbits(fm, r_max, config):
-        saddles = [orbit for orbit in orbits if orbit.stability == "saddle"]
-        cert = certify_bounded(fm, u, *saddles)
-        cert = replace(cert, witness={
-            **cert.witness, "henon_factors": len(h.factors),
-            "jacobian_determinant": h.jacobian_determinant, "searched_period": r},
-            assumptions=cert.assumptions + (ASSUME_REDUCTION_SUPPLIED,))
-        if cert.verdict == UNBOUNDED:
-            return cert
-        if cert.verdict == INAPPLICABLE and vanished is None:
-            vanished = cert
-    if vanished is not None:
-        return vanished
-    witness = {
-        "searched_r_max": r_max,
-        "starts": config.starts,
-        "search_complete": False,
-        "note": ("no saddle orbit found up to the searched period; saddles "
-                 "exist for Henon compositions, so extend the budget"),
-    }
-    return ObstructionCertificate(NO_OBSTRUCTION, witness, ("search is heuristic",),
-                                  _multiplier_tolerances())
+    orbits = [orbit for _, found, _ in periodic_orbits(fm, r_max, config)
+              for orbit in found]
+    return _factor_certificate(certify_bounded(fm, u, *orbits), h)

@@ -133,12 +133,13 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
     """
     exhausted = ({"higher_period": HIGHER_PERIOD}
                  if f.dim == 1 and f.degree >= 2 else {})
+    assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
+    tols = _multiplier_tolerances()
     if not orbits:
         return ObstructionCertificate(
             NO_OBSTRUCTION,
             {"orbits_found": 0, "note": "no periodic orbits available to test",
-             **exhausted},
-            (ASSUME_GRADED_IMAGE,), {})
+             **exhausted}, assumptions, tols)
     cocycles = [weight_cocycle(u, orbit.points) for orbit in orbits]
     worst = [max(orbit.multipliers, key=abs, default=0j) for orbit in orbits]
     hits = [i for i, (u_r, w) in enumerate(zip(cocycles, worst))
@@ -150,8 +151,6 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
                   if abs(u_r) <= TOL_WEIGHT), 0)
     dynamics._closed_walk(f, orbits[k].points[0], orbits[k].period)
     witness = _orbit_witness(orbits[k], cocycles[k])
-    assumptions = (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION)
-    tols = _multiplier_tolerances()
     if hits:
         witness["eigenvalue"] = complex(worst[k])
         witness["abs_eigenvalue"] = abs(worst[k])

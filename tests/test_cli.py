@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import holorigid
-from holorigid import cli, dynamics, fock, jets, rigidity, sphere
+from holorigid import cli, dynamics, fock, henon, jets, rigidity, sphere
 from holorigid.cli import main
-from holorigid.serialize import encode
+from holorigid.serialize import dump_polymap, encode, load_henon
 
 SQUARE = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0, "im": 0.0}]]}
 SQUARE_MINUS_1 = {"dim": 1, "components": [[{"alpha": [2], "re": 1.0},
@@ -478,6 +478,60 @@ class TestHenonCommand:
         code, _ = run(capsys, ["henon", write("h.json", bad)])
         assert code == 1
 
+    def test_is_certify_bounded(self, capsys, write):
+        path = write("h.json", HENON_STD)
+        assert main(["henon", path, "--r-max", "2", "--starts", "60"]) == 0
+        alias = capsys.readouterr().out
+        assert main(["certify", path, "--mode", "bounded", "--r", "2",
+                     "--starts", "60"]) == 0
+        assert capsys.readouterr().out == alias
+
+    def test_search_record_is_in_the_metadata(self, capsys, write):
+        # no multistart is exhaustive: the periods searched, their starts
+        # and the incomplete flag are the record of every period
+        code, doc = run(capsys, ["henon", write("h.json", HENON_STD),
+                                 "--r-max", "2", "--starts", "30"])
+        search = doc["metadata"]["search"]
+        assert code == 0 and search["complete"] is False
+        assert list(search) == ["complete", "r=1", "r=2"]
+        assert all(search[f"r={r}"]["starts"] == 30 for r in (1, 2))
+
+    def test_factors_certify_as_their_coefficient_map(self, capsys, write):
+        comp = load_henon(HENON_STD)
+        argv = ["--mode", "bounded", "--r", "3", "--starts", "80", "--seed", "5"]
+        code, doc = run(capsys, ["certify", write("h.json", HENON_STD), *argv])
+        assert code == 0
+        code, want = run(capsys, ["certify", write("f.json", dump_polymap(
+            henon.to_polymap(comp))), *argv])
+        assert code == 0
+        # the same orbit; the dumped tables hold their terms in another
+        # order, so its coordinates round differently
+        wit = doc["witness"]
+        assert list(wit) == [*want["witness"], "henon_factors",
+                             "jacobian_determinant"]
+        assert wit["henon_factors"] == 1 and wit["jacobian_determinant"] == [0.3, 0]
+        for key, value in want["witness"].items():
+            if isinstance(value, str):
+                assert wit[key] == value
+            else:
+                assert np.allclose(wit[key], value, rtol=1e-9, atol=1e-12), key
+        assert doc["assumptions"] == want["assumptions"] + [
+            henon.ASSUME_REDUCTION_SUPPLIED]
+        assert doc["metadata"] == want["metadata"]
+
+    def test_factors_and_components_is_schema_error(self, capsys, write):
+        both = {**HENON_STD, **HENON_MAP}
+        code = main(["certify", write("h.json", both), "--mode", "bounded"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("schema error: map: ")
+
+    def test_cyclic_on_factors_is_rejected(self, capsys, write):
+        code = main(["certify", write("h.json", HENON_STD), "--mode", "cyclic"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("precondition rejected: the cyclic")
+
 
 class TestWeightOnAnotherSpace:
     """A weight whose dim is not the map's exits 4 with one message, before
@@ -617,7 +671,7 @@ class TestSinglePath:
           "--s-steps", "5"], ["starts"]),
         (["fock", "henon_readme.json", "--N", "4"], []),
         (["henon", "henon.json", "--r-max", "1", "--starts", "40"],
-         ["r_max", "map"]),
+         ["orbits_examined", "mode", "search"]),
         (["duality", "--instances", "4"], []),
     ], ids=["graded", "certify", "search-repelling", "fock", "henon", "duality"])
     def test_stamp_render_and_write_once(self, capsys, tmp_path, argv, metadata):
@@ -838,19 +892,25 @@ class TestPrintedTolerances:
     reads, and patching one of them moves the print and the decision
     together."""
 
-    @pytest.mark.parametrize("mode, want", [
-        ("bounded", MULTIPLIER_TOLS),
-        ("compact", MULTIPLIER_TOLS),
-        ("hypercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
-        ("supercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
-        ("cyclic", {"tol_level_scale": rigidity.TOL_LEVEL_SCALE,
-                    "tol_orbit": dynamics.TOL_ORBIT}),
-    ])
-    def test_certify(self, capsys, write, mode, want):
-        code, doc = run(capsys, ["certify", write("f.json", SQUARE),
+    @pytest.mark.parametrize("fmap, mode, want", [
+        (SQUARE, "bounded", MULTIPLIER_TOLS),
+        (SQUARE, "compact", MULTIPLIER_TOLS),
+        (SQUARE, "hypercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
+        (SQUARE, "supercyclic", {"tol_orbit": dynamics.TOL_ORBIT}),
+        (SQUARE, "cyclic", {"tol_level_scale": rigidity.TOL_LEVEL_SCALE,
+                            "tol_orbit": dynamics.TOL_ORBIT}),
+        # z + 1 has no periodic orbit to test, and prints the same block
+        *((TRANSLATION, mode, MULTIPLIER_TOLS) for mode in ("bounded", "compact")),
+    ], ids=["bounded", "compact", "hypercyclic", "supercyclic", "cyclic",
+            "bounded-no-orbit", "compact-no-orbit"])
+    def test_certify(self, capsys, write, fmap, mode, want):
+        code, doc = run(capsys, ["certify", write("f.json", fmap),
                                  "--mode", mode, "--r", "2"])
         assert code == 0
         assert doc["tolerances"] == want
+        if mode in ("bounded", "compact"):
+            assert doc["assumptions"] == [rigidity.ASSUME_GRADED_IMAGE,
+                                          rigidity.ASSUME_CONTINUOUS_INCLUSION]
 
     @pytest.mark.parametrize("argv, want", [
         *((["certify", "HENON_MAP", "--mode", mode], MULTIPLIER_TOLS)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holorigid import dynamics
@@ -400,12 +400,20 @@ class TestPeriodicPoints1D:
            | st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
            r=st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
+    # a fixed point near -1.44e306, past where an escape cut for degree >= 2
+    # and rounding the real part to 1e-9 both overflow
+    @example(a=1 + 6.942184854552086e-307j, b=1j, r=1)
+    # b / (1 - a) is -inf, and -1.44e306 + inf i
+    @example(a=1 + 6.942184854552086e-307j, b=125j, r=1)
+    @example(a=1 + 6.942184854552086e-307j, b=125 + 1j, r=1)
     def test_affine_identity_is_exact(self, a, b, r):
         got = periodic_points_1d(PolyMap.from_coeffs_1d([b, a]), r)
         if _affine_iterate_is_identity(a, b, r):
             assert got is ALL_POINTS
-        else:  # the fixed point, the one root of f^r(z) - z where a != 1
-            assert got == ([] if a == 1 else [b / (1 - a)])
+        else:  # the fixed point, the one root of f^r(z) - z where a != 1,
+            # unless it is past the float range
+            fixed = b / (1 - a) if a != 1 else complex("inf")
+            assert got == ([fixed] if np.isfinite(fixed) else [])
 
     def test_residuals_meet_orbit_tolerance(self):
         rng = np.random.default_rng(2)
@@ -1032,6 +1040,14 @@ class TestPeriodicOrbits:
         assert [o.points for o in fixed] == [((0j,),)] and first["complete"]
         assert [o.points for o in orbits] == [((GENERIC_POINT,), (-GENERIC_POINT,))]
         assert second == {"complete": False}
+
+    @pytest.mark.parametrize("b", [1j, 125j, 125 + 1j])
+    def test_affine_fixed_point_past_the_float_range_is_incomplete(self, b):
+        # a = 1 + 6.9e-307i: b / (1 - a) is -1.44e306 for b = i, and not
+        # finite for the other two, which keep no point and say so
+        f = PolyMap.from_coeffs_1d([b, 1 + 6.942184854552086e-307j])
+        (_, orbits, record), = periodic_orbits(f, 1)
+        assert len(orbits) == record["complete"] == (b == 1j)
 
     def test_a_point_the_walk_rejects_is_left_out(self):
         # the search's closure test passes this root of f^4(z) - z, and the

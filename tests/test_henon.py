@@ -9,12 +9,16 @@ from holorigid import dynamics
 from holorigid.dynamics import PolyFunc, SearchConfig
 from holorigid.errors import PreconditionError
 from holorigid.henon import (
+    ASSUME_REDUCTION_SUPPLIED,
     GeneralizedHenon,
     HenonComposition,
+    _factor_certificate,
     saddle_certificate,
     to_polymap,
 )
 from holorigid.rigidity import (
+    ASSUME_CONTINUOUS_INCLUSION,
+    ASSUME_GRADED_IMAGE,
     INAPPLICABLE,
     NO_OBSTRUCTION,
     TOL_WEIGHT,
@@ -147,28 +151,31 @@ class TestSaddleCertificate:
         cert = saddle_certificate(HenonComposition((STANDARD, STANDARD)), None,
                                   r_max=2, config=SearchConfig(starts=0, seed=5))
         assert cert.verdict == NO_OBSTRUCTION
-        assert cert.witness["search_complete"] is False
-        assert cert.witness["searched_r_max"] == 2
-        assert cert.witness["starts"] == 0
+        assert cert.witness["orbits_found"] == 0
+        assert cert.assumptions == (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION,
+                                    ASSUME_REDUCTION_SUPPLIED)
         assert cert.tolerances == {"tol_class": dynamics.TOL_CLASS,
                                    "tol_weight": TOL_WEIGHT,
                                    "tol_orbit": dynamics.TOL_ORBIT}
 
-    def test_witness_is_certify_bounded_over_the_saddles(self):
-        # the two fixed saddles have largest |multiplier| 2.27 and 4.94, in
-        # that order; the witness is the stronger one
+    def test_witness_is_certify_bounded_over_every_orbit(self):
+        # the two fixed saddles have largest |multiplier| 2.27 and 4.94, and
+        # the 2-cycle 5.82: the witness is the cycle, past the first period
+        # that gives Unbounded
         comp, config = HenonComposition((STANDARD,)), SearchConfig(150, 11)
         fm = to_polymap(comp)
-        _, orbits, _ = next(dynamics.periodic_orbits(fm, 1, config))
-        saddles = [orbit for orbit in orbits if orbit.stability == "saddle"]
-        assert len(saddles) == 2
-        want = certify_bounded(fm, None, *saddles).witness
-        cert = saddle_certificate(comp, None, r_max=1, config=config)
-        assert {k: cert.witness[k] for k in want} == want
-        assert cert.witness["abs_eigenvalue"] == pytest.approx(4.94, abs=0.01)
+        orbits = [orbit for _, found, _ in dynamics.periodic_orbits(fm, 2, config)
+                  for orbit in found]
+        assert [orbit.period for orbit in orbits] == [1, 1, 2, 2]
+        want = certify_bounded(fm, None, *orbits)
+        cert = saddle_certificate(comp, None, r_max=2, config=config)
+        assert cert == _factor_certificate(want, comp)
+        assert cert.witness["abs_eigenvalue"] == pytest.approx(5.82, abs=0.01)
+        assert cert.witness["period"] == 2
+        assert cert.witness["stability"] == "saddle"
 
     def test_caller_config_at_every_period(self, monkeypatch):
-        # a zero weight makes every saddle Inapplicable, so all periods run
+        # every period runs, past one that gives Unbounded too
         calls = []
         search = dynamics.periodic_points_2d
 
@@ -178,10 +185,21 @@ class TestSaddleCertificate:
 
         monkeypatch.setattr(dynamics, "periodic_points_2d", counting)
         config = SearchConfig(starts=40, seed=4)
-        cert = saddle_certificate(HenonComposition((STANDARD,)), PolyFunc(2, {}),
-                                  r_max=3, config=config)
-        assert cert.verdict == INAPPLICABLE
-        assert calls == [(1, config), (2, config), (3, config)]
+        for u, verdict in ((PolyFunc(2, {}), INAPPLICABLE), (None, UNBOUNDED)):
+            calls.clear()
+            cert = saddle_certificate(HenonComposition((STANDARD,)), u,
+                                      r_max=3, config=config)
+            assert cert.verdict == verdict
+            assert calls == [(1, config), (2, config), (3, config)]
+
+    def test_factor_fields(self):
+        factors = (STANDARD, GeneralizedHenon((1, 0, 1), -0.5))
+        cert = saddle_certificate(HenonComposition(factors), None, r_max=1,
+                                  config=SearchConfig(starts=100, seed=2))
+        assert cert.witness["henon_factors"] == 2
+        assert cert.witness["jacobian_determinant"] == pytest.approx(-0.15)
+        assert cert.assumptions[-1] == ASSUME_REDUCTION_SUPPLIED
+        assert "searched_period" not in cert.witness
 
     def test_parabolic_fixed_point_does_not_crash(self):
         # p = y^2, delta = -1 has a double fixed point at the origin with

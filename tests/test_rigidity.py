@@ -23,6 +23,7 @@ from holorigid.dynamics import (
 from holorigid.errors import OrbitError, PreconditionError
 from holorigid.jets import multi_indices
 from holorigid.rigidity import (
+    ASSUME_CONTINUOUS_INCLUSION,
     ASSUME_DIM_GE_1,
     ASSUME_DIM_GE_2,
     ASSUME_EVALUATIONS_INDEPENDENT,
@@ -166,12 +167,14 @@ class TestIterationConsistency:
 def _strongest_reference(certs, obstructed):
     """The witness rule as it stood when every orbit had its own
     certificate: the first of the strongest verdict within rounding of the
-    largest |eigenvalue|, else the first Inapplicable, else the first."""
+    largest |eigenvalue|, else the first Inapplicable, else the first.
+    No orbit at all prints the tolerances and assumptions of any other."""
     if not certs:
         return ObstructionCertificate(
             NO_OBSTRUCTION,
             {"orbits_found": 0, "note": "no periodic orbits available to test"},
-            (ASSUME_GRADED_IMAGE,), {})
+            (ASSUME_GRADED_IMAGE, ASSUME_CONTINUOUS_INCLUSION),
+            rigidity._multiplier_tolerances())
     for verdict in (obstructed, INAPPLICABLE):
         hits = [c for c in certs if c.verdict == verdict]
         if hits:
