@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PolyMap, SearchConfig
+from .dynamics import PolyMap, SearchConfig, _as_points
 from .errors import ConstructionError, PreconditionError, RangeError
 
 TOL_FIX = 1e-6
@@ -112,17 +112,22 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     """Tangent gradient norm, saddle-free Newton step and Newton decrement on
     spheres.
 
-    The Riemannian Hessian P H P - (x.grad / r^2) P of phi on the sphere is
-    split by eigh after its radial direction x is pushed below the tangent
-    spectrum, so that no eigenvector mixes x with a flat tangent direction.
-    The step divides each eigencomponent of the gradient by |lambda|, floored
-    at CURVATURE_FLOOR of the size of the terms the Hessian is formed from,
+    The Riemannian Hessian P H P - (x.grad / r^2) P of phi on the sphere has
+    its radial direction x pushed below the tangent spectrum, so that no
+    eigenvector of the result m mixes x with a flat tangent direction.  The
+    step divides each eigencomponent of the gradient by |lambda|, floored at
+    CURVATURE_FLOOR of the size of the terms the Hessian is formed from,
     which makes it an ascent direction at saddles and minima too.  Those
     terms are first divided by a power of two near their size, so that phi
     up to the overflow threshold still gets a step; a row whose terms
     overflow anyway gets a NaN step and decrement.  The gradient norm is
     taken through the same power of two, so its square does not overflow.
-    eye is the identity of the real coordinates, built once per ascent.
+    A row on which -m - 2 floor I has only positive Cholesky pivots has every
+    lambda below -2 floor, so the floor cannot bind and its step is the plain
+    Newton step -m^-1 g, taken by solve; every other row (indefinite, near
+    the floor, or overflowed) is split by eigh.  A row's route and bits
+    depend on that row alone.  eye is the identity of the real coordinates,
+    built once per ascent.
     """
     normal = x / r[:, None]
     radial = np.add.reduce(normal * grad, axis=1)
@@ -137,14 +142,32 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     overflow = ~np.logical_and.reduce(np.isfinite(h), axis=(1, 2))
     h[overflow] = 0.0
     size = _norms(h, (1, 2))
-    lam, vec = np.linalg.eigh(h - (3.0 * size)[:, None, None] * outer)
+    m = h - (3.0 * size)[:, None, None] * outer
+    upper = np.triu(eye == 0)  # eigh reads the lower triangle alone: so must the rest
+    m[:, upper] = m.transpose(0, 2, 1)[:, upper]
     scale = _norms(hess, (1, 2)) + np.abs(weingarten)
-    floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)[:, None]
+    floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)
     g_unit = g / unit[:, None]
-    coef = np.matmul(g_unit[:, None, :], vec)[:, 0]
-    coef /= np.maximum(np.abs(lam), floor)
-    coef[overflow] = np.nan
-    step = np.matmul(vec, coef[:, :, None])[:, :, 0]
+    # Cholesky pivots of -m - 2 floor I, one column at a time over the rows
+    # whose diagonal is positive, stored row index last; a row stays while
+    # its pivots are positive
+    a = -m - (2.0 * floor)[:, None, None] * eye
+    rows = np.flatnonzero(np.logical_and.reduce(a[:, eye > 0] > 0, axis=1))
+    a = np.ascontiguousarray(a[rows].transpose(1, 2, 0))
+    for j in range(len(eye)):
+        keep = a[j, j] > 0
+        if not keep.all():
+            rows, a = rows[keep], a[:, :, keep]
+        a[j + 1:, j + 1:] -= a[j + 1:, j, None] * (a[None, j, j + 1:] / a[j, j])
+    rest = np.ones(len(x), dtype=bool)
+    rest[rows] = False
+    step = np.empty_like(g_unit)
+    step[rows] = np.linalg.solve(-m[rows], g_unit[rows, :, None])[:, :, 0]
+    lam, vec = np.linalg.eigh(m[rest])
+    coef = np.matmul(g_unit[rest, None, :], vec)[:, 0]
+    coef /= np.maximum(np.abs(lam), floor[rest, None])
+    coef[overflow[rest]] = np.nan
+    step[rest] = np.matmul(vec, coef[:, :, None])[:, :, 0]
     return unit * _norms(g_unit), step, np.add.reduce(step * g, axis=1)
 
 
@@ -291,7 +314,7 @@ def sphere_max(f: PolyMap, r: float, config: SearchConfig = SearchConfig(starts=
     if not 0 < r < np.inf:  # NaN fails too
         raise PreconditionError(f"radius must be positive and finite, got {r}")
     d = f.dim
-    warm = np.array(list(warm_starts), dtype=complex).reshape(-1, d)
+    warm = _as_points(list(warm_starts) or np.empty((0, d)), d)
     norms = np.linalg.norm(warm, axis=1)
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise PreconditionError("warm starts must be finite nonzero points")

@@ -390,7 +390,7 @@ class TestSearchRepelling:
 
     @pytest.mark.parametrize("name, iterations, rows", [
         ("sq2.json", 18, 3002), ("henon_readme.json", 24, 4483),
-        ("mix3.json", 68, 10372)])
+        ("mix3.json", 68, 10366)])
     def test_newton_row_steps_of_the_bench_inputs(self, capsys, monkeypatch,
                                                   name, iterations, rows):
         # every ascent stops at MAX_ITER, its Newton decrement, the Armijo
@@ -410,6 +410,26 @@ class TestSearchRepelling:
         path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
         code, _ = run(capsys, ["search-repelling", str(path), "--seed", "101"])
         assert code == 0 and counted == [iterations, rows]
+
+    def test_definite_rows_skip_eigh(self, capsys, monkeypatch):
+        # on mix3 most rows have a negative definite tangent Hessian, whose
+        # saddle-free step is the plain Newton step: eigh must not see them
+        counted = {"newton": 0, "eigh": 0}
+        newton_steps, eigh = sphere._newton_steps, np.linalg.eigh
+
+        def counting_steps(x, *args):
+            counted["newton"] += len(x)
+            return newton_steps(x, *args)
+
+        def counting_eigh(a):
+            counted["eigh"] += len(a)
+            return eigh(a)
+
+        monkeypatch.setattr(sphere, "_newton_steps", counting_steps)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "mix3.json"
+        code, _ = run(capsys, ["search-repelling", str(path), "--seed", "101"])
+        assert code == 0 and 2 * counted["eigh"] <= counted["newton"]
 
 
 class TestFock:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,15 @@ class TestSphereMax:
     def test_zero_warm_start_rejected(self):
         with pytest.raises(PreconditionError, match="nonzero"):
             sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=([0, 0],))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 4)])
+    def test_misshapen_warm_starts_rejected(self, shape):
+        # points of C^3 or C^4 given to a map on C^2 used to be reshaped
+        # into other points of C^2
+        warm = np.ones(shape, dtype=complex)
+        message = re.escape(f"points of shape {shape}, expected (N, 2)")
+        with pytest.raises(PreconditionError, match=message):
+            sphere_max(SQUARE_FIRST, 2.0, FAST, warm_starts=warm)
 
     def test_overflow_everywhere_names_the_radius(self):
         # |z1|^4 ~ 1e800 overflows at every start
@@ -520,6 +531,24 @@ class TestConstructRepelling:
         for mine, theirs in zip(got.profile.samples, want.profile.samples):
             assert mine[:2] == theirs[:2] and np.array_equal(mine[2], theirs[2])
 
+    @pytest.mark.parametrize("f", [SQUARE_FIRST, HENON, MIX3],
+                             ids=["sq2", "henon", "mix3"])
+    def test_unitary_conjugation_is_covariant(self, f):
+        # ||V f(V^-1 z)|| = ||f(V^-1 z)||, so g = V o f o V^-1 has the sphere
+        # maxima of f and the same s, a and eta, up to the rounding of
+        # starts that now land elsewhere on the ridge
+        config = SearchConfig(64, 101)
+        want = construct_repelling(f, config=config)
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            shape = (f.dim, f.dim)
+            v = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+            g = PolyMap.linear(v).compose(f.compose(PolyMap.linear(v.conj().T)))
+            got = construct_repelling(g, config=config)
+            assert got.s == want.s
+            assert got.a == pytest.approx(want.a, rel=1e-14, abs=0)
+            assert got.eta == pytest.approx(want.eta, rel=1e-11, abs=0)
+
     def test_affine_rejected(self):
         with pytest.raises(PreconditionError, match="non-affine"):
             construct_repelling(PolyMap.linear(np.eye(2) * 0.5))
@@ -588,6 +617,109 @@ class TestStackSlices:
             full, part = evaluate(points), evaluate(points[rows])
             for whole, piece in zip(full, part):
                 assert np.array_equal(whole[rows], piece), name
+
+
+def _eigh_steps(x, r, grad, hess, eye):
+    """The saddle-free step of _newton_steps with eigh on every row, the
+    oracle of TestNewtonSteps."""
+    normal = x / r[:, None]
+    radial = np.add.reduce(normal * grad, axis=1)
+    g = grad - radial[:, None] * normal
+    weingarten = radial / r
+    unit = np.ldexp(1.0, np.frexp(np.maximum.reduce(np.abs(hess), axis=(1, 2))
+                                  + np.abs(weingarten))[1])
+    hess, weingarten = hess / unit[:, None, None], weingarten / unit
+    outer = normal[:, :, None] * normal[:, None, :]
+    proj = eye - outer
+    h = proj @ hess @ proj - weingarten[:, None, None] * proj
+    overflow = ~np.logical_and.reduce(np.isfinite(h), axis=(1, 2))
+    h[overflow] = 0.0
+    size = np.linalg.norm(h, axis=(1, 2))
+    lam, vec = np.linalg.eigh(h - (3.0 * size)[:, None, None] * outer)
+    scale = np.linalg.norm(hess, axis=(1, 2)) + np.abs(weingarten)
+    floor = np.maximum(sphere.CURVATURE_FLOOR * scale, np.finfo(float).tiny)[:, None]
+    g_unit = g / unit[:, None]
+    coef = np.matmul(g_unit[:, None, :], vec)[:, 0]
+    coef /= np.maximum(np.abs(lam), floor)
+    coef[overflow] = np.nan
+    return np.matmul(vec, coef[:, :, None])[:, :, 0]
+
+
+_ROW_KINDS = ("definite", "indefinite", "near floor", "overflow")
+
+
+@st.composite
+def _newton_rows(draw):
+    # each row's tangent Hessian h = P H P - (x.grad / r^2) P gets the
+    # eigenvalues mu drawn for its kind: all negative; of both signs; all
+    # within 4x of the curvature floor, beside a radial curvature 1e8 times
+    # larger that sets the floor (a tangent spectrum that itself spans 1e8
+    # leaves either formula only about 1e-8 of relative accuracy); or a row
+    # whose Weingarten term overflows
+    dim = draw(st.sampled_from([2, 3]))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 2 * dim
+    xs, radii, grads, hesses = [], [], [], []
+    for kind in kinds:
+        big = kind == "overflow"
+        r = 1e-200 if big else float(np.exp(rng.uniform(-2.0, 3.0)))
+        x = rng.normal(size=k)
+        x *= r / np.linalg.norm(x)
+        frame = np.linalg.qr(np.column_stack([x, rng.normal(size=(k, k - 1))]))[0]
+        normal, tangent = x / r, frame[:, 1:]
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        grad = rng.normal(size=k) * (1e200 if big else size)
+        # on an overflow row x.grad / r^2 overflows inside _newton_steps
+        weingarten = 0.0 if big else normal @ grad / r
+        coupling = rng.normal(size=k) * size
+        radial = (np.outer(normal, coupling) + np.outer(coupling, normal)
+                  + rng.normal() * size * np.outer(normal, normal))
+        signs = rng.choice([-1.0, 1.0], size=k - 1)
+        if kind == "definite":
+            mu = -size * rng.uniform(0.1, 10.0, size=k - 1)
+        elif kind == "indefinite":
+            mu = size * rng.uniform(0.1, 10.0, size=k - 1) * signs
+            mu[rng.integers(k - 1)] = size
+        elif kind == "near floor":
+            radial *= 1e8
+            floor = sphere.CURVATURE_FLOOR * (np.linalg.norm(radial) + abs(weingarten))
+            low = np.full(k - 1, 0.25)
+            if rng.random() < 0.5:  # negative definite, often past -2 floor
+                signs, low[1:] = -np.ones(k - 1), 1.5
+            mu = floor * rng.uniform(low, 4.0) * signs
+        else:
+            mu = rng.normal(size=k - 1)
+        hess = radial + tangent @ np.diag(mu + weingarten) @ tangent.T
+        xs.append(x)
+        radii.append(r)
+        grads.append(grad)
+        hesses.append((hess + hess.T) / 2)
+    return (kinds, np.array(xs), np.array(radii), np.array(grads), np.array(hesses),
+            np.eye(k))
+
+
+class TestNewtonSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(_newton_rows())
+    def test_split_agrees_with_eigh_and_rows_round_alone(self, case):
+        # a row with a certified negative definite matrix takes the plain
+        # Newton step, which is the saddle-free step there; every other row
+        # takes eigh.  Each row's route and bits depend on that row alone
+        kinds, x, r, grad, hess, eye = case
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tangent, step, decrement = sphere._newton_steps(x, r, grad, hess, eye)
+            want = _eigh_steps(x, r, grad, hess, eye)
+            alone = [sphere._newton_steps(x[i:i + 1], r[i:i + 1], grad[i:i + 1],
+                                          hess[i:i + 1], eye) for i in range(len(x))]
+        for i, kind in enumerate(kinds):
+            if kind == "overflow":
+                assert np.isnan(step[i]).all() and np.isnan(decrement[i])
+            else:
+                gap = np.linalg.norm(step[i] - want[i])
+                assert gap <= 1e-10 * np.linalg.norm(want[i]), kind
+            for whole, piece in zip((tangent, step, decrement), alone[i]):
+                assert np.array_equal(whole[i], piece[0], equal_nan=True), kind
 
 
 class TestPhiDerivatives:
