@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 verdict emitted, 1 usage or schema error, 2 internal
+Exit codes: 0 verdict emitted, 1 usage, schema or write error, 2 internal
 self-check failure, 3 inapplicable verdict, 4 precondition rejection.
 Outputs are deterministic given identical inputs and seed; the human
 format is a rendering of the same JSON payload, never a separate path.
@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from typing import NamedTuple
 
@@ -42,6 +43,10 @@ _DUALITY_CHUNK = 256  # most instances one duality stack holds
 
 class UsageError(Exception):
     pass
+
+
+class WriteError(Exception):
+    """An output file could not be opened or written."""
 
 
 class Parser(argparse.ArgumentParser):
@@ -139,6 +144,7 @@ class Outcome(NamedTuple):
 
 ERRORS = (  # exception class, stderr label, exit code; the first match wins
     (UsageError, "usage error", EXIT_USAGE),
+    (WriteError, "write error", EXIT_USAGE),
     (SchemaError, "schema error", EXIT_USAGE),
     (PreconditionError, "precondition rejected", EXIT_PRECONDITION),
     (RangeError, "recoverable", EXIT_USAGE),
@@ -175,8 +181,18 @@ def _is_flat(val):
         isinstance(v, (int, float, str, bool, type(None))) for v in val)
 
 
+@contextmanager
+def _output(path, **kwargs):
+    """A new text file at path; WriteError where it cannot be opened or written."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise WriteError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -339,7 +355,7 @@ def cmd_fock(args) -> Outcome:
         _write_csv(args.profile_out, ["n", "norm", "flag"],
                    [(n, v, "*" if flag else "") for n, v, flag in profile.levels])
     if args.matrix_out:
-        with open(args.matrix_out, "w", encoding="utf-8") as fh:
+        with _output(args.matrix_out) as fh:
             json.dump({"basis": [list(a) for a in matrix.basis],
                        "entries": encode(matrix.entries)}, fh, indent=2)
     return Outcome(payload)
@@ -488,17 +504,17 @@ def main(argv=None) -> int:
         payload["metadata"] = {"seed": args.seed, **metadata}
         text = ("\n".join(_render_human(payload)) if args.format == "human"
                 else _dumps(payload, indent=2)) + "\n"
-    except (UsageError, HoloError) as exc:
+        if args.out:
+            with _output(args.out) as fh:
+                fh.write(text)
+    except (UsageError, WriteError, HoloError) as exc:
         label, code = next((label, code) for kind, label, code in ERRORS
                            if isinstance(exc, kind))
         detail = (f"; diagnostics: {json.dumps(encode(exc.diagnostics))}"
                   if isinstance(exc, ConstructionError) else "")
         print(f"{label}: {exc}{detail}", file=sys.stderr)
         return code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     if failure:
         print(failure, file=sys.stderr)

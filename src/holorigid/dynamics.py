@@ -71,15 +71,22 @@ def _power(z: complex, n: int) -> complex:
         z *= z
 
 
-def _poly_eval(table: dict, z: list) -> complex:
-    """A table at a point given as a list of complex: numpy complex128
-    scalars' bits from CPython arithmetic, without their cost and warnings."""
+def _compile(table: dict) -> tuple:
+    """A table as the terms (c, ((i, a), ...)) that ``_poly_eval`` reads: in
+    table order, each with only its nonzero exponents a of z_i."""
+    return tuple((c, tuple((i, a) for i, a in enumerate(alpha) if a))
+                 for alpha, c in table.items())
+
+
+def _poly_eval(terms: tuple, z: list) -> complex:
+    """A ``_compile``d table at a point given as a list of complex: numpy
+    complex128 scalars' bits from CPython arithmetic, without their cost and
+    warnings."""
     total = 0j
-    for alpha, c in table.items():
+    for c, powers in terms:
         term = c
-        for zi, a in zip(z, alpha):
-            if a:
-                term *= _power(zi, a)
+        for i, a in powers:
+            term *= _power(z[i], a)
         total += term
     return total
 
@@ -170,8 +177,12 @@ class PolyFunc:
     def degree(self) -> int:
         return _poly_degree(self.terms)
 
+    @cached_property
+    def _terms(self):
+        return _compile(self.terms)
+
     def __call__(self, z) -> complex:  # numpy's type: abs() of an overflow is inf
-        return np.complex128(_poly_eval(self.terms, _as_point(z, self.dim).tolist()))
+        return np.complex128(_poly_eval(self._terms, _as_point(z, self.dim).tolist()))
 
     def to_jet(self, base, cap: int) -> Jet:
         return _poly_to_jet(self.terms, self.dim, base, cap)
@@ -221,16 +232,22 @@ class PolyMap:
 
     def __call__(self, z) -> np.ndarray:
         z = _as_point(z, self.dim).tolist()
-        return np.array([_poly_eval(c, z) for c in self.components])
+        return np.array([_poly_eval(c, z) for c in self._terms[0]])
 
     @cached_property
     def _partials(self):
         return tuple(tuple(_poly_diff(c, j) for j in range(self.dim))
                      for c in self.components)
 
+    @cached_property
+    def _terms(self):
+        """``_compile``d components and partials: (f_i), (df_i / dz_j)."""
+        return (tuple(map(_compile, self.components)),
+                tuple(tuple(map(_compile, row)) for row in self._partials))
+
     def jacobian(self, z) -> np.ndarray:
         z = _as_point(z, self.dim).tolist()
-        return np.array([[_poly_eval(p, z) for p in row] for row in self._partials])
+        return np.array([[_poly_eval(p, z) for p in row] for row in self._terms[1]])
 
     @cached_property
     def _monomial_matrix(self):
@@ -249,9 +266,10 @@ class PolyMap:
     def evaluate_batch(self, points):
         """f and its Jacobian at a stack of points: (N, d) -> (N, d), (N, d, d).
 
-        About 25 us a call plus 0.1 us a point, against about 5 us for a
-        ``__call__`` of z^2 - 1 or a Henon map (x86-64, numpy 2.4.6), so
-        code that follows one point at a time keeps ``__call__``.
+        About 20-30 us a call plus 0.1 us a point, against about 2-4 us for
+        a ``__call__`` of z^2 - 1 or a Henon map (shared 2-core x86-64,
+        numpy 2.4.6), so code that follows one point at a time keeps
+        ``__call__``.
         """
         z = _as_points(points, self.dim)
         exps, coef, _, count = self._monomial_matrix
@@ -319,26 +337,23 @@ def _closes(residual, size):
     return residual <= TOL_ORBIT * (1.0 + size)
 
 
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a point; of one coordinate z as sqrt(re^2 + im^2)
-    in float arithmetic, the same bits without the array call."""
-    if len(x) != 1:
-        return float(np.linalg.norm(x))
-    (z,) = x.tolist()
-    return math.sqrt(z.real * z.real + z.imag * z.imag)
-
-
 def _closed_walk(f: PolyMap, p, r: int):
     """p, ..., f^r(p), |f^r(p) - p|, |p| and the exact period (least d | r
     with f^d(p) back at p); OrbitError unless it closes.  Norms overflow
-    quietly: one errstate in several variables, float arithmetic in one."""
+    quietly: one errstate in several variables; in one, np.linalg.norm's
+    sqrt(re^2 + im^2) runs in float arithmetic on Python scalars."""
     walk = orbit_points(f, p, r + 1)
+    z = [x.item() for x in walk] if f.dim == 1 else walk
+
+    def norm(w):
+        return (math.sqrt(w.real * w.real + w.imag * w.imag) if f.dim == 1
+                else float(np.linalg.norm(w)))
     with np.errstate(over="ignore", invalid="ignore") if f.dim > 1 else nullcontext():
-        closure, size = _norm(walk[r] - walk[0]), _norm(walk[0])
+        closure, size = norm(z[r] - z[0]), norm(z[0])
         if not _closes(closure, size):
             raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
         exact = next((d for d in range(1, r) if r % d == 0
-                      and _closes(_norm(walk[d] - walk[0]), size)), r)
+                      and _closes(norm(z[d] - z[0]), size)), r)
     return walk, closure, size, exact
 
 
@@ -865,10 +880,10 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
 def _chain_multipliers(f: PolyMap, pts) -> tuple:
     """Eigenvalues of the Jacobian chain along the orbit points ``pts``; a
     1x1 chain is its own, each step summed from +0j as numpy's ``@`` does."""
-    if f.dim == 1:
-        m = 1 + 0j
+    if f.dim == 1:  # f' from its compiled table, as ``jacobian`` reads it
+        m, slope = 1 + 0j, f._terms[1][0][0]
         for x in pts:
-            m = f.jacobian(x).item() * m + 0j
+            m = _poly_eval(slope, x.tolist()) * m + 0j
         return (np.complex128(m),)  # eigvals' type: abs() of an overflow is inf
     jac = np.eye(f.dim, dtype=complex)
     for x in pts:

@@ -118,9 +118,10 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     step divides each eigencomponent of the gradient by |lambda|, floored at
     CURVATURE_FLOOR of the size of the terms the Hessian is formed from,
     which makes it an ascent direction at saddles and minima too.  Those
-    terms are first divided by a power of two near their size, so that phi
-    up to the overflow threshold still gets a step; a row whose terms
-    overflow anyway gets a NaN step and decrement.  The gradient norm is
+    terms are first divided by a power of two near their size, at most
+    2^1023, so that phi up to the overflow threshold still gets a step; a
+    row whose terms or their size overflow anyway gets a NaN step and
+    decrement.  The gradient norm is
     taken through the same power of two, so its square does not overflow.
     A row on which -m - 2 floor I has only positive Cholesky pivots has every
     lambda below -2 floor, so the floor cannot bind and its step is the plain
@@ -133,13 +134,13 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     radial = np.add.reduce(normal * grad, axis=1)
     g = grad - radial[:, None] * normal
     weingarten = radial / r
-    unit = np.ldexp(1.0, np.frexp(np.maximum.reduce(np.abs(hess), axis=(1, 2))
-                                  + np.abs(weingarten))[1])
+    terms = np.maximum.reduce(np.abs(hess), axis=(1, 2)) + np.abs(weingarten)
+    unit = np.ldexp(1.0, np.minimum(np.frexp(terms)[1], 1023))  # finite
     hess, weingarten = hess / unit[:, None, None], weingarten / unit
     outer = normal[:, :, None] * normal[:, None, :]
     proj = eye - outer
     h = proj @ hess @ proj - weingarten[:, None, None] * proj
-    overflow = ~np.logical_and.reduce(np.isfinite(h), axis=(1, 2))
+    overflow = ~np.logical_and.reduce(np.isfinite(h), axis=(1, 2)) | ~np.isfinite(terms)
     h[overflow] = 0.0
     size = _norms(h, (1, 2))
     m = h - (3.0 * size)[:, None, None] * outer

@@ -432,6 +432,18 @@ class TestSearchRepelling:
         assert code == 0 and 2 * counted["eigh"] <= counted["newton"]
 
 
+    def test_hessian_terms_past_float_range_exit_4(self, write):
+        # ||f||^2 and its Hessian terms overflow on the larger spheres: the
+        # run ended in a LinAlgError traceback from eigh
+        big = write("big.json", {"dim": 2, "components": [
+            [{"alpha": [1, 0], "re": 7.5e153}, {"alpha": [2, 0], "re": 1.0}],
+            [{"alpha": [0, 1], "re": 2.5e153}]]})
+        proc = run_module("search-repelling", big)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.startswith("precondition rejected: ||f|| overflowed")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestFock:
     def test_contraction_profile(self, capsys, write, tmp_path):
         prof = tmp_path / "p.csv"
@@ -776,6 +788,30 @@ class TestContract:
         assert captured.out == ""
         assert captured.err.startswith(f"schema error: {field}[0].{key}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["certify", str(BENCH_INPUTS / "quad1.json"), "--mode", "bounded",
+          "--r", "2"], "--out"),
+        (["fock", str(BENCH_INPUTS / "quad1.json"), "--N", "4"], "--sweep-out"),
+        (["fock", str(BENCH_INPUTS / "quad1.json"), "--N", "4"], "--profile-out"),
+        (["fock", str(BENCH_INPUTS / "quad1.json"), "--N", "4"], "--matrix-out"),
+        (["search-repelling", str(BENCH_INPUTS / "sq2.json"), "--seed", "101"],
+         "--profile-out")], ids=["certify-out", "fock-sweep-out", "fock-profile-out",
+                                 "fock-matrix-out", "search-repelling-profile-out"])
+    def test_unwritable_output_is_one_line_exit_1(self, capsys, tmp_path, argv, flag):
+        # a missing directory ended in a FileNotFoundError traceback
+        path = tmp_path / "missing" / "out"
+        code = main(argv + [flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"write error: {path}: No such file or "
+                                "directory\n")
+
+    def test_output_path_on_a_directory_is_one_line_exit_1(self, tmp_path):
+        proc = run_module("certify", str(BENCH_INPUTS / "quad1.json"), "--mode",
+                          "bounded", "--r", "2", "--out", str(tmp_path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"write error: {tmp_path}: Is a directory\n"
 
     def test_determinism_byte_identical(self, capsys, write):
         argv = ["certify", write("f.json", SQUARE), "--mode", "bounded",

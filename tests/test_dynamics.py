@@ -132,6 +132,19 @@ def _numpy_scalar_eval(table, z):
     return total
 
 
+_SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(
+    allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def _sparse_maps_1d(draw):
+    """One-variable maps of degree at most 5 with a few nonzero terms, their
+    coefficients' parts signed zeros or floats up to 1e300."""
+    coeff = st.builds(complex, _SIGNED, _SIGNED).filter(lambda c: c != 0)
+    table = draw(st.dictionaries(st.integers(0, 5), coeff, min_size=1, max_size=4))
+    return PolyMap(1, ({(k,): c for k, c in table.items()},))
+
+
 def _bits(values):
     """repr of each complex value: equal exactly when the bits are, except
     that every NaN is alike; -0.0 and 0.0 differ."""
@@ -169,6 +182,15 @@ class TestScalarEvaluator:
         assert _bits(f(list(z))) == _bits(values)
         assert _bits(f.jacobian(z)) == _bits(jac)
         assert _bits(u(z)) == _bits(weight)
+
+    def test_terms_add_in_table_order(self):
+        # 1e16 + 1 rounds back to 1e16, so the sum depends on term order
+        terms = [((0,), 1e16), ((1,), 1.0), ((2,), -1e16)]
+        for order, want in [(terms, 0j), (terms[::2] + terms[1:2], 1 + 0j)]:
+            table = dict(order)
+            f, u = PolyMap(1, (table,)), PolyFunc(1, table)
+            assert _bits(f([1.0])) == _bits(u([1.0])) == _bits([want])
+            assert _bits([want]) == _bits([_numpy_scalar_eval(table, [1.0])])
 
     @pytest.mark.parametrize("n", [4, 7, 99, 100, 150])
     @pytest.mark.parametrize("z", [1.01 - 0.02j, complex(-0.0, 1.0), 0.5 + 1e-300j,
@@ -940,14 +962,20 @@ class TestPeriodicPoints2D:
 class TestMakeOrbit:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of PolyMap.__call__ and PolyMap.jacobian."""
-        counts = {"__call__": 0, "jacobian": 0}
+        """Counts of PolyMap.__call__ and PolyMap.jacobian, and the compiled
+        tables that dynamics._poly_eval reads, in call order."""
+        counts, tables = {"__call__": 0, "jacobian": 0}, []
         for name in counts:
             def counting(*args, _name=name, _method=getattr(PolyMap, name)):
                 counts[_name] += 1
                 return _method(*args)
             monkeypatch.setattr(PolyMap, name, counting)
-        return counts
+
+        def reading(terms, z, _evaluate=dynamics._poly_eval):
+            tables.append(terms)
+            return _evaluate(terms, z)
+        monkeypatch.setattr(dynamics, "_poly_eval", reading)
+        return counts, tables
 
     @pytest.mark.parametrize("f, r, periods, points", [
         (SQUARE_MINUS_1, 6, {1, 2, 3, 6},
@@ -957,11 +985,20 @@ class TestMakeOrbit:
          + list(periodic_points_2d(HENON, 4, SearchConfig(starts=400)).points)),
     ], ids=["square-minus-1", "henon"])
     def test_one_walk_per_orbit(self, calls, f, r, periods, points):
+        # r calls of f; in one variable the chain reads f' off its compiled
+        # table once per point of the exact period, without a jacobian array
+        counts, tables = calls
         seen = set()
         for p in points():
-            calls.update({"__call__": 0, "jacobian": 0})
+            counts.update({"__call__": 0, "jacobian": 0})
+            tables.clear()
             orbit = make_orbit(f, p, r)
-            assert calls == {"__call__": r, "jacobian": orbit.period}
+            if f.dim == 1:
+                slopes = sum(t is f._terms[1][0][0] for t in tables)
+                assert counts == {"__call__": r, "jacobian": 0}
+                assert slopes == orbit.period
+            else:
+                assert counts == {"__call__": r, "jacobian": orbit.period}
             seen.add(orbit.period)
         assert seen == periods
 
@@ -984,6 +1021,37 @@ class TestMakeOrbit:
             for x in orbit.points:
                 jac = f.jacobian(x) @ jac
             assert _bits(orbit.multipliers) == _bits(np.linalg.eigvals(jac))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_maps_1d(), st.integers(1, 4))
+    @example(PolyMap.from_coeffs_1d([0, -1]), 2)  # f^2 is the identity
+    def test_one_variable_multipliers_are_the_matrix_chain(self, f, r):
+        # the same over random sparse maps with signed zeros and
+        # coefficients up to 1e300.  0 is a fixed point where f has no
+        # constant term; the other points have a period d dividing r with at
+        # most 32 roots of f^d(z) - z, which keeps the root search quick
+        points = [0j, complex(-0.0, -0.0)] if (0,) not in f.components[0] else []
+        d = max(d for d in range(1, r + 1) if r % d == 0 and f.degree ** d <= 32)
+        try:
+            found = periodic_points_1d(f, d)
+        except PreconditionError:  # companion matrices out of float range
+            found = []
+        points += [GENERIC_POINT] if isinstance(found, AllPoints) else found
+        for p in points:
+            try:
+                orbit = make_orbit(f, [p], r)
+            except OrbitError:
+                continue
+            jac = np.eye(1, dtype=complex)
+            with np.errstate(all="ignore"):
+                for x in orbit.points:
+                    jac = f.jacobian(x) @ jac
+            assert _bits(orbit.multipliers) == _bits(jac)
+            # zgeev rescales a matrix whose largest |entry| is outside
+            # [2^-459, 2^459] (sqrt(tiny) / eps and its inverse), which can
+            # move the last bits of a 1x1 matrix's eigenvalue off its entry
+            if abs(jac.item()) == 0 or 2.0 ** -459 <= abs(jac.item()) <= 2.0 ** 459:
+                assert _bits(orbit.multipliers) == _bits(np.linalg.eigvals(jac))
 
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])

@@ -178,6 +178,15 @@ class TestSphereMax:
         best = sphere_max(SQUARE_FIRST, r, FAST)
         assert best.value == pytest.approx(r * r, rel=1e-12)
 
+    def test_hessian_terms_past_2_to_the_1023(self):
+        # the Hessian terms reach 2^1023 near the maximum 2.5e153: their
+        # power-of-two scale was inf, which ended 0.99987 of the way there
+        # with a NaN tangent norm
+        f = PolyMap.linear(np.diag([5e153, 5e153 / 3]))
+        best = sphere_max(f, 0.5, FAST)
+        assert best.value == pytest.approx(2.5e153, rel=1e-12)
+        assert np.isfinite(best.grad_norm)
+
     def test_overflow_at_some_starts_names_the_radius(self):
         # ||f||^2 = r^4 overflows at the maximizer while some starts stay
         # finite; their best was 17% low
@@ -720,6 +729,32 @@ class TestNewtonSteps:
                 assert gap <= 1e-10 * np.linalg.norm(want[i]), kind
             for whole, piece in zip((tangent, step, decrement), alone[i]):
                 assert np.array_equal(whole[i], piece[0], equal_nan=True), kind
+
+
+    def test_terms_past_2_to_the_1023_step_as_scaled_down(self):
+        # a row scaled by 16 takes the step it takes unscaled, also where its
+        # terms pass 2^1023 and their scale stops there
+        x, r = np.array([[0.6, 0.0, 0.8, 0.0]]), np.array([1.0])
+        grad = np.array([[3.0, 1.0, -2.0, 0.5]]) * 2.0 ** 1015
+        hess = np.array([[[-4.0, 1.0, 0.0, 0.5], [1.0, -3.0, 0.2, 0.0],
+                         [0.0, 0.2, -5.0, 1.0], [0.5, 0.0, 1.0, -2.0]]])
+        hess *= 2.0 ** 1017
+        eye = np.eye(4)
+        small = sphere._newton_steps(x, r, grad, hess, eye)
+        big = sphere._newton_steps(x, r, 16.0 * grad, 16.0 * hess, eye)
+        assert np.max(np.abs(hess)) * 16.0 >= 2.0 ** 1023
+        assert np.allclose(big[1], small[1], rtol=1e-13, atol=0.0)
+        assert big[0][0] == pytest.approx(16.0 * small[0][0], rel=1e-13)
+
+    def test_overflowing_terms_give_a_nan_step(self):
+        # x.grad / r^2 + max |H| overflows while P H P - (x.grad / r^2) P
+        # does not: eigh met NaN and raised LinAlgError
+        x, r = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1.0])
+        grad = np.array([[1e308, 0.0, 0.0, 0.0]])
+        hess = np.diag([0.0, 1e308, 1e308, 1.5e308])[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, step, decrement = sphere._newton_steps(x, r, grad, hess, np.eye(4))
+        assert np.isnan(step).all() and np.isnan(decrement).all()
 
 
 class TestPhiDerivatives:
