@@ -250,6 +250,11 @@ class PolyMap:
         return np.array([[_poly_eval(p, z) for p in row] for row in self._terms[1]])
 
     @cached_property
+    def _escape_levels(self) -> list:
+        """The levels of the one-variable ``_escape_tree`` built so far."""
+        return []
+
+    @cached_property
     def _monomial_matrix(self):
         """Exponents E (M, d) of the monomials of f and of its first and second
         partials, and coefficients C (d + d*d + d**3, M): row i is f_i, row
@@ -339,9 +344,9 @@ def _closes(residual, size):
 
 def _closed_walk(f: PolyMap, p, r: int):
     """p, ..., f^r(p), |f^r(p) - p|, |p| and the exact period (least d | r
-    with f^d(p) back at p); OrbitError unless it closes.  Norms overflow
-    quietly: one errstate in several variables; in one, np.linalg.norm's
-    sqrt(re^2 + im^2) runs in float arithmetic on Python scalars."""
+    with f^d(p) back at p); OrbitError unless it closes.  Points are Python
+    complex in one variable, where np.linalg.norm's sqrt(re^2 + im^2) runs
+    in float arithmetic; several variables take one errstate for overflow."""
     walk = orbit_points(f, p, r + 1)
     z = [x.item() for x in walk] if f.dim == 1 else walk
 
@@ -354,7 +359,7 @@ def _closed_walk(f: PolyMap, p, r: int):
             raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
         exact = next((d for d in range(1, r) if r % d == 0
                       and _closes(norm(z[d] - z[0]), size)), r)
-    return walk, closure, size, exact
+    return z, closure, size, exact
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,7 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
         c = c[:-1]
     if len(c) < 2:
         return np.zeros(0, dtype=complex)
-    return _preimages(c, 1, 0j)[-1]
+    return _preimages(c, 1, [np.zeros(1, dtype=complex)])[-1]
 
 
 def cluster_points(points, radius: float, slack=None) -> list:
@@ -503,6 +508,14 @@ def root_count_1d(f: PolyMap, r: int) -> int:
     return 0 if f.components[0].get((1,), 0j) == 1 else 1
 
 
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(c, x) without its dispatch: 0 * x + c[0] is NaN at inf x."""
+    y = np.zeros_like(x)
+    for a in c:
+        y = y * x + a
+    return y
+
+
 def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     """g(z) = f^r(z) - z, the Newton ratio N = g / g' and its rounding slack.
 
@@ -534,11 +547,11 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
             if far.any():
                 n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
                 live, w, dw, e = live[~far], w[~far], dw[~far], e[~far]
-            slope = np.polyval(dc, w)
+            slope = _horner(dc, w)
             if bound:
-                e = np.abs(slope) * e + 2.0 * deg * eps * np.polyval(abs_c, np.abs(w))
+                e = np.abs(slope) * e + 2.0 * deg * eps * _horner(abs_c, np.abs(w))
             dw = dw * slope
-            w = np.polyval(c, w)
+            w = _horner(c, w)
         g[live] = w - z[live]
         n[live] = g[live] / (dw - 1.0)
         if bound:
@@ -546,24 +559,23 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     return g, n, slack
 
 
-def _preimages(c: np.ndarray, r: int, z0: complex) -> list:
-    """Levels k = 0, ..., r of the preimage tree of z0 under f (ascending
-    coefficients c): the deg^k points of f^-k(z0), point i of level k a
-    preimage of point i // deg of level k - 1, one stacked eigvals call per
-    level.  Raises PreconditionError where a companion matrix overflows."""
+def _preimages(c: np.ndarray, r: int, levels: list) -> list:
+    """``levels`` of the preimage tree of z0 = levels[0][0] under f (ascending
+    coefficients c) grown in place to k = 0, ..., r: f^-k(z0), point i of
+    level k a preimage of point i // deg of level k - 1, one eigvals call per
+    new level.  Raises PreconditionError where a companion matrix overflows."""
     deg = len(c) - 1
     companion = np.zeros((deg, deg), dtype=complex)
     companion[1:, :-1] = np.eye(deg - 1)
-    levels = [np.array([z0], dtype=complex)]
     with np.errstate(over="ignore", invalid="ignore"):
         companion[:, -1] = -c[:-1] / c[-1]
-        for _ in range(r):
+        while len(levels) <= r:
             stack = np.repeat(companion[None], len(levels[-1]), axis=0)
             stack[:, 0, -1] = (levels[-1] - c[0]) / c[-1]
             if not np.isfinite(stack).all():
                 raise PreconditionError(
-                    f"the preimages of {z0:.6g} under f^{r} overflow: the "
-                    "coefficients of f are out of floating-point range")
+                    f"the preimages of {levels[0][0]:.6g} under f^{r} overflow: "
+                    "the coefficients of f are out of floating-point range")
             levels.append(np.linalg.eigvals(stack).ravel())
     return levels
 
@@ -575,8 +587,8 @@ def _shoot(c: np.ndarray, levels: list) -> np.ndarray:
     the ancestor of w at level r - j.  A step dz_{j+1} = f'(z_j) dz_j - F_j
     from dz_0 = x runs as P_j x + Q_j and closes at x = Q_r / (1 - P_r); a
     step that moves some z_j by more than SHOOTING_REACH (1 + |z_j|) is
-    scaled down to that.  A row stops when its relative step is
-    ``_settled`` or not finite, or after SHOOTING_STEPS steps."""
+    scaled down to that, on z itself until a row stops: when its relative
+    step is ``_settled`` or not finite, or after SHOOTING_STEPS steps."""
     r, deg = len(levels) - 1, len(c) - 1
     leaf = np.arange(len(levels[-1]))
     z = np.stack([levels[r - j][leaf // deg ** j] for j in range(r)])
@@ -586,13 +598,14 @@ def _shoot(c: np.ndarray, levels: list) -> np.ndarray:
         for _ in range(SHOOTING_STEPS):
             if active.size == 0:
                 break
-            w = z[:, active]
+            w = z if active.size == z.shape[1] else z[:, active]
             residual, slope = np.full_like(w, desc[0]), np.zeros_like(w)
             for a in desc[1:]:  # Horner for f and f' at once
                 slope, residual = slope * w + residual, residual * w + a
             residual[:-1] -= w[1:]
             residual[-1] -= w[0]
-            p, q = np.ones_like(w), np.zeros_like(w)
+            p, q = np.empty_like(w), np.empty_like(w)
+            p[0], q[0] = 1.0, 0.0
             for j in range(r - 1):
                 p[j + 1] = slope[j] * p[j]
                 q[j + 1] = slope[j] * q[j] - residual[j]
@@ -601,7 +614,9 @@ def _shoot(c: np.ndarray, levels: list) -> np.ndarray:
             size = np.max(np.abs(step) / (1.0 + np.abs(w)), axis=0)
             step *= np.minimum(1.0, SHOOTING_REACH / size)
             moved = np.isfinite(size)
-            z[:, active[moved]] = w[:, moved] - step[:, moved]
+            np.subtract(w, step, out=w, where=moved)
+            if w is not z:
+                z[:, active] = w
             still = moved & ~_settled(size, last[active], 1.0)
             last[active] = size
             active = active[still]
@@ -684,11 +699,16 @@ def _certificate(f: PolyMap, r: int, roots: np.ndarray):
 
 
 def _escape_tree(f: PolyMap, r: int) -> list:
-    """``_preimages`` of z0 = R e^(0.7i), |f(z)| >= 2|z| on |z| >= R."""
-    c = _coeffs_1d(f.components[0])
-    with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
-        radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
-    return _preimages(c, r, radius * np.exp(0.7j))
+    """Levels 0, ..., r of the ``_preimages`` of z0 = R e^(0.7i), |f(z)| >= 2|z|
+    on |z| >= R; kept on f, grown past its deepest level only, read-only."""
+    c, levels = _coeffs_1d(f.components[0]), f._escape_levels
+    if not levels:
+        with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
+            radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
+        levels.append(np.array([radius * np.exp(0.7j)]))
+    for level in _preimages(c, r, levels):
+        level.setflags(write=False)
+    return levels[:r + 1]
 
 
 def _approximations(f: PolyMap, r: int) -> tuple:
@@ -843,10 +863,10 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
     rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * START_RADIUS
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
     z = rad * np.exp(1j * ang)
-    live = np.arange(config.starts)
+    live, size = np.arange(config.starts), np.linalg.norm(z, axis=1)
     converged = np.zeros(config.starts, dtype=bool)
     with np.errstate(all="ignore"):  # divergent starts overflow, then drop
-        for _ in range(NEWTON_STEPS):
+        for _ in range(NEWTON_STEPS):  # size: |z| of each live row
             if live.size == 0:
                 break
             w = zl = z[live]
@@ -855,15 +875,15 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
                 w, step_jac = f.evaluate_batch(w)
                 a, b, c, d = _chain_2x2(step_jac, (a, b, c, d))
             fv = w - zl
-            done = (np.linalg.norm(fv, axis=1)
-                    <= NEWTON_RESIDUAL * (1.0 + np.linalg.norm(zl, axis=1)))
+            done = np.linalg.norm(fv, axis=1) <= NEWTON_RESIDUAL * (1.0 + size)
             converged[live[done]] = True
             step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
             keep = ~done & solved
             live, zl = live[keep], zl[keep] - step[keep]
-            z[live] = zl
-            live = live[np.linalg.norm(zl, axis=1) <= ESCAPE_NORM]  # NaN fails too
-    found = list(z[converged])
+            z[live], size = zl, np.linalg.norm(zl, axis=1)
+            near = size <= ESCAPE_NORM  # NaN fails too
+            live, size = live[near], size[near]
+    found = z[converged]
     clusters = cluster_points(found, DEDUP_RADIUS)
     return SearchResult(
         points=tuple(tuple(found[cl[0]]) for cl in clusters),
@@ -878,12 +898,12 @@ def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()
 
 
 def _chain_multipliers(f: PolyMap, pts) -> tuple:
-    """Eigenvalues of the Jacobian chain along the orbit points ``pts``; a
+    """Eigenvalues of the Jacobian chain along ``_closed_walk`` points; a
     1x1 chain is its own, each step summed from +0j as numpy's ``@`` does."""
     if f.dim == 1:  # f' from its compiled table, as ``jacobian`` reads it
         m, slope = 1 + 0j, f._terms[1][0][0]
         for x in pts:
-            m = _poly_eval(slope, x.tolist()) * m + 0j
+            m = _poly_eval(slope, [x]) * m + 0j
         return (np.complex128(m),)  # eigvals' type: abs() of an overflow is inf
     jac = np.eye(f.dim, dtype=complex)
     for x in pts:
@@ -984,7 +1004,7 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     walk, closure, size, exact = _closed_walk(f, p, r)
     mults = _chain_multipliers(f, walk[:exact])
     return PeriodicOrbit(
-        points=tuple(tuple(x.tolist()) for x in walk[:exact]),
+        points=tuple((x,) if f.dim == 1 else tuple(x.tolist()) for x in walk[:exact]),
         period=exact,
         multipliers=mults,
         stability=classify(mults),

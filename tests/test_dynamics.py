@@ -643,6 +643,54 @@ class TestPeriodicPoints1D:
             parent = levels[k - 1][np.arange(3 ** k) // 3]
             assert np.allclose(image, parent, rtol=1e-9, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=3),
+           lead=st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0),
+           earlier=st.lists(st.integers(1, 5), max_size=4), r=st.integers(1, 5))
+    def test_tree_kept_on_the_map_matches_a_fresh_one(self, coeffs, lead, earlier, r):
+        # the levels asked for earlier stay on the map, and deeper ones grow
+        # from them: the same bits as a tree built at once on a fresh map
+        f = PolyMap.from_coeffs_1d(coeffs + [lead])
+        for k in earlier:
+            dynamics._escape_tree(f, k)
+        levels = dynamics._escape_tree(f, r)
+        fresh = dynamics._escape_tree(PolyMap.from_coeffs_1d(coeffs + [lead]), r)
+        assert len(levels) == len(fresh) == r + 1
+        for level, want in zip(levels, fresh):
+            assert np.array_equal(level.view(np.uint64), want.view(np.uint64))
+            with pytest.raises(ValueError, match="read-only"):
+                level[0] = 0
+
+    def test_one_tree_serves_every_period(self, monkeypatch):
+        # r = 1, ..., 8 on one map builds each level once: 8 eigvals calls
+        # over 1, 2, ..., 128 companion matrices, not 36
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(len(a)) or eigvals(a))
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])  # a map with no tree built yet
+        found = [len(orbits) for _, orbits, _ in periodic_orbits(f, 8)]
+        assert found == [2, 2, 6, 12, 30, 54, 126, 240]  # r nu_2(r) points
+        assert calls == [2 ** k for k in range(8)]
+
+    def test_grown_tree_overflow_names_z0_and_the_requested_iterate(self):
+        # an overflow past a kept level names the tree's root z0 and the
+        # f^r asked for, not the level the growth started from
+        c = np.array([-1, 0, 0.5], dtype=complex)  # (1e308 + 1) / 0.5 overflows
+        levels = [np.array([3 + 4j]), np.array([1e308, -1e308], dtype=complex)]
+        message = ("the preimages of 3+4j under f^5 overflow: the coefficients "
+                   "of f are out of floating-point range")
+        with pytest.raises(PreconditionError) as err:
+            dynamics._preimages(c, 5, levels)
+        assert str(err.value) == message and len(levels) == 2
+        f = PolyMap.from_coeffs_1d([-np.finfo(float).max, 0, 1])
+        z0 = np.finfo(float).max * np.exp(0.7j)
+        for r in (1, 2):
+            with pytest.raises(PreconditionError) as err:
+                dynamics._escape_tree(f, r)
+            assert str(err.value) == (
+                f"the preimages of {z0:.6g} under f^{r} overflow: the "
+                "coefficients of f are out of floating-point range")
+
     def test_degree_1024_certified(self):
         detail = periodic_points_1d(SQUARE_MINUS_1, 10, detail=True)
         pts, radii = np.array(detail.points), np.array(detail.radii)
@@ -704,6 +752,24 @@ class TestPeriodicPoints1D:
             assert detail.unresolved == ()
             for p, res in zip(detail.points, detail.residuals):
                 assert res <= 1e-8 * (1 + abs(p))
+
+
+_PART = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(
+    allow_nan=False, allow_infinity=False, min_value=-1e200, max_value=1e200)
+
+
+class TestHorner:
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=6),
+           x=st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=8))
+    @example(c=[1 + 0j], x=[complex(np.inf, 0.0)])  # 0 * inf + 1 is NaN
+    def test_matches_polyval_bit_for_bit(self, c, x):
+        c, x = np.array(c, dtype=complex), np.array(x, dtype=complex)
+        with np.errstate(all="ignore"):
+            for coeffs, points in [(c, x), (np.abs(c), np.abs(x))]:
+                got, want = dynamics._horner(coeffs, points), np.polyval(coeffs, points)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMultipliers:
