@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import os
 import sys
@@ -411,15 +412,17 @@ def cmd_duality(args) -> Outcome:
 # parser
 
 
-def build_parser() -> Parser:
+@functools.lru_cache(maxsize=1)
+def build_parser(seed_default: str) -> Parser:
+    """The argument parser for one ``seed_default`` (the HOLO_SEED string),
+    kept until that string changes; ``parse_args`` leaves it unchanged."""
     parser = Parser(prog="holorigid", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, func):
-        # a string default goes through the type, so a malformed or negative
-        # HOLO_SEED is a usage error
-        p.add_argument("--seed", type=_int_at_least(0),
-                       default=os.environ.get("HOLO_SEED", "0"))
+        # a string default goes through the type on every parse, so a
+        # malformed or negative HOLO_SEED is a usage error
+        p.add_argument("--seed", type=_int_at_least(0), default=seed_default)
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(func=func)
@@ -499,7 +502,7 @@ def build_parser() -> Parser:
 def main(argv=None) -> int:
     """Run one subcommand; the only place that stamps, writes and reports."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(os.environ.get("HOLO_SEED", "0")).parse_args(argv)
         payload, metadata, code, failure = args.func(args)
         payload["metadata"] = {"seed": args.seed, **metadata}
         text = ("\n".join(_render_human(payload)) if args.format == "human"

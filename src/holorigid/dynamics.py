@@ -39,6 +39,7 @@ SHOOTING_STEPS = 25  # cyclic Newton steps per row of the one-variable search
 SHOOTING_REACH = 0.3  # a cyclic Newton step moves no z_j by more than this (1 + |z_j|)
 STALL_STEP = 2.0 ** -42  # about 1000 eps: root steps this small are rounding noise
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +449,7 @@ def _settled(size, last, scale):
     """Whether a root step is at rounding level: below 4 eps ``scale``, or
     below STALL_STEP ``scale`` and not under half the ``last`` step, as a
     converging simple root's always is."""
-    return (size <= 4.0 * np.finfo(float).eps * scale) | (
+    return (size <= 4.0 * EPS * scale) | (
         (size <= STALL_STEP * scale) & (size > 0.5 * last))
 
 
@@ -533,7 +534,6 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     dc = np.polyder(c)
     abs_c = np.abs(c)
     deg = len(c) - 1
-    eps = np.finfo(float).eps
     escape = (1e300 / max(1.0, float(np.sum(abs_c)))) ** (1.0 / deg) \
         if deg >= 2 else np.inf
     g = np.full(len(z), np.inf, dtype=complex)
@@ -549,13 +549,13 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
                 live, w, dw, e = live[~far], w[~far], dw[~far], e[~far]
             slope = _horner(dc, w)
             if bound:
-                e = np.abs(slope) * e + 2.0 * deg * eps * _horner(abs_c, np.abs(w))
+                e = np.abs(slope) * e + 2.0 * deg * EPS * _horner(abs_c, np.abs(w))
             dw = dw * slope
             w = _horner(c, w)
         g[live] = w - z[live]
         n[live] = g[live] / (dw - 1.0)
         if bound:
-            slack[live] = (e + eps * np.abs(z[live])) / np.abs(dw - 1.0)
+            slack[live] = (e + EPS * np.abs(z[live])) / np.abs(dw - 1.0)
     return g, n, slack
 
 

@@ -30,6 +30,7 @@ HALVINGS = 4  # backtracking step sizes per batched evaluation
 ARMIJO = 1e-4  # fraction of the predicted gain a step must realize
 CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
 ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
+TINY = np.finfo(float).tiny  # smallest normal float
 TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 MAX_ITER = 300  # Newton steps per ascent
 SIDE_STARTS = 8  # seeded starts of each side maximum for M'(r)
@@ -147,7 +148,7 @@ def _newton_steps(x: np.ndarray, r: np.ndarray, grad: np.ndarray, hess: np.ndarr
     upper = np.triu(eye == 0)  # eigh reads the lower triangle alone: so must the rest
     m[:, upper] = m.transpose(0, 2, 1)[:, upper]
     scale = _norms(hess, (1, 2)) + np.abs(weingarten)
-    floor = np.maximum(CURVATURE_FLOOR * scale, np.finfo(float).tiny)
+    floor = np.maximum(CURVATURE_FLOOR * scale, TINY)
     g_unit = g / unit[:, None]
     # Cholesky pivots of -m - 2 floor I, one column at a time over the rows
     # whose diagonal is positive, stored row index last; a row stays while
@@ -227,7 +228,7 @@ def _ascend(f: PolyMap, z0: np.ndarray, r, decrement_tol=ROUNDING, grow=None):
                          np.full(len(x), np.inf)]
                 # the ascent squares r and ||f||: below the smallest normal
                 # float they lose their precision, or vanish
-                low = np.minimum(radii * radii, block[4]) < np.finfo(float).tiny
+                low = np.minimum(radii * radii, block[4]) < TINY
                 if low.any():
                     raise PreconditionError("r^2 or ||f||^2 underflowed at a start on "
                                             f"the sphere of radius {radii[low][0]:.6g}")

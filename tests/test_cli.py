@@ -1095,3 +1095,92 @@ class TestPrintedTolerances:
         code, doc = run(capsys, argv)
         assert code == 0 and doc["truncation_loss"] is False
         assert doc["tolerances"]["truncation_coeff_tol"] == 2.0
+
+
+SUBCOMMANDS = ("graded", "certify", "search-repelling", "fock", "henon",
+               "duality")
+
+
+def run_both(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestKeptParser:
+    """``main`` keeps its parser while HOLO_SEED keeps its value and reads
+    the variable on every call; no call leaves anything behind for the next."""
+
+    def test_one_parser_per_seed_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOLO_SEED", "11")
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["duality", "--instances", "2"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cli.build_parser("11") is cli.build_parser("11")
+
+    def test_seed_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["duality", "--instances", "2"]
+        for seed, message in [("7", None),
+                              ("abc", "invalid int value: 'abc'"),
+                              ("-1", "must be >= 0, got -1"),
+                              ("7", None)]:
+            monkeypatch.setenv("HOLO_SEED", seed)
+            code, out, err = run_both(capsys, argv)
+            if message is None:
+                assert code == 0 and err == ""
+                assert json.loads(out)["metadata"]["seed"] == 7
+            else:
+                assert code == 1 and out == ""
+                assert err == f"usage error: argument --seed: {message}\n"
+            # an explicit --seed never reads the variable
+            code, doc = run(capsys, argv + ["--seed", "5"])
+            assert code == 0 and doc["metadata"]["seed"] == 5
+
+    @pytest.mark.parametrize("first, second", [
+        # the henon subparser's mode="bounded" default stays in henon
+        (["henon", str(BENCH_INPUTS / "henon.json"), "--r-max", "1"],
+         ["certify", str(BENCH_INPUTS / "quad1.json"), "--mode", "cyclic",
+          "--r", "2"]),
+        (["certify", str(BENCH_INPUTS / "quad1.json"), "--mode", "bounded",
+          "--r", "2", "--point", "0"],
+         ["certify", str(BENCH_INPUTS / "quad1.json"), "--mode", "bounded",
+          "--r", "2"]),
+    ], ids=["henon-then-cyclic", "point-then-search"])
+    def test_second_call_matches_a_fresh_process(self, capsys, first, second):
+        assert main(first) == 0
+        capsys.readouterr()
+        proc = run_module(*second)
+        assert run_both(capsys, second) == (proc.returncode, proc.stdout,
+                                            proc.stderr)
+
+    def test_sweep_file_is_not_written_again(self, capsys, tmp_path):
+        argv = ["fock", str(BENCH_INPUTS / "quad1.json"), "--N", "4"]
+        sweep = tmp_path / "sweep.csv"
+        assert main(argv + ["--sweep-out", str(sweep)]) == 0
+        capsys.readouterr()
+        sweep.unlink()
+        proc = run_module(*argv)
+        assert run_both(capsys, argv) == (proc.returncode, proc.stdout,
+                                          proc.stderr)
+        assert not sweep.exists()
+
+    @pytest.mark.parametrize("sub", [None, *SUBCOMMANDS])
+    def test_help_exits_0_with_the_same_bytes(self, capsys, sub):
+        argv = ([sub] if sub else []) + ["--help"]
+        pages, misses = [], []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            pages.append(captured.out)
+            misses.append(cli.build_parser.cache_info().misses)
+        assert misses[0] == misses[1]  # the kept parser printed the second page
+        assert pages[0] == pages[1]
+        assert pages[0].startswith("usage: holorigid")
+        if sub is None:
+            assert all(name in pages[0] for name in SUBCOMMANDS)
