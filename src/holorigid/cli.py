@@ -2,8 +2,11 @@
 
 Exit codes: 0 verdict emitted, 1 usage, schema or write error, 2 internal
 self-check failure, 3 inapplicable verdict, 4 precondition rejection.
-Outputs are deterministic given identical inputs and seed; the human
-format is a rendering of the same JSON payload, never a separate path.
+Outputs are deterministic given identical inputs, seed and BLAS thread
+count; only the norms ``fock`` prints (``truncated_norm``, ``sweep[].norm``,
+``profile[].norm``) come from SVDs large enough for threaded BLAS and may
+move in the last bits with it.  The human format is a rendering of the same
+JSON payload, never a separate path.
 """
 
 from __future__ import annotations
@@ -283,7 +286,9 @@ def cmd_certify(args) -> Outcome:
         cert = certifier(f, u, *orbits)
         extra = {"orbits_examined": len(orbits)}
     elif mode == "cyclic":
-        levels = _parse_complex_list(args.lam) if args.lam else None
+        levels = None if args.lam is None else _parse_complex_list(args.lam)
+        if levels == []:
+            raise UsageError(f"--lambda holds no level: {args.lam!r}")
         if f.dim != 1:
             raise PreconditionError(
                 "the cyclic obstruction counts every periodic point, and "

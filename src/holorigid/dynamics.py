@@ -29,6 +29,7 @@ from .jets import Jet, JetMap, PowerCache, _as_base, check_terms, substitute, \
 DEFAULT_MAX_TERMS = 4096
 TOL_ORBIT = 1e-8
 TOL_CLASS = 1e-9
+TIE_TOL = 1e-12  # relative gap below which two maxima are equal
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
 NEWTON_STEPS = 100
@@ -928,6 +929,17 @@ def _modulus_band(m: float):
     if m > 1.0 + TOL_CLASS:
         return "above"
     return "at" if m >= 1.0 - TOL_CLASS else None
+
+
+def first_near_best(values) -> int:
+    """Lowest index whose value is within TIE_TOL (relative) of the largest.
+
+    The values must be finite.  Equal maxima, such as q and conj(q) for a
+    map with real coefficients, then resolve by order rather than by
+    last-bit rounding.
+    """
+    values = np.asarray(values)
+    return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
 
 
 def classify(mults) -> str:

@@ -22,7 +22,6 @@ found nothing, not that the property holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,14 +33,14 @@ from .dynamics import (
     PolyFunc,
     PolyMap,
     cluster_points,
+    first_near_best,
     orbit_points,
     weight_cocycle,
 )
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import PreconditionError
-from .jets import multi_indices
-from .sphere import first_near_best
+from .serialize import encode
 
 UNBOUNDED = "Unbounded"
 NON_COMPACT = "NonCompact"
@@ -86,8 +85,6 @@ class ObstructionCertificate:
     tolerances: dict
 
     def to_json_dict(self) -> dict:
-        from .serialize import encode
-
         return {
             "verdict": self.verdict,
             "witness": encode(self.witness),
@@ -282,15 +279,13 @@ class DualityFlags(NamedTuple):
     kernel_cond: bool
 
 
-def duality_check(L, B, d=None, n=None) -> DualityFlags:
+def duality_check(L, B) -> DualityFlags:
     """Two equivalent formulations of the graded image condition.
 
     ``image_cond`` tests col(L) <= span(B) by rank comparison.
     ``kernel_cond`` tests that the annihilator of span(B) under the
     monomial-coefficient pairing <D, h> = D(h) lies in the kernel of the
-    transposed (dual) map.  When d and n are given the pairing carries the
-    factorial weights of degree-n multi-indices; the two flags agree either
-    way on well-conditioned data.
+    transposed (dual) map.  The two flags agree on well-conditioned data.
 
     L (..., rows, cols) and B (..., rows, width) may be stacks with equal
     leading axes: each step runs over the whole stack, and the flags are
@@ -303,13 +298,6 @@ def duality_check(L, B, d=None, n=None) -> DualityFlags:
             f"inconsistent shapes: L {L.shape}, B {B.shape}"
         )
     rows = B.shape[-2]
-    if d is not None and n is not None:
-        w = np.array([math.prod(math.factorial(a) for a in alpha)
-                      for alpha in multi_indices(d, n)], dtype=float)
-        if len(w) != rows:
-            raise PreconditionError("pairing weights do not match row count")
-    else:
-        w = np.ones(rows)
 
     aug = np.concatenate([B, L], axis=-1)
     # np.linalg.norm(aug, 2) is the largest of these same singular values
@@ -318,10 +306,10 @@ def duality_check(L, B, d=None, n=None) -> DualityFlags:
     rank_b = np.sum(np.linalg.svd(B, compute_uv=False) > cut, axis=-1) if B.size else 0
     image_cond = rank_b == np.sum(s_aug > cut, axis=-1)
 
-    # annihilator of span(B): functionals c with c^T (W B) = 0, i.e. the
-    # null space of (W B)^T under the plain (bilinear) product; its basis
-    # is the columns of vh^H from rank_m on, the others masked to zero
-    m = np.swapaxes(w[:, None] * B, -1, -2)
+    # annihilator of span(B): functionals c with c^T B = 0, i.e. the null
+    # space of B^T under the plain (bilinear) product; its basis is the
+    # columns of vh^H from rank_m on, the others masked to zero
+    m = np.swapaxes(B, -1, -2)
     if m.size:
         _, s, vh = np.linalg.svd(m, full_matrices=True)
         cut_m = TOL_RANK * np.maximum(s.max(axis=-1, initial=0.0), 1e-300)
@@ -330,10 +318,10 @@ def duality_check(L, B, d=None, n=None) -> DualityFlags:
             np.arange(rows) >= rank_m[..., None])[..., None, :]
     else:
         null_basis = np.eye(rows, dtype=complex)
-    # dual map kills the annihilator iff L^T W y = 0 for every such y; a
+    # dual map kills the annihilator iff L^T y = 0 for every such y; a
     # masked column adds a zero column, and an empty basis a zero residual
-    resid = np.swapaxes(L, -1, -2) @ (w[:, None] * null_basis)
-    scale = np.maximum(np.linalg.norm(w[:, None] * L, 2, axis=(-2, -1)), 1e-300)
+    resid = np.swapaxes(L, -1, -2) @ null_basis
+    scale = np.maximum(np.linalg.norm(L, 2, axis=(-2, -1)), 1e-300)
     flags = DualityFlags(image_cond, np.linalg.norm(
         resid, 2, axis=(-2, -1)) <= 10 * TOL_RANK * scale)
     return DualityFlags(*map(bool, flags)) if L.ndim == 2 else flags

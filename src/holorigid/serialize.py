@@ -157,3 +157,7 @@ def read_json(path):
         raise SchemaError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})")
+    except OSError as exc:  # a directory, a file it may not read, ...
+        raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 ({exc.reason})")

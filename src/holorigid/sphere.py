@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PolyMap, SearchConfig, _as_points
+from .dynamics import TIE_TOL, PolyMap, SearchConfig, _as_points, first_near_best
 from .errors import ConstructionError, PreconditionError, RangeError
 
 TOL_FIX = 1e-6
@@ -31,7 +31,6 @@ ARMIJO = 1e-4  # fraction of the predicted gain a step must realize
 CURVATURE_FLOOR = 1e-8  # smallest |eigenvalue|, relative to the Hessian's terms
 ROUNDING = 4.0 * np.finfo(float).eps  # relative gain of phi below its rounding
 TINY = np.finfo(float).tiny  # smallest normal float
-TIE_TOL = 1e-12  # relative gap below which two sphere maxima are equal
 MAX_ITER = 300  # Newton steps per ascent
 SIDE_STARTS = 8  # seeded starts of each side maximum for M'(r)
 
@@ -284,17 +283,6 @@ def _overflow_check(value: np.ndarray, r: np.ndarray):
     if bad.size:
         raise PreconditionError(
             f"||f|| overflowed at a start on the sphere of radius {r[bad[0]]:.6g}")
-
-
-def first_near_best(values) -> int:
-    """Lowest index whose value is within TIE_TOL (relative) of the largest.
-
-    The values must be finite.  Equal maxima, such as q and conj(q) for a
-    map with real coefficients, then resolve by order rather than by
-    last-bit rounding.
-    """
-    values = np.asarray(values)
-    return int(np.flatnonzero(values >= values.max() * (1.0 - TIE_TOL))[0])
 
 
 def _seeded_starts(config: SearchConfig, d: int) -> np.ndarray:

@@ -813,6 +813,36 @@ class TestContract:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"write error: {tmp_path}: Is a directory\n"
 
+    @pytest.mark.parametrize("bad", ["directory", "undecodable"])
+    @pytest.mark.parametrize("kind", ["map", "weight", "duality"])
+    def test_unreadable_document_is_schema_error(self, capsys, tmp_path, write,
+                                                 kind, bad):
+        # a directory ended in IsADirectoryError, bytes that are not UTF-8
+        # in UnicodeDecodeError
+        path = tmp_path / "doc.json"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        argv = {"map": ["certify", str(path), "--mode", "bounded"],
+                "weight": ["certify", write("f.json", SQUARE), str(path),
+                           "--mode", "bounded"],
+                "duality": ["duality", "--input", str(path)]}[kind]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"schema error: {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("levels", [",", "", " , "])
+    def test_lambda_without_a_level_is_usage_error(self, capsys, levels):
+        # "," tested no level and printed NoObstruction, "" clustered instead
+        code = main(["certify", str(BENCH_INPUTS / "quad1.json"), "--mode",
+                     "cyclic", "--r", "2", "--lambda", levels])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"usage error: --lambda holds no level: {levels!r}\n"
+
     def test_determinism_byte_identical(self, capsys, write):
         argv = ["certify", write("f.json", SQUARE), "--mode", "bounded",
                 "--seed", "9"]

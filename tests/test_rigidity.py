@@ -15,13 +15,13 @@ from holorigid.dynamics import (
     PolyFunc,
     PolyMap,
     cocycle_poly,
+    first_near_best,
     iterate,
     make_orbit,
     orbits_of_period,
     periodic_orbits,
 )
 from holorigid.errors import OrbitError, PreconditionError
-from holorigid.jets import multi_indices
 from holorigid.rigidity import (
     ASSUME_CONTINUOUS_INCLUSION,
     ASSUME_DIM_GE_1,
@@ -43,7 +43,6 @@ from holorigid.rigidity import (
     certify_supercyclic,
     duality_check,
 )
-from holorigid.sphere import first_near_best
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -531,19 +530,6 @@ class TestDuality:
             flags = duality_check(l_mat, b)
             assert flags.image_cond == flags.kernel_cond
 
-    def test_factorial_pairing_weights(self):
-        rng = np.random.default_rng(4)
-        # degree-2 jets in two variables: three monomials
-        for k in range(20):
-            b = random_conditioned_basis(rng, 3, int(rng.integers(1, 4)))
-            if k % 2 == 0:
-                l_mat = b @ (rng.normal(size=(b.shape[1], 3))
-                             + 1j * rng.normal(size=(b.shape[1], 3)))
-            else:
-                l_mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            flags = duality_check(l_mat, b, d=2, n=2)
-            assert flags.image_cond == flags.kernel_cond
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             duality_check(np.zeros((4, 2)), np.zeros((5, 2)))
@@ -562,9 +548,6 @@ class TestDuality:
         rows = data.draw(st.integers(1, 7))
         cols = data.draw(st.integers(1, 5))
         width = data.draw(st.integers(0, rows))
-        pairings = [(d, n) for d in (1, 2, 3) for n in range(7)
-                    if len(multi_indices(d, n)) == rows]
-        dn = data.draw(st.sampled_from([(None, None)] + pairings))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
         def gauss(*shape):
@@ -579,11 +562,11 @@ class TestDuality:
         l_mat = gauss(count, rows, cols) * 10 ** rng.uniform(-6, 6, (count, 1, 1))
         # even slices of L lie in span(B), odd ones most likely not
         l_mat[::2] = b[::2] @ gauss(width, cols)
-        got = duality_check(l_mat, b, *dn)
+        got = duality_check(l_mat, b)
         assert got.image_cond.shape == got.kernel_cond.shape == (count,)
-        want = [duality_check(l_k, b_k, *dn) for l_k, b_k in zip(l_mat, b)]
+        want = [duality_check(l_k, b_k) for l_k, b_k in zip(l_mat, b)]
         assert [tuple(pair) for pair in zip(*got)] == want
         for l_k, b_k, flags in zip(l_mat, b, want):
-            one = duality_check(l_k[None], b_k[None], *dn)
+            one = duality_check(l_k[None], b_k[None])
             assert [tuple(pair) for pair in zip(*one)] == [flags]
             assert type(flags.image_cond) is type(flags.kernel_cond) is bool

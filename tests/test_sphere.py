@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holorigid import sphere
-from holorigid.dynamics import PolyMap, SearchConfig
+from holorigid.dynamics import PolyMap, SearchConfig, first_near_best
 from holorigid.errors import ConstructionError, PreconditionError, RangeError
 from holorigid.sphere import (
     TOL_ETA,
@@ -20,7 +20,6 @@ from holorigid.sphere import (
     _phi_derivatives,
     _seeded_starts,
     construct_repelling,
-    first_near_best,
     hadamard_profile,
     select_growth_point,
     sphere_max,
