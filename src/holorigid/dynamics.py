@@ -6,8 +6,8 @@ value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
 dividing r are the roots of f^r(z) - z, found all at once by cyclic Newton
 on the orbit system from the preimage tree of a point under f^r, with
 Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
-Newton disks; in two variables a seeded Newton multistart supplies
-witnesses without any completeness claim.
+Newton disks; in two variables a seeded Newton multistart, one lockstep
+over all periods, supplies witnesses without any completeness claim.
 ``orbits_of_period`` is the one periodic-orbit search, and
 ``periodic_orbits`` its loop over periods; every obstruction reads them.
 """
@@ -113,7 +113,10 @@ def _poly_to_jet(table: dict, dim: int, base, cap: int) -> Jet:
     shifts = [_poly_clean({tuple(1 if k == j else 0 for k in range(dim)): 1.0,
                            (0,) * dim: base[j]})
               for j in range(dim)]
-    return Jet(dim, cap, base, substitute(table, PowerCache(shifts, dim, cap=cap)))
+    coeffs = substitute(table, PowerCache(shifts, dim, cap=cap))
+    if not np.isfinite(list(coeffs.values())).all():
+        raise PreconditionError(f"the Taylor expansion at {base} overflows")
+    return Jet(dim, cap, base, coeffs)
 
 
 def _monomial_table(tables: list, dim: int):
@@ -856,42 +859,56 @@ class SearchResult:
     seed: int
 
 
+def _norms(v: np.ndarray, axis=-1) -> np.ndarray:
+    """np.linalg.norm's own formula for norms over axis, without its dispatch."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=axis))
+
+
+def _newton_lockstep(f: PolyMap, periods, config: SearchConfig) -> list:
+    """The multistart's SearchResult for f^r(z) = z on C^2 at each r of
+    ``periods`` (descending), in one lockstep.  Row k * starts + s runs start
+    s at periods[k]; live rows keep that order and step in blocks of at most
+    ``config.starts``, chain stage j on the prefix whose period exceeds j, so
+    each row has the bits of a search of its period alone."""
+    n = config.starts
+    rng = np.random.default_rng(config.seed)
+    rad = rng.uniform(0.0, 1.0, size=(n, 2)) ** 0.5 * START_RADIUS
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    z = np.tile(rad * np.exp(1j * ang), (len(periods), 1))
+    converged, alive = np.zeros(len(z), dtype=bool), np.ones(len(z), dtype=bool)
+    bound = [n * sum(r > j for r in periods) for j in range(max(periods, default=0))]
+    eye = np.eye(2, dtype=complex).reshape(4, 1)  # entries (a, b, c, d) of I
+    with np.errstate(all="ignore"):  # divergent starts overflow, then drop
+        for _ in range(NEWTON_STEPS):
+            live = np.flatnonzero(alive)
+            if live.size == 0:
+                break
+            for rows in (live[lo:lo + n] for lo in range(0, live.size, n)):
+                zl = z[rows]
+                w, chain = zl.copy(), eye.repeat(len(rows), 1)  # D(f^j) after stage j
+                for j in range(periods[rows[0] // n]):  # rows below bound[j]: period > j
+                    m = rows.searchsorted(bound[j])
+                    w[:m], jac = f.evaluate_batch(w[:m])
+                    chain[:, :m] = _chain_2x2(jac, chain[:, :m])
+                    del jac  # so that the next stage's arrays can take its memory
+                fv = w - zl
+                converged[rows] = _norms(fv) <= NEWTON_RESIDUAL * (1.0 + _norms(zl))
+                step, solved = solve_2x2(chain - eye, fv)
+                alive[rows] = keep = ~converged[rows] & solved
+                rows, zl = rows[keep], zl[keep] - step[keep]
+                z[rows] = zl
+                alive[rows] = _norms(zl) <= ESCAPE_NORM  # NaN fails too
+    found = [zk[ok] for zk, ok in zip(z.reshape(len(periods), n, 2),
+                                      converged.reshape(len(periods), n))]
+    return [SearchResult(tuple(tuple(x[cl[0]]) for cl in cluster_points(x, DEDUP_RADIUS)),
+                         len(x), n, config.seed) for x in found]
+
+
 def periodic_points_2d(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
     """Newton multistart for f^r(z) = z on C^2.  Not guaranteed complete."""
     if f.dim != 2 or r < 1:
         raise PreconditionError("periodic_points_2d needs a 2-variable map, r >= 1")
-    rng = np.random.default_rng(config.seed)
-    rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * START_RADIUS
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
-    z = rad * np.exp(1j * ang)
-    live, size = np.arange(config.starts), np.linalg.norm(z, axis=1)
-    converged = np.zeros(config.starts, dtype=bool)
-    with np.errstate(all="ignore"):  # divergent starts overflow, then drop
-        for _ in range(NEWTON_STEPS):  # size: |z| of each live row
-            if live.size == 0:
-                break
-            w = zl = z[live]
-            a, b, c, d = 1.0, 0.0, 0.0, 1.0  # entries of D(f^r) so far
-            for _ in range(r):
-                w, step_jac = f.evaluate_batch(w)
-                a, b, c, d = _chain_2x2(step_jac, (a, b, c, d))
-            fv = w - zl
-            done = np.linalg.norm(fv, axis=1) <= NEWTON_RESIDUAL * (1.0 + size)
-            converged[live[done]] = True
-            step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
-            keep = ~done & solved
-            live, zl = live[keep], zl[keep] - step[keep]
-            z[live], size = zl, np.linalg.norm(zl, axis=1)
-            near = size <= ESCAPE_NORM  # NaN fails too
-            live, size = live[near], size[near]
-    found = z[converged]
-    clusters = cluster_points(found, DEDUP_RADIUS)
-    return SearchResult(
-        points=tuple(tuple(found[cl[0]]) for cl in clusters),
-        converged=len(found),
-        starts=config.starts,
-        seed=config.seed,
-    )
+    return _newton_lockstep(f, (r,), config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -969,10 +986,8 @@ def weight_cocycle(u, orbit) -> complex:
     """Product of the weight along the orbit: u_r = prod_j u(orbit[j])."""
     if u is None:
         return 1.0 + 0j
-    total = 1.0 + 0j
-    for p in orbit:
-        total *= evaluate_weight(u, p)
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):  # callers test finiteness
+        return math.prod((evaluate_weight(u, p) for p in orbit), start=1.0 + 0j)
 
 
 def cocycle_poly(u: PolyFunc, f: PolyMap, r: int) -> PolyFunc:
@@ -1028,6 +1043,22 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
 # the periodic-orbit search shared by every obstruction
 
 
+def _verified(f: PolyMap, r: int, points, record: dict):
+    """(orbits, record): ``make_orbit`` at ``points``; a walk it rejects is left out."""
+    orbits = []
+    for p in points:
+        try:
+            orbits.append(make_orbit(f, p, r))
+        except OrbitError:  # closed in the search, not in the walk
+            record["complete"] = False
+    return orbits, record
+
+
+def _found_2d(result: SearchResult):  # the points and record of a 2-D search
+    return result.points, {"complete": False, "starts": result.starts,
+                           "converged": result.converged, "seed": result.seed}
+
+
 def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
     """(orbits, record): the ``make_orbit`` result for every point of period
     dividing r, in point order, and the search record.
@@ -1043,30 +1074,22 @@ def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
     if f.dim > 2:
         raise PreconditionError(f"periodic orbits are searched for only on "
                                 f"C^1 and C^2, and this map is on C^{f.dim}")
-    if f.dim == 1:
-        found = periodic_points_1d(f, r)
-        if isinstance(found, AllPoints):
-            found, record = [GENERIC_POINT], {"complete": False}
-        else:
-            record = {"complete": len(found) == root_count_1d(f, r)}
-        points = [np.array([z]) for z in found]
-    else:
-        result = periodic_points_2d(f, r, config)
-        points = result.points
-        record = {"complete": False, "starts": result.starts,
-                  "converged": result.converged, "seed": result.seed}
-    orbits = []
-    for p in points:
-        try:
-            orbits.append(make_orbit(f, p, r))
-        except OrbitError:  # closed in the search, not in the walk
-            record["complete"] = False
-    return orbits, record
+    if f.dim == 2:
+        return _verified(f, r, *_found_2d(periodic_points_2d(f, r, config)))
+    found = periodic_points_1d(f, r)
+    if isinstance(found, AllPoints):
+        return _verified(f, r, [np.array([GENERIC_POINT])], {"complete": False})
+    record = {"complete": len(found) == root_count_1d(f, r)}
+    return _verified(f, r, [np.array([z]) for z in found], record)
 
 
 def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
-    """Yield (r, orbits, record) for r = 1, ..., r_max: the orbits of
-    ``orbits_of_period`` whose exact period is r, and its record."""
-    for r in range(1, r_max + 1):
-        orbits, record = orbits_of_period(f, r, config)
+    """Yield (r, orbits, record) for r = 1, ..., r_max: ``orbits_of_period``'s
+    orbits of exact period r and its record, in 2-D all from one lockstep."""
+    if f.dim == 2:
+        searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
+        found = (_verified(f, r, *_found_2d(s)) for r, s in enumerate(searches, 1))
+    else:
+        found = (orbits_of_period(f, r, config) for r in range(1, r_max + 1))
+    for r, (orbits, record) in enumerate(found, 1):
         yield r, [orbit for orbit in orbits if orbit.period == r], record

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TIE_TOL, PolyMap, SearchConfig, _as_points, first_near_best
+from .dynamics import TIE_TOL, PolyMap, SearchConfig, _as_points, _norms, first_near_best
 from .errors import ConstructionError, PreconditionError, RangeError
 
 TOL_FIX = 1e-6
@@ -72,11 +72,6 @@ class RepellingConstruction:
     lagrange_identity_error: float
     eigenvalues: tuple
     profile: "SphereMaxProfile | None" = None
-
-
-def _norms(v: np.ndarray, axis=-1) -> np.ndarray:
-    """np.linalg.norm's own formula for norms over axis, without its dispatch."""
-    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=axis))
 
 
 def _phi_derivatives(f: PolyMap, x: np.ndarray):

@@ -148,20 +148,25 @@ class TestCertify:
         # |multiplier| up to rounding; Newton points moved by a few ulps, in
         # unchanged order, must give the same witness
         from holorigid import dynamics
-        solve, rng = dynamics.periodic_points_2d, np.random.default_rng(7)
+        solve, rng = dynamics._newton_lockstep, np.random.default_rng(7)
+        searched = []
 
-        def perturbed(f, r, config):
-            result = solve(f, r, config)
-            z = np.array(result.points)
-            ulps = rng.integers(-3, 4, size=(2,) + z.shape) * np.finfo(float).eps
-            z = z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1])
-            return replace(result, points=tuple(tuple(p) for p in z))
+        def perturbed(f, periods, config):
+            results = []
+            for result in solve(f, periods, config):
+                z = np.array(result.points)
+                ulps = rng.integers(-3, 4, size=(2,) + z.shape) * np.finfo(float).eps
+                z = z.real * (1 + ulps[0]) + 1j * z.imag * (1 + ulps[1])
+                results.append(replace(result, points=tuple(tuple(p) for p in z)))
+            searched.append(tuple(periods))
+            return results
 
-        monkeypatch.setattr(dynamics, "periodic_points_2d", perturbed)
+        monkeypatch.setattr(dynamics, "_newton_lockstep", perturbed)
         path = write("f.json", HENON_MAP)
         witnesses = [run(capsys, ["certify", path, "--mode", "bounded", "--r", "3",
                                   "--starts", "100"])[1]["witness"]
                      for _ in range(6)]
+        assert searched == [(3, 2, 1)] * 6  # the patch ran in every run
         first = witnesses[0]
         assert first["period"] == 3 and first["stability"] == "saddle"
         for w in witnesses[1:]:
@@ -253,6 +258,25 @@ class TestCertify:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == ("precondition rejected: the witness field "
                                "'multipliers' holds a non-finite number\n")
+
+    @pytest.mark.parametrize("mode", ["bounded", "compact", "cyclic"])
+    def test_overflowing_cocycle_is_one_line(self, write, mode):
+        # the cocycle of 1 + 1e300 z^40 along the cycles of z^2 - 1
+        # overflows: no numpy warning joins the one line
+        weight = {"dim": 1, "terms": [{"alpha": [0], "re": 1.0},
+                                      {"alpha": [40], "re": 1e300}]}
+        proc = run_module("certify", write("f.json", SQUARE_MINUS_1),
+                          write("u.json", weight), "--mode", mode, "--r", "3")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("precondition rejected: ")
+
+    def test_overflowing_jet_names_the_point(self):
+        proc = run_module("graded", str(BENCH_INPUTS / "sq2.json"), "--n", "2",
+                          "--point", "1e200,0")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: the Taylor expansion at "
+                               "((1e+200+0j), 0j) overflows\n")
 
     @pytest.mark.parametrize("form", ["json", "human"])
     def test_non_finite_payload_is_refused(self, capsys, write, monkeypatch, form):

@@ -832,6 +832,16 @@ class TestTaylorExpansion:
         jet = PolyFunc(1, {(2,): 1.0}).to_jet((1.0,), 2)
         assert jet.coeffs == {(0,): 1 + 0j, (1,): 2 + 0j, (2,): 1 + 0j}
 
+    def test_overflowing_expansion_names_the_base_point(self):
+        # (1e200)^2 is past float range: a precondition on the point, not a
+        # malformed jet
+        with pytest.raises(PreconditionError) as err:
+            PolyFunc(2, {(2, 0): 1.0}).to_jet((1e200, 0), 2)
+        assert str(err.value) == "the Taylor expansion at ((1e+200+0j), 0j) overflows"
+        with pytest.raises(PreconditionError) as err:
+            HENON.to_jetmap((0, 1e200), 2)
+        assert str(err.value) == "the Taylor expansion at (0j, (1e+200+0j)) overflows"
+
 
 class TestWeightCocycle:
     def test_trivial_weight(self):
@@ -845,6 +855,14 @@ class TestWeightCocycle:
     def test_vanishing_factor(self):
         u = PolyFunc(1, {(1,): 1})
         assert weight_cocycle(u, [np.array([0j]), np.array([-1 + 0j])]) == 0
+
+    def test_overflowing_product_is_not_finite_without_a_warning(self):
+        # 1 + 1e300 z^40 is finite at each of three points, and its product
+        # over them overflows; pytest turns any RuntimeWarning into an error
+        u = PolyFunc(1, {(0,): 1.0, (40,): 1e300})
+        points = [np.array([1.2 + 0j]), np.array([1.1 + 0j]), np.array([0.9 + 0j])]
+        assert all(np.isfinite(u(p)) for p in points)
+        assert not np.isfinite(weight_cocycle(u, points))
 
     def test_multiplicative_splitting(self):
         # u_{a+b}(p) = u_a(p) * u_b(f^a(p))
@@ -1023,6 +1041,107 @@ class TestPeriodicPoints2D:
         for i in (0, 2):
             assert np.allclose(x[i], np.linalg.solve(m[i], b[i]), rtol=1e-15)
         assert np.all(np.isfinite(x))
+
+
+def _per_period_orbits(f, r_max, config):
+    """periodic_orbits in 2-D as it ran before one lockstep served every
+    period: one periodic_points_2d search per period, then the walks."""
+    out = []
+    for r in range(1, r_max + 1):
+        result = periodic_points_2d(f, r, config)
+        record = {"complete": False, "starts": result.starts,
+                  "converged": result.converged, "seed": result.seed}
+        orbits = []
+        for p in result.points:
+            try:
+                orbits.append(make_orbit(f, p, r))
+            except OrbitError:
+                record["complete"] = False
+        out.append((r, [orbit for orbit in orbits if orbit.period == r], record))
+    return out
+
+
+def _orbit_bits(found):
+    return [(r, record, [(o.period, o.stability, _bits(o.points),
+                          _bits(o.multipliers), _bits(o.residual)) for o in orbits])
+            for r, orbits, record in found]
+
+
+_COEFF = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
+
+
+@st.composite
+def _maps_2d(draw):
+    """Henon maps (y, p(y) - delta x) with deg p in 2..3, and other maps on
+    C^2 of degree at most 3 with a few terms per component."""
+    if draw(st.booleans()):
+        p = draw(st.lists(_COEFF, min_size=3, max_size=4))
+        p[-1] = p[-1] or 1.0
+        delta = draw(_COEFF.filter(lambda c: c != 0))
+        return PolyMap(2, ({(0, 1): 1.0}, {**{(0, k): c for k, c in enumerate(p)},
+                                           (1, 0): -delta}))
+    alpha = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda a: sum(a) <= 3)
+    return PolyMap(2, tuple(draw(st.dictionaries(alpha, _COEFF, min_size=1,
+                                                 max_size=4)) for _ in range(2)))
+
+
+class TestLockstep:
+    """periodic_orbits in 2-D runs every period in one Newton lockstep, and
+    each row keeps the bits of a search of its own period."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_maps_2d(), st.integers(1, 4), st.integers(0, 60), st.integers(0, 1000))
+    def test_matches_a_search_per_period(self, f, r_max, starts, seed):
+        config = SearchConfig(starts=starts, seed=seed)
+        assert (_orbit_bits(periodic_orbits(f, r_max, config))
+                == _orbit_bits(_per_period_orbits(f, r_max, config)))
+
+    @pytest.mark.parametrize("f, r_max, starts", [
+        (PolyMap.linear(np.eye(2)), 3, 20),  # every row converges at step 0
+        (PolyMap(2, ({(0, 1): 1}, {(1, 0): 1})), 4, 30),  # (z2, z1): singular
+        (PolyMap(2, ({(3, 0): 1e300, (0, 1): 1}, {(0, 3): 1e300})), 3, 40),
+        (HENON, 4, 1),  # one start: each block is one row, run as two copies
+        (HENON, 4, 400),
+    ], ids=["identity", "swap", "overflow", "one-start", "henon"])
+    def test_fixed_cases(self, monkeypatch, f, r_max, starts):
+        config = SearchConfig(starts=starts, seed=3)
+        rows, evaluate = [], PolyMap.evaluate_batch
+
+        def counting(self, points):
+            rows.append(len(points))
+            return evaluate(self, points)
+
+        want = [_newton_reference(f, r, config) for r in range(1, r_max + 1)]
+        monkeypatch.setattr(PolyMap, "evaluate_batch", counting)
+        for r in range(1, r_max + 1):
+            periodic_points_2d(f, r, config)
+        want_rows, rows[:] = rows[:], []
+        found = dynamics._newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
+        monkeypatch.setattr(PolyMap, "evaluate_batch", evaluate)
+        assert ([(_bits(res.points), res.converged) for res in found]
+                == [(_bits(points), converged) for points, converged in want])
+        # the same rows in fewer calls, none larger than one period's starts
+        assert sum(rows) == sum(want_rows) and max(rows, default=0) <= starts
+        assert len(rows) <= len(want_rows)
+        assert (_orbit_bits(periodic_orbits(f, r_max, config))
+                == _orbit_bits(_per_period_orbits(f, r_max, config)))
+
+    def test_identity_converges_at_once(self):
+        config = SearchConfig(starts=20, seed=5)
+        found = dynamics._newton_lockstep(PolyMap.linear(np.eye(2)), (3, 2, 1), config)
+        assert [(len(res.points), res.converged) for res in found] == [(20, 20)] * 3
+
+    def test_every_period_is_searched_before_the_first_is_yielded(self, monkeypatch):
+        calls = []
+        search = dynamics._newton_lockstep
+        monkeypatch.setattr(dynamics, "_newton_lockstep",
+                            lambda *args: calls.append(args[1]) or search(*args))
+        orbits = periodic_orbits(HENON, 3, SearchConfig(starts=50, seed=1))
+        assert calls == []  # a generator runs nothing before it is read
+        next(orbits)
+        assert [tuple(periods) for periods in calls] == [(3, 2, 1)]
+        assert [r for r, _, _ in orbits] == [2, 3] and len(calls) == 1
 
 
 class TestMakeOrbit:

@@ -175,20 +175,23 @@ class TestSaddleCertificate:
         assert cert.witness["stability"] == "saddle"
 
     def test_caller_config_at_every_period(self, monkeypatch):
-        # every period runs, past one that gives Unbounded too
-        calls = []
-        search = dynamics.periodic_points_2d
+        # every period runs, past one that gives Unbounded too, all in one
+        # lockstep search
+        calls, runs = [], []
+        search = dynamics._newton_lockstep
 
-        def counting(f, r, config):
-            calls.append((r, config))
-            return search(f, r, config)
+        def counting(f, periods, config):
+            runs.append(tuple(periods))
+            calls.extend((r, config) for r in sorted(periods))
+            return search(f, periods, config)
 
-        monkeypatch.setattr(dynamics, "periodic_points_2d", counting)
+        monkeypatch.setattr(dynamics, "_newton_lockstep", counting)
         config = SearchConfig(starts=40, seed=4)
         for u, verdict in ((PolyFunc(2, {}), INAPPLICABLE), (None, UNBOUNDED)):
-            calls.clear()
+            calls.clear(), runs.clear()
             cert = saddle_certificate(HenonComposition((STANDARD,)), u,
                                       r_max=3, config=config)
+            assert runs == [(3, 2, 1)]  # the patch ran, once
             assert cert.verdict == verdict
             assert calls == [(1, config), (2, config), (3, config)]
 
