@@ -203,7 +203,7 @@ def _write_csv(path, header, rows):
 
 
 def _multistart_tolerances() -> dict:
-    """The cuts of the two-variable Newton multistart, read at call time."""
+    """The cuts of the Newton multistart on C^d, d >= 2, read at call time."""
     return {"newton_residual": dynamics.NEWTON_RESIDUAL,
             "escape_norm": dynamics.ESCAPE_NORM,
             "dedup_radius": dynamics.DEDUP_RADIUS}
@@ -256,8 +256,8 @@ def _collect_orbits(f, r_max, args):
     """Periodic orbits of exact period 1..r_max, and the search record.
 
     The search counts as complete only for one variable, when every period
-    resolved as many distinct points as f^r(z) - z has roots.  In two
-    variables the record keeps each period's multistart counts.
+    resolved as many distinct points as f^r(z) - z has roots.  On C^d,
+    d >= 2, the record keeps each period's multistart counts.
     """
     orbits, complete, runs = [], True, {}
     for r, found, record in periodic_orbits(
@@ -454,7 +454,7 @@ def build_parser(seed_default: str) -> Parser:
     p.add_argument("--point", default=None,
                    help="certify the orbit through this point only")
     p.add_argument("--starts", type=_int_at_least(1), default=400,
-                   help="Newton multistart budget for 2d point search")
+                   help="Newton multistart budget of the point search on C^d, d >= 2")
     common(p, cmd_certify)
 
     p = sub.add_parser("search-repelling",

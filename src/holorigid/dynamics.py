@@ -6,7 +6,7 @@ value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
 dividing r are the roots of f^r(z) - z, found all at once by cyclic Newton
 on the orbit system from the preimage tree of a point under f^r, with
 Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
-Newton disks; in two variables a seeded Newton multistart, one lockstep
+Newton disks; on C^d, d >= 2, a seeded Newton multistart, one lockstep
 over all periods, supplies witnesses without any completeness claim.
 ``orbits_of_period`` is the one periodic-orbit search, and
 ``periodic_orbits`` its loop over periods; every obstruction reads them.
@@ -18,7 +18,7 @@ import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,8 +33,8 @@ TIE_TOL = 1e-12  # relative gap below which two maxima are equal
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL = 1e-12
 NEWTON_STEPS = 100
-START_RADIUS = 5.0  # 2-D multistart: starts uniform in a polydisc of this radius
-ESCAPE_NORM = 1e9  # 2-D multistart: a start whose norm passes this has diverged
+START_RADIUS = 5.0  # Newton multistart: starts uniform in a polydisc of this radius
+ESCAPE_NORM = 1e9  # Newton multistart: a start whose norm passes this has diverged
 SWEEPS_PER_ROOT = 20
 SHOOTING_STEPS = 25  # cyclic Newton steps per row of the one-variable search
 SHOOTING_REACH = 0.3  # a cyclic Newton step moves no z_j by more than this (1 + |z_j|)
@@ -815,23 +815,41 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# two-variable Newton multistart
+# Newton multistart on C^d, d >= 2
 
 
-def _chain_2x2(step: np.ndarray, m):
-    """Entries (a, b, c, d) of step @ m, for a stack step (N, 2, 2) and the
-    entries of m.  Stacked 2x2 matrices are kept as entry arrays: numpy runs
-    a stacked complex matmul as one zgemm call per matrix."""
-    p, q, s, t = step.reshape(-1, 4).T
-    a, b, c, d = m
-    return p * a + q * c, p * b + q * d, s * a + t * c, s * b + t * d
+def _alt_sum(terms: list, sign=1):
+    """sign * (t0 - t1 + t2 - ...): the added terms left to right, then each subtracted."""
+    return reduce(np.subtract, terms[sign > 0::2], reduce(np.add, terms[sign < 0::2]))
 
 
-def solve_2x2(m, v: np.ndarray):
-    """Cramer's rule for m x = v, m by entries; x (0 if det == 0), det != 0."""
-    a, b, c, d = m
-    det = a * d - b * c
-    x = np.stack([d * v[:, 0] - b * v[:, 1], a * v[:, 1] - c * v[:, 0]], axis=1)
+def _chain(step: np.ndarray, m) -> list:
+    """Entries of step @ m, row-major, for a stack step (N, d, d) and the d * d
+    entry arrays of m, entry (i, j) the sum of step[i, k] * m[k, j] left to
+    right.  numpy runs a stacked complex matmul as one zgemm call per matrix."""
+    d = step.shape[-1]
+    s, m = list(step.reshape(-1, d * d).T), list(m)
+    return [sum([s[i + k] * m[k * d + j] for k in range(1, d)], s[i] * m[j])
+            for i in range(0, d * d, d) for j in range(d)]
+
+
+def _minor(m, d: int, rows: tuple, cols: tuple):
+    """Determinant of the rows x cols block of the d * d entry arrays m, by
+    Laplace expansion along its first row, each entry times its minor."""
+    if len(rows) == 1:
+        return m[rows[0] * d + cols[0]]
+    return _alt_sum([m[rows[0] * d + c] * _minor(m, d, rows[1:], cols[:k] + cols[k + 1:])
+                     for k, c in enumerate(cols)])
+
+
+def _solve(m, v: np.ndarray):
+    """Cramer's rule for m x = v, m by its d * d entry arrays: x (0 where det
+    == 0), det != 0.  For m = (a, b, c, d), x = (d v0 - b v1, a v1 - c v0) / det."""
+    d, full = v.shape[1], tuple(range(v.shape[1]))
+    rest = [full[:k] + full[k + 1:] for k in full]
+    det = _minor(m, d, full, full)
+    x = np.stack([_alt_sum([_minor(m, d, rest[j], rest[i]) * v[:, j] for j in full],
+                           (-1) ** i) for i in full], axis=1)
     return x / np.where(det == 0, np.inf, det)[:, None], det != 0
 
 
@@ -865,19 +883,19 @@ def _norms(v: np.ndarray, axis=-1) -> np.ndarray:
 
 
 def _newton_lockstep(f: PolyMap, periods, config: SearchConfig) -> list:
-    """The multistart's SearchResult for f^r(z) = z on C^2 at each r of
-    ``periods`` (descending), in one lockstep.  Row k * starts + s runs start
+    """The multistart's SearchResult for f^r(z) = z on C^d, d >= 2, at each r
+    of ``periods`` (descending), in one lockstep.  Row k * starts + s runs start
     s at periods[k]; live rows keep that order and step in blocks of at most
     ``config.starts``, chain stage j on the prefix whose period exceeds j, so
     each row has the bits of a search of its period alone."""
-    n = config.starts
+    n, d = config.starts, f.dim
     rng = np.random.default_rng(config.seed)
-    rad = rng.uniform(0.0, 1.0, size=(n, 2)) ** 0.5 * START_RADIUS
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
+    rad = rng.uniform(0.0, 1.0, size=(n, d)) ** 0.5 * START_RADIUS
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, d))
     z = np.tile(rad * np.exp(1j * ang), (len(periods), 1))
     converged, alive = np.zeros(len(z), dtype=bool), np.ones(len(z), dtype=bool)
     bound = [n * sum(r > j for r in periods) for j in range(max(periods, default=0))]
-    eye = np.eye(2, dtype=complex).reshape(4, 1)  # entries (a, b, c, d) of I
+    eye = np.eye(d, dtype=complex).reshape(d * d, 1)  # the entries of I
     with np.errstate(all="ignore"):  # divergent starts overflow, then drop
         for _ in range(NEWTON_STEPS):
             live = np.flatnonzero(alive)
@@ -889,16 +907,16 @@ def _newton_lockstep(f: PolyMap, periods, config: SearchConfig) -> list:
                 for j in range(periods[rows[0] // n]):  # rows below bound[j]: period > j
                     m = rows.searchsorted(bound[j])
                     w[:m], jac = f.evaluate_batch(w[:m])
-                    chain[:, :m] = _chain_2x2(jac, chain[:, :m])
+                    chain[:, :m] = _chain(jac, chain[:, :m])
                     del jac  # so that the next stage's arrays can take its memory
                 fv = w - zl
                 converged[rows] = _norms(fv) <= NEWTON_RESIDUAL * (1.0 + _norms(zl))
-                step, solved = solve_2x2(chain - eye, fv)
+                step, solved = _solve(chain - eye, fv)
                 alive[rows] = keep = ~converged[rows] & solved
                 rows, zl = rows[keep], zl[keep] - step[keep]
                 z[rows] = zl
                 alive[rows] = _norms(zl) <= ESCAPE_NORM  # NaN fails too
-    found = [zk[ok] for zk, ok in zip(z.reshape(len(periods), n, 2),
+    found = [zk[ok] for zk, ok in zip(z.reshape(len(periods), n, d),
                                       converged.reshape(len(periods), n))]
     return [SearchResult(tuple(tuple(x[cl[0]]) for cl in cluster_points(x, DEDUP_RADIUS)),
                          len(x), n, config.seed) for x in found]
@@ -1054,7 +1072,7 @@ def _verified(f: PolyMap, r: int, points, record: dict):
     return orbits, record
 
 
-def _found_2d(result: SearchResult):  # the points and record of a 2-D search
+def _found(result: SearchResult):  # the points and record of a multistart
     return result.points, {"complete": False, "starts": result.starts,
                            "converged": result.converged, "seed": result.seed}
 
@@ -1066,16 +1084,13 @@ def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
     In one variable the points are all roots of f^r(z) - z, and
     ``record["complete"]`` holds when as many distinct points were resolved
     as f^r(z) - z has roots; where f^r is the identity, the orbit through
-    GENERIC_POINT is offered and the record is incomplete.  In two
-    variables the record carries the ``config`` multistart's ``starts``,
+    GENERIC_POINT is offered and the record is incomplete.  On C^d, d >= 2,
+    the record carries the ``config`` Newton multistart's ``starts``,
     ``converged`` and ``seed``.  A point whose walk ``make_orbit`` rejects
     is left out, and the record is then incomplete.
     """
-    if f.dim > 2:
-        raise PreconditionError(f"periodic orbits are searched for only on "
-                                f"C^1 and C^2, and this map is on C^{f.dim}")
-    if f.dim == 2:
-        return _verified(f, r, *_found_2d(periodic_points_2d(f, r, config)))
+    if f.dim > 1:
+        return _verified(f, r, *_found(_newton_lockstep(f, (r,), config)[0]))
     found = periodic_points_1d(f, r)
     if isinstance(found, AllPoints):
         return _verified(f, r, [np.array([GENERIC_POINT])], {"complete": False})
@@ -1085,10 +1100,10 @@ def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
 
 def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
     """Yield (r, orbits, record) for r = 1, ..., r_max: ``orbits_of_period``'s
-    orbits of exact period r and its record, in 2-D all from one lockstep."""
-    if f.dim == 2:
+    orbits of exact period r and its record, for d >= 2 all from one lockstep."""
+    if f.dim > 1:
         searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
-        found = (_verified(f, r, *_found_2d(s)) for r, s in enumerate(searches, 1))
+        found = (_verified(f, r, *_found(s)) for r, s in enumerate(searches, 1))
     else:
         found = (orbits_of_period(f, r, config) for r in range(1, r_max + 1))
     for r, (orbits, record) in enumerate(found, 1):

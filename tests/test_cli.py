@@ -45,6 +45,18 @@ NEAR_ORIGIN = {"dim": 1, "components": [[{"alpha": [0], "re": 1e-13},
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
+def _numpy_build() -> str:
+    """numpy's version and BLAS/LAPACK names, for the message of a pin on
+    last bits, which a different build may move."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = " / ".join(f"{deps[k]['name']} {deps[k].get('version', '')}".strip()
+                          for k in ("blas", "lapack"))
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        libs = "unreported BLAS / LAPACK"
+    return f"numpy {np.__version__} on {libs}"
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(name, doc):
@@ -433,7 +445,8 @@ class TestSearchRepelling:
         monkeypatch.setattr(sphere, "_newton_steps", counting)
         path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
         code, _ = run(capsys, ["search-repelling", str(path), "--seed", "101"])
-        assert code == 0 and counted == [iterations, rows]
+        assert code == 0 and counted == [iterations, rows], (
+            f"{name}: {counted} Newton iterations and row-steps on {_numpy_build()}")
 
     def test_definite_rows_skip_eigh(self, capsys, monkeypatch):
         # on mix3 most rows have a negative definite tangent Hessian, whose
@@ -969,22 +982,43 @@ class TestContract:
         assert captured.err.startswith("usage error: --")
         assert captured.err.count("\n") == 1
 
-    def test_cyclic_on_two_variables_names_no_library_keyword(self, capsys, write):
-        code = main(["certify", write("f.json", HENON_MAP), "--mode", "cyclic"])
+    @pytest.mark.parametrize("fmap", [HENON_MAP, BENCH_INPUTS / "mix3.json"],
+                             ids=["henon", "mix3"])
+    def test_cyclic_on_several_variables_names_no_library_keyword(self, capsys, write,
+                                                                  fmap):
+        path = write("f.json", fmap) if isinstance(fmap, dict) else str(fmap)
+        code = main(["certify", path, "--mode", "cyclic"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("precondition rejected: the cyclic")
         assert "points=" not in captured.err and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", ["bounded", "compact", "hypercyclic",
-                                      "supercyclic"])
-    def test_three_variables_name_no_library_function(self, capsys, mode):
-        code = main(["certify", str(BENCH_INPUTS / "mix3.json"), "--mode", mode])
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert captured.err == ("precondition rejected: periodic orbits are "
-                                "searched for only on C^1 and C^2, and this "
-                                "map is on C^3\n")
+    @pytest.mark.parametrize("mode, verdict", [
+        ("bounded", rigidity.UNBOUNDED), ("compact", rigidity.NON_COMPACT),
+        ("hypercyclic", rigidity.NOT_HYPERCYCLIC),
+        ("supercyclic", rigidity.NOT_SUPERCYCLIC)])
+    def test_three_variables_search_by_multistart(self, capsys, mode, verdict):
+        code, doc = run(capsys, ["certify", str(BENCH_INPUTS / "mix3.json"),
+                                 "--mode", mode, "--r", "2", "--seed", "101"])
+        assert code == 0 and doc["verdict"] == verdict
+        search = doc["metadata"]["search"]
+        assert list(search) == ["complete", "r=1", "r=2"] and not search["complete"]
+        for record in (search["r=1"], search["r=2"]):
+            assert record["starts"] == 400 and record["seed"] == 101
+            assert 0 < record["converged"] <= 400
+        assert doc["tolerances"].items() >= MULTISTART_TOLS.items()
+
+    def test_three_variable_orbit_counts(self, capsys):
+        # orbits of exact period 1..r that 400 starts find on mix3; at r = 3,
+        # 1600 starts find 613, so no search is complete
+        counts = []
+        for r in (1, 2, 3):
+            code, doc = run(capsys, ["certify", str(BENCH_INPUTS / "mix3.json"),
+                                     "--mode", "bounded", "--r", str(r),
+                                     "--seed", "101"])
+            assert code == 0 and doc["metadata"]["search"]["complete"] is False
+            counts.append(doc["metadata"]["orbits_examined"])
+        assert counts == [9, 66, 312], f"{counts} orbits on {_numpy_build()}"
 
 
 REPELLING_ARGS = ["--s-range=-1.0:2.5", "--starts", "80", "--grid-starts", "12",

@@ -33,7 +33,6 @@ from holorigid.dynamics import (
     periodic_points_1d,
     periodic_points_2d,
     root_count_1d,
-    solve_2x2,
     weight_cocycle,
 )
 from holorigid.errors import (
@@ -900,27 +899,27 @@ class TestWeightCocycle:
 
 
 def _newton_reference(f, r, config):
-    """The 2-D multistart as it ran before its early exit: all NEWTON_STEPS
-    steps, even once no start is left, on the same per-step helpers.
-    Returns (points, converged)."""
+    """The multistart as it ran before its early exit and its lockstep: all
+    NEWTON_STEPS steps, even once no start is left, one period at a time, on
+    the same per-step helpers.  Returns (points, converged)."""
+    d = f.dim
     rng = np.random.default_rng(config.seed)
-    rad = rng.uniform(0.0, 1.0, size=(config.starts, 2)) ** 0.5 * dynamics.START_RADIUS
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, 2))
+    rad = rng.uniform(0.0, 1.0, size=(config.starts, d)) ** 0.5 * dynamics.START_RADIUS
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(config.starts, d))
     z = rad * np.exp(1j * ang)
     live = np.arange(config.starts)
     converged = np.zeros(config.starts, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(dynamics.NEWTON_STEPS):
-            w, jac = z[live], (1.0, 0.0, 0.0, 1.0)
+            w, jac = z[live], np.eye(d).reshape(d * d, 1)
             for _ in range(r):
                 w, step_jac = f.evaluate_batch(w)
-                jac = dynamics._chain_2x2(step_jac, jac)
+                jac = dynamics._chain(step_jac, jac)
             fv = w - z[live]
             done = (np.linalg.norm(fv, axis=1) <= dynamics.NEWTON_RESIDUAL
                     * (1.0 + np.linalg.norm(z[live], axis=1)))
             converged[live[done]] = True
-            a, b, c, d = jac
-            step, solved = solve_2x2((a - 1.0, b, c, d - 1.0), fv)
+            step, solved = dynamics._solve(np.array(jac) - np.eye(d).reshape(d * d, 1), fv)
             live, step = live[~done & solved], step[~done & solved]
             z[live] -= step
             live = live[np.linalg.norm(z[live], axis=1) <= dynamics.ESCAPE_NORM]
@@ -929,38 +928,121 @@ def _newton_reference(f, r, config):
     return tuple(tuple(found[cl[0]]) for cl in clusters), len(found)
 
 
-def _random_2x2(rng, n):
-    return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+def _random_stack(rng, n, d=2):
+    return rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+
+
+def _entries(m):
+    """The d * d entry arrays of a stack (N, d, d), row-major."""
+    return m.reshape(len(m), -1).T
+
+
+def _chain_2x2(step, m):
+    """The 2x2 chain as the multistart wrote it before it served every d."""
+    p, q, s, t = step.reshape(-1, 4).T
+    a, b, c, d = m
+    return p * a + q * c, p * b + q * d, s * a + t * c, s * b + t * d
+
+
+def _solve_2x2(m, v):
+    """The 2x2 Cramer solve as the multistart wrote it before it served every d."""
+    a, b, c, d = m
+    det = a * d - b * c
+    x = np.stack([d * v[:, 0] - b * v[:, 1], a * v[:, 1] - c * v[:, 0]], axis=1)
+    return x / np.where(det == 0, np.inf, det)[:, None], det != 0
+
+
+def _awkward_2x2(rng, n):
+    """A step, a chain and a right-hand side of height n whose rows past the
+    first hold a singular chain, inf and NaN entries and an inf value."""
+    step, m = _random_stack(rng, n), _random_stack(rng, n)
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    for k, row in enumerate(range(1, n)):
+        if k % 4 == 0:
+            m[row, 1] = 0.0  # det == 0
+        elif k % 4 == 1:
+            step[row, 0, 1], m[row, 1, 1] = np.inf, complex(np.nan, 1.0)
+        elif k % 4 == 2:
+            m[row, 0, 0], v[row, 1] = complex(1.0, np.inf), np.inf
+        else:
+            m[row] = 0.0
+    return step, m, v
 
 
 class TestJacobianChain:
-    """The multistart keeps D(f^r) as four entry arrays, not a stack of
-    2x2 matrices."""
+    """The multistart keeps D(f^r) as d * d entry arrays, not a stack of
+    d x d matrices, and solves on them by Cramer's rule."""
 
-    def test_matches_matmul(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1600])
+    def test_two_variables_keep_the_2x2_bits(self, n):
+        # bit for bit, NaN rows included: numpy's complex product is not
+        # commutative in the last bit, so every operand order is kept
+        step, m, v = _awkward_2x2(np.random.default_rng(n), n)
+        with np.errstate(all="ignore"):
+            got, want = dynamics._chain(step, _entries(m)), _chain_2x2(step, _entries(m))
+            assert np.stack(got).tobytes() == np.stack(want).tobytes()
+            (x, ok), (want_x, want_ok) = (dynamics._solve(_entries(m), v),
+                                          _solve_2x2(_entries(m), v))
+        assert x.tobytes() == want_x.tobytes() and ok.tolist() == want_ok.tolist()
+        assert not ok[1::4].any()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_matmul(self, d):
         rng = np.random.default_rng(6)
-        step, m = _random_2x2(rng, 60), _random_2x2(rng, 60)
+        step, m = _random_stack(rng, 60, d), _random_stack(rng, 60, d)
         step[3, 0, 1], step[5, 1, 1] = np.inf, complex(np.nan, 0.0)
         m[7, 0, 0], m[9] = complex(1.0, np.inf), np.nan
         with np.errstate(all="ignore"):
-            got = np.stack(dynamics._chain_2x2(step, m.reshape(-1, 4).T), axis=1)
-            want = np.matmul(step, m).reshape(-1, 4)
-            bound = 4 * np.finfo(float).eps * (np.abs(step) @ np.abs(m)).reshape(-1, 4)
+            got = np.stack(dynamics._chain(step, _entries(m)), axis=1)
+            want = np.matmul(step, m).reshape(60, -1)
+            # d complex products and d - 1 sums, in either order
+            bound = (2 * d * np.finfo(float).eps
+                     * (np.abs(step) @ np.abs(m)).reshape(60, -1))
         # an overflowing row may give inf where zgemm gives NaN
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
         assert np.flatnonzero(~np.isfinite(got).all(axis=1)).tolist() == [3, 5, 7, 9]
         ok = np.isfinite(want)
         assert np.all(np.abs(got - want)[ok] <= bound[ok])
 
-    def test_a_row_does_not_depend_on_the_stack(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_row_does_not_depend_on_the_stack(self, d):
         # gemm and gemv may block a stack by its height; ufuncs go entry
         # by entry
         rng = np.random.default_rng(9)
-        step, m = _random_2x2(rng, 1600), _random_2x2(rng, 1600)
-        rows = [np.stack(dynamics._chain_2x2(step[:n], m[:n].reshape(-1, 4).T))
-                for n in (1, 7, 1600)]
+        step, m = _random_stack(rng, 1600, d), _random_stack(rng, 1600, d)
+        v = rng.normal(size=(1600, d)) + 1j * rng.normal(size=(1600, d))
+        rows = [np.stack(dynamics._chain(step[:n], _entries(m[:n]))) for n in (1, 7, 1600)]
+        xs = [dynamics._solve(_entries(m[:n]), v[:n])[0] for n in (1, 7, 1600)]
         assert rows[0].tobytes() == rows[1][:, :1].copy().tobytes()
         assert rows[1].tobytes() == rows[2][:, :7].copy().tobytes()
+        assert xs[0].tobytes() == xs[1][:1].tobytes()
+        assert xs[1].tobytes() == xs[2][:7].tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_solve_matches_lapack(self, d):
+        # Cramer's rule is forward stable for small d: within
+        # 8 d eps cond(m) ||x|| of LAPACK's solution
+        rng = np.random.default_rng(d)
+        m = _random_stack(rng, 1600, d)
+        v = rng.normal(size=(1600, d)) + 1j * rng.normal(size=(1600, d))
+        x, ok = dynamics._solve(_entries(m), v)
+        want = np.linalg.solve(m, v[..., None])[..., 0]
+        bound = (8 * d * np.finfo(float).eps * np.linalg.cond(m)
+                 * np.linalg.norm(want, axis=1))
+        assert ok.all() and np.all(np.linalg.norm(x - want, axis=1) <= bound)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_singular_rows_are_dropped_alone(self, d):
+        rng = np.random.default_rng(d)
+        # every term of a Laplace expansion of m[2] or m[3] has a factor 0
+        m = _random_stack(rng, 4, d)
+        m[2], m[3, :, 1] = 0.0, 0.0
+        v = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        x, ok = dynamics._solve(_entries(m), v)
+        assert ok.tolist() == [True, True, False, False]
+        assert np.allclose(x[:2], np.linalg.solve(m[:2], v[:2, :, None])[..., 0],
+                           rtol=1e-13)
+        assert np.all(x[2:] == 0)
 
 
 class TestPeriodicPoints2D:
@@ -1036,7 +1118,7 @@ class TestPeriodicPoints2D:
         m = np.array([[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[0, 1j], [1, 0]]],
                      dtype=complex)
         b = np.array([[3, 2], [1, 1], [1j, 2]], dtype=complex)
-        x, ok = solve_2x2(m.reshape(-1, 4).T, b)
+        x, ok = dynamics._solve(_entries(m), b)
         assert ok.tolist() == [True, False, True]
         for i in (0, 2):
             assert np.allclose(x[i], np.linalg.solve(m[i], b[i]), rtol=1e-15)
@@ -1044,11 +1126,11 @@ class TestPeriodicPoints2D:
 
 
 def _per_period_orbits(f, r_max, config):
-    """periodic_orbits in 2-D as it ran before one lockstep served every
-    period: one periodic_points_2d search per period, then the walks."""
+    """periodic_orbits on C^d, d >= 2, as it ran before one lockstep served
+    every period: a one-period multistart per period, then the walks."""
     out = []
     for r in range(1, r_max + 1):
-        result = periodic_points_2d(f, r, config)
+        result = dynamics._newton_lockstep(f, (r,), config)[0]
         record = {"complete": False, "starts": result.starts,
                   "converged": result.converged, "seed": result.seed}
         orbits = []
@@ -1086,12 +1168,21 @@ def _maps_2d(draw):
                                                  max_size=4)) for _ in range(2)))
 
 
-class TestLockstep:
-    """periodic_orbits in 2-D runs every period in one Newton lockstep, and
-    each row keeps the bits of a search of its own period."""
+@st.composite
+def _maps_3d(draw):
+    """Maps on C^3 of degree at most 3 with a few terms per component."""
+    alpha = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda a: sum(a) <= 3)
+    return PolyMap(3, tuple(draw(st.dictionaries(alpha, _COEFF, min_size=1,
+                                                 max_size=4)) for _ in range(3)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(_maps_2d(), st.integers(1, 4), st.integers(0, 60), st.integers(0, 1000))
+
+class TestLockstep:
+    """periodic_orbits on C^d, d >= 2, runs every period in one Newton
+    lockstep, and each row keeps the bits of a search of its own period."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_maps_2d(), _maps_3d()), st.integers(1, 4), st.integers(0, 60),
+           st.integers(0, 1000))
     def test_matches_a_search_per_period(self, f, r_max, starts, seed):
         config = SearchConfig(starts=starts, seed=seed)
         assert (_orbit_bits(periodic_orbits(f, r_max, config))
@@ -1103,7 +1194,11 @@ class TestLockstep:
         (PolyMap(2, ({(3, 0): 1e300, (0, 1): 1}, {(0, 3): 1e300})), 3, 40),
         (HENON, 4, 1),  # one start: each block is one row, run as two copies
         (HENON, 4, 400),
-    ], ids=["identity", "swap", "overflow", "one-start", "henon"])
+        (PolyMap.linear(np.eye(3)), 3, 20),
+        (PolyMap(3, ({(0, 1, 0): 1}, {(0, 0, 1): 1}, {(1, 0, 0): 1})), 3, 30),
+        (MIX3, 3, 200),
+    ], ids=["identity", "swap", "overflow", "one-start", "henon", "identity-3",
+            "cycle-3", "mix3"])
     def test_fixed_cases(self, monkeypatch, f, r_max, starts):
         config = SearchConfig(starts=starts, seed=3)
         rows, evaluate = [], PolyMap.evaluate_batch
@@ -1115,7 +1210,7 @@ class TestLockstep:
         want = [_newton_reference(f, r, config) for r in range(1, r_max + 1)]
         monkeypatch.setattr(PolyMap, "evaluate_batch", counting)
         for r in range(1, r_max + 1):
-            periodic_points_2d(f, r, config)
+            dynamics._newton_lockstep(f, (r,), config)
         want_rows, rows[:] = rows[:], []
         found = dynamics._newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
         monkeypatch.setattr(PolyMap, "evaluate_batch", evaluate)
