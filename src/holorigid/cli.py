@@ -165,10 +165,8 @@ def _dumps(obj, **kwargs) -> str:
         raise PreconditionError("the result holds a non-finite number") from None
 
 
-def _render_human(obj, indent=0):
+def _render_human(obj, indent=0):  # obj is a dict or a list
     pad = "  " * indent
-    if not isinstance(obj, (dict, list)):
-        return [f"{pad}{_dumps(obj)}"]
     lines = []
     items = ([(f"{key}:", val) for key, val in obj.items()]
              if isinstance(obj, dict) else [("-", val) for val in obj])
@@ -264,7 +262,7 @@ def _collect_orbits(f, r_max, args):
             f, r_max, SearchConfig(starts=args.starts, seed=args.seed)):
         orbits.extend(found)
         complete = record.pop("complete") and complete
-        if f.dim != 1:
+        if record:  # the multistart's counts on C^d, d >= 2
             runs[f"r={r}"] = record
     return orbits, complete, {"complete": complete, **runs}
 
@@ -289,22 +287,18 @@ def cmd_certify(args) -> Outcome:
         levels = None if args.lam is None else _parse_complex_list(args.lam)
         if levels == []:
             raise UsageError(f"--lambda holds no level: {args.lam!r}")
-        if f.dim != 1:
-            raise PreconditionError(
-                "the cyclic obstruction counts every periodic point, and "
-                "only a one-variable polynomial has them all enumerated")
         orbits, search = orbits_of_period(f, args.r)
         cert = certifier(f, u, args.r, *orbits, lambda_levels=levels)
         extra = {"r": args.r}
     else:  # hypercyclic, supercyclic
         orbits, complete, search = _collect_orbits(f, args.r, args)
-        cert = certifier(orbits, search_complete=complete)
+        cert = certifier(f, orbits, search_complete=complete)
         extra = {"r_max": args.r}
 
     if comp is not None:
         cert = henon._factor_certificate(cert, comp)
     payload = cert.to_json_dict()
-    if f.dim != 1 and "point_supplied" not in search:  # cyclic needs dim 1
+    if any(key.startswith("r=") for key in search):  # the multistart ran
         payload["tolerances"].update(_multistart_tolerances())
     code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
     return Outcome(payload, {**extra, "mode": mode, "search": search}, code)

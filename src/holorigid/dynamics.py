@@ -8,8 +8,9 @@ on the orbit system from the preimage tree of a point under f^r, with
 Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
 Newton disks; on C^d, d >= 2, a seeded Newton multistart, one lockstep
 over all periods, supplies witnesses without any completeness claim.
-``orbits_of_period`` is the one periodic-orbit search, and
-``periodic_orbits`` its loop over periods; every obstruction reads them.
+``orbits_of_period`` lists every orbit of one period, in one variable
+only, and ``periodic_orbits`` is the search over periods in every
+dimension; every obstruction reads them.
 """
 
 from __future__ import annotations
@@ -991,21 +992,16 @@ def classify(mults) -> str:
     return "indifferent" if bands == {"at"} else "inconclusive"
 
 
-def evaluate_weight(u, point) -> complex:
-    """Evaluate a weight: None means u == 1; PolyFunc and callables both work."""
-    if u is None:
-        return 1.0 + 0j
-    if isinstance(u, PolyFunc):
-        return u(point)
-    return complex(u(np.atleast_1d(np.asarray(point, dtype=complex))))
-
-
 def weight_cocycle(u, orbit) -> complex:
-    """Product of the weight along the orbit: u_r = prod_j u(orbit[j])."""
+    """Product of the weight along the orbit: u_r = prod_j u(orbit[j]);
+    None means u == 1, and PolyFunc and callables both work."""
     if u is None:
         return 1.0 + 0j
+    values = (u(p) if isinstance(u, PolyFunc)
+              else complex(u(np.atleast_1d(np.asarray(p, dtype=complex))))
+              for p in orbit)
     with np.errstate(over="ignore", invalid="ignore"):  # callers test finiteness
-        return math.prod((evaluate_weight(u, p) for p in orbit), start=1.0 + 0j)
+        return math.prod(values, start=1.0 + 0j)
 
 
 def cocycle_poly(u: PolyFunc, f: PolyMap, r: int) -> PolyFunc:
@@ -1072,25 +1068,22 @@ def _verified(f: PolyMap, r: int, points, record: dict):
     return orbits, record
 
 
-def _found(result: SearchResult):  # the points and record of a multistart
-    return result.points, {"complete": False, "starts": result.starts,
-                           "converged": result.converged, "seed": result.seed}
-
-
-def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
+def orbits_of_period(f: PolyMap, r: int):
     """(orbits, record): the ``make_orbit`` result for every point of period
-    dividing r, in point order, and the search record.
+    dividing r of a one-variable f, in point order, and the search record.
 
-    In one variable the points are all roots of f^r(z) - z, and
-    ``record["complete"]`` holds when as many distinct points were resolved
-    as f^r(z) - z has roots; where f^r is the identity, the orbit through
-    GENERIC_POINT is offered and the record is incomplete.  On C^d, d >= 2,
-    the record carries the ``config`` Newton multistart's ``starts``,
-    ``converged`` and ``seed``.  A point whose walk ``make_orbit`` rejects
-    is left out, and the record is then incomplete.
+    The points are all roots of f^r(z) - z, and ``record["complete"]``
+    holds when as many distinct points were resolved as f^r(z) - z has
+    roots; where f^r is the identity, the orbit through GENERIC_POINT is
+    offered and the record is incomplete.  A point whose walk
+    ``make_orbit`` rejects is left out, and the record is then incomplete.
+    On C^d, d >= 2, no search lists every point, so PreconditionError is
+    raised before any search.
     """
-    if f.dim > 1:
-        return _verified(f, r, *_found(_newton_lockstep(f, (r,), config)[0]))
+    if f.dim != 1:
+        raise PreconditionError(
+            "the cyclic obstruction counts every periodic point, and "
+            "only a one-variable polynomial has them all enumerated")
     found = periodic_points_1d(f, r)
     if isinstance(found, AllPoints):
         return _verified(f, r, [np.array([GENERIC_POINT])], {"complete": False})
@@ -1099,12 +1092,17 @@ def orbits_of_period(f: PolyMap, r: int, config: SearchConfig = SearchConfig()):
 
 
 def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
-    """Yield (r, orbits, record) for r = 1, ..., r_max: ``orbits_of_period``'s
-    orbits of exact period r and its record, for d >= 2 all from one lockstep."""
+    """Yield (r, orbits, record) for r = 1, ..., r_max: the verified orbits of
+    exact period r and the search record.  One variable takes
+    ``orbits_of_period`` at each r; on C^d, d >= 2, one lockstep of the
+    ``config`` Newton multistart serves every period, and each record is
+    incomplete and carries its ``starts``, ``converged`` and ``seed``."""
     if f.dim > 1:
         searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
-        found = (_verified(f, r, *_found(s)) for r, s in enumerate(searches, 1))
+        found = (_verified(f, r, s.points, {
+            "complete": False, "starts": s.starts, "converged": s.converged,
+            "seed": s.seed}) for r, s in enumerate(searches, 1))
     else:
-        found = (orbits_of_period(f, r, config) for r in range(1, r_max + 1))
+        found = (orbits_of_period(f, r) for r in range(1, r_max + 1))
     for r, (orbits, record) in enumerate(found, 1):
         yield r, [orbit for orbit in orbits if orbit.period == r], record

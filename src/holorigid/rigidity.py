@@ -14,7 +14,8 @@ hypotheses it is conditional on.  The mechanisms:
   cocycle u_r rule out cyclicity, given linear independence of the point
   evaluations.
 
-Every certificate reads the orbits it is given: nothing here searches.
+Every certificate reads the orbits it is given, and walks the ones its
+verdict cites on the given map: nothing here searches.
 
 A certificate never asserts the converse: NoObstruction means this toolkit
 found nothing, not that the property holds.
@@ -177,11 +178,13 @@ def certify_compact(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertifi
                                    "weight cocycle vanishes on the orbit")
 
 
-def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
+def _periodic_point_certificate(f, verdict, dim_assumption, found_orbits,
                                 search_complete):
+    """The verdict rests on the first orbit, walked again on f."""
     tols = {"tol_orbit": dynamics.TOL_ORBIT}
     if found_orbits:
         first = found_orbits[0]
+        dynamics._closed_walk(f, first.points[0], first.period)
         witness = {
             "point": list(first.points[0]),
             "period": first.period,
@@ -199,15 +202,17 @@ def _periodic_point_certificate(verdict, dim_assumption, found_orbits,
     return ObstructionCertificate(NO_OBSTRUCTION, witness, (dim_assumption,), tols)
 
 
-def certify_hypercyclic(found_orbits, search_complete=False) -> ObstructionCertificate:
-    """Any periodic orbit rules out hypercyclicity (dim V >= 1)."""
-    return _periodic_point_certificate(NOT_HYPERCYCLIC, ASSUME_DIM_GE_1,
+def certify_hypercyclic(f: PolyMap, found_orbits,
+                        search_complete=False) -> ObstructionCertificate:
+    """Any periodic orbit of f rules out hypercyclicity (dim V >= 1)."""
+    return _periodic_point_certificate(f, NOT_HYPERCYCLIC, ASSUME_DIM_GE_1,
                                        tuple(found_orbits), search_complete)
 
 
-def certify_supercyclic(found_orbits, search_complete=False) -> ObstructionCertificate:
-    """Any periodic orbit rules out supercyclicity once dim V >= 2."""
-    return _periodic_point_certificate(NOT_SUPERCYCLIC, ASSUME_DIM_GE_2,
+def certify_supercyclic(f: PolyMap, found_orbits,
+                        search_complete=False) -> ObstructionCertificate:
+    """Any periodic orbit of f rules out supercyclicity once dim V >= 2."""
+    return _periodic_point_certificate(f, NOT_SUPERCYCLIC, ASSUME_DIM_GE_2,
                                        tuple(found_orbits), search_complete)
 
 

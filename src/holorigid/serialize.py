@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .errors import SchemaError
 from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
 
@@ -51,8 +53,6 @@ def _require(obj, key, where, kind=None):
 
 def encode(value):
     """Recursively convert complex scalars/arrays to JSON-ready structures."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from holorigid.dynamics import (
     periodic_orbits,
 )
 from holorigid.errors import OrbitError, PreconditionError
+from holorigid.henon import to_polymap
 from holorigid.rigidity import (
     ASSUME_CONTINUOUS_INCLUSION,
     ASSUME_DIM_GE_1,
@@ -43,10 +45,12 @@ from holorigid.rigidity import (
     certify_supercyclic,
     duality_check,
 )
+from holorigid.serialize import load_henon, load_polymap, read_json
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
 COUNTEREXAMPLE_MAP = PolyMap.from_coeffs_1d([0.5, 1, 0.5])  # (z+1)^2 / 2
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def gaussian_weight(z):
@@ -251,30 +255,38 @@ class TestWitnessSelection:
 class TestHypercyclic:
     def test_square_has_periodic_points(self):
         orbits = [make_orbit(SQUARE, [0], 1)]
-        cert = certify_hypercyclic(orbits)
+        cert = certify_hypercyclic(SQUARE, orbits)
         assert cert.verdict == NOT_HYPERCYCLIC
         assert cert.assumptions == (ASSUME_DIM_GE_1,)
-        sup = certify_supercyclic(orbits)
+        sup = certify_supercyclic(SQUARE, orbits)
         assert sup.verdict == NOT_SUPERCYCLIC
         assert sup.assumptions == (ASSUME_DIM_GE_2,)
 
     def test_translation_shows_no_obstruction(self):
         # z + 1 has no periodic points, so a complete search finds none
-        cert = certify_hypercyclic([], search_complete=True)
+        cert = certify_hypercyclic(PolyMap.from_coeffs_1d([1, 1]), [],
+                                   search_complete=True)
         assert cert.verdict == NO_OBSTRUCTION
         assert cert.witness["search_complete"]
 
     def test_affine_with_fixed_point(self):
         f = PolyMap.from_coeffs_1d([1, 0.5])  # fixed point b/(1-a) = 2
         orbit = make_orbit(f, [2], 1)
-        cert = certify_hypercyclic([orbit])
+        cert = certify_hypercyclic(f, [orbit])
         assert cert.verdict == NOT_HYPERCYCLIC
         assert cert.witness["point"] == pytest.approx([2 + 0j])
 
     def test_incomplete_search_is_flagged(self):
-        cert = certify_hypercyclic([], search_complete=False)
+        cert = certify_hypercyclic(SQUARE, [], search_complete=False)
         assert cert.verdict == NO_OBSTRUCTION
         assert "not a proof of absence" in cert.witness["note"]
+
+    @pytest.mark.parametrize("certify", [certify_hypercyclic, certify_supercyclic])
+    def test_a_hand_built_orbit_that_does_not_close_is_rejected(self, certify):
+        # 0.3 is no fixed point of z^2: the certificate walks it and refuses
+        fake = PeriodicOrbit(((0.3 + 0j,),), 1, (0.6 + 0j,), "attracting", 0.0)
+        with pytest.raises(OrbitError, match=r"f\^1\(p\) - p has residual"):
+            certify(SQUARE, [fake])
 
 
 SCALED_COMPLEX = st.builds(lambda re, im, e: complex(re, im) * 10.0 ** e,
@@ -472,6 +484,20 @@ class TestOneRulePerOrbitFact:
         assert certify_bounded(SQUARE, None, orbit).verdict == bounded
         assert certify_compact(SQUARE, None, orbit).verdict == compact
         assert certify_bounded(HALF, None, make_orbit(HALF, [0], 1)).verdict == bounded
+
+    @pytest.mark.parametrize("name", ["henon_readme.json", "henon.json", "mix3.json"])
+    def test_only_one_variable_lists_every_orbit_of_a_period(self, monkeypatch, name):
+        # the multistart's list is never complete, so no search is started
+        doc = read_json(BENCH_INPUTS / name)
+        f = to_polymap(load_henon(doc)) if "factors" in doc else load_polymap(doc)
+
+        def refuse(*args):
+            raise AssertionError("the Newton multistart ran")
+        monkeypatch.setattr(dynamics, "_newton_lockstep", refuse)
+        with pytest.raises(PreconditionError, match=(
+                r"^the cyclic obstruction counts every periodic point, and only "
+                r"a one-variable polynomial has them all enumerated$")):
+            orbits_of_period(f, 1)
 
     def test_modulus_bands_at_their_edges(self):
         # 1 + TOL_CLASS rounds up, so |m - 1| <= TOL_CLASS missed that one
