@@ -250,23 +250,6 @@ def cmd_graded(args) -> Outcome:
                    failure=failure)
 
 
-def _collect_orbits(f, r_max, args):
-    """Periodic orbits of exact period 1..r_max, and the search record.
-
-    The search counts as complete only for one variable, when every period
-    resolved as many distinct points as f^r(z) - z has roots.  On C^d,
-    d >= 2, the record keeps each period's multistart counts.
-    """
-    orbits, complete, runs = [], True, {}
-    for r, found, record in periodic_orbits(
-            f, r_max, SearchConfig(starts=args.starts, seed=args.seed)):
-        orbits.extend(found)
-        complete = record.pop("complete") and complete
-        if record:  # the multistart's counts on C^d, d >= 2
-            runs[f"r={r}"] = record
-    return orbits, complete, {"complete": complete, **runs}
-
-
 def cmd_certify(args) -> Outcome:
     mode, certifier = args.mode, getattr(rigidity, f"certify_{args.mode}")
     if args.point is not None and mode not in ("bounded", "compact"):
@@ -275,24 +258,25 @@ def cmd_certify(args) -> Outcome:
         raise UsageError("--lambda applies only to --mode cyclic")
     f, comp = _load_map_arg(args.map)
     u = _load_weight_arg(args.weight, f.dim)
-    if mode in ("bounded", "compact"):
-        if args.point:
-            orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]
-            search = {"point_supplied": True}
-        else:
-            orbits, _, search = _collect_orbits(f, args.r, args)
-        cert = certifier(f, u, *orbits)
-        extra = {"orbits_examined": len(orbits)}
+    levels = None if args.lam is None else _parse_complex_list(args.lam)
+    if levels == []:
+        raise UsageError(f"--lambda holds no level: {args.lam!r}")
+    if args.point:
+        orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]
+        search = {"point_supplied": True}
     elif mode == "cyclic":
-        levels = None if args.lam is None else _parse_complex_list(args.lam)
-        if levels == []:
-            raise UsageError(f"--lambda holds no level: {args.lam!r}")
         orbits, search = orbits_of_period(f, args.r)
+    else:
+        orbits, search = periodic_orbits(
+            f, args.r, SearchConfig(starts=args.starts, seed=args.seed))
+    if mode == "cyclic":
         cert = certifier(f, u, args.r, *orbits, lambda_levels=levels)
         extra = {"r": args.r}
+    elif mode in ("bounded", "compact"):
+        cert = certifier(f, u, *orbits)
+        extra = {"orbits_examined": len(orbits)}
     else:  # hypercyclic, supercyclic
-        orbits, complete, search = _collect_orbits(f, args.r, args)
-        cert = certifier(f, orbits, search_complete=complete)
+        cert = certifier(f, orbits, search_complete=search["complete"])
         extra = {"r_max": args.r}
 
     if comp is not None:

@@ -349,7 +349,7 @@ def _closes(residual, size):
 
 
 def _closed_walk(f: PolyMap, p, r: int):
-    """p, ..., f^r(p), |f^r(p) - p|, |p| and the exact period (least d | r
+    """p, ..., f^r(p), |f^r(p) - p| and the exact period (least d | r
     with f^d(p) back at p); OrbitError unless it closes.  Points are Python
     complex in one variable, where np.linalg.norm's sqrt(re^2 + im^2) runs
     in float arithmetic; several variables take one errstate for overflow."""
@@ -365,7 +365,7 @@ def _closed_walk(f: PolyMap, p, r: int):
             raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
         exact = next((d for d in range(1, r) if r % d == 0
                       and _closes(norm(z[d] - z[0]), size)), r)
-    return z, closure, size, exact
+    return z, closure, exact
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1042,7 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     multipliers."""
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
-    walk, closure, size, exact = _closed_walk(f, p, r)
+    walk, closure, exact = _closed_walk(f, p, r)
     mults = _chain_multipliers(f, walk[:exact])
     return PeriodicOrbit(
         points=tuple((x,) if f.dim == 1 else tuple(x.tolist()) for x in walk[:exact]),
@@ -1057,28 +1057,28 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
 # the periodic-orbit search shared by every obstruction
 
 
-def _verified(f: PolyMap, r: int, points, record: dict):
-    """(orbits, record): ``make_orbit`` at ``points``; a walk it rejects is left out."""
+def _verified(f: PolyMap, r: int, points):
+    """(orbits, all_closed): ``make_orbit`` at ``points``; a walk it rejects is left out."""
     orbits = []
     for p in points:
         try:
             orbits.append(make_orbit(f, p, r))
         except OrbitError:  # closed in the search, not in the walk
-            record["complete"] = False
-    return orbits, record
+            pass
+    return orbits, len(orbits) == len(points)
 
 
 def orbits_of_period(f: PolyMap, r: int):
-    """(orbits, record): the ``make_orbit`` result for every point of period
-    dividing r of a one-variable f, in point order, and the search record.
+    """(orbits, search): the ``make_orbit`` result for every point of period
+    dividing r of a one-variable f, in point order, and ``{"complete": ...}``.
 
-    The points are all roots of f^r(z) - z, and ``record["complete"]``
-    holds when as many distinct points were resolved as f^r(z) - z has
-    roots; where f^r is the identity, the orbit through GENERIC_POINT is
-    offered and the record is incomplete.  A point whose walk
-    ``make_orbit`` rejects is left out, and the record is then incomplete.
-    On C^d, d >= 2, no search lists every point, so PreconditionError is
-    raised before any search.
+    The points are all roots of f^r(z) - z, and the search is complete
+    when as many distinct points were resolved as f^r(z) - z has roots;
+    where f^r is the identity, the orbit through GENERIC_POINT is offered
+    and the search is incomplete.  A point whose walk ``make_orbit``
+    rejects is left out, and the search is then incomplete.  On C^d,
+    d >= 2, no search lists every point, so PreconditionError is raised
+    before any search.
     """
     if f.dim != 1:
         raise PreconditionError(
@@ -1086,23 +1086,28 @@ def orbits_of_period(f: PolyMap, r: int):
             "only a one-variable polynomial has them all enumerated")
     found = periodic_points_1d(f, r)
     if isinstance(found, AllPoints):
-        return _verified(f, r, [np.array([GENERIC_POINT])], {"complete": False})
-    record = {"complete": len(found) == root_count_1d(f, r)}
-    return _verified(f, r, [np.array([z]) for z in found], record)
+        return _verified(f, r, [np.array([GENERIC_POINT])])[0], {"complete": False}
+    complete = len(found) == root_count_1d(f, r)
+    orbits, closed = _verified(f, r, [np.array([z]) for z in found])
+    return orbits, {"complete": complete and closed}
 
 
 def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
-    """Yield (r, orbits, record) for r = 1, ..., r_max: the verified orbits of
-    exact period r and the search record.  One variable takes
-    ``orbits_of_period`` at each r; on C^d, d >= 2, one lockstep of the
-    ``config`` Newton multistart serves every period, and each record is
-    incomplete and carries its ``starts``, ``converged`` and ``seed``."""
+    """(orbits, search): the verified orbits of exact period 1, ..., r_max, in
+    period order, and the search block ``certify`` prints.  One variable takes
+    ``orbits_of_period`` at each r and ANDs its ``complete``; on C^d, d >= 2,
+    one lockstep of the ``config`` Newton multistart serves every period, and
+    ``complete`` is false beside each period's ``"r=<r>"`` counts."""
+    orbits, search = [], {"complete": f.dim == 1}
     if f.dim > 1:
         searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
-        found = (_verified(f, r, s.points, {
-            "complete": False, "starts": s.starts, "converged": s.converged,
-            "seed": s.seed}) for r, s in enumerate(searches, 1))
-    else:
-        found = (orbits_of_period(f, r) for r in range(1, r_max + 1))
-    for r, (orbits, record) in enumerate(found, 1):
-        yield r, [orbit for orbit in orbits if orbit.period == r], record
+        for r, s in enumerate(searches, 1):
+            orbits += [o for o in _verified(f, r, s.points)[0] if o.period == r]
+            search[f"r={r}"] = {"starts": s.starts, "converged": s.converged,
+                                "seed": s.seed}
+        return orbits, search
+    for r in range(1, r_max + 1):
+        found, record = orbits_of_period(f, r)
+        orbits += [o for o in found if o.period == r]
+        search["complete"] = record["complete"] and search["complete"]
+    return orbits, search

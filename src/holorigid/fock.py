@@ -56,7 +56,6 @@ class OperatorMatrix:
     entries: np.ndarray
     basis: tuple
     N: int
-    d: int
     top_degree: tuple
     symbol_value_at_zero: tuple
 
@@ -188,7 +187,7 @@ def coefficient_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:
                        .max(axis=0).tolist())
             m.real[:, cols] = col_re[:size]
             m.imag[:, cols] = col_im[:size]
-    return OperatorMatrix(m, basis, N, d, tuple(top), f.value())
+    return OperatorMatrix(m, basis, N, tuple(top), f.value())
 
 
 def operator_matrix(u: Jet, f: JetMap, N: int) -> OperatorMatrix:

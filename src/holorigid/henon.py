@@ -119,6 +119,5 @@ def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
     means none was found.
     """
     fm = to_polymap(h)
-    orbits = [orbit for _, found, _ in periodic_orbits(fm, r_max, config)
-              for orbit in found]
+    orbits, _ = periodic_orbits(fm, r_max, config)
     return _factor_certificate(certify_bounded(fm, u, *orbits), h)

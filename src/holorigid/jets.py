@@ -109,8 +109,8 @@ class Jet:
         return cls(dim, cap, base, {(0,) * dim: complex(value)})
 
     @classmethod
-    def monomial(cls, dim, cap, base, alpha, coeff=1.0):
-        return cls(dim, cap, base, {tuple(alpha): complex(coeff)})
+    def monomial(cls, dim, cap, base, alpha):
+        return cls(dim, cap, base, {tuple(alpha): 1.0 + 0j})
 
     def term(self, alpha) -> complex:
         return self.coeffs.get(tuple(alpha), 0j)
@@ -135,16 +135,6 @@ class Jet:
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0j) + c
         return Jet(self.dim, self.cap, self.base, out)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + other.scaled(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_multiply(self, other)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
 
 
 def _check_aligned(a: Jet, b: Jet):
@@ -320,8 +310,6 @@ class GradedOperatorMatrix:
     the j-th basis monomial.
     """
 
-    n: int
-    d: int
     entries: np.ndarray
     basis_order: tuple
 
@@ -353,7 +341,7 @@ def graded_matrix_formula(u_at_p, A, n: int) -> GradedOperatorMatrix:
         image = cache.power(beta)
         for i, alpha in enumerate(basis):
             m[i, j] = u_at_p * image.get(alpha, 0j)
-    return GradedOperatorMatrix(n, d, m, basis)
+    return GradedOperatorMatrix(m, basis)
 
 
 def graded_matrix_bruteforce(u: Jet, f: JetMap, n: int) -> GradedOperatorMatrix:
@@ -381,7 +369,7 @@ def graded_matrix_bruteforce(u: Jet, f: JetMap, n: int) -> GradedOperatorMatrix:
         col = jet_multiply(u, composer.compose(mono))
         for i, alpha in enumerate(basis):
             m[i, j] = col.term(alpha)
-    return GradedOperatorMatrix(n, d, m, basis)
+    return GradedOperatorMatrix(m, basis)
 
 
 def graded_eigenvalues(m: GradedOperatorMatrix) -> tuple:

@@ -104,7 +104,7 @@ class TestGraded:
 
         def broken(u, f, n):
             good = cli_mod.graded_matrix_formula(1.0, np.array([[2.0]]), n)
-            return type(good)(n, 1, good.entries + 1.0, good.basis_order)
+            return replace(good, entries=good.entries + 1.0)
 
         monkeypatch.setattr(cli_mod, "graded_matrix_bruteforce", broken)
         code = main(["graded", write("f.json", DOUBLE), "--point", "0", "--n", "3"])

@@ -29,6 +29,7 @@ from holorigid.dynamics import (
     make_orbit,
     multipliers,
     orbit_points,
+    orbits_of_period,
     periodic_orbits,
     periodic_points_1d,
     periodic_points_2d,
@@ -500,8 +501,7 @@ class TestPeriodicPoints1D:
         detail = periodic_points_1d(f, 1, detail=True)
         assert detail.multiplicities == (2,)
         assert abs(detail.points[0] - 0.5) < 1e-6
-        (_, _, record), = periodic_orbits(f, 1)
-        assert record == {"complete": False}
+        assert periodic_orbits(f, 1)[1] == {"complete": False}
 
     @pytest.mark.parametrize("r, distinct", [(2, 2), (4, 14), (10, 1022)])
     def test_triple_root_is_one_point(self, r, distinct):
@@ -667,7 +667,8 @@ class TestPeriodicPoints1D:
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: calls.append(len(a)) or eigvals(a))
         f = PolyMap.from_coeffs_1d([-1, 0, 1])  # a map with no tree built yet
-        found = [len(orbits) for _, orbits, _ in periodic_orbits(f, 8)]
+        orbits, _ = periodic_orbits(f, 8)
+        found = [sum(orbit.period == r for orbit in orbits) for r in range(1, 9)]
         assert found == [2, 2, 6, 12, 30, 54, 126, 240]  # r nu_2(r) points
         assert calls == [2 ** k for k in range(8)]
 
@@ -1128,25 +1129,65 @@ class TestPeriodicPoints2D:
 def _per_period_orbits(f, r_max, config):
     """periodic_orbits on C^d, d >= 2, as it ran before one lockstep served
     every period: a one-period multistart per period, then the walks."""
-    out = []
+    orbits, search = [], {"complete": False}
     for r in range(1, r_max + 1):
         result = dynamics._newton_lockstep(f, (r,), config)[0]
-        record = {"complete": False, "starts": result.starts,
-                  "converged": result.converged, "seed": result.seed}
-        orbits = []
+        search[f"r={r}"] = {"starts": result.starts,
+                            "converged": result.converged, "seed": result.seed}
         for p in result.points:
+            try:
+                orbit = make_orbit(f, p, r)
+            except OrbitError:
+                continue
+            if orbit.period == r:
+                orbits.append(orbit)
+    return orbits, search
+
+
+def _orbit_bits(found):
+    orbits, search = found
+    return search, [(o.period, o.stability, _bits(o.points), _bits(o.multipliers),
+                     _bits(o.residual)) for o in orbits]
+
+
+def _generator_reference(f, r_max, config):
+    """The search as it once ran, a generator of (r, orbits, record) per
+    period, folded into one orbit list and one search block the way
+    ``certify`` did: the reference for the pair periodic_orbits returns."""
+    def verified(r, points, record):
+        orbits = []
+        for p in points:
             try:
                 orbits.append(make_orbit(f, p, r))
             except OrbitError:
                 record["complete"] = False
-        out.append((r, [orbit for orbit in orbits if orbit.period == r], record))
-    return out
+        return orbits, record
 
+    def of_period(r):
+        found = periodic_points_1d(f, r)
+        if isinstance(found, AllPoints):
+            return verified(r, [np.array([GENERIC_POINT])], {"complete": False})
+        record = {"complete": len(found) == root_count_1d(f, r)}
+        return verified(r, [np.array([z]) for z in found], record)
 
-def _orbit_bits(found):
-    return [(r, record, [(o.period, o.stability, _bits(o.points),
-                          _bits(o.multipliers), _bits(o.residual)) for o in orbits])
-            for r, orbits, record in found]
+    def generator():
+        if f.dim > 1:
+            searches = dynamics._newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
+            found = (verified(r, s.points, {
+                "complete": False, "starts": s.starts, "converged": s.converged,
+                "seed": s.seed}) for r, s in enumerate(searches, 1))
+        else:
+            found = (of_period(r) for r in range(1, r_max + 1))
+        for r, (orbits, record) in enumerate(found, 1):
+            yield r, [orbit for orbit in orbits if orbit.period == r], record
+
+    orbits, complete, runs = [], True, {}
+    for r, found, record in generator():
+        orbits.extend(found)
+        complete = record.pop("complete") and complete
+        if record:
+            runs[f"r={r}"] = record
+    return orbits, {"complete": complete, **runs}
 
 
 _COEFF = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
@@ -1226,17 +1267,6 @@ class TestLockstep:
         config = SearchConfig(starts=20, seed=5)
         found = dynamics._newton_lockstep(PolyMap.linear(np.eye(2)), (3, 2, 1), config)
         assert [(len(res.points), res.converged) for res in found] == [(20, 20)] * 3
-
-    def test_every_period_is_searched_before_the_first_is_yielded(self, monkeypatch):
-        calls = []
-        search = dynamics._newton_lockstep
-        monkeypatch.setattr(dynamics, "_newton_lockstep",
-                            lambda *args: calls.append(args[1]) or search(*args))
-        orbits = periodic_orbits(HENON, 3, SearchConfig(starts=50, seed=1))
-        assert calls == []  # a generator runs nothing before it is read
-        next(orbits)
-        assert [tuple(periods) for periods in calls] == [(3, 2, 1)]
-        assert [r for r, _, _ in orbits] == [2, 3] and len(calls) == 1
 
 
 class TestMakeOrbit:
@@ -1365,37 +1395,58 @@ class TestMakeOrbit:
 
 
 class TestPeriodicOrbits:
+    @pytest.mark.parametrize("f, r_max, starts", [
+        *[(SQUARE_MINUS_1, r, 0) for r in range(1, 7)],
+        (PolyMap.from_coeffs_1d([0, 1, 1]), 3, 0),  # z + z^2: a double root
+        (PolyMap.from_coeffs_1d([0, -1]), 4, 0),  # (-z)^2 is the identity
+        (PolyMap.from_coeffs_1d(
+            [complex(-2138.8257435130076, 1159.7557898703005), 0, 1]), 4, 0),
+        (HENON, 3, 200),
+        (MIX3, 2, 100),
+    ], ids=[*[f"z2-1-r{r}" for r in range(1, 7)], "double-root", "identity",
+            "walk-rejects", "henon", "mix3"])
+    def test_matches_the_generator_it_replaced(self, f, r_max, starts):
+        config = SearchConfig(starts=starts, seed=101)
+        found = periodic_orbits(f, r_max, config)
+        want = _generator_reference(f, r_max, config)
+        assert _orbit_bits(found) == _orbit_bits(want)
+        assert list(found[1]) == list(want[1])
+        assert type(found[1]["complete"]) is bool
+
     def test_exact_period_points_are_the_moebius_counts(self):
-        counts = []
-        for r, orbits, record in periodic_orbits(SQUARE_MINUS_1, 4):
-            assert all(orbit.period == r for orbit in orbits)
-            assert record == {"complete": True}
-            counts.append(len(orbits))
-        assert counts == [2, 2, 6, 12]
+        orbits, search = periodic_orbits(SQUARE_MINUS_1, 4)
+        assert search == {"complete": True}
+        assert [orbit.period for orbit in orbits] == sorted(
+            orbit.period for orbit in orbits)
+        assert [sum(o.period == r for o in orbits) for r in range(1, 5)] == [2, 2, 6, 12]
+        assert all(orbits_of_period(SQUARE_MINUS_1, r)[1] == {"complete": True}
+                   for r in range(1, 5))
 
     @pytest.mark.parametrize("coeffs", [[-1, 0, 1], [0, 1, 1]],
                              ids=["simple-roots", "double-root"])
     def test_complete_follows_the_root_count(self, coeffs):
         f = PolyMap.from_coeffs_1d(coeffs)
-        records = [record for _, _, record in periodic_orbits(f, 3)]
-        assert records == [
-            {"complete": len(periodic_points_1d(f, r)) == root_count_1d(f, r)}
-            for r in (1, 2, 3)]
+        want = [len(periodic_points_1d(f, r)) == root_count_1d(f, r)
+                for r in (1, 2, 3)]
+        assert [orbits_of_period(f, r)[1] for r in (1, 2, 3)] == [
+            {"complete": complete} for complete in want]
+        assert periodic_orbits(f, 3)[1] == {"complete": all(want)}
 
     def test_identity_iterate_offers_the_generic_orbit(self):
         negation = PolyMap.from_coeffs_1d([0, -1])
-        (_, fixed, first), (_, orbits, second) = periodic_orbits(negation, 2)
-        assert [o.points for o in fixed] == [((0j,),)] and first["complete"]
-        assert [o.points for o in orbits] == [((GENERIC_POINT,), (-GENERIC_POINT,))]
-        assert second == {"complete": False}
+        orbits, search = periodic_orbits(negation, 2)
+        assert [o.points for o in orbits] == [
+            ((0j,),), ((GENERIC_POINT,), (-GENERIC_POINT,))]
+        assert orbits_of_period(negation, 1)[1] == {"complete": True}
+        assert orbits_of_period(negation, 2)[1] == search == {"complete": False}
 
     @pytest.mark.parametrize("b", [1j, 125j, 125 + 1j])
     def test_affine_fixed_point_past_the_float_range_is_incomplete(self, b):
         # a = 1 + 6.9e-307i: b / (1 - a) is -1.44e306 for b = i, and not
         # finite for the other two, which keep no point and say so
         f = PolyMap.from_coeffs_1d([b, 1 + 6.942184854552086e-307j])
-        (_, orbits, record), = periodic_orbits(f, 1)
-        assert len(orbits) == record["complete"] == (b == 1j)
+        orbits, search = periodic_orbits(f, 1)
+        assert len(orbits) == search["complete"] == (b == 1j)
 
     def test_a_point_the_walk_rejects_is_left_out(self):
         # the search's closure test passes this root of f^4(z) - z, and the
@@ -1406,14 +1457,19 @@ class TestPeriodicOrbits:
         assert point in periodic_points_1d(f, 4)
         with pytest.raises(OrbitError, match="residual 5.905e-07"):
             make_orbit(f, [point], 4)
-        *_, (_, orbits, record) = periodic_orbits(f, 4)
-        assert record == {"complete": False} and len(orbits) == 10
+        orbits, search = periodic_orbits(f, 4)
+        assert orbits_of_period(f, 4)[1] == search == {"complete": False}
+        assert sum(orbit.period == 4 for orbit in orbits) == 10
         assert all(orbit.points[0] != (point,) for orbit in orbits)
 
     def test_two_variable_record(self):
         config = SearchConfig(starts=60, seed=3)
-        for r, orbits, record in periodic_orbits(HENON, 2, config=config):
-            result = periodic_points_2d(HENON, r, config)
-            assert record == {"complete": False, "starts": 60,
-                              "converged": result.converged, "seed": 3}
-            assert all(orbit.period == r for orbit in orbits)
+        orbits, search = periodic_orbits(HENON, 2, config=config)
+        assert list(search) == ["complete", "r=1", "r=2"]
+        assert search == {"complete": False, **{
+            f"r={r}": {"starts": 60, "seed": 3,
+                       "converged": periodic_points_2d(HENON, r, config).converged}
+            for r in (1, 2)}}
+        assert [orbit.period for orbit in orbits] == sorted(
+            orbit.period for orbit in orbits)
+        assert {orbit.period for orbit in orbits} <= {1, 2}

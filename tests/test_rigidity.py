@@ -187,7 +187,7 @@ def _strongest_reference(certs, obstructed):
 
 
 def _all_orbits(f, r_max):
-    return [orbit for _, found, _ in periodic_orbits(f, r_max) for orbit in found]
+    return periodic_orbits(f, r_max)[0]
 
 
 Z2_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])
@@ -509,10 +509,72 @@ class TestOneRulePerOrbitFact:
                   float("nan"))
         assert [dynamics._modulus_band(m) for m in moduli] == [
             "zero", "below", "at", "at", "above", None]
-        orbit = replace(make_orbit(SQUARE, [1], 1), multipliers=(hi,))
+        f = PolyMap.from_coeffs_1d([0, hi])  # the fixed point 0 has multiplier hi
+        orbit = make_orbit(f, [0], 1)
+        assert orbit.multipliers == (hi,)
         assert dynamics.classify([hi]) == "indifferent"
-        assert certify_compact(SQUARE, None, orbit).verdict == NON_COMPACT
-        assert certify_bounded(SQUARE, None, orbit).verdict == NO_OBSTRUCTION
+        assert certify_compact(f, None, orbit).verdict == NON_COMPACT
+        assert certify_bounded(f, None, orbit).verdict == NO_OBSTRUCTION
+
+
+class TestCitedOrbits:
+    """A certificate rebuilds each orbit it cites with ``make_orbit`` on f and
+    refuses one whose points, period, stability or multipliers differ."""
+
+    def test_a_forged_multiplier_obstructs_nothing(self):
+        # z/2 fixes 0 with multiplier 1/2: 5 would make it Unbounded
+        forged = PeriodicOrbit(((0j,),), 1, (5 + 0j,), "repelling", 0.0)
+        with pytest.raises(OrbitError, match=r"in its stability, multipliers$"):
+            certify_bounded(HALF, None, forged)
+
+    def test_a_forged_period_is_not_printed(self):
+        forged = PeriodicOrbit(((0j,),), 3, (0.125 + 0j,), "attracting", 0.0)
+        with pytest.raises(OrbitError, match=r"in its period, multipliers$"):
+            certify_hypercyclic(HALF, [forged])
+
+    @pytest.mark.parametrize("certify", [
+        lambda f, orbits: certify_bounded(f, None, *orbits),
+        lambda f, orbits: certify_compact(f, None, *orbits),
+        lambda f, orbits: certify_hypercyclic(f, orbits),
+        lambda f, orbits: certify_supercyclic(f, orbits),
+        lambda f, orbits: certify_cyclic(f, None, 2, *orbits),
+    ], ids=["bounded", "compact", "hypercyclic", "supercyclic", "cyclic"])
+    @pytest.mark.parametrize("field, value", [
+        ("multipliers", (5 + 0j,)), ("period", 2), ("stability", "attracting")])
+    def test_every_certificate_refuses_a_forged_orbit(self, certify, field, value):
+        # the four points of period dividing 2 of z^2 - 1 lie on one level of
+        # u_2 = 1, and the fixed point of largest |multiplier| goes first, so
+        # that every certificate cites it
+        orbits = sorted(orbits_of_period(Z2_MINUS_1, 2)[0],
+                        key=lambda o: -abs(o.multipliers[0]))
+        assert orbits[0].period == 1 and orbits[0].stability == "repelling"
+        assert certify(Z2_MINUS_1, orbits).verdict != NO_OBSTRUCTION
+        forged = [replace(orbits[0], **{field: value}), *orbits[1:]]
+        with pytest.raises(OrbitError, match=f"in its {field}$"):
+            certify(Z2_MINUS_1, forged)
+
+    def test_forged_points_of_a_cycle(self):
+        cycle = make_orbit(Z2_MINUS_1, [0], 2)
+        assert cycle.points == ((0j,), (-1 + 0j,))
+        with pytest.raises(OrbitError, match=r"in its points$"):
+            certify_hypercyclic(Z2_MINUS_1, [replace(cycle, points=((0j,), (1 + 0j,)))])
+
+    def test_a_nan_multiplier_reaches_the_witness_check(self):
+        # 1 + a z - (1 + a) z^2 closes {0, 1} only by rounding, and the
+        # multiplier -a (a + 2) overflows to nan - inf i for a = 1e160 (1 + i)
+        a = 1e160 * (1 + 1j)
+        f = PolyMap.from_coeffs_1d([1, a, -1 - a])
+        orbit = make_orbit(f, [0], 2)
+        assert np.isnan(orbit.multipliers).all()
+        with pytest.raises(PreconditionError, match="'multipliers' holds a non-finite"):
+            certify_bounded(f, None, orbit)
+
+    def test_the_residual_is_not_compared(self):
+        # a search at r = 2 reports its residual for f^2, not f
+        forged = replace(make_orbit(HALF, [0], 2), residual=1e-9)
+        cert = certify_bounded(HALF, None, forged)
+        assert cert.verdict == NO_OBSTRUCTION
+        assert cert.witness["orbit_residual"] == 1e-9
 
 
 def random_conditioned_basis(rng, rows, cols, max_cond=1e6):
