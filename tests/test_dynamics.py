@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holorigid import dynamics
@@ -42,6 +42,8 @@ from holorigid.errors import (
     StructureError,
     TermOverflowError,
 )
+
+from oracles import residue_bound, residue_sum
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])          # z^2
 SQUARE_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])  # z^2 - 1
@@ -104,8 +106,9 @@ class TestBatchEvaluation:
                                       [[3, 1], [0, 5]], [[0, 0]]],
                              ids=["henon", "degree-5", "constant"])
     def test_power_table_matches_the_list_form(self, exps):
-        # the preallocated table runs the same cumprod as the list it
-        # replaced, so every bit agrees, also where the powers overflow
+        # the table is the list of binary products z^k = z^(k-1) * z from
+        # z^0 = 1, and each monomial multiplies its variables' powers left
+        # to right, so every bit agrees, also where the powers overflow
         rng = np.random.default_rng(4)
         z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
         z[:5] *= 1e80
@@ -113,8 +116,10 @@ class TestBatchEvaluation:
         exps = np.array(exps)
         with np.errstate(all="ignore"):
             got = dynamics._monomial_values(z, exps)
-            powers = np.cumprod([z.T ** 0] + [z.T] * int(exps.max()), axis=0)
-            want = np.prod(powers[exps, np.arange(2)], axis=1).T
+            powers = [np.ones_like(z.T)]
+            for _ in range(int(exps.max())):
+                powers.append(powers[-1] * z.T)
+            want = np.array([powers[a][0] * powers[b][1] for a, b in exps]).T
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -754,6 +759,37 @@ class TestPeriodicPoints1D:
                 assert res <= 1e-8 * (1 + abs(p))
 
 
+class TestResidueSum:
+    """Over all D roots of f^r(z) - z, the t_i = 1 / ((f^r)'(z_i) - 1) sum
+    to 0 (oracles.residue_sum): a check of a complete point list that
+    its count cannot make, with a bound from the Newton disks' slack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lower=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False),
+                          min_size=2, max_size=3),
+           lead=st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0),
+           r=st.integers(1, 4))
+    def test_complete_lists_meet_the_bound(self, lower, lead, r):
+        # quadratics and cubics; the sum needs every root, each simple
+        f = PolyMap.from_coeffs_1d(lower + [lead])
+        found = periodic_points_1d(f, r, detail=True)
+        assume(len(found.points) == root_count_1d(f, r))
+        bound = residue_bound(f, r, found.points, found.radii)
+        assert residue_sum(f, r, found.points) <= bound
+        for k in range(len(found.points)):  # every point is needed
+            rest = found.points[:k] + found.points[k + 1:]
+            assert not residue_sum(f, r, rest) <= bound
+
+    def test_one_point_of_z2_minus_1_missing(self):
+        found = periodic_points_1d(SQUARE_MINUS_1, 8, detail=True)
+        assert len(found.points) == 256
+        bound = residue_bound(SQUARE_MINUS_1, 8, found.points, found.radii)
+        assert residue_sum(SQUARE_MINUS_1, 8, found.points) <= bound
+        for k in range(256):
+            rest = found.points[:k] + found.points[k + 1:]
+            assert residue_sum(SQUARE_MINUS_1, 8, rest) > bound
+
+
 _PART = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e200, max_value=1e200)
 
@@ -1215,6 +1251,34 @@ def _maps_3d(draw):
     alpha = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda a: sum(a) <= 3)
     return PolyMap(3, tuple(draw(st.dictionaries(alpha, _COEFF, min_size=1,
                                                  max_size=4)) for _ in range(3)))
+
+
+class TestStackRows:
+    """A row of a batch evaluation has the same bits alone as in any stack."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(_maps_2d(), _maps_3d()), st.integers(0, 1000))
+    def test_a_row_does_not_depend_on_the_stack(self, f, seed):
+        rng = np.random.default_rng(seed)
+        z = 2.0 * (rng.normal(size=(1600, f.dim)) + 1j * rng.normal(size=(1600, f.dim)))
+        z[:100] *= 10.0 ** rng.uniform(60, 200, size=(100, 1))  # powers overflow
+        z[100, 0], z[107, -1], z[114] = np.inf, complex(np.nan, 1.0), np.nan
+        exps = f._monomial_matrix[0]
+        kernels = [lambda x: dynamics._monomial_values(x, exps), f.evaluate_batch,
+                   f.values_batch, f.second_order_batch]
+        with np.errstate(all="ignore"):
+            for kernel in kernels:
+                whole = _stack_rows(kernel(z))
+                for i in range(0, 1600, 7):
+                    for n in (1, 2, 7):
+                        assert _stack_rows(kernel(z[i:i + n]))[0] == whole[i], (
+                            f"row {i} of {kernel} in a stack of {n}")
+
+
+def _stack_rows(out):
+    """The bytes of each row of a batch result, one or a tuple of arrays."""
+    outs = out if isinstance(out, tuple) else (out,)
+    return [b"".join(a[i].tobytes() for a in outs) for i in range(len(outs[0]))]
 
 
 class TestLockstep:

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -587,6 +588,67 @@ def random_conditioned_basis(rng, rows, cols, max_cond=1e6):
     hi = np.sqrt(max_cond)
     sing = np.exp(rng.uniform(np.log(lo), np.log(hi), size=cols))
     return q1 @ np.diag(sing) @ q2
+
+
+def _multiplier_slack(coeffs, orbit, s):
+    """How far the multipliers of ``orbit`` of f (ascending ``coeffs``) and
+    of its image under g(w) = f(s w) / s may lie apart.
+
+    A point closes within TOL_ORBIT (1 + |p|), so to first order it lies
+    within that over |lambda - 1| of the periodic point; g's tolerance is
+    s + |p| in f's coordinates, and delta is the sum of the two.  Then lambda
+    moves by |(f^p)''| delta, where (f^p)'' = sum_k f''(z_k) ((f^k)')^2
+    prod_(j > k) f'(z_j) is bounded by majorants on disks about the orbit
+    that hold both walks.  Each computed multiplier adds the rounding of a
+    chain of p Horner steps.  Past first order: a factor 2.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    dc, ddc = np.abs(P.polyder(c)), np.abs(P.polyder(c, 2))
+    lam = orbit.multipliers[0]
+    delta = dynamics.TOL_ORBIT * (1 + s + 2 * abs(orbit.points[0][0])) / abs(lam - 1)
+    d1, d2 = 1.0, 0.0
+    for (z,) in orbit.points:
+        size = abs(z) + delta * max(1.0, d1)
+        d1, d2 = P.polyval(size, dc) * d1, (P.polyval(size, ddc) * d1 ** 2
+                                            + P.polyval(size, dc) * d2)
+    rounding = 4 * orbit.period * len(c) * np.finfo(float).eps * d1
+    return 2 * (delta * d2 + rounding)
+
+
+class TestConjugation:
+    """The obstructions read local dynamics at periodic points, which a
+    conjugation keeps: g(w) = f(s w) / s has the periodic points z / s and
+    the multipliers of f.  With s = 2^k the coefficients c_j s^(j-1) of g
+    are exact in floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False),
+                          min_size=2, max_size=3),
+           lead=st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0),
+           r=st.integers(1, 3), k=st.integers(-20, 20))
+    def test_dyadic_scaling_keeps_the_certificate(self, lower, lead, r, k):
+        coeffs, s = lower + [lead], 2.0 ** k
+        f = PolyMap.from_coeffs_1d(coeffs)
+        g = PolyMap.from_coeffs_1d([c * s ** (j - 1) for j, c in enumerate(coeffs)])
+        (orbits_f, search_f), (orbits_g, search_g) = periodic_orbits(f, r), periodic_orbits(g, r)
+        assert search_f == search_g
+        assert sorted(o.period for o in orbits_f) == sorted(o.period for o in orbits_g)
+        if not search_f["complete"]:
+            # as at a multiple root, whose multiplier is known to about
+            # sqrt(eps): a verdict that reads |lambda| against 1 may flip
+            return
+        for certify in (certify_bounded, certify_compact):
+            assert certify(f, None, *orbits_f).verdict == certify(g, None, *orbits_g).verdict
+        for certify in (certify_hypercyclic, certify_supercyclic):
+            assert (certify(f, orbits_f, search_complete=True).verdict
+                    == certify(g, orbits_g, search_complete=True).verdict)
+        # one orbit is walked from each of its points: pair walks by start
+        starts = np.array([o.points[0][0] * s for o in orbits_g])
+        match = [int(np.argmin(np.abs(starts - o.points[0][0]))) for o in orbits_f]
+        assert sorted(match) == list(range(len(orbits_g)))
+        for orbit, m in zip(orbits_f, match):
+            gap = abs(orbit.multipliers[0] - orbits_g[m].multipliers[0])
+            assert gap <= _multiplier_slack(coeffs, orbit, s)
 
 
 class TestDuality:
