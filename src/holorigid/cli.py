@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, fock, henon, jets, rigidity, sphere
+from . import fock, henon, jets, rigidity, sphere
 from .dynamics import SearchConfig, make_orbit, orbits_of_period, periodic_orbits
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
@@ -32,7 +32,7 @@ from .errors import ConstructionError, HoloError, PreconditionError, \
     RangeError, SchemaError
 from .jets import Jet, eigenvalue_law, graded_eigenvalues, \
     graded_matrix_bruteforce, graded_matrix_formula, multiset_close
-from .serialize import _cnum, _require, encode, load_henon, load_polymap, \
+from .serialize import encode, load_duality, load_map, load_polymap, \
     load_weight, read_json
 
 EXIT_OK = 0
@@ -101,19 +101,6 @@ def _float_range(text: str):
     return lo, hi
 
 
-def _load_map_arg(path):
-    """The map of the document at ``path`` and, where it gives Henon
-    ``factors`` in place of ``components``, their composition (else None)."""
-    doc = read_json(path)
-    if not (isinstance(doc, dict) and "factors" in doc):
-        return load_polymap(doc), None
-    if "components" in doc:
-        raise SchemaError("map: a document gives 'factors' or 'components', "
-                          "not both")
-    comp = load_henon(doc)
-    return henon.to_polymap(comp), comp
-
-
 def _load_weight_arg(path, dim: int):
     """The weight file at ``path`` (None without one); it must live on C^dim."""
     if path is None:
@@ -122,18 +109,6 @@ def _load_weight_arg(path, dim: int):
     if u.dim != dim:
         raise PreconditionError(f"weight is on C^{u.dim}, the map on C^{dim}")
     return u
-
-
-def _load_grid(doc, key: str) -> np.ndarray:
-    """Matrix ``key`` of a duality document: finite numbers or [re, im] pairs."""
-    grid = _require(doc, key, "duality", list)
-    if not grid or not all(isinstance(row, list) and len(row) == len(grid[0])
-                           for row in grid):
-        raise SchemaError(f"duality.{key}: expected a nonempty list of rows "
-                          "of equal length")
-    return np.array([[_cnum(e, f"duality.{key}[{i}][{j}]")
-                      for j, e in enumerate(row)]
-                     for i, row in enumerate(grid)], dtype=complex)
 
 
 class Outcome(NamedTuple):
@@ -200,13 +175,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _multistart_tolerances() -> dict:
-    """The cuts of the Newton multistart on C^d, d >= 2, read at call time."""
-    return {"newton_residual": dynamics.NEWTON_RESIDUAL,
-            "escape_norm": dynamics.ESCAPE_NORM,
-            "dedup_radius": dynamics.DEDUP_RADIUS}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -256,18 +224,19 @@ def cmd_certify(args) -> Outcome:
         raise UsageError("--point applies only to --mode bounded and compact")
     if args.lam is not None and mode != "cyclic":
         raise UsageError("--lambda applies only to --mode cyclic")
-    f, comp = _load_map_arg(args.map)
+    f, comp = load_map(read_json(args.map))
     u = _load_weight_arg(args.weight, f.dim)
     levels = None if args.lam is None else _parse_complex_list(args.lam)
     if levels == []:
         raise UsageError(f"--lambda holds no level: {args.lam!r}")
+    cuts = {}  # the cuts the search read: only the multistart has any
     if args.point:
         orbits = [make_orbit(f, _parse_point(args.point, f.dim), args.r)]
         search = {"point_supplied": True}
     elif mode == "cyclic":
         orbits, search = orbits_of_period(f, args.r)
     else:
-        orbits, search = periodic_orbits(
+        orbits, search, cuts = periodic_orbits(
             f, args.r, SearchConfig(starts=args.starts, seed=args.seed))
     if mode == "cyclic":
         cert = certifier(f, u, args.r, *orbits, lambda_levels=levels)
@@ -282,8 +251,7 @@ def cmd_certify(args) -> Outcome:
     if comp is not None:
         cert = henon._factor_certificate(cert, comp)
     payload = cert.to_json_dict()
-    if any(key.startswith("r=") for key in search):  # the multistart ran
-        payload["tolerances"].update(_multistart_tolerances())
+    payload["tolerances"].update(cuts)
     code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
     return Outcome(payload, {**extra, "mode": mode, "search": search}, code)
 
@@ -347,8 +315,7 @@ def cmd_fock(args) -> Outcome:
 
 def cmd_duality(args) -> Outcome:
     if args.input:
-        doc = read_json(args.input)
-        flags = rigidity.duality_check(*(_load_grid(doc, key) for key in "LB"))
+        flags = rigidity.duality_check(*load_duality(read_json(args.input)))
         return Outcome({
             "subcommand": "duality",
             "image_cond": flags.image_cond,

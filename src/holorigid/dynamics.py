@@ -1034,17 +1034,21 @@ def cocycle_poly(u: PolyFunc, f: PolyMap, r: int) -> PolyFunc:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A verified periodic orbit with its multiplier data.
-
-    ``period`` is the exact period (smallest divisor of the declared one
-    for which the orbit closes); ``points`` has that length.
-    """
+    """A verified periodic orbit: the points and multipliers of one walk and
+    the residual of its closure.  The exact period and the stability class
+    are read off them, so a record cannot disagree with its own data."""
 
     points: tuple
-    period: int
     multipliers: tuple
-    stability: str
     residual: float
+
+    @property
+    def period(self) -> int:
+        return len(self.points)
+
+    @property
+    def stability(self) -> str:
+        return classify(self.multipliers)
 
 
 def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
@@ -1054,14 +1058,24 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
     walk, closure, exact = _closed_walk(f, p, r)
-    mults = _chain_multipliers(f, walk[:exact])
     return PeriodicOrbit(
         points=tuple((x,) if f.dim == 1 else tuple(x.tolist()) for x in walk[:exact]),
-        period=exact,
-        multipliers=mults,
-        stability=classify(mults),
+        multipliers=_chain_multipliers(f, walk[:exact]),
         residual=closure,
     )
+
+
+def check_orbit(f: PolyMap, orbit: PeriodicOrbit) -> None:
+    """The one check that a cited orbit is f's: OrbitError unless ``make_orbit``
+    at its first point and period gives back its points and multipliers, NaN
+    matching NaN so that an overflow reaches the witness check.  The residual
+    is not compared: a search's r may be a multiple of the period."""
+    fresh = make_orbit(f, orbit.points[0], orbit.period)
+    differ = [name for name in ("points", "multipliers") if not np.array_equal(
+        getattr(fresh, name), getattr(orbit, name), equal_nan=True)]
+    if differ:
+        raise OrbitError(f"the cited orbit through {orbit.points[0]} differs "
+                         f"from the orbit of f there in its {', '.join(differ)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1104,11 +1118,13 @@ def orbits_of_period(f: PolyMap, r: int):
 
 
 def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig()):
-    """(orbits, search): the verified orbits of exact period 1, ..., r_max, in
-    period order, and the search block ``certify`` prints.  One variable takes
-    ``orbits_of_period`` at each r and ANDs its ``complete``; on C^d, d >= 2,
-    one lockstep of the ``config`` Newton multistart serves every period, and
-    ``complete`` is false beside each period's ``"r=<r>"`` counts."""
+    """(orbits, search, cuts): the verified orbits of exact period 1, ...,
+    r_max, in period order, the search block ``certify`` prints and the cuts
+    the search read, which it adds to its tolerances.  One variable ANDs the
+    ``complete`` of ``orbits_of_period`` at each r and reads no cut; on C^d,
+    d >= 2, one lockstep of the ``config`` Newton multistart serves every
+    period, with ``complete`` false beside each ``"r=<r>"`` record, and
+    reads the multistart's cuts at call time."""
     orbits, search = [], {"complete": f.dim == 1}
     if f.dim > 1:
         searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
@@ -1116,9 +1132,10 @@ def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig(
             orbits += [o for o in _verified(f, r, s.points)[0] if o.period == r]
             search[f"r={r}"] = {"starts": s.starts, "converged": s.converged,
                                 "seed": s.seed}
-        return orbits, search
+        return orbits, search, {"newton_residual": NEWTON_RESIDUAL,
+                                "escape_norm": ESCAPE_NORM, "dedup_radius": DEDUP_RADIUS}
     for r in range(1, r_max + 1):
         found, record = orbits_of_period(f, r)
         orbits += [o for o in found if o.period == r]
         search["complete"] = record["complete"] and search["complete"]
-    return orbits, search
+    return orbits, search, {}

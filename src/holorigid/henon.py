@@ -119,5 +119,5 @@ def saddle_certificate(h: HenonComposition, u=None, r_max: int = 4,
     means none was found.
     """
     fm = to_polymap(h)
-    orbits, _ = periodic_orbits(fm, r_max, config)
+    orbits = periodic_orbits(fm, r_max, config)[0]
     return _factor_certificate(certify_bounded(fm, u, *orbits), h)

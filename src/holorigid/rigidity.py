@@ -14,8 +14,8 @@ hypotheses it is conditional on.  The mechanisms:
   cocycle u_r rule out cyclicity, given linear independence of the point
   evaluations.
 
-Every certificate reads the orbits it is given, and rebuilds the ones its
-verdict cites with ``make_orbit`` on the given map: nothing here searches.
+Every certificate reads the orbits it is given, and checks the ones its
+verdict cites with ``dynamics.check_orbit``: nothing here searches.
 
 A certificate never asserts the converse: NoObstruction means this toolkit
 found nothing, not that the property holds.
@@ -40,7 +40,7 @@ from .dynamics import (
 )
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
-from .errors import OrbitError, PreconditionError
+from .errors import PreconditionError
 from .serialize import encode
 
 UNBOUNDED = "Unbounded"
@@ -110,21 +110,6 @@ def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
     }
 
 
-def _rebuild(f, orbit: PeriodicOrbit):
-    """OrbitError unless ``make_orbit`` at the orbit's first point and period
-    gives back its points, period, stability and multipliers (NaN matching
-    NaN, so that an overflow reaches the witness check).  The residual is
-    not compared: a search's r may be a multiple of the period."""
-    fresh = dynamics.make_orbit(f, orbit.points[0], orbit.period)
-    differ = [name for name in ("points", "period", "stability")
-              if getattr(fresh, name) != getattr(orbit, name)]
-    if not np.array_equal(fresh.multipliers, orbit.multipliers, equal_nan=True):
-        differ.append("multipliers")
-    if differ:
-        raise OrbitError(f"the cited orbit through {orbit.points[0]} differs "
-                         f"from the orbit of f there in its {', '.join(differ)}")
-
-
 def _multiplier_tolerances() -> dict:
     """The tolerances block of every multiplier certificate."""
     return {"tol_class": dynamics.TOL_CLASS, "tol_weight": TOL_WEIGHT,
@@ -140,7 +125,7 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
     as the points of one orbit or of conjugate orbits, go by orbit order.
     Otherwise the first orbit with a vanishing cocycle gives Inapplicable
     with ``note``, and otherwise the first orbit gives NoObstruction.  Only
-    the witness orbit is rebuilt and encoded.  Where f is one-variable of
+    the witness orbit is checked and encoded.  Where f is one-variable of
     degree >= 2 these two carry ``higher_period``: the theorem that an
     obstructing cycle exists past the orbits tested.
     """
@@ -162,7 +147,7 @@ def _multiplier_certificate(f, u, orbits, verdict, bands, note):
     else:
         k = next((i for i, u_r in enumerate(cocycles)
                   if abs(u_r) <= TOL_WEIGHT), 0)
-    _rebuild(f, orbits[k])
+    dynamics.check_orbit(f, orbits[k])
     witness = _orbit_witness(orbits[k], cocycles[k])
     if hits:
         witness["eigenvalue"] = complex(worst[k])
@@ -195,11 +180,11 @@ def certify_compact(f: PolyMap, u, *orbits: PeriodicOrbit) -> ObstructionCertifi
 
 def _periodic_point_certificate(f, verdict, dim_assumption, found_orbits,
                                 search_complete):
-    """The verdict rests on the first orbit, rebuilt on f."""
+    """The verdict rests on the first orbit, checked on f."""
     tols = {"tol_orbit": dynamics.TOL_ORBIT}
     if found_orbits:
         first = found_orbits[0]
-        _rebuild(f, first)
+        dynamics.check_orbit(f, first)
         witness = {
             "point": list(first.points[0]),
             "period": first.period,
@@ -238,7 +223,7 @@ def certify_cyclic(f: PolyMap, u, r: int, *orbits: PeriodicOrbit,
     The points are the first points of ``orbits``, one verified orbit per
     point of period dividing r as ``dynamics.orbits_of_period`` gives them,
     and u_r is read off each cycle repeated r / period times; only the
-    witness level's orbits are rebuilt, so a hand-built one cannot carry
+    witness level's orbits are checked, so a hand-built one cannot carry
     it.  Where f^r is the identity (``dynamics._iterate_is_identity``)
     every point is periodic: the orbits are not read, and a generic level
     of a polynomial u_r is counted by its degree.
@@ -264,7 +249,7 @@ def certify_cyclic(f: PolyMap, u, r: int, *orbits: PeriodicOrbit,
     for lam, members in pairs:
         if len(members) > r:
             for i in members:
-                _rebuild(f, orbits[i])
+                dynamics.check_orbit(f, orbits[i])
             witness.update({"lambda": complex(lam), "count": len(members),
                             "level_points": [list(orbits[i].points[0]) for i in members]})
             return ObstructionCertificate(NOT_CYCLIC, witness, assumptions, tols)

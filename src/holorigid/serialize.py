@@ -1,4 +1,4 @@
-"""JSON schemas for maps, weights, and Henon data.
+"""JSON schemas for maps, weights, Henon data and duality matrices.
 
 Complex numbers travel as [re, im] pairs.  Numbers must be finite and not
 booleans: json reads NaN, Infinity and 1e400 as non-finite floats, and
@@ -147,6 +147,36 @@ def load_henon(obj):
             raise SchemaError(f"{where}.p: polynomial degree must be >= 2")
         out.append(GeneralizedHenon(coeffs, delta))
     return HenonComposition(tuple(out))
+
+
+def load_map(obj):
+    """The map of a map document and, where it gives Henon ``factors`` in
+    place of ``components``, their composition (else None)."""
+    if not (isinstance(obj, dict) and "factors" in obj):
+        return load_polymap(obj), None
+    if "components" in obj:
+        raise SchemaError("map: a document gives 'factors' or 'components', "
+                          "not both")
+    from .henon import to_polymap
+
+    comp = load_henon(obj)
+    return to_polymap(comp), comp
+
+
+def load_duality(obj) -> list:
+    """The matrices L and B of a duality document: each a nonempty list of
+    rows of equal length, of finite numbers or [re, im] pairs."""
+    out = []
+    for key in "LB":
+        grid = _require(obj, key, "duality", list)
+        if not grid or not all(isinstance(row, list) and len(row) == len(grid[0])
+                               for row in grid):
+            raise SchemaError(f"duality.{key}: expected a nonempty list of rows "
+                              "of equal length")
+        out.append(np.array([[_cnum(e, f"duality.{key}[{i}][{j}]")
+                              for j, e in enumerate(row)]
+                             for i, row in enumerate(grid)], dtype=complex))
+    return out
 
 
 def read_json(path):

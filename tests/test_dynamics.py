@@ -672,7 +672,7 @@ class TestPeriodicPoints1D:
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: calls.append(len(a)) or eigvals(a))
         f = PolyMap.from_coeffs_1d([-1, 0, 1])  # a map with no tree built yet
-        orbits, _ = periodic_orbits(f, 8)
+        orbits = periodic_orbits(f, 8)[0]
         found = [sum(orbit.period == r for orbit in orbits) for r in range(1, 9)]
         assert found == [2, 2, 6, 12, 30, 54, 126, 240]  # r nu_2(r) points
         assert calls == [2 ** k for k in range(8)]
@@ -1162,6 +1162,12 @@ class TestPeriodicPoints2D:
         assert np.all(np.isfinite(x))
 
 
+def _multistart_cuts():
+    """The cuts ``certify`` printed for the multistart when ``cli`` read them."""
+    return {"newton_residual": dynamics.NEWTON_RESIDUAL,
+            "escape_norm": dynamics.ESCAPE_NORM, "dedup_radius": dynamics.DEDUP_RADIUS}
+
+
 def _per_period_orbits(f, r_max, config):
     """periodic_orbits on C^d, d >= 2, as it ran before one lockstep served
     every period: a one-period multistart per period, then the walks."""
@@ -1177,19 +1183,19 @@ def _per_period_orbits(f, r_max, config):
                 continue
             if orbit.period == r:
                 orbits.append(orbit)
-    return orbits, search
+    return orbits, search, _multistart_cuts()
 
 
 def _orbit_bits(found):
-    orbits, search = found
-    return search, [(o.period, o.stability, _bits(o.points), _bits(o.multipliers),
+    orbits, search, cuts = found
+    return search, cuts, [(o.period, o.stability, _bits(o.points), _bits(o.multipliers),
                      _bits(o.residual)) for o in orbits]
 
 
 def _generator_reference(f, r_max, config):
     """The search as it once ran, a generator of (r, orbits, record) per
     period, folded into one orbit list and one search block the way
-    ``certify`` did: the reference for the pair periodic_orbits returns."""
+    ``certify`` did: the reference for what periodic_orbits returns."""
     def verified(r, points, record):
         orbits = []
         for p in points:
@@ -1223,7 +1229,7 @@ def _generator_reference(f, r_max, config):
         complete = record.pop("complete") and complete
         if record:
             runs[f"r={r}"] = record
-    return orbits, {"complete": complete, **runs}
+    return orbits, {"complete": complete, **runs}, _multistart_cuts() if f.dim > 1 else {}
 
 
 _COEFF = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
@@ -1478,8 +1484,8 @@ class TestPeriodicOrbits:
         assert type(found[1]["complete"]) is bool
 
     def test_exact_period_points_are_the_moebius_counts(self):
-        orbits, search = periodic_orbits(SQUARE_MINUS_1, 4)
-        assert search == {"complete": True}
+        orbits, search, cuts = periodic_orbits(SQUARE_MINUS_1, 4)
+        assert search == {"complete": True} and cuts == {}
         assert [orbit.period for orbit in orbits] == sorted(
             orbit.period for orbit in orbits)
         assert [sum(o.period == r for o in orbits) for r in range(1, 5)] == [2, 2, 6, 12]
@@ -1498,7 +1504,7 @@ class TestPeriodicOrbits:
 
     def test_identity_iterate_offers_the_generic_orbit(self):
         negation = PolyMap.from_coeffs_1d([0, -1])
-        orbits, search = periodic_orbits(negation, 2)
+        orbits, search, _ = periodic_orbits(negation, 2)
         assert [o.points for o in orbits] == [
             ((0j,),), ((GENERIC_POINT,), (-GENERIC_POINT,))]
         assert orbits_of_period(negation, 1)[1] == {"complete": True}
@@ -1509,7 +1515,7 @@ class TestPeriodicOrbits:
         # a = 1 + 6.9e-307i: b / (1 - a) is -1.44e306 for b = i, and not
         # finite for the other two, which keep no point and say so
         f = PolyMap.from_coeffs_1d([b, 1 + 6.942184854552086e-307j])
-        orbits, search = periodic_orbits(f, 1)
+        orbits, search, _ = periodic_orbits(f, 1)
         assert len(orbits) == search["complete"] == (b == 1j)
 
     def test_a_point_the_walk_rejects_is_left_out(self):
@@ -1521,15 +1527,16 @@ class TestPeriodicOrbits:
         assert point in periodic_points_1d(f, 4)
         with pytest.raises(OrbitError, match="residual 5.905e-07"):
             make_orbit(f, [point], 4)
-        orbits, search = periodic_orbits(f, 4)
+        orbits, search, _ = periodic_orbits(f, 4)
         assert orbits_of_period(f, 4)[1] == search == {"complete": False}
         assert sum(orbit.period == 4 for orbit in orbits) == 10
         assert all(orbit.points[0] != (point,) for orbit in orbits)
 
     def test_two_variable_record(self):
         config = SearchConfig(starts=60, seed=3)
-        orbits, search = periodic_orbits(HENON, 2, config=config)
+        orbits, search, cuts = periodic_orbits(HENON, 2, config=config)
         assert list(search) == ["complete", "r=1", "r=2"]
+        assert cuts == _multistart_cuts()
         assert search == {"complete": False, **{
             f"r={r}": {"starts": 60, "seed": 3,
                        "converged": periodic_points_2d(HENON, r, config).converged}

@@ -164,7 +164,7 @@ class TestSaddleCertificate:
         # that gives Unbounded
         comp, config = HenonComposition((STANDARD,)), SearchConfig(150, 11)
         fm = to_polymap(comp)
-        orbits, _ = dynamics.periodic_orbits(fm, 2, config)
+        orbits = dynamics.periodic_orbits(fm, 2, config)[0]
         assert [orbit.period for orbit in orbits] == [1, 1, 2, 2]
         want = certify_bounded(fm, None, *orbits)
         cert = saddle_certificate(comp, None, r_max=2, config=config)

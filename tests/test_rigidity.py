@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +192,20 @@ def _all_orbits(f, r_max):
 
 
 Z2_MINUS_1 = PolyMap.from_coeffs_1d([-1, 0, 1])
+EVERY_CERTIFICATE = pytest.mark.parametrize("certify", [
+    lambda f, orbits: certify_bounded(f, None, *orbits),
+    lambda f, orbits: certify_compact(f, None, *orbits),
+    lambda f, orbits: certify_hypercyclic(f, orbits),
+    lambda f, orbits: certify_supercyclic(f, orbits),
+    lambda f, orbits: certify_cyclic(f, None, 2, *orbits),
+], ids=["bounded", "compact", "hypercyclic", "supercyclic", "cyclic"])
+
+
+def _cited_first():
+    """The orbits of z^2 - 1 of period dividing 2, largest |multiplier|
+    first: the four points lie on one level of u_2 = 1, so that every
+    certificate of ``EVERY_CERTIFICATE`` cites the first."""
+    return sorted(orbits_of_period(Z2_MINUS_1, 2)[0], key=lambda o: -abs(o.multipliers[0]))
 
 
 class TestWitnessSelection:
@@ -285,7 +299,7 @@ class TestHypercyclic:
     @pytest.mark.parametrize("certify", [certify_hypercyclic, certify_supercyclic])
     def test_a_hand_built_orbit_that_does_not_close_is_rejected(self, certify):
         # 0.3 is no fixed point of z^2: the certificate walks it and refuses
-        fake = PeriodicOrbit(((0.3 + 0j,),), 1, (0.6 + 0j,), "attracting", 0.0)
+        fake = PeriodicOrbit(((0.3 + 0j,),), (0.6 + 0j,), 0.0)
         with pytest.raises(OrbitError, match=r"f\^1\(p\) - p has residual"):
             certify(SQUARE, [fake])
 
@@ -399,7 +413,7 @@ class TestCyclic:
     def test_a_hand_built_witness_is_walked(self):
         # three "fixed points" of z^2 that are not: the level they would
         # crowd is the witness, and its orbits are walked before it is
-        fake = [PeriodicOrbit(((x + 0j,),), 1, (2 * x + 0j,), "attracting", 0.0)
+        fake = [PeriodicOrbit(((x + 0j,),), (2 * x + 0j,), 0.0)
                 for x in (0.3, 0.5, 0.7)]
         with pytest.raises(OrbitError, match=r"^f\^1\(p\) - p has residual"):
             certify_cyclic(SQUARE, None, 1, *fake)
@@ -456,12 +470,12 @@ class TestHigherPeriod:
 
 
 class TestOneRulePerOrbitFact:
-    """Closure and the multiplier moduli are each decided by one rule in
-    ``dynamics``; patching the rule moves every decision that reads it."""
+    """Closure, the multiplier moduli and whether a cited orbit is f's are
+    each decided by one rule in ``dynamics``; patching the rule moves every
+    decision that reads it."""
 
     def test_closure_predicate(self, monkeypatch):
-        orbit = PeriodicOrbit(points=((1 + 0j,),), period=1,
-                              multipliers=(2 + 0j,), stability="repelling",
+        orbit = PeriodicOrbit(points=((1 + 0j,),), multipliers=(2 + 0j,),
                               residual=0.0)
         monkeypatch.setattr(dynamics, "_closes", lambda residual, size: False)
         for call in (lambda: make_orbit(SQUARE, [1], 1),
@@ -470,6 +484,17 @@ class TestOneRulePerOrbitFact:
             with pytest.raises(OrbitError,
                                match=r"^f\^1\(p\) - p has residual 0\.000e\+00$"):
                 call()
+
+    @EVERY_CERTIFICATE
+    def test_orbit_check(self, monkeypatch, certify):
+        orbits = _cited_first()
+        assert certify(Z2_MINUS_1, orbits).verdict != NO_OBSTRUCTION
+
+        def refuse(f, orbit):
+            raise OrbitError("refused")
+        monkeypatch.setattr(dynamics, "check_orbit", refuse)
+        with pytest.raises(OrbitError, match="^refused$"):
+            certify(Z2_MINUS_1, orbits)
 
     @pytest.mark.parametrize("band, stability, bounded, compact", [
         ("above", "repelling", UNBOUNDED, NON_COMPACT),
@@ -519,40 +544,42 @@ class TestOneRulePerOrbitFact:
 
 
 class TestCitedOrbits:
-    """A certificate rebuilds each orbit it cites with ``make_orbit`` on f and
-    refuses one whose points, period, stability or multipliers differ."""
+    """A certificate checks each orbit it cites with ``dynamics.check_orbit``
+    on f and refuses one whose points or multipliers differ; its period and
+    stability are read off those, so they cannot be forged apart."""
 
     def test_a_forged_multiplier_obstructs_nothing(self):
         # z/2 fixes 0 with multiplier 1/2: 5 would make it Unbounded
-        forged = PeriodicOrbit(((0j,),), 1, (5 + 0j,), "repelling", 0.0)
-        with pytest.raises(OrbitError, match=r"in its stability, multipliers$"):
+        forged = PeriodicOrbit(((0j,),), (5 + 0j,), 0.0)
+        with pytest.raises(OrbitError, match=r"in its multipliers$"):
             certify_bounded(HALF, None, forged)
 
     def test_a_forged_period_is_not_printed(self):
-        forged = PeriodicOrbit(((0j,),), 3, (0.125 + 0j,), "attracting", 0.0)
-        with pytest.raises(OrbitError, match=r"in its period, multipliers$"):
+        # a period is the number of points, so a forged one repeats a point
+        forged = PeriodicOrbit(((0j,),) * 3, (0.125 + 0j,), 0.0)
+        assert forged.period == 3
+        with pytest.raises(OrbitError, match=r"in its points, multipliers$"):
             certify_hypercyclic(HALF, [forged])
 
-    @pytest.mark.parametrize("certify", [
-        lambda f, orbits: certify_bounded(f, None, *orbits),
-        lambda f, orbits: certify_compact(f, None, *orbits),
-        lambda f, orbits: certify_hypercyclic(f, orbits),
-        lambda f, orbits: certify_supercyclic(f, orbits),
-        lambda f, orbits: certify_cyclic(f, None, 2, *orbits),
-    ], ids=["bounded", "compact", "hypercyclic", "supercyclic", "cyclic"])
-    @pytest.mark.parametrize("field, value", [
-        ("multipliers", (5 + 0j,)), ("period", 2), ("stability", "attracting")])
+    @EVERY_CERTIFICATE
+    @pytest.mark.parametrize("field, value", [("multipliers", (5 + 0j,))])
     def test_every_certificate_refuses_a_forged_orbit(self, certify, field, value):
-        # the four points of period dividing 2 of z^2 - 1 lie on one level of
-        # u_2 = 1, and the fixed point of largest |multiplier| goes first, so
-        # that every certificate cites it
-        orbits = sorted(orbits_of_period(Z2_MINUS_1, 2)[0],
-                        key=lambda o: -abs(o.multipliers[0]))
+        orbits = _cited_first()
         assert orbits[0].period == 1 and orbits[0].stability == "repelling"
         assert certify(Z2_MINUS_1, orbits).verdict != NO_OBSTRUCTION
         forged = [replace(orbits[0], **{field: value}), *orbits[1:]]
         with pytest.raises(OrbitError, match=f"in its {field}$"):
             certify(Z2_MINUS_1, forged)
+
+    @pytest.mark.parametrize("field, value", [("period", 2), ("stability", "attracting")])
+    def test_period_and_stability_cannot_be_forged(self, field, value):
+        orbit = make_orbit(Z2_MINUS_1, [0], 2)
+        assert [f.name for f in fields(PeriodicOrbit)] == [
+            "points", "multipliers", "residual"]
+        with pytest.raises(TypeError):
+            replace(orbit, **{field: value})
+        assert (orbit.period, orbit.stability) == (
+            len(orbit.points), dynamics.classify(orbit.multipliers))
 
     def test_forged_points_of_a_cycle(self):
         cycle = make_orbit(Z2_MINUS_1, [0], 2)
@@ -630,7 +657,8 @@ class TestConjugation:
         coeffs, s = lower + [lead], 2.0 ** k
         f = PolyMap.from_coeffs_1d(coeffs)
         g = PolyMap.from_coeffs_1d([c * s ** (j - 1) for j, c in enumerate(coeffs)])
-        (orbits_f, search_f), (orbits_g, search_g) = periodic_orbits(f, r), periodic_orbits(g, r)
+        (orbits_f, search_f, _), (orbits_g, search_g, _) = (periodic_orbits(f, r),
+                                                           periodic_orbits(g, r))
         assert search_f == search_g
         assert sorted(o.period for o in orbits_f) == sorted(o.period for o in orbits_g)
         if not search_f["complete"]:

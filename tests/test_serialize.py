@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from holorigid.cli import main
 from holorigid.dynamics import PolyFunc, PolyMap
 from holorigid.errors import SchemaError
+from holorigid.henon import to_polymap
 from holorigid.serialize import (
     MAX_EXPONENT,
     dump_polymap,
     encode,
+    load_duality,
     load_henon,
+    load_map,
     load_polymap,
     load_weight,
 )
@@ -134,6 +137,40 @@ class TestHenon:
     def test_empty_factors_rejected(self):
         with pytest.raises(SchemaError, match="nonempty"):
             load_henon({"factors": []})
+
+
+class TestMapAndDualityDocuments:
+    """``load_map`` reads a map from components or Henon factors, and
+    ``load_duality`` the matrices L and B, with the schema errors ``cli``
+    prints."""
+
+    def test_a_map_from_components_or_factors(self):
+        f, comp = load_map(polymap_doc())
+        assert comp is None and f == load_polymap(polymap_doc())
+        doc = {"factors": [{"p": [-3, 0, 1], "delta": [0.3, 0.0]}]}
+        f, comp = load_map(doc)
+        assert comp == load_henon(doc) and f == to_polymap(comp)
+
+    def test_factors_and_components_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=(
+                r"^map: a document gives 'factors' or 'components', not both$")):
+            load_map({**polymap_doc(), "factors": []})
+
+    def test_duality_matrices(self):
+        L, B = load_duality({"L": [[2, [0.0, 1.0]]], "B": [[[1.0, -1.0]]]})
+        assert L.dtype == B.dtype == complex
+        assert L.tolist() == [[2, 1j]] and B.tolist() == [[1 - 1j]]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"L": [[[math.nan, 0]]], "B": [[1]]},
+         r"duality.L\[0\]\[0\]: expected a finite number or \[re, im\] pair"),
+        ({"L": [[1], [1, 2]], "B": [[1]]},
+         "duality.L: expected a nonempty list of rows of equal length"),
+        ({"L": [[1]]}, "duality: missing field 'B'"),
+    ], ids=["nan", "ragged", "no-B"])
+    def test_duality_schema_errors(self, doc, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_duality(doc)
 
 
 class TestEncode:
