@@ -3,14 +3,14 @@
 Periodic points p with f^r(p) = p carry a multiplier multiset, the
 eigenvalues of the Jacobian of f^r along the orbit, and a weight cocycle
 value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
-dividing r are the roots of f^r(z) - z, found all at once by cyclic Newton
-on the orbit system from the preimage tree of a point under f^r, with
-Aberth-Ehrlich where that falls short, and certified by pairwise disjoint
-Newton disks; on C^d, d >= 2, a seeded Newton multistart, one lockstep
-over all periods, supplies witnesses without any completeness claim.
-``orbits_of_period`` lists every orbit of one period, in one variable
-only, and ``periodic_orbits`` is the search over periods in every
-dimension; every obstruction reads them.
+dividing r are the roots of f^r(z) - z, found by cyclic Newton on the orbit
+system from the preimage tree of a point (small periods in one lockstep,
+each row with its one-period bits), Aberth-Ehrlich where that falls short,
+and certified by pairwise disjoint Newton disks; on C^d, d >= 2, a seeded
+Newton multistart, one lockstep over all periods, supplies witnesses
+without any completeness claim.  ``orbits_of_period`` lists every orbit of
+one period, in one variable only, and ``periodic_orbits`` is the search
+over periods in every dimension; every obstruction reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +40,7 @@ ESCAPE_NORM = 1e9  # Newton multistart: a start whose norm passes this has diver
 SWEEPS_PER_ROOT = 20
 SHOOTING_STEPS = 25  # cyclic Newton steps per row of the one-variable search
 SHOOTING_REACH = 0.3  # a cyclic Newton step moves no z_j by more than this (1 + |z_j|)
+SHOOTING_BATCH = 1024  # periods with at most this many roots share one shooting lockstep
 STALL_STEP = 2.0 ** -42  # about 1000 eps: root steps this small are rounding noise
 GENERIC_POINT = 0.7318 + 0.2834j  # off the special orbits of simple maps
 EPS = np.finfo(float).eps
@@ -265,6 +267,11 @@ class PolyMap:
     def _escape_levels(self) -> list:
         """The levels of the one-variable ``_escape_tree`` built so far."""
         return []
+
+    @cached_property
+    def _shot_roots(self) -> dict:
+        """r: the read-only roots of f^r(z) - z that ``periodic_orbits`` shot."""
+        return {}
 
     @cached_property
     def _monomial_matrix(self):
@@ -591,47 +598,63 @@ def _preimages(c: np.ndarray, r: int, levels: list) -> list:
     return levels
 
 
-def _shoot(c: np.ndarray, levels: list) -> np.ndarray:
+def _shoot(f: PolyMap, periods) -> list:
     """z_0 of each row of the cyclic system F_j = f(z_j) - z_{j+1 mod r},
-    r = len(levels) - 1, solved by Newton (multiple shooting) for all rows
-    at once; f has ascending coefficients c.  Leaf w starts its row at z_j =
-    the ancestor of w at level r - j.  A step dz_{j+1} = f'(z_j) dz_j - F_j
-    from dz_0 = x runs as P_j x + Q_j and closes at x = Q_r / (1 - P_r); a
-    step that moves some z_j by more than SHOOTING_REACH (1 + |z_j|) is
-    scaled down to that, on z itself until a row stops: when its relative
-    step is ``_settled`` or not finite, or after SHOOTING_STEPS steps."""
-    r, deg = len(levels) - 1, len(c) - 1
-    leaf = np.arange(len(levels[-1]))
-    z = np.stack([levels[r - j][leaf // deg ** j] for j in range(r)])
-    desc = c[::-1]
-    active, last = leaf, np.full(len(leaf), np.inf)
+    solved by Newton (multiple shooting) for the rows of every r of
+    ``periods`` (descending) at once, one read-only array per r.  Leaf w of
+    the ``_escape_tree`` level r starts its row at z_j = the ancestor of w
+    at level r - j.  A step dz_{j+1} = f'(z_j) dz_j - F_j from dz_0 = x
+    runs as P_j x + Q_j and closes at x = Q_r / (1 - P_r); a step that moves
+    some z_j by more than SHOOTING_REACH (1 + |z_j|) is scaled down to that,
+    on z itself until a row stops: when its relative step is ``_settled`` or
+    not finite, or after SHOOTING_STEPS steps.  Stages past a row's r stay 0
+    with a zero step and its closure is read at its own r, so every row
+    keeps the bits of its period shot alone."""
+    for r in periods[::-1]:  # a level at a time, so an overflow names its own f^r
+        levels = _escape_tree(f, r)
+    deg, top, many = f.degree, max(periods, default=1), len(periods) > 1  # (): no rows
+    lo = list(accumulate((deg ** r for r in periods), initial=0))  # column blocks
+    z = np.zeros((top, lo[-1]), dtype=complex)
+    for r, a, b in zip(periods, lo, lo[1:]):
+        z[:r, a:b] = [levels[r - j][np.arange(b - a) // deg ** j] for j in range(r)]
+    ends = np.repeat(periods, np.diff(lo)) - 1 if many else top - 1  # last stage of a row
+    desc, stages = _coeffs_1d(f.components[0])[::-1], np.arange(top)[:, None]
+    active, last = np.arange(lo[-1]), np.full(lo[-1], np.inf)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(SHOOTING_STEPS):
             if active.size == 0:
                 break
             w = z if active.size == z.shape[1] else z[:, active]
+            close = (ends[active], np.arange(active.size)) if many else (ends, slice(None))
             residual, slope = np.full_like(w, desc[0]), np.zeros_like(w)
             for a in desc[1:]:  # Horner for f and f' at once
                 slope, residual = slope * w + residual, residual * w + a
-            residual[:-1] -= w[1:]
-            residual[-1] -= w[0]
+            residual[:-1] -= w[1:]  # 0 past a row's period: exact
+            residual[close] -= w[0]  # each row's closing stage
             p, q = np.empty_like(w), np.empty_like(w)
             p[0], q[0] = 1.0, 0.0
-            for j in range(r - 1):
+            for j in range(len(w) - 1):
                 p[j + 1] = slope[j] * p[j]
                 q[j + 1] = slope[j] * q[j] - residual[j]
-            x = (slope[-1] * q[-1] - residual[-1]) / (1.0 - slope[-1] * p[-1])
-            step = p * x + q
+            s = slope[close]
+            x = (s * q[close] - residual[close]) / (1.0 - s * p[close])
+            step = np.add(p * x, q, out=q)
+            del p, residual, slope  # freed before the next step allocates its own
+            if many:
+                step[stages > close[0]] = 0.0
             size = np.max(np.abs(step) / (1.0 + np.abs(w)), axis=0)
             step *= np.minimum(1.0, SHOOTING_REACH / size)
             moved = np.isfinite(size)
             np.subtract(w, step, out=w, where=moved)
+            del step
             if w is not z:
                 z[:, active] = w
             still = moved & ~_settled(size, last[active], 1.0)
             last[active] = size
             active = active[still]
-    return z[0]
+    roots = z[0].copy()
+    roots.setflags(write=False)  # periodic_orbits keeps them on f
+    return [roots[a:b] for a, b in zip(lo, lo[1:])]
 
 
 def _overlapping(z: np.ndarray, radii: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -725,18 +748,18 @@ def _escape_tree(f: PolyMap, r: int) -> list:
 def _approximations(f: PolyMap, r: int) -> tuple:
     """The D = deg(f)^r roots of f^r(z) - z, deg f >= 2, and their
     ``_certificate``.  ``_shoot`` takes each of the D leaves of the
-    ``_escape_tree`` to a periodic point.  Rows whose root does not close,
-    and those ``_overlapping`` gives up (two leaves often reach one root),
-    go back to their leaves for Aberth-Ehrlich with the rest held fixed.
-    Unless that certifies all D, Aberth-Ehrlich from all the leaves gives
-    the roots: only it settles multiple roots."""
-    levels = _escape_tree(f, r)
-    leaves = levels[-1]
+    ``_escape_tree`` to a periodic point; f keeps those roots, with the same
+    bits, where ``periodic_orbits`` shot its period in one lockstep.
+    Rows whose root does not close, and those ``_overlapping`` gives up (two
+    leaves often reach one root), go back to their leaves for Aberth-Ehrlich
+    with the rest held fixed.  Unless that certifies all D, Aberth-Ehrlich
+    from all the leaves gives the roots: only it settles multiple roots."""
+    leaves = _escape_tree(f, r)[-1]
 
     def ratio(z):
         return _orbit_ratio(f, r, z)[1]
 
-    roots = _shoot(_coeffs_1d(f.components[0]), levels)
+    roots = (f._shot_roots[r] if r in f._shot_roots else _shoot(f, (r,))[0]).copy()
     cert = _certificate(f, r, roots)
     _, _, radii, ok, meets = cert
     if ok.all() and not meets.any():
@@ -1042,6 +1065,10 @@ class PeriodicOrbit:
     multipliers: tuple
     residual: float
 
+    def __post_init__(self):
+        if len(self.points) == 0:
+            raise OrbitError("a periodic orbit holds at least one point")
+
     @property
     def period(self) -> int:
         return len(self.points)
@@ -1134,6 +1161,9 @@ def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig(
                                 "seed": s.seed}
         return orbits, search, {"newton_residual": NEWTON_RESIDUAL,
                                 "escape_norm": ESCAPE_NORM, "dedup_radius": DEDUP_RADIUS}
+    periods = [r for r in range(min(r_max, int(math.log2(SHOOTING_BATCH))), 0, -1)
+               if f.degree >= 2 and f.degree ** r <= SHOOTING_BATCH]
+    f._shot_roots.update(zip(periods, _shoot(f, periods)))  # read by _approximations
     for r in range(1, r_max + 1):
         found, record = orbits_of_period(f, r)
         orbits += [o for o in found if o.period == r]

@@ -251,6 +251,16 @@ class TestCertify:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: f^12(p) - p has residual nan\n"
 
+    def test_period_past_the_root_cap_is_refused_at_its_own_r(self):
+        # periods 1, ..., 10 of z^2 - 1 are shot in one lockstep before any
+        # is walked, and 11 and 12 alone at their turn; 13 is still refused
+        # by its own root count, after them
+        proc = run_module("certify", str(BENCH_INPUTS / "quad1.json"), "--mode",
+                          "compact", "--r", "13")
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("precondition rejected: f^13(z) - z has 8192 "
+                               "roots, more than the cap 4096\n")
+
     def test_overflowing_two_variable_walk_is_one_error_line(self):
         # the residual norm of a Henon walk from (1e30, 1e30) overflows in
         # BLAS ddot; one errstate per walk keeps its warning off stderr

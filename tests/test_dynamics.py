@@ -759,6 +759,82 @@ class TestPeriodicPoints1D:
                 assert res <= 1e-8 * (1 + abs(p))
 
 
+# a quadratic up to period 6 or a cubic up to period 4: ascending
+# coefficients below the leading one, the leading one, and r_max
+_QUADRATIC_OR_CUBIC = st.sampled_from([(2, 6), (3, 4)]).flatmap(lambda kind: st.tuples(
+    st.lists(st.complex_numbers(max_magnitude=2.0), min_size=kind[0], max_size=kind[0]),
+    st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0), st.integers(1, kind[1])))
+
+
+class TestShootingLockstep:
+    """``periodic_orbits`` shoots every one-variable period of at most
+    ``SHOOTING_BATCH`` roots in one ``_shoot`` lockstep before it walks any;
+    each row keeps the bits it has when its period is shot alone, and every
+    error is the one the periods gave in turn."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=_QUADRATIC_OR_CUBIC)
+    def test_each_period_keeps_the_bits_it_has_alone(self, drawn):
+        coeffs, lead, r_max = drawn
+        f = PolyMap.from_coeffs_1d(coeffs + [lead])
+        dynamics._escape_tree(f, r_max)
+        periods = tuple(range(r_max, 0, -1))
+        shot = dynamics._shoot(f, periods)
+        assert [len(roots) for roots in shot] == [f.degree ** r for r in periods]
+        for r, roots in zip(periods, shot):
+            assert _bits(roots) == _bits(dynamics._shoot(f, (r,))[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=_QUADRATIC_OR_CUBIC)
+    def test_orbits_match_each_period_on_a_fresh_map(self, drawn):
+        coeffs, lead, r_max = drawn
+        f = PolyMap.from_coeffs_1d(coeffs + [lead])
+        orbits, search, _ = periodic_orbits(f, r_max)
+        assert sorted(f._shot_roots) == list(range(1, r_max + 1))
+        want, complete = [], True
+        for r in range(1, r_max + 1):
+            found, record = orbits_of_period(PolyMap.from_coeffs_1d(coeffs + [lead]), r)
+            want += [o for o in found if o.period == r]
+            complete = complete and record["complete"]
+        assert search == {"complete": complete}
+        assert ([(_bits(o.points), _bits(o.multipliers), _bits(o.residual)) for o in orbits]
+                == [(_bits(o.points), _bits(o.multipliers), _bits(o.residual))
+                    for o in want])
+
+    def test_kept_roots_are_read_only_and_copied(self, monkeypatch):
+        # a period with more roots than SHOOTING_BATCH is shot alone in its
+        # own search, and so is kept by none
+        monkeypatch.setattr(dynamics, "SHOOTING_BATCH", 4)
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])
+        periodic_orbits(f, 3)
+        assert sorted(f._shot_roots) == [1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            f._shot_roots[2][0] = 0
+        roots, _ = dynamics._approximations(f, 2)
+        assert roots.flags.writeable and not np.shares_memory(roots, f._shot_roots[2])
+
+    def test_an_overflow_below_r_max_names_its_own_iterate(self, monkeypatch):
+        # the level that eigvals builds second is infinite, so level 3
+        # overflows: the tree grows a level at a time before the lockstep,
+        # and the error names f^3, as the search of each period in turn
+        # did, not the f^5 of a tree grown at once
+        calls, eigvals = [], np.linalg.eigvals
+
+        def infinite_second_level(a):
+            calls.append(len(a))
+            values = eigvals(a)
+            return np.full_like(values, np.inf) if len(calls) == 2 else values
+
+        monkeypatch.setattr(np.linalg, "eigvals", infinite_second_level)
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])
+        with pytest.raises(PreconditionError) as err:
+            periodic_orbits(f, 5)
+        assert str(err.value) == (
+            "the preimages of 2.29453+1.93265j under f^3 overflow: the "
+            "coefficients of f are out of floating-point range")
+        assert calls == [1, 2] and len(f._escape_levels) == 3
+
+
 class TestResidueSum:
     """Over all D roots of f^r(z) - z, the t_i = 1 / ((f^r)'(z_i) - 1) sum
     to 0 (oracles.residue_sum): a check of a complete point list that

@@ -571,6 +571,15 @@ class TestCitedOrbits:
         with pytest.raises(OrbitError, match=f"in its {field}$"):
             certify(Z2_MINUS_1, forged)
 
+    @EVERY_CERTIFICATE
+    def test_an_orbit_with_no_points_is_refused(self, certify):
+        # check_orbit read points[0] (IndexError) and certify_cyclic took
+        # r % period (ZeroDivisionError): the record refuses to be built
+        with pytest.raises(OrbitError, match="^a periodic orbit holds at least one point$"):
+            certify(Z2_MINUS_1, [*_cited_first(), PeriodicOrbit((), (), 0.0)])
+        with pytest.raises(OrbitError, match="at least one point$"):
+            certify(Z2_MINUS_1, [replace(_cited_first()[0], points=())])
+
     @pytest.mark.parametrize("field, value", [("period", 2), ("stability", "attracting")])
     def test_period_and_stability_cannot_be_forged(self, field, value):
         orbit = make_orbit(Z2_MINUS_1, [0], 2)
