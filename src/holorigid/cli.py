@@ -250,7 +250,7 @@ def cmd_certify(args) -> Outcome:
 
     if comp is not None:
         cert = henon._factor_certificate(cert, comp)
-    payload = cert.to_json_dict()
+    payload = encode({field.name: getattr(cert, field.name) for field in fields(cert)})
     payload["tolerances"].update(cuts)
     code = EXIT_INAPPLICABLE if cert.verdict == rigidity.INAPPLICABLE else EXIT_OK
     return Outcome(payload, {**extra, "mode": mode, "search": search}, code)
@@ -307,9 +307,10 @@ def cmd_fock(args) -> Outcome:
         _write_csv(args.profile_out, ["n", "norm", "flag"],
                    [(n, v, "*" if flag else "") for n, v, flag in profile.levels])
     if args.matrix_out:
+        text = _dumps({"basis": [list(a) for a in matrix.basis],
+                       "entries": encode(matrix.entries)}, indent=2)
         with _output(args.matrix_out) as fh:
-            json.dump({"basis": [list(a) for a in matrix.basis],
-                       "entries": encode(matrix.entries)}, fh, indent=2)
+            fh.write(text)
     return Outcome(payload)
 
 

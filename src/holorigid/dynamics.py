@@ -609,15 +609,15 @@ def _shoot(f: PolyMap, periods) -> list:
     on z itself until a row stops: when its relative step is ``_settled`` or
     not finite, or after SHOOTING_STEPS steps.  Stages past a row's r stay 0
     with a zero step and its closure is read at its own r, so every row
-    keeps the bits of its period shot alone."""
+    keeps the bits of its period shot alone, on this same path."""
     for r in periods[::-1]:  # a level at a time, so an overflow names its own f^r
         levels = _escape_tree(f, r)
-    deg, top, many = f.degree, max(periods, default=1), len(periods) > 1  # (): no rows
+    deg, top = f.degree, max(periods, default=1)  # (): no rows
     lo = list(accumulate((deg ** r for r in periods), initial=0))  # column blocks
     z = np.zeros((top, lo[-1]), dtype=complex)
     for r, a, b in zip(periods, lo, lo[1:]):
         z[:r, a:b] = [levels[r - j][np.arange(b - a) // deg ** j] for j in range(r)]
-    ends = np.repeat(periods, np.diff(lo)) - 1 if many else top - 1  # last stage of a row
+    ends = np.repeat(periods, np.diff(lo)) - 1  # the last stage of each row
     desc, stages = _coeffs_1d(f.components[0])[::-1], np.arange(top)[:, None]
     active, last = np.arange(lo[-1]), np.full(lo[-1], np.inf)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -625,7 +625,7 @@ def _shoot(f: PolyMap, periods) -> list:
             if active.size == 0:
                 break
             w = z if active.size == z.shape[1] else z[:, active]
-            close = (ends[active], np.arange(active.size)) if many else (ends, slice(None))
+            close = ends[active], np.arange(active.size)
             residual, slope = np.full_like(w, desc[0]), np.zeros_like(w)
             for a in desc[1:]:  # Horner for f and f' at once
                 slope, residual = slope * w + residual, residual * w + a
@@ -640,8 +640,7 @@ def _shoot(f: PolyMap, periods) -> list:
             x = (s * q[close] - residual[close]) / (1.0 - s * p[close])
             step = np.add(p * x, q, out=q)
             del p, residual, slope  # freed before the next step allocates its own
-            if many:
-                step[stages > close[0]] = 0.0
+            step[stages > close[0]] = 0.0
             size = np.max(np.abs(step) / (1.0 + np.abs(w)), axis=0)
             step *= np.minimum(1.0, SHOOTING_REACH / size)
             moved = np.isfinite(size)
@@ -734,14 +733,17 @@ def _certificate(f: PolyMap, r: int, roots: np.ndarray):
 
 def _escape_tree(f: PolyMap, r: int) -> list:
     """Levels 0, ..., r of the ``_preimages`` of z0 = R e^(0.7i), |f(z)| >= 2|z|
-    on |z| >= R; kept on f, grown past its deepest level only, read-only."""
-    c, levels = _coeffs_1d(f.components[0]), f._escape_levels
+    on |z| >= R; kept on f, grown past its deepest level only, read-only.
+    A call grows a copy and puts it on f whole, so threads that grow one
+    map's tree at once only repeat work, with the same bits."""
+    c, levels = _coeffs_1d(f.components[0]), list(f._escape_levels)
     if not levels:
         with np.errstate(over="ignore"):  # _preimages rejects an infinite radius
             radius = max(1.0, (2.0 + np.sum(np.abs(c[:-1]))) / abs(c[-1]))
         levels.append(np.array([radius * np.exp(0.7j)]))
     for level in _preimages(c, r, levels):
         level.setflags(write=False)
+    object.__setattr__(f, "_escape_levels", levels)
     return levels[:r + 1]
 
 
@@ -750,9 +752,10 @@ def _approximations(f: PolyMap, r: int) -> tuple:
     ``_certificate``.  ``_shoot`` takes each of the D leaves of the
     ``_escape_tree`` to a periodic point; f keeps those roots, with the same
     bits, where ``periodic_orbits`` shot its period in one lockstep.
-    Rows whose root does not close, and those ``_overlapping`` gives up (two
-    leaves often reach one root), go back to their leaves for Aberth-Ehrlich
-    with the rest held fixed.  Unless that certifies all D, Aberth-Ehrlich
+    Rows whose root does not close or is not polished (its Newton ratio
+    |N| is above its rounding slack), and those ``_overlapping`` gives up
+    (two leaves often reach one root), go back to their leaves for
+    Aberth-Ehrlich with the rest held fixed.  Unless that certifies all D, Aberth-Ehrlich
     from all the leaves gives the roots: only it settles multiple roots."""
     leaves = _escape_tree(f, r)[-1]
 
@@ -761,10 +764,10 @@ def _approximations(f: PolyMap, r: int) -> tuple:
 
     roots = (f._shot_roots[r] if r in f._shot_roots else _shoot(f, (r,))[0]).copy()
     cert = _certificate(f, r, roots)
-    _, _, radii, ok, meets = cert
-    if ok.all() and not meets.any():
+    _, slack, radii, ok, meets = cert
+    bad = ~ok | ~(radii <= 2 * len(roots) * slack)  # |N| <= slack, NaN fails
+    if not bad.any() and not meets.any():
         return roots, cert
-    bad = ~ok
     bad[_overlapping(roots, radii, np.flatnonzero(meets))] = True
     roots[bad] = leaves[bad]
     roots = durand_kerner(ratio, roots, np.flatnonzero(bad))

@@ -238,7 +238,6 @@ class RestrictionProfile:
     """Norms of the sections restricted to columns of degree >= n."""
 
     levels: tuple  # (n, norm, lossy) triples
-    fixes_origin: bool
     invariance_warning: str | None
 
 
@@ -270,12 +269,11 @@ def restriction_norm_profile(m: OperatorMatrix) -> RestrictionProfile:
             value = (low if (1.0 - TAIL_TOL) * norm <= low < np.inf
                      else _spectral_norm(a[:, k:]))
             rows.append((n, float(min(value, norm)), any(m.column_loss[k:])))
-    fixes = m.fixes_origin()
-    warning = None if fixes else (
+    warning = None if m.fixes_origin() else (
         "symbol does not fix 0: the order-n subspaces are not invariant and "
         "the profile is only a family of section norms"
     )
-    return RestrictionProfile(tuple(rows), fixes, warning)
+    return RestrictionProfile(tuple(rows), warning)
 
 
 def _power_vector(a: np.ndarray, norm: float):

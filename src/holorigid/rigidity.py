@@ -35,13 +35,11 @@ from .dynamics import (
     PolyMap,
     cluster_points,
     first_near_best,
-    orbit_points,
     weight_cocycle,
 )
 # unused here; bench/test_bench.py checks that tracing patches this binding
 from .dynamics import periodic_points_1d  # noqa: F401
 from .errors import PreconditionError
-from .serialize import encode
 
 UNBOUNDED = "Unbounded"
 NON_COMPACT = "NonCompact"
@@ -84,14 +82,6 @@ class ObstructionCertificate:
     witness: dict
     assumptions: tuple
     tolerances: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": encode(self.witness),
-            "assumptions": list(self.assumptions),
-            "tolerances": encode(self.tolerances),
-        }
 
 
 def _orbit_witness(orbit: PeriodicOrbit, u_r) -> dict:
@@ -260,7 +250,8 @@ def _all_points_cyclic(f, u, r, assumptions, tols):
     """f^r = id: every point is periodic, so level-set counts can be infinite."""
     witness = {"period_bound": r, "all_points": True}
     if u is None or (isinstance(u, PolyFunc) and u.degree == 0):
-        lam = weight_cocycle(u, orbit_points(f, np.zeros(f.dim, dtype=complex), r))
+        # u is constant: r copies of one point give the product of any orbit
+        lam = weight_cocycle(u, [np.zeros(f.dim, dtype=complex)] * r)
         witness.update({"lambda": complex(lam), "count": None,
                         "count_infinite": True,
                         "note": "u_r is constant on all of the plane"})

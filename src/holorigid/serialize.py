@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .dynamics import DEFAULT_MAX_TERMS, PolyFunc, PolyMap
+from .henon import GeneralizedHenon, HenonComposition, to_polymap
 
 # Largest exponent a document may hold.  One variable gets no further: f(z) - z
 # would have more roots than the root-count cap; in two variables exponents
@@ -130,8 +131,6 @@ def load_weight(obj) -> PolyFunc:
 
 
 def load_henon(obj):
-    from .henon import GeneralizedHenon, HenonComposition
-
     factors = _require(obj, "factors", "henon", list)
     if not factors:
         raise SchemaError("henon.factors: must be nonempty")
@@ -157,8 +156,6 @@ def load_map(obj):
     if "components" in obj:
         raise SchemaError("map: a document gives 'factors' or 'components', "
                           "not both")
-    from .henon import to_polymap
-
     comp = load_henon(obj)
     return to_polymap(comp), comp
 

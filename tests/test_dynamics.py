@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -625,6 +627,19 @@ class TestPeriodicPoints1D:
         assert np.all(np.abs(p - q[near])
                       <= np.array(new.radii) + np.array(ref.radii)[near])
 
+    def test_a_shot_root_is_polished_to_rounding(self):
+        # g(w) = f(s w) / s has the fixed points of f over s.  Shot alone,
+        # g's root near (1.28 - 1.80i) / s closed within TOL_ORBIT with a
+        # Newton ratio of 8.4e-5, a million times its rounding slack, and
+        # kept a disk of radius 2.5e-4; Aberth polishes it
+        coeffs, s = [1.3212j, 0.5j, 1.3212j, 0.5521], 2.0 ** -14
+        want = periodic_points_1d(PolyMap.from_coeffs_1d(coeffs), 1, detail=True)
+        got = periodic_points_1d(
+            PolyMap.from_coeffs_1d([c * s ** (j - 1) for j, c in enumerate(coeffs)]),
+            1, detail=True)
+        assert np.allclose(np.array(got.points) * s, want.points, rtol=1e-15, atol=0)
+        assert max(got.radii) * s <= 1e-13  # in f's coordinates, as want's
+
     def test_meeting_matches_all_pairs(self):
         # integer centres and half-integer radii make exact touching pairs
         rng = np.random.default_rng(11)
@@ -664,6 +679,26 @@ class TestPeriodicPoints1D:
             assert np.array_equal(level.view(np.uint64), want.view(np.uint64))
             with pytest.raises(ValueError, match="read-only"):
                 level[0] = 0
+
+    def test_threads_growing_one_tree_keep_each_level_once(self, monkeypatch):
+        # both threads build level 1 (one companion matrix) before either
+        # keeps it: each tree, and the one kept on f, has the bits of a
+        # tree grown alone
+        fresh = dynamics._escape_tree(PolyMap.from_coeffs_1d([-1, 0, 1]), 4)
+        barrier, eigvals = threading.Barrier(2, timeout=30), np.linalg.eigvals
+
+        def together(a):
+            if len(a) == 1:
+                barrier.wait()
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", together)
+        f = PolyMap.from_coeffs_1d([-1, 0, 1])
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(dynamics._escape_tree, f, 4) for _ in range(2)]
+            trees = [run.result() for run in runs]
+        for levels in trees + [f._escape_levels]:
+            assert list(map(_bits, levels)) == list(map(_bits, fresh))
 
     def test_one_tree_serves_every_period(self, monkeypatch):
         # r = 1, ..., 8 on one map builds each level once: 8 eigvals calls

@@ -302,7 +302,7 @@ class TestRestrictionProfile:
         for n, norm, lossy in prof.levels:
             assert norm == pytest.approx(2.0 ** (-n), abs=1e-9)
             assert not lossy
-        assert prof.fixes_origin and prof.invariance_warning is None
+        assert m.fixes_origin() and prof.invariance_warning is None
 
     def test_expansion_dominates_power_lower_bound(self):
         n_cap = 24
@@ -333,7 +333,7 @@ class TestRestrictionProfile:
         f = PolyMap.from_coeffs_1d([1, 0, 1])  # f(0) = 1
         m = operator_matrix_from_polys(None, f, 6)
         prof = restriction_norm_profile(m)
-        assert not prof.fixes_origin
+        assert not m.fixes_origin()
         assert "not invariant" in prof.invariance_warning
 
 

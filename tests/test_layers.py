@@ -21,7 +21,9 @@ MULTISTART_CUTS = {"NEWTON_RESIDUAL", "ESCAPE_NORM", "DEDUP_RADIUS"}
 LAYERS = {  # module: the package modules it may import
     "jets": {"errors"},
     "dynamics": {"errors", "jets"},
-    "rigidity": {"dynamics", "errors", "serialize"},
+    "rigidity": {"dynamics", "errors"},
+    "henon": {"dynamics", "errors", "rigidity"},
+    "serialize": {"dynamics", "errors", "henon"},
     "sphere": {"dynamics", "errors"},
     "fock": {"dynamics", "errors", "jets"},
 }
@@ -75,9 +77,25 @@ def test_module_imports_only_its_layers(module):
     assert package_imports(module) <= LAYERS[module]
 
 
-def test_rigidity_reads_dynamics_errors_and_serialize():
-    # equality, so that a walk which finds no import cannot pass
-    assert package_imports("rigidity") == {"dynamics", "errors", "serialize"}
+def test_rigidity_reads_dynamics_and_errors():
+    # equality, so that a walk which finds no import cannot pass; a
+    # certificate is plain data, which cli encodes field by field
+    assert package_imports("rigidity") == {"dynamics", "errors"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_package_import_inside_a_function(module):
+    # every edge of the import graph shows at the top of its module
+    inner = [node.lineno for fn in ast.walk(tree(module))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level]
+    assert inner == []
+
+
+def test_rigidity_walks_no_orbit():
+    # dynamics is the one orbit walker
+    assert "orbit_points" not in names_read("rigidity")
 
 
 @pytest.mark.parametrize("name", ["first_near_best", "TIE_TOL"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from holorigid.rigidity import (
     certify_supercyclic,
     duality_check,
 )
-from holorigid.serialize import load_henon, load_polymap, read_json
+from holorigid.serialize import encode, load_henon, load_polymap, read_json
 
 SQUARE = PolyMap.from_coeffs_1d([0, 0, 1])
 HALF = PolyMap.from_coeffs_1d([0, 0.5])
@@ -208,6 +209,11 @@ def _cited_first():
     return sorted(orbits_of_period(Z2_MINUS_1, 2)[0], key=lambda o: -abs(o.multipliers[0]))
 
 
+def _encoded(cert):
+    """The certificate as ``certify`` prints it: its fields, encoded."""
+    return encode({field.name: getattr(cert, field.name) for field in fields(cert)})
+
+
 class TestWitnessSelection:
     @pytest.mark.parametrize("certify, obstructed", [
         (certify_bounded, UNBOUNDED), (certify_compact, NON_COMPACT)])
@@ -226,7 +232,7 @@ class TestWitnessSelection:
         orbits = _all_orbits(f, r_max)
         want = _strongest_reference([certify(f, u, o) for o in orbits],
                                     obstructed)
-        assert certify(f, u, *orbits).to_json_dict() == want.to_json_dict()
+        assert _encoded(certify(f, u, *orbits)) == _encoded(want)
 
     def test_every_rule_is_reached(self):
         vanishing = PolyFunc(1, {(0,): -1, (1,): 1})
@@ -626,36 +632,95 @@ def random_conditioned_basis(rng, rows, cols, max_cond=1e6):
     return q1 @ np.diag(sing) @ q2
 
 
-def _multiplier_slack(coeffs, orbit, s):
+def _multiplier_slack(coeffs, orbit, s=1.0, t=0j):
     """How far the multipliers of ``orbit`` of f (ascending ``coeffs``) and
-    of its image under g(w) = f(s w) / s may lie apart.
+    of its image under g(w) = f(s w) / s, or under g(w) = f(w + t) - t, may
+    lie apart.
 
     A point closes within TOL_ORBIT (1 + |p|), so to first order it lies
     within that over |lambda - 1| of the periodic point; g's tolerance is
-    s + |p| in f's coordinates, and delta is the sum of the two.  Then lambda
+    s + |p| in f's coordinates under the scaling, at most 1 + |p| + |t|
+    under the translation, and delta is the sum of the two.  Then lambda
     moves by |(f^p)''| delta, where (f^p)'' = sum_k f''(z_k) ((f^k)')^2
     prod_(j > k) f'(z_j) is bounded by majorants on disks about the orbit
     that hold both walks.  Each computed multiplier adds the rounding of a
-    chain of p Horner steps.  Past first order: a factor 2.
+    chain of p Horner steps, taken at |z| + 2|t|: g's point w = z - t and
+    coefficients are bounded by the majorant of f' there.  Past first
+    order: a factor 2.
     """
     c = np.asarray(coeffs, dtype=complex)
     dc, ddc = np.abs(P.polyder(c)), np.abs(P.polyder(c, 2))
     lam = orbit.multipliers[0]
-    delta = dynamics.TOL_ORBIT * (1 + s + 2 * abs(orbit.points[0][0])) / abs(lam - 1)
-    d1, d2 = 1.0, 0.0
+    delta = dynamics.TOL_ORBIT * (1 + s + abs(t) + 2 * abs(orbit.points[0][0])) \
+        / abs(lam - 1)
+    d1, d2, chain = 1.0, 0.0, 1.0
     for (z,) in orbit.points:
         size = abs(z) + delta * max(1.0, d1)
         d1, d2 = P.polyval(size, dc) * d1, (P.polyval(size, ddc) * d1 ** 2
                                             + P.polyval(size, dc) * d2)
-    rounding = 4 * orbit.period * len(c) * np.finfo(float).eps * d1
+        chain *= P.polyval(size + 2 * abs(t), dc)
+    rounding = 4 * orbit.period * len(c) * np.finfo(float).eps * chain
     return 2 * (delta * d2 + rounding)
+
+
+def _translated(coeffs, t):
+    """Ascending coefficients of g(w) = f(w + t) - t, for f's ascending
+    ``coeffs`` and t Gaussian dyadics, by the Taylor shift in exact
+    rationals; small numerators make each one exact as a float."""
+    def exact(z):
+        return [Fraction(z.real), Fraction(z.imag)]
+
+    a, (tr, ti) = [exact(complex(c)) for c in coeffs], exact(complex(t))
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            (xr, xi), (yr, yi) = a[k], a[k + 1]
+            a[k] = [xr + yr * tr - yi * ti, xi + yr * ti + yi * tr]
+    a[0] = [a[0][0] - tr, a[0][1] - ti]
+    out = [complex(float(x), float(y)) for x, y in a]
+    assert [exact(z) for z in out] == a
+    return out
+
+
+def _dyadic(numerator, denominator):
+    """Gaussian dyadics (a + bi) / denominator, |a|, |b| <= numerator."""
+    part = st.integers(-numerator, numerator)
+    return st.builds(lambda a, b: complex(a, b) / denominator, part, part)
+
+
+def _same_certificates(coeffs, g_coeffs, r, s=1.0, t=0j):
+    """f (ascending ``coeffs``) and its conjugate g(w) = (f(s w + t) - t) / s
+    (``g_coeffs``) give the same search block and per-period counts; where
+    the search is complete, the same four verdicts and multipliers within
+    ``_multiplier_slack``."""
+    f, g = PolyMap.from_coeffs_1d(coeffs), PolyMap.from_coeffs_1d(g_coeffs)
+    (orbits_f, search_f, _), (orbits_g, search_g, _) = (periodic_orbits(f, r),
+                                                       periodic_orbits(g, r))
+    assert search_f == search_g
+    assert sorted(o.period for o in orbits_f) == sorted(o.period for o in orbits_g)
+    if not search_f["complete"]:
+        # as at a multiple root, whose multiplier is known to about
+        # sqrt(eps): a verdict that reads |lambda| against 1 may flip
+        return
+    for certify in (certify_bounded, certify_compact):
+        assert certify(f, None, *orbits_f).verdict == certify(g, None, *orbits_g).verdict
+    for certify in (certify_hypercyclic, certify_supercyclic):
+        assert (certify(f, orbits_f, search_complete=True).verdict
+                == certify(g, orbits_g, search_complete=True).verdict)
+    # one orbit is walked from each of its points: pair walks by start
+    starts = np.array([o.points[0][0] * s + t for o in orbits_g])
+    match = [int(np.argmin(np.abs(starts - o.points[0][0]))) for o in orbits_f]
+    assert sorted(match) == list(range(len(orbits_g)))
+    for orbit, m in zip(orbits_f, match):
+        gap = abs(orbit.multipliers[0] - orbits_g[m].multipliers[0])
+        assert gap <= _multiplier_slack(coeffs, orbit, s, t)
 
 
 class TestConjugation:
     """The obstructions read local dynamics at periodic points, which a
     conjugation keeps: g(w) = f(s w) / s has the periodic points z / s and
-    the multipliers of f.  With s = 2^k the coefficients c_j s^(j-1) of g
-    are exact in floats."""
+    the multipliers of f, and g(w) = f(w + t) - t the points z - t.  With
+    s = 2^k the coefficients c_j s^(j-1) of g are exact in floats, and so
+    are those of the translate for small Gaussian dyadics."""
 
     @settings(max_examples=60, deadline=None)
     @given(lower=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False),
@@ -664,28 +729,16 @@ class TestConjugation:
            r=st.integers(1, 3), k=st.integers(-20, 20))
     def test_dyadic_scaling_keeps_the_certificate(self, lower, lead, r, k):
         coeffs, s = lower + [lead], 2.0 ** k
-        f = PolyMap.from_coeffs_1d(coeffs)
-        g = PolyMap.from_coeffs_1d([c * s ** (j - 1) for j, c in enumerate(coeffs)])
-        (orbits_f, search_f, _), (orbits_g, search_g, _) = (periodic_orbits(f, r),
-                                                           periodic_orbits(g, r))
-        assert search_f == search_g
-        assert sorted(o.period for o in orbits_f) == sorted(o.period for o in orbits_g)
-        if not search_f["complete"]:
-            # as at a multiple root, whose multiplier is known to about
-            # sqrt(eps): a verdict that reads |lambda| against 1 may flip
-            return
-        for certify in (certify_bounded, certify_compact):
-            assert certify(f, None, *orbits_f).verdict == certify(g, None, *orbits_g).verdict
-        for certify in (certify_hypercyclic, certify_supercyclic):
-            assert (certify(f, orbits_f, search_complete=True).verdict
-                    == certify(g, orbits_g, search_complete=True).verdict)
-        # one orbit is walked from each of its points: pair walks by start
-        starts = np.array([o.points[0][0] * s for o in orbits_g])
-        match = [int(np.argmin(np.abs(starts - o.points[0][0]))) for o in orbits_f]
-        assert sorted(match) == list(range(len(orbits_g)))
-        for orbit, m in zip(orbits_f, match):
-            gap = abs(orbit.multipliers[0] - orbits_g[m].multipliers[0])
-            assert gap <= _multiplier_slack(coeffs, orbit, s)
+        _same_certificates(coeffs, [c * s ** (j - 1) for j, c in enumerate(coeffs)], r, s=s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower=st.lists(_dyadic(8, 4), min_size=2, max_size=3),
+           lead=_dyadic(8, 4).filter(bool), r=st.integers(1, 3),
+           t=_dyadic(64, 8))
+    def test_dyadic_translation_keeps_the_certificate(self, lower, lead, r, t):
+        # quarter-integer coefficients, shifts up to 8 + 8i in eighths
+        coeffs = lower + [lead]
+        _same_certificates(coeffs, _translated(coeffs, t), r, t=t)
 
 
 class TestDuality:
