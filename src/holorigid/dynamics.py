@@ -4,13 +4,14 @@ Periodic points p with f^r(p) = p carry a multiplier multiset, the
 eigenvalues of the Jacobian of f^r along the orbit, and a weight cocycle
 value u_r(p) = prod_{j<r} u(f^j(p)).  In one variable the points of period
 dividing r are the roots of f^r(z) - z, found by cyclic Newton on the orbit
-system from the preimage tree of a point (small periods in one lockstep,
-each row with its one-period bits), Aberth-Ehrlich where that falls short,
-and certified by pairwise disjoint Newton disks; on C^d, d >= 2, a seeded
-Newton multistart, one lockstep over all periods, supplies witnesses
-without any completeness claim.  ``orbits_of_period`` lists every orbit of
-one period, in one variable only, and ``periodic_orbits`` is the search
-over periods in every dimension; every obstruction reads them.
+system from the preimage tree of a point (small periods shot and certified
+in one lockstep, each row with its one-period bits), Aberth-Ehrlich where
+that falls short, and certified by pairwise disjoint Newton disks; on C^d,
+d >= 2, a seeded Newton multistart, one lockstep over all periods,
+supplies witnesses without any completeness claim.  ``orbits_of_period``
+lists every orbit of one period, in one variable only, and
+``periodic_orbits`` is the search over periods in every dimension; every
+obstruction reads them.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ class PolyMap:
 
     @cached_property
     def _shot_roots(self) -> dict:
-        """r: the read-only roots of f^r(z) - z that ``periodic_orbits`` shot."""
+        """r: the read-only roots of f^r(z) - z that ``periodic_orbits`` shot,
+        and their read-only ``_certificate``, put on f in one assignment."""
         return {}
 
     @cached_property
@@ -362,23 +364,26 @@ def _closes(residual, size):
 
 
 def _closed_walk(f: PolyMap, p, r: int):
-    """p, ..., f^r(p), |f^r(p) - p| and the exact period (least d | r
-    with f^d(p) back at p); OrbitError unless it closes.  Points are Python
-    complex in one variable, where np.linalg.norm's sqrt(re^2 + im^2) runs
-    in float arithmetic; several variables take one errstate for overflow."""
+    """p, ..., f^r(p), |f^r(p) - p| and the exact period (least d | r with
+    f^d(p) back at p); OrbitError unless it closes.  One variable reads the
+    points once as Python complex, with ``_modulus`` for np.linalg.norm."""
     walk = orbit_points(f, p, r + 1)
-    z = [x.item() for x in walk] if f.dim == 1 else walk
-
-    def norm(w):
-        return (math.sqrt(w.real * w.real + w.imag * w.imag) if f.dim == 1
-                else float(np.linalg.norm(w)))
-    with np.errstate(over="ignore", invalid="ignore") if f.dim > 1 else nullcontext():
-        closure, size = norm(z[r] - z[0]), norm(z[0])
+    if f.dim == 1:
+        z, norm, quiet = [x.item() for x in walk], _modulus, nullcontext()
+    else:
+        z, norm, quiet = walk, np.linalg.norm, np.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        closure, size = float(norm(z[r] - z[0])), norm(z[0])
         if not _closes(closure, size):
             raise OrbitError(f"f^{r}(p) - p has residual {closure:.3e}")
         exact = next((d for d in range(1, r) if r % d == 0
                       and _closes(norm(z[d] - z[0]), size)), r)
     return z, closure, exact
+
+
+def _modulus(w: complex) -> float:
+    """|w| as np.linalg.norm reads a one-variable point: sqrt(re^2 + im^2)."""
+    return math.sqrt(w.real * w.real + w.imag * w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +540,10 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
-    """g(z) = f^r(z) - z, the Newton ratio N = g / g' and its rounding slack.
+def _orbit_ratio(f: PolyMap, r, z: np.ndarray, bound: bool = False):
+    """g(z) = f^r(z) - z, the Newton ratio N = g / g' and its rounding slack
+    for one r or one r per row, ascending, with the bits each row has alone:
+    stage k steps the rows with r > k.
 
     (f^r)' comes from the chain rule along the orbit, so no coefficient of
     f^r is formed.  A running bound e on the rounding error of g grows by
@@ -557,23 +564,29 @@ def _orbit_ratio(f: PolyMap, r: int, z: np.ndarray, bound: bool = False):
     g = np.full(len(z), np.inf, dtype=complex)
     n = np.empty(len(z), dtype=complex)
     slack = np.full(len(z), np.inf) if bound else None
-    live = np.arange(len(z))
-    w, dw, e = z.copy(), np.ones(len(z), dtype=complex), np.zeros(len(z))
+    live, ends, w = np.arange(len(z)), np.full(len(z), r), z.copy()
+    dw, e, stops = np.ones(len(z), dtype=complex), np.zeros(len(z)), set(np.ravel(r).tolist())
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for k in range(r):
+        for k in range(max(stops, default=0) + 1):
+            j = int(ends.searchsorted(k, "right")) if k in stops else 0
+            if j:  # the first j rows close here: r ascends over the rows
+                rows, gap = live[:j], dw[:j] - 1.0
+                g[rows] = w[:j] - z[rows]
+                n[rows] = g[rows] / gap
+                if bound:
+                    slack[rows] = (e[:j] + EPS * np.abs(z[rows])) / np.abs(gap)
+                if j == live.size:
+                    break
+                live, ends, w, dw, e = (a[j:] for a in (live, ends, w, dw, e))
             far = np.abs(w) > escape
             if far.any():
-                n[live[far]] = w[far] / (dw[far] * float(deg) ** (r - k))
-                live, w, dw, e = live[~far], w[~far], dw[~far], e[~far]
+                n[live[far]] = w[far] / (dw[far] * float(deg) ** (ends[far] - k))
+                live, ends, w, dw, e = (a[~far] for a in (live, ends, w, dw, e))
             slope = _horner(dc, w)
             if bound:
                 e = np.abs(slope) * e + 2.0 * deg * EPS * _horner(abs_c, np.abs(w))
             dw = dw * slope
             w = _horner(c, w)
-        g[live] = w - z[live]
-        n[live] = g[live] / (dw - 1.0)
-        if bound:
-            slack[live] = (e + EPS * np.abs(z[live])) / np.abs(dw - 1.0)
     return g, n, slack
 
 
@@ -725,10 +738,22 @@ class PeriodicPoints1D:
 def _certificate(f: PolyMap, r: int, roots: np.ndarray):
     """g = f^r(z) - z at the roots, the rounding slack of g / g', the Newton
     disk radii, whether each root closes, and whether its disk meets another."""
-    g, n, slack = _orbit_ratio(f, r, roots, bound=True)
-    radii = len(roots) * (np.abs(n) + slack)
-    radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
-    return g, slack, radii, _closes(np.abs(g), np.abs(roots)), _meeting(roots, radii)
+    return _certificates(f, (r,), (roots,))[0]
+
+
+def _certificates(f: PolyMap, periods, shots) -> list:
+    """The ``_certificate`` of the roots of each r of ``periods`` (ascending),
+    with the bits of each alone, from one ``_orbit_ratio`` call over all
+    their rows."""
+    roots = np.concatenate((*shots, np.empty(0, dtype=complex)))  # (): no rows
+    lo = list(accumulate(map(len, shots), initial=0))
+    g, n, slack = _orbit_ratio(f, np.repeat(periods, np.diff(lo)), roots, bound=True)
+    ok, reach, certs = _closes(np.abs(g), np.abs(roots)), np.abs(n) + slack, []
+    for z, a, b in zip(shots, lo, lo[1:]):
+        radii = len(z) * reach[a:b]
+        radii[np.isnan(radii)] = np.inf  # g = g' = 0: no disk to certify
+        certs.append((g[a:b], slack[a:b], radii, ok[a:b], _meeting(z, radii)))
+    return certs
 
 
 def _escape_tree(f: PolyMap, r: int) -> list:
@@ -750,24 +775,26 @@ def _escape_tree(f: PolyMap, r: int) -> list:
 def _approximations(f: PolyMap, r: int) -> tuple:
     """The D = deg(f)^r roots of f^r(z) - z, deg f >= 2, and their
     ``_certificate``.  ``_shoot`` takes each of the D leaves of the
-    ``_escape_tree`` to a periodic point; f keeps those roots, with the same
-    bits, where ``periodic_orbits`` shot its period in one lockstep.
+    ``_escape_tree`` to a periodic point; f keeps those roots and their
+    certificate, with the same bits, where ``periodic_orbits`` shot and
+    certified its period in one lockstep, and copies of them are handed out.
     Rows whose root does not close or is not polished (its Newton ratio
     |N| is above its rounding slack), and those ``_overlapping`` gives up
     (two leaves often reach one root), go back to their leaves for
     Aberth-Ehrlich with the rest held fixed.  Unless that certifies all D, Aberth-Ehrlich
     from all the leaves gives the roots: only it settles multiple roots."""
+    kept = f._shot_roots.get(r)
+    roots = (kept[0] if kept else _shoot(f, (r,))[0]).copy()
+    cert = tuple(a.copy() for a in kept[1]) if kept else _certificate(f, r, roots)
+    _, slack, radii, ok, meets = cert
+    bad = ~ok | ~(radii <= 2 * len(roots) * slack)  # |N| <= slack, NaN fails
+    if not bad.any() and not meets.any():
+        return roots, cert
     leaves = _escape_tree(f, r)[-1]
 
     def ratio(z):
         return _orbit_ratio(f, r, z)[1]
 
-    roots = (f._shot_roots[r] if r in f._shot_roots else _shoot(f, (r,))[0]).copy()
-    cert = _certificate(f, r, roots)
-    _, slack, radii, ok, meets = cert
-    bad = ~ok | ~(radii <= 2 * len(roots) * slack)  # |N| <= slack, NaN fails
-    if not bad.any() and not meets.any():
-        return roots, cert
     bad[_overlapping(roots, radii, np.flatnonzero(meets))] = True
     roots[bad] = leaves[bad]
     roots = durand_kerner(ratio, roots, np.flatnonzero(bad))
@@ -824,26 +851,29 @@ def periodic_points_1d(f: PolyMap, r: int, detail: bool = False):
         roots = roots[np.isfinite(roots)]
         g, slack, radii, ok, meets = _certificate(f, r, roots)
     if ok.all() and not meets.any():  # D simple roots, one in each disk
-        clusters = [[i] for i in range(len(roots))]
+        reps = _point_order(roots)
+        multiplicities = (1,) * len(reps)
     else:
         clusters = cluster_points(roots[ok], DEDUP_RADIUS, slack[ok])
         if len(clusters) == total:  # the count must not claim them all
             ok[_overlapping(roots, radii, np.flatnonzero(meets))] = False
             clusters = cluster_points(roots[ok], DEDUP_RADIUS, slack[ok])
-    kept = np.flatnonzero(ok)
-    clusters = [kept[cl] for cl in clusters]
-    reps = np.array([cl[0] for cl in clusters], dtype=np.intp)
-    order = _point_order(roots[reps])
-    clusters, reps = [clusters[k] for k in order], reps[order]
-    points = tuple(complex(roots[i]) for i in reps)
+        kept = np.flatnonzero(ok)
+        clusters = [kept[cl] for cl in clusters]
+        reps = np.array([cl[0] for cl in clusters], dtype=np.intp)
+        order = _point_order(roots[reps])
+        reps, multiplicities = reps[order], tuple(len(clusters[k]) for k in order)
+    points = roots[reps].tolist()
     if not detail:
-        return list(points)
+        return points
+    with np.errstate(over="ignore"):  # |g| as abs reads a complex128, with no warning
+        residuals = np.hypot(g[reps].real, g[reps].imag)
     return PeriodicPoints1D(
-        points=points,
-        multiplicities=tuple(len(cl) for cl in clusters),
-        residuals=tuple(float(abs(g[i])) for i in reps),
-        radii=tuple(float(radii[i]) for i in reps),
-        unresolved=tuple(complex(z) for z in roots[~ok]),
+        points=tuple(points),
+        multiplicities=multiplicities,
+        residuals=tuple(residuals.tolist()),
+        radii=tuple(radii[reps].tolist()),
+        unresolved=tuple(roots[~ok].tolist()),
     )
 
 
@@ -1088,9 +1118,10 @@ def make_orbit(f: PolyMap, p, r: int) -> PeriodicOrbit:
     if r < 1:
         raise PreconditionError("iteration count must be >= 1")
     walk, closure, exact = _closed_walk(f, p, r)
+    walk = walk[:exact]
     return PeriodicOrbit(
-        points=tuple((x,) if f.dim == 1 else tuple(x.tolist()) for x in walk[:exact]),
-        multipliers=_chain_multipliers(f, walk[:exact]),
+        points=tuple(zip(walk)) if f.dim == 1 else tuple(tuple(x.tolist()) for x in walk),
+        multipliers=_chain_multipliers(f, walk),
         residual=closure,
     )
 
@@ -1155,6 +1186,8 @@ def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig(
     d >= 2, one lockstep of the ``config`` Newton multistart serves every
     period, with ``complete`` false beside each ``"r=<r>"`` record, and
     reads the multistart's cuts at call time."""
+    if r_max < 1:
+        raise PreconditionError("iteration count must be >= 1")
     orbits, search = [], {"complete": f.dim == 1}
     if f.dim > 1:
         searches = _newton_lockstep(f, range(r_max, 0, -1), config)[::-1]
@@ -1164,9 +1197,13 @@ def periodic_orbits(f: PolyMap, r_max: int, config: SearchConfig = SearchConfig(
                                 "seed": s.seed}
         return orbits, search, {"newton_residual": NEWTON_RESIDUAL,
                                 "escape_norm": ESCAPE_NORM, "dedup_radius": DEDUP_RADIUS}
-    periods = [r for r in range(min(r_max, int(math.log2(SHOOTING_BATCH))), 0, -1)
+    periods = [r for r in range(1, min(r_max, int(math.log2(SHOOTING_BATCH))) + 1)
                if f.degree >= 2 and f.degree ** r <= SHOOTING_BATCH]
-    f._shot_roots.update(zip(periods, _shoot(f, periods)))  # read by _approximations
+    shots = _shoot(f, periods[::-1])[::-1]
+    for r, roots, cert in zip(periods, shots, _certificates(f, periods, shots)):
+        for a in cert:
+            a.setflags(write=False)
+        f._shot_roots[r] = roots, cert  # read by _approximations
     for r in range(1, r_max + 1):
         found, record = orbits_of_period(f, r)
         orbits += [o for o in found if o.period == r]

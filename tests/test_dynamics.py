@@ -800,6 +800,14 @@ _QUADRATIC_OR_CUBIC = st.sampled_from([(2, 6), (3, 4)]).flatmap(lambda kind: st.
     st.lists(st.complex_numbers(max_magnitude=2.0), min_size=kind[0], max_size=kind[0]),
     st.complex_numbers(min_magnitude=0.25, max_magnitude=2.0), st.integers(1, kind[1])))
 
+# a point that stays small, a large one that passes the escape bound at once
+# or after a step, or one that is not finite
+_ORBIT_RATIO_POINT = st.builds(complex, *[
+    st.floats(-4.0, 4.0) | st.sampled_from([1e150, -1e250, np.inf, -np.inf, np.nan])] * 2)
+# z^2 + c whose shot disks meet at r = 7, so that period goes back to
+# Aberth-Ehrlich: the c of bench/inputs/quadc_r7_selfcheck.json
+QUADC = 0.33202574981319277 + 0.4621597843756524j
+
 
 class TestShootingLockstep:
     """``periodic_orbits`` shoots every one-variable period of at most
@@ -836,6 +844,43 @@ class TestShootingLockstep:
                 == [(_bits(o.points), _bits(o.multipliers), _bits(o.residual))
                     for o in want])
 
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_QUADRATIC_OR_CUBIC, scale=st.sampled_from([1.0, 2.0 ** 600]),
+           rows=st.lists(st.tuples(st.integers(1, 6), _ORBIT_RATIO_POINT), max_size=40),
+           bound=st.booleans())
+    def test_per_row_periods_keep_the_bits_of_each_period(self, drawn, scale, rows, bound):
+        # coefficients scaled by 2^600 put the escape bound near 1e60, which
+        # f(1) already passes: such rows take the escape branch at stage 1
+        coeffs, lead, _ = drawn
+        f = PolyMap.from_coeffs_1d([c * scale for c in coeffs + [lead]])
+        rows = sorted(rows, key=lambda row: row[0])  # r ascends over the rows
+        periods = np.array([r for r, _ in rows], dtype=int)
+        z = np.array([p for _, p in rows], dtype=complex)
+        batched = dynamics._orbit_ratio(f, periods, z, bound)
+        for r in set(periods.tolist()):
+            alone = dynamics._orbit_ratio(f, r, z[periods == r], bound)
+            for got, want in zip(batched, alone):
+                assert (got is want is None) or _bits(got[periods == r]) == _bits(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(drawn=_QUADRATIC_OR_CUBIC,
+           awkward=st.lists(st.tuples(st.integers(0, 2 ** 16), _ORBIT_RATIO_POINT),
+                            max_size=6))
+    def test_batched_certificates_keep_the_bits_of_each_period(self, drawn, awkward):
+        # shot roots, some replaced by points whose disks are infinite or NaN
+        coeffs, lead, r_max = drawn
+        f = PolyMap.from_coeffs_1d(coeffs + [lead])
+        dynamics._escape_tree(f, r_max)
+        periods = tuple(range(1, r_max + 1))
+        shots = [roots.copy() for roots in dynamics._shoot(f, periods[::-1])[::-1]]
+        for k, p in awkward:
+            roots = shots[k % len(shots)]
+            roots[k % len(roots)] = p
+        batched = dynamics._certificates(f, periods, shots)
+        for r, roots, cert in zip(periods, shots, batched):
+            alone = dynamics._certificate(f, r, roots)
+            assert [_bits(a) for a in cert] == [_bits(a) for a in alone]
+
     def test_kept_roots_are_read_only_and_copied(self, monkeypatch):
         # a period with more roots than SHOOTING_BATCH is shot alone in its
         # own search, and so is kept by none
@@ -843,10 +888,30 @@ class TestShootingLockstep:
         f = PolyMap.from_coeffs_1d([-1, 0, 1])
         periodic_orbits(f, 3)
         assert sorted(f._shot_roots) == [1, 2]
-        with pytest.raises(ValueError, match="read-only"):
-            f._shot_roots[2][0] = 0
-        roots, _ = dynamics._approximations(f, 2)
-        assert roots.flags.writeable and not np.shares_memory(roots, f._shot_roots[2])
+        for kept in (f._shot_roots[2][0], *f._shot_roots[2][1]):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+        everything = [a for roots, cert in f._shot_roots.values() for a in (roots, *cert)]
+        roots, cert = dynamics._approximations(f, 2)
+        for handed in (roots, *cert):
+            assert handed.flags.writeable
+            assert not any(np.shares_memory(handed, kept) for kept in everything)
+
+    def test_going_back_to_aberth_leaves_the_kept_arrays(self, monkeypatch):
+        f = PolyMap.from_coeffs_1d([QUADC, 0, 1])
+        periodic_orbits(f, 7)
+        assert f._shot_roots[7][1][4].any()  # two disks meet
+        kept = {r: [_bits(a) for a in (roots, *cert)]
+                for r, (roots, cert) in f._shot_roots.items()}
+        for r in range(1, 8):
+            assert repr(periodic_points_1d(f, r, detail=True)) == repr(
+                periodic_points_1d(PolyMap.from_coeffs_1d([QUADC, 0, 1]), r, detail=True))
+        # every disk meets another: at r = 7, where the kept certificate
+        # sends rows back to Aberth, periodic_points_1d drops every disk
+        monkeypatch.setattr(dynamics, "_meeting", lambda z, radii: np.ones(len(z), bool))
+        assert periodic_points_1d(f, 7, detail=True).points == ()
+        assert {r: [_bits(a) for a in (roots, *cert)]
+                for r, (roots, cert) in f._shot_roots.items()} == kept
 
     def test_an_overflow_below_r_max_names_its_own_iterate(self, monkeypatch):
         # the level that eigvals builds second is infinite, so level 3
@@ -1544,6 +1609,46 @@ class TestMakeOrbit:
             if abs(jac.item()) == 0 or 2.0 ** -459 <= abs(jac.item()) <= 2.0 ** 459:
                 assert _bits(orbit.multipliers) == _bits(np.linalg.eigvals(jac))
 
+    @pytest.mark.parametrize("coeffs, r", [
+        ([-1, 0, 1], 6), ([QUADC, 0, 1], 4), ([0.5, -1, 0, 2], 4), ([1, 1e160, -1e160], 2)],
+        ids=["square-minus-1", "quadc", "cubic", "overflowing-multiplier"])
+    def test_one_variable_walk_keeps_its_bits(self, coeffs, r):
+        # the reference reads the walk of orbit_points and the norm of
+        # np.linalg.norm; its lower-period points are walked at r.  The
+        # points 0 and 1 of 1 + 1e160 z - 1e160 z^2 close only by rounding,
+        # and their multiplier overflows
+        f = PolyMap.from_coeffs_1d(coeffs)
+        found = [0j, 1 + 0j] if coeffs[0] == 1 else periodic_points_1d(f, r)
+        exacts = set()
+        for p in found:
+            walk = [x.item() for x in orbit_points(f, [p], r + 1)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = [float(np.linalg.norm([x - walk[0]])) for x in walk]
+                size = float(np.linalg.norm([walk[0]]))
+            exact = min(d for d in range(1, r + 1)
+                        if r % d == 0 and gap[d] <= TOL_ORBIT * (1 + size))
+            mults = dynamics._chain_multipliers(f, walk[:exact])
+            orbit = make_orbit(f, [p], r)
+            assert orbit.period == exact and type(orbit.multipliers[0]) is np.complex128
+            assert _bits(orbit.points) == _bits(walk[:exact])
+            assert _bits(orbit.multipliers) == _bits(mults)
+            assert repr(orbit.residual) == repr(gap[r])
+            exacts.add(exact)
+        divisors = {d for d in range(1, r + 1) if r % d == 0}
+        assert exacts == ({2} if coeffs[0] == 1 else divisors)
+
+    @pytest.mark.parametrize("f, p, r, residual", [
+        (SQUARE, 0.5, 1, "2.500e-01"), (SQUARE_MINUS_1, 0.5, 3, "1.309e+00"),
+        (SQUARE_MINUS_1, 5, 12, "nan"), (SQUARE, complex("inf"), 2, "nan")])
+    def test_a_walk_that_does_not_close_names_its_residual(self, f, p, r, residual):
+        # 5 escapes under z^2 - 1, and its walk overflows to inf and NaN
+        # without a RuntimeWarning, which pytest would turn into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OrbitError) as err:
+                make_orbit(f, [p], r)
+        assert str(err.value) == f"f^{r}(p) - p has residual {residual}"
+
     def test_exact_period_reduction(self):
         f = PolyMap.from_coeffs_1d([0, -1])
         orbit = make_orbit(f, [0], 2)
@@ -1642,6 +1747,17 @@ class TestPeriodicOrbits:
         assert orbits_of_period(f, 4)[1] == search == {"complete": False}
         assert sum(orbit.period == 4 for orbit in orbits) == 10
         assert all(orbit.points[0] != (point,) for orbit in orbits)
+
+    @pytest.mark.parametrize("f", [SQUARE_MINUS_1, HENON], ids=["square-minus-1", "henon"])
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_an_empty_search_is_refused(self, monkeypatch, f, r_max):
+        # no period was searched, so no search may be called complete
+        def no_search(*args):
+            raise AssertionError("searched")
+        monkeypatch.setattr(dynamics, "_shoot", no_search)
+        monkeypatch.setattr(dynamics, "_newton_lockstep", no_search)
+        with pytest.raises(PreconditionError, match="iteration count must be >= 1"):
+            periodic_orbits(f, r_max)
 
     def test_two_variable_record(self):
         config = SearchConfig(starts=60, seed=3)

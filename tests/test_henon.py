@@ -158,6 +158,11 @@ class TestSaddleCertificate:
                                    "tol_weight": TOL_WEIGHT,
                                    "tol_orbit": dynamics.TOL_ORBIT}
 
+    def test_no_period_searched_is_no_certificate(self):
+        # r_max = 0 searches nothing: NoObstruction would claim an absence
+        with pytest.raises(PreconditionError, match="iteration count must be >= 1"):
+            saddle_certificate(HenonComposition((STANDARD,)), None, r_max=0)
+
     def test_witness_is_certify_bounded_over_every_orbit(self):
         # the two fixed saddles have largest |multiplier| 2.27 and 4.94, and
         # the 2-cycle 5.82: the witness is the cycle, past the first period
